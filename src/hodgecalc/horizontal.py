@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
 from .lmhs import hermitian_psd_status
-from .matrices import Mat, kernel_basis, rank, rref, sub_canonical, sub_zero
+from .matrices import Mat, inverse, kernel_basis, rank, rref, sub_canonical, sub_zero
 from .rationals import GaussianRational, ZERO, ONE, i_power
-from .weightfilt import _invert
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class PolarizedHS:
                 rows.append(list(m.row(r)))
                 units.append(i_power(p - qq))
         t = Mat.from_rows(rows).transpose()
-        return t @ Mat.diag(units) @ _invert(t)
+        return t @ Mat.diag(units) @ inverse(t)
 
     def metric_matrix(self) -> Mat:
         """Gram H of the Hodge metric h(u, v) = -Q(Cu, conj v), so that
@@ -144,7 +143,7 @@ class GradedEnd:
         """Metric adjoint on V: h(Xu, v) = h(u, X* v)."""
         h = self.metric
         ht = h.transpose()
-        return _invert(ht) @ x.conj_transpose() @ ht
+        return inverse(ht) @ x.conj_transpose() @ ht
 
     def inner(self, x: Mat, y: Mat) -> GaussianRational:
         """Hodge inner product Tr(X Y*) on endomorphisms."""
@@ -188,7 +187,7 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
                 continue
             other_mat = Mat.from_rows(other_rows)
             full = Mat.from_rows((tgt_rows or []) + other_rows)
-            finv = _invert(full.transpose())
+            finv = inverse(full.transpose())
             # coefficients on the "others" block of X v for v in basis
             offset = len(tgt_rows)
             for bi in range(basis.rows):
@@ -284,7 +283,7 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
         full_rows = [list(r) for key in sorted(phs.pieces) for r in phs.pieces[key].row_list()]
         keys = [key for key in sorted(phs.pieces) for _ in range(phs.pieces[key].rows)]
         full = Mat.from_rows(full_rows)
-        finv = _invert(full.transpose())
+        finv = inverse(full.transpose())
         dst_positions = [i for i, key in enumerate(keys) if key == (p - 1, n - p + 1)]
         cols = []
         for i in range(src.rows):
@@ -301,7 +300,7 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
                  for j in range(basis.rows)] for i in range(basis.rows)])
         g_src = gram(src)
         g_dst = gram(dst)
-        a_star = _invert(g_src.transpose()) @ a.conj_transpose() @ g_dst.transpose()
+        a_star = inverse(g_src.transpose()) @ a.conj_transpose() @ g_dst.transpose()
         m1 = a_star @ a
         sum_l2 = m1.trace().real_or_raise()
         sum_l4 = (m1 @ m1).trace().real_or_raise()
@@ -328,7 +327,7 @@ def top_block(ge: GradedEnd, xi: Mat) -> Mat:
     full_rows = [list(r) for key in sorted(phs.pieces)
                  for r in phs.pieces[key].row_list()]
     keys = [key for key in sorted(phs.pieces) for _ in range(phs.pieces[key].rows)]
-    finv = _invert(Mat.from_rows(full_rows).transpose())
+    finv = inverse(Mat.from_rows(full_rows).transpose())
     positions = [i for i, key in enumerate(keys) if key == (n - 1, 1)]
     cols = []
     for i in range(src.rows):

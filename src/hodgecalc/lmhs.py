@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotMHS
 from .matrices import (
-    Mat, coords_in_basis, is_nilpotent, kernel_basis, rank, rref,
+    Mat, coords_in_basis, inverse, is_nilpotent, kernel_basis, rank, rref,
     sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -96,8 +96,7 @@ class DeligneBigrading:
                 rows.append(list(m.row(i)))
                 vals.append(Fraction(p + q))
         t = Mat.from_rows(rows).transpose()
-        from .weightfilt import _invert
-        return t @ Mat.diag(vals) @ _invert(t)
+        return t @ Mat.diag(vals) @ inverse(t)
 
     def hodge_numbers(self) -> dict:
         return {(p, q): m.rows for (p, q), m in self.pieces.items() if m.rows}
@@ -437,8 +436,7 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
             rows.append(list(eig[kk].row(r)))
             labels.append(kk)
     t = Mat.from_rows(rows).transpose()
-    from .weightfilt import _invert
-    t_inv = _invert(t)
+    t_inv = inverse(t)
     projectors = {kk: t @ Mat.diag([Fraction(1) if lab == kk else Fraction(0)
                                     for lab in labels]) @ t_inv
                   for kk in sorted(eig)}

@@ -6,12 +6,21 @@ so two subspaces are equal iff their canonical matrices are equal.
 
 Pivoting is always leftmost-column, smallest-row-index: every operation is
 deterministic.
+
+Entries are ``GaussianRational``, but products and elimination run on
+Python ints: each row is cleared of denominators, a real matrix is reduced
+over Z and one with a non-real entry over Z[i], by fraction-free
+(Bareiss) Gauss-Jordan elimination with the pivot rule above, and the
+result is divided back once at the end.  The reduced row echelon form is
+unique, so the answer is exactly the one of fraction-by-fraction
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import NoSolution, NotNilpotent
 from .rationals import GaussianRational, as_gauss, ZERO, ONE
@@ -25,7 +34,7 @@ class Mat:
     def __init__(self, rows: int, cols: int, entries):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        ent = tuple(as_gauss(e) for e in entries)
+        ent = tuple(map(as_gauss, entries))
         if len(ent) != rows * cols:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "entries", ent)
@@ -92,19 +101,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        b = other.entries[k * other.cols + j]
-                        if b:
-                            acc = acc + a * b
-                out.append(acc)
-        return Mat(self.rows, other.cols, out)
+        return _product(self, other)
 
     def scale(self, c) -> "Mat":
         c = as_gauss(c)
@@ -145,8 +142,11 @@ class Mat:
         v = [as_gauss(x) for x in v]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((self[i, k] * v[k] for k in range(self.cols)
-                          if v[k]), ZERO) for i in range(self.rows))
+        support = [k for k, x in enumerate(v) if x]
+        c = self.cols
+        columns = Mat(self.rows, len(support),
+                      [self.entries[i * c + k] for i in range(self.rows) for k in support])
+        return _product(columns, Mat(len(support), 1, [v[k] for k in support])).entries
 
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
@@ -185,6 +185,233 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
+# Integer kernels
+# ---------------------------------------------------------------------------
+#
+# Products and elimination run on Python ints: each row is multiplied by the
+# lcm of its denominators.  A real matrix runs over Z, where a row is a list
+# of ints and a scalar an int.  A matrix with any non-real entry runs over
+# Z[i], where a row is a pair of parallel int lists (real parts, imaginary
+# parts) and a scalar an (re, im) pair, or 0 when it is zero.  The ring is
+# read from the entries once per matrix.
+
+_FZERO = Fraction(0)
+
+
+def _fraction(x: int, d: int) -> Fraction:
+    return Fraction(x) if d == 1 else Fraction(x, d)
+
+
+def _clear(parts):
+    """The fractions in parts times their lcm d, as ints, and d."""
+    ratios = [x.as_integer_ratio() for x in parts]
+    d = lcm(*[q for _, q in ratios])
+    if d == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (d // q) for p, q in ratios], d
+
+
+class _Z:
+    """Row arithmetic over the integers."""
+
+    one = 1
+
+    @staticmethod
+    def rows(m: Mat):
+        """Rows of m times the lcm of their denominators, and those lcms."""
+        out = [_clear([e.re for e in m.row(i)]) for i in range(m.rows)]
+        return [row for row, _ in out], [d for _, d in out]
+
+    @staticmethod
+    def embed(n: int) -> int:
+        return n
+
+    @staticmethod
+    def at(row, j):
+        return row[j]
+
+    @staticmethod
+    def scale(row, p, q):
+        """p * row / q, where the division is exact."""
+        return [x * p // q for x in row]
+
+    @staticmethod
+    def combine(row, prow, p, f, q):
+        """(p * row - f * prow) / q, where the division is exact."""
+        if q == 1:
+            return [p * x - f * y for x, y in zip(row, prow)]
+        return [(p * x - f * y) // q for x, y in zip(row, prow)]
+
+    @staticmethod
+    def support(row, c: int):
+        """The nonzero (column, c * value) pairs of row."""
+        return [(j, c * y) for j, y in enumerate(row) if y]
+
+    @staticmethod
+    def dot(row, supports, cols: int):
+        """row times the matrix whose rows have the given supports."""
+        acc = [0] * cols
+        for x, nz in zip(row, supports):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        return acc
+
+    @staticmethod
+    def value(x, d) -> GaussianRational:
+        """The Gaussian rational x / d."""
+        return GaussianRational(_fraction(x, d), _FZERO) if x else ZERO
+
+    @staticmethod
+    def entries(row, d):
+        """The Gaussian rationals row / d."""
+        return [_Z.value(x, d) for x in row]
+
+
+class _ZI:
+    """Row arithmetic over the Gaussian integers."""
+
+    one = (1, 0)
+
+    @staticmethod
+    def rows(m: Mat):
+        """Rows of m times the lcm of their denominators, and those lcms."""
+        c = m.cols
+        out = [_clear([e.re for e in m.row(i)] + [e.im for e in m.row(i)])
+               for i in range(m.rows)]
+        return [(row[:c], row[c:]) for row, _ in out], [d for _, d in out]
+
+    @staticmethod
+    def embed(n: int):
+        return (n, 0)
+
+    @staticmethod
+    def at(row, j):
+        a, b = row[0][j], row[1][j]
+        return (a, b) if a or b else 0
+
+    @staticmethod
+    def _divide(re, im, q):
+        """(re + i im) / q, where the division is exact."""
+        qr, qi = q
+        if qi == 0:
+            if qr == 1:
+                return re, im
+            return [x // qr for x in re], [y // qr for y in im]
+        n = qr * qr + qi * qi
+        return ([(x * qr + y * qi) // n for x, y in zip(re, im)],
+                [(y * qr - x * qi) // n for x, y in zip(re, im)])
+
+    @staticmethod
+    def scale(row, p, q):
+        """p * row / q, where the division is exact."""
+        (xr, xi), (pr, pi) = row, p
+        return _ZI._divide([pr * a - pi * b for a, b in zip(xr, xi)],
+                           [pr * b + pi * a for a, b in zip(xr, xi)], q)
+
+    @staticmethod
+    def combine(row, prow, p, f, q):
+        """(p * row - f * prow) / q, where the division is exact."""
+        (xr, xi), (yr, yi), (pr, pi), (fr, fi) = row, prow, p, f
+        columns = list(zip(xr, xi, yr, yi))
+        return _ZI._divide([pr * a - pi * b - fr * c + fi * e for a, b, c, e in columns],
+                           [pr * b + pi * a - fr * e - fi * c for a, b, c, e in columns], q)
+
+    @staticmethod
+    def support(row, c: int):
+        """The nonzero (column, c * re, c * im) triples of row."""
+        return [(j, c * a, c * b) for j, (a, b) in enumerate(zip(*row)) if a or b]
+
+    @staticmethod
+    def dot(row, supports, cols: int):
+        """row times the matrix whose rows have the given supports."""
+        re, im = [0] * cols, [0] * cols
+        for a, b, nz in zip(row[0], row[1], supports):
+            if a or b:
+                for j, c, e in nz:
+                    re[j] += a * c - b * e
+                    im[j] += a * e + b * c
+        return re, im
+
+    @staticmethod
+    def value(x, d) -> GaussianRational:
+        """The Gaussian rational x / d."""
+        (a, b), (dr, di) = x, d
+        if not (a or b):
+            return ZERO
+        if di == 0:
+            return GaussianRational(_fraction(a, dr), _fraction(b, dr))
+        n = dr * dr + di * di
+        return GaussianRational(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
+
+    @staticmethod
+    def entries(row, d):
+        """The Gaussian rationals row / d."""
+        return [_ZI.value(x, d) for x in zip(*row)]
+
+
+def _ring(*matrices):
+    """Z when every entry is real, else Z[i]."""
+    return _ZI if any(e.im for m in matrices for e in m.entries) else _Z
+
+
+def _product(a: Mat, b: Mat) -> Mat:
+    """a @ b, row by row, with the support of each row of b found once."""
+    ring = _ring(a, b)
+    arows, alcms = ring.rows(a)
+    brows, blcms = ring.rows(b)
+    d = lcm(*blcms)
+    supports = [ring.support(row, d // l) for row, l in zip(brows, blcms)]
+    out = []
+    for row, l in zip(arows, alcms):
+        out.extend(ring.entries(ring.dot(row, supports, b.cols), ring.embed(l * d)))
+    return Mat(a.rows, b.cols, out)
+
+
+def _eliminate(rows, cols: int, ring):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of int rows, in place.
+
+    Pivots are chosen leftmost column first, then smallest row index.  The
+    k-th pivot is the leading k x k minor of the pivot rows and columns, and
+    the next row operation divides exactly by it (E. H. Bareiss, Math. Comp.
+    22, 1968).  A row that needs no operation at a step is left as it is:
+    rows[r] equals minors[level[r]] times the rational row it stands for,
+    so the row operations divide by that minor instead.
+
+    Returns (pivot columns, sign of the row permutation, minors, level).
+    """
+    nr = len(rows)
+    minors = [ring.one]
+    level = [0] * nr
+    pivots = []
+    sign = 1
+    for pc in range(cols):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        sel = next((r for r in range(pr, nr) if ring.at(rows[r], pc)), None)
+        if sel is None:
+            continue
+        if sel != pr:
+            rows[pr], rows[sel] = rows[sel], rows[pr]
+            level[pr], level[sel] = level[sel], level[pr]
+            sign = -sign
+        if level[pr] != pr:
+            rows[pr] = ring.scale(rows[pr], minors[pr], minors[level[pr]])
+        prow = rows[pr]
+        p = ring.at(prow, pc)
+        for r in range(nr):
+            f = ring.at(rows[r], pc) if r != pr else 0
+            if f:
+                rows[r] = ring.combine(rows[r], prow, p, f, minors[level[r]])
+                level[r] = pr + 1
+        level[pr] = pr + 1
+        minors.append(p)
+        pivots.append(pc)
+    return pivots, sign, minors, level
+
+
+# ---------------------------------------------------------------------------
 # Elimination
 # ---------------------------------------------------------------------------
 
@@ -192,32 +419,19 @@ def rref(m: Mat):
     """Reduced row echelon form.
 
     Returns (reduced, pivot_cols, rank).  Pivot selection is leftmost column
-    first, then smallest row index.
+    first, then smallest row index.  Each pivot row is divided by its minor
+    once, at the end.
     """
-    a = m.row_list()
-    nr, nc = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        sel = None
-        for r in range(pr, nr):
-            if a[r][pc]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        a[pr], a[sel] = a[sel], a[pr]
-        inv = ONE / a[pr][pc]
-        a[pr] = [inv * x for x in a[pr]]
-        for r in range(nr):
-            if r != pr and a[r][pc]:
-                f = a[r][pc]
-                a[r] = [x - f * y for x, y in zip(a[r], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return Mat.from_rows(a) if nr else m, tuple(pivots), len(pivots)
+    if not m.rows:
+        return m, (), 0
+    ring = _ring(m)
+    rows, _ = ring.rows(m)
+    pivots, _, minors, level = _eliminate(rows, m.cols, ring)
+    out = []
+    for r in range(len(pivots)):
+        out.extend(ring.entries(rows[r], minors[level[r]]))
+    out.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return Mat(m.rows, m.cols, out), tuple(pivots), len(pivots)
 
 
 def kernel_basis(m: Mat):
@@ -256,30 +470,31 @@ def solve(m: Mat, b):
 
 
 def det(m: Mat) -> GaussianRational:
-    """Exact determinant by fraction-full Gaussian elimination."""
+    """Exact determinant: the sign of the row permutation times the last
+    pivot of the fraction-free elimination, over the product of the row lcms.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    a = m.row_list()
+    ring = _ring(m)
+    rows, lcms = ring.rows(m)
+    pivots, sign, minors, _ = _eliminate(rows, m.cols, ring)
+    if len(pivots) < m.rows:
+        return ZERO
+    out = ring.value(minors[-1], ring.embed(prod(lcms)))
+    return -out if sign < 0 else out
+
+
+def inverse(m: Mat) -> Mat:
+    """Exact inverse of a square matrix; NoSolution if it is singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of non-square matrix")
     n = m.rows
-    out = ONE
-    for c in range(n):
-        sel = None
-        for r in range(c, n):
-            if a[r][c]:
-                sel = r
-                break
-        if sel is None:
-            return ZERO
-        if sel != c:
-            a[c], a[sel] = a[sel], a[c]
-            out = -out
-        out = out * a[c][c]
-        inv = ONE / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return out
+    aug = Mat.from_rows([list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)]
+                         for i in range(n)])
+    red, piv, r = rref(aug)
+    if r != n or any(p >= n for p in piv[:n]):
+        raise NoSolution("matrix is singular")
+    return Mat.from_rows([list(red.row(i))[n:] for i in range(n)])
 
 
 def rank(m: Mat) -> int:
@@ -372,8 +587,7 @@ def sub_image(m: Mat, s: Mat) -> Mat:
     """Image of the row space s under the linear map m (column convention)."""
     if s.rows == 0:
         return sub_zero(m.rows)
-    rows = [list(m.mat_vec(s.row(i))) for i in range(s.rows)]
-    return sub_canonical(Mat.from_rows(rows))
+    return sub_canonical(_product(s, m.transpose()))
 
 
 def column_space(m: Mat) -> Mat:
@@ -448,14 +662,6 @@ class Quotient:
         rows = [list(self.project_vec(s.row(i))) for i in range(s.rows)]
         return sub_canonical(Mat.from_rows(rows))
 
-    def lift_vec(self, coords):
-        coords = [as_gauss(c) for c in coords]
-        v = [ZERO] * self.ambient
-        for c, i in zip(coords, range(self.dim)):
-            if c:
-                v = [x + c * y for x, y in zip(v, self.comp.row(i))]
-        return tuple(v)
-
     def induced_map(self, m: Mat) -> Mat:
         """Matrix of the endomorphism induced by m (which must preserve sup, sub)."""
         cols = []
@@ -516,8 +722,9 @@ def _int_entries(m: Mat):
 
 def smith_normal_form(a: Mat) -> SmithForm:
     nr, nc = a.rows, a.cols
-    m = [[v for v in row] for row in
-         [list(_int_entries(a)[i * nc:(i + 1) * nc]) for i in range(nr)]]
+    ints = _int_entries(a)
+    m = [ints[i * nc:(i + 1) * nc] for i in range(nr)]
+    limit = min(nr, nc)
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -541,31 +748,30 @@ def smith_normal_form(a: Mat) -> SmithForm:
         for r in v:
             r[i], r[j] = r[j], r[i]
 
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # find pivot of minimal absolute value in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, nr):
-            if m[i][t] % m[t][t] != 0:
-                dirty = True
-            row_op(t, i, m[i][t] // m[t][t])
-        for j in range(t + 1, nc):
-            if m[t][j] % m[t][t] != 0:
-                dirty = True
-            col_op(t, j, m[t][j] // m[t][t])
-        if dirty or any(m[i][t] for i in range(t + 1, nr)) or any(m[t][j] for j in range(t + 1, nc)):
-            continue
-        t += 1
+    def eliminate_from(t):
+        """Reduce the trailing block from position t to diagonal form."""
+        while t < limit:
+            # find pivot of minimal absolute value in the trailing block
+            best = None
+            for i in range(t, nr):
+                for j in range(t, nc):
+                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+            for i in range(t + 1, nr):
+                if m[i][t]:
+                    row_op(t, i, m[i][t] // m[t][t])
+            for j in range(t + 1, nc):
+                if m[t][j]:
+                    col_op(t, j, m[t][j] // m[t][t])
+            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][j] for j in range(t + 1, nc)):
+                continue
+            t += 1
+
+    eliminate_from(0)
 
     # enforce divisibility chain
     changed = True
@@ -579,33 +785,8 @@ def smith_normal_form(a: Mat) -> SmithForm:
                     r[i] += r[i + 1]
                 for r in v:
                     r[i] += r[i + 1]
-                # re-run elimination from position i
                 changed = True
-                t = i
-                while t < limit:
-                    best = None
-                    for r_ in range(t, nr):
-                        for c_ in range(t, nc):
-                            if m[r_][c_] != 0 and (best is None or abs(m[r_][c_]) < abs(m[best[0]][best[1]])):
-                                best = (r_, c_)
-                    if best is None:
-                        break
-                    swap_rows(t, best[0])
-                    swap_cols(t, best[1])
-                    again = False
-                    for r_ in range(t + 1, nr):
-                        if m[r_][t]:
-                            row_op(t, r_, m[r_][t] // m[t][t])
-                            if m[r_][t]:
-                                again = True
-                    for c_ in range(t + 1, nc):
-                        if m[t][c_]:
-                            col_op(t, c_, m[t][c_] // m[t][t])
-                            if m[t][c_]:
-                                again = True
-                    if again or any(m[r_][t] for r_ in range(t + 1, nr)) or any(m[t][c_] for c_ in range(t + 1, nc)):
-                        continue
-                    t += 1
+                eliminate_from(i)
                 break
 
     # positive diagonal

@@ -18,7 +18,7 @@ from .cones import nonnegative_extreme_rays, _scale_primitive
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, kernel_basis, smith_normal_form, sub_canonical, sub_zero,
+    Mat, inverse, kernel_basis, smith_normal_form, sub_canonical, sub_zero,
 )
 from .rationals import ZERO
 from .weightfilt import weight_filtration_centered
@@ -240,9 +240,8 @@ def connected_refinement(m: MonomialMap) -> SaturationRefinement:
         return SaturationRefinement(Mat.identity(k), m, tuple())
     e = Mat.from_rows([[Fraction(x) for x in row] for row in m.exponents])
     snf = smith_normal_form(e)
-    from .weightfilt import _invert
-    u_inv = _invert(snf.u)
-    v_inv = _invert(snf.v)
+    u_inv = inverse(snf.u)
+    v_inv = inverse(snf.v)
     nr, nc = e.rows, e.cols
     d_hat = Mat.from_rows([[Fraction(1) if (i == j and snf.d[i, i]) else Fraction(0)
                             for j in range(nc)] for i in range(nr)])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Quotient, kernel_space, column_space, kernel_basis,
+    Mat, Quotient, inverse, kernel_space, column_space, kernel_basis,
     nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -246,7 +246,7 @@ def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
     t = Mat.from_rows(basis_rows).transpose()
     if rref(t)[2] != d:
         raise NoSolution("internal error: string basis does not span")
-    t_inv = _invert(t)
+    t_inv = inverse(t)
     y = t @ Mat.diag([Fraction(e) for e in eigvals]) @ t_inv
     if not (y @ n - n @ y + n.scale(2)).is_zero():
         raise NoSolution("internal error: [Y,N] != -2N")
@@ -267,17 +267,6 @@ def _solve_in_subspace(m: Mat, sub: Mat, target):
         if coef:
             u = [a + coef * b for a, b in zip(u, sub.row(i))]
     return u
-
-
-def _invert(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    aug = Mat.from_rows([list(m.row(i)) + list(Mat.identity(m.rows).row(i))
-                         for i in range(m.rows)])
-    red, piv, r = rref(aug)
-    if r != m.rows or any(p >= m.rows for p in piv[:m.rows]):
-        raise NoSolution("matrix is singular")
-    return Mat.from_rows([list(red.row(i))[m.rows:] for i in range(m.rows)])
 
 
 def _check_grading(y: Mat, wf: WeightFiltration):
@@ -332,7 +321,7 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
             basis_rows.append(list(spaces[k].row(i)))
             labels.append(k)
     t = Mat.from_rows(basis_rows).transpose()
-    t_inv = _invert(t)
+    t_inv = inverse(t)
     n_t = t_inv @ n @ t
     # sanity: n must lower the weight by exactly 2
     for i in range(d):
@@ -459,7 +448,7 @@ def y_eigen_decomposition(n2: Mat, y: Mat) -> dict:
             basis_rows.append(list(spaces[k].row(i)))
             labels.append(k)
     t = Mat.from_rows(basis_rows).transpose()
-    t_inv = _invert(t)
+    t_inv = inverse(t)
     projectors = {}
     for k in sorted(spaces):
         sel = Mat.diag([Fraction(1) if lab == k else Fraction(0) for lab in labels])

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodgecalc.matrices import Mat
+from hodgecalc.matrices import Mat, inverse
 from hodgecalc.lmhs import PolarizedOrbitSpec
-from hodgecalc.weightfilt import _invert
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +56,7 @@ def random_nilpotent(rng: random.Random, dim: int) -> Mat:
     l = [[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
           for j in range(dim)] for i in range(dim)]
     t = Mat.from_rows(l)
-    return t @ m @ _invert(t)
+    return t @ m @ inverse(t)
 
 
 def random_fraction(rng: random.Random, lo: int = 1, hi: int = 9) -> Fraction:

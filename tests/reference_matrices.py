@@ -1,0 +1,100 @@
+"""Reference implementations of the matrix kernels, kept as test oracles.
+
+These are the fraction-full ``GaussianRational`` versions of ``rref``,
+``det``, ``Mat.__matmul__`` and ``Mat.mat_vec`` that ``hodgecalc.matrices``
+used before its integer kernels.  They are slow and simple on purpose; the
+property tests in ``test_matrix_oracles.py`` assert that the library gives
+exactly the same answers.
+"""
+
+from __future__ import annotations
+
+from hodgecalc.matrices import Mat
+from hodgecalc.rationals import as_gauss, ZERO, ONE
+
+
+def rref(m: Mat):
+    """Reduced row echelon form.
+
+    Returns (reduced, pivot_cols, rank).  Pivot selection is leftmost column
+    first, then smallest row index.
+    """
+    a = m.row_list()
+    nr, nc = m.rows, m.cols
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        sel = None
+        for r in range(pr, nr):
+            if a[r][pc]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        a[pr], a[sel] = a[sel], a[pr]
+        inv = ONE / a[pr][pc]
+        a[pr] = [inv * x for x in a[pr]]
+        for r in range(nr):
+            if r != pr and a[r][pc]:
+                f = a[r][pc]
+                a[r] = [x - f * y for x, y in zip(a[r], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return Mat.from_rows(a) if nr else m, tuple(pivots), len(pivots)
+
+
+def det(m: Mat):
+    """Exact determinant by fraction-full Gaussian elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    a = m.row_list()
+    n = m.rows
+    out = ONE
+    for c in range(n):
+        sel = None
+        for r in range(c, n):
+            if a[r][c]:
+                sel = r
+                break
+        if sel is None:
+            return ZERO
+        if sel != c:
+            a[c], a[sel] = a[sel], a[c]
+            out = -out
+        out = out * a[c][c]
+        inv = ONE / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return out
+
+
+def matmul(self: Mat, other: Mat) -> Mat:
+    """The product self @ other, testing both factors inside the inner loop."""
+    if self.cols != other.rows:
+        raise ValueError("shape mismatch in matrix product")
+    out = []
+    for i in range(self.rows):
+        ri = self.row(i)
+        for j in range(other.cols):
+            acc = ZERO
+            for k in range(self.cols):
+                a = ri[k]
+                if a:
+                    b = other.entries[k * other.cols + j]
+                    if b:
+                        acc = acc + a * b
+            out.append(acc)
+    return Mat(self.rows, other.cols, out)
+
+
+def mat_vec(self: Mat, v):
+    """Matrix times column vector (v a sequence)."""
+    v = [as_gauss(x) for x in v]
+    if len(v) != self.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum((self[i, k] * v[k] for k in range(self.cols)
+                      if v[k]), ZERO) for i in range(self.rows))

@@ -1,0 +1,155 @@
+"""Property tests: the integer kernels of ``hodgecalc.matrices`` against oracles.
+
+The oracle is the fraction-full implementation kept in
+``reference_matrices``; ``kernel_basis`` and ``solve`` are compared with the
+same functions running on the reference ``rref``.  Where sympy is installed,
+``rref`` and ``det`` are also checked against it over Q(i).
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_matrices as ref
+from hodgecalc import matrices
+from hodgecalc.errors import NoSolution
+from hodgecalc.matrices import Mat, det, inverse, kernel_basis, rref, solve
+from hodgecalc.rationals import GaussianRational, ZERO
+
+
+def _scalar(rng: random.Random, gaussian: bool, big: bool) -> GaussianRational:
+    def part():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 64))
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 1, 2, 3, 7)))
+    return GaussianRational(part(), part() if gaussian else 0)
+
+
+def _matrix(rng: random.Random, gaussian: bool, big: bool = False,
+            rows: int | None = None, cols: int | None = None) -> Mat:
+    """A seeded matrix: full, rank-deficient, or with zero rows and columns."""
+    r = rng.randint(0, 7) if rows is None else rows
+    c = rng.randint(0, 7) if cols is None else cols
+    kind = rng.choice(("full", "low-rank", "zero-lines"))
+    if kind == "low-rank" and r and c:
+        k = rng.randint(0, min(r, c))
+        left = Mat(r, k, [_scalar(rng, gaussian, big) for _ in range(r * k)])
+        right = Mat(k, c, [_scalar(rng, gaussian, big) for _ in range(k * c)])
+        return ref.matmul(left, right) if k else Mat.zeros(r, c)
+    entries = [_scalar(rng, gaussian, big) for _ in range(r * c)]
+    if kind == "zero-lines" and r and c:
+        zero_row, zero_col = rng.randrange(r), rng.randrange(c)
+        entries = [ZERO if i // c == zero_row or i % c == zero_col else e
+                   for i, e in enumerate(entries)]
+    return Mat(r, c, entries)
+
+
+SEEDS = range(40)
+RINGS = pytest.mark.parametrize("gaussian,big", [(False, False), (False, True),
+                                                 (True, False), (True, True)])
+
+
+@RINGS
+def test_rref_kernel_solve_match_reference(gaussian, big, monkeypatch):
+    cases = []
+    for seed in SEEDS:
+        rng = random.Random(1000 * seed + 10 * gaussian + big)
+        m = _matrix(rng, gaussian, big)
+        b = [_scalar(rng, gaussian, big) for _ in range(m.rows)]
+        assert rref(m) == ref.rref(m), seed
+        cases.append((m, b, kernel_basis(m), solve(m, b)))
+    monkeypatch.setattr(matrices, "rref", ref.rref)
+    for seed, (m, b, kernel, x) in zip(SEEDS, cases):
+        assert kernel == matrices.kernel_basis(m), seed
+        assert x == matrices.solve(m, b), seed
+
+
+@RINGS
+def test_det_and_inverse_match_reference(gaussian, big):
+    for seed in SEEDS:
+        rng = random.Random(2000 * seed + 10 * gaussian + big)
+        n = rng.randint(0, 6)
+        m = _matrix(rng, gaussian, big, rows=n, cols=n)
+        d = ref.det(m)
+        assert det(m) == d, seed
+        if d:
+            assert ref.matmul(m, inverse(m)) == Mat.identity(n), seed
+        else:
+            with pytest.raises(NoSolution, match="matrix is singular"):
+                inverse(m)
+
+
+@RINGS
+def test_products_match_reference(gaussian, big):
+    for seed in SEEDS:
+        rng = random.Random(3000 * seed + 10 * gaussian + big)
+        n, k, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = _matrix(rng, gaussian, big, rows=n, cols=k)
+        b = _matrix(rng, rng.random() < 0.5 and gaussian, big, rows=k, cols=p)
+        assert a @ b == ref.matmul(a, b), seed
+        v = [_scalar(rng, gaussian, big) for _ in range(k)]
+        assert a.mat_vec(v) == ref.mat_vec(a, v), seed
+
+
+def test_shapes_without_rows_or_columns():
+    for r, c in ((0, 0), (0, 3), (3, 0)):
+        m = Mat.zeros(r, c)
+        assert rref(m) == ref.rref(m)
+        assert kernel_basis(m) == [tuple(Mat.identity(c).row(i)) for i in range(c)]
+        assert (m @ Mat.zeros(c, 2)) == ref.matmul(m, Mat.zeros(c, 2))
+        assert m.mat_vec([1] * c) == ref.mat_vec(m, [1] * c)
+    assert det(Mat.zeros(0, 0)) == ref.det(Mat.zeros(0, 0)) == GaussianRational(1)
+    assert inverse(Mat.zeros(0, 0)) == Mat.zeros(0, 0)
+
+
+def test_complex_pivots():
+    i = GaussianRational(0, 1)
+    m = Mat.from_rows([[i, 1, GaussianRational(2, -3)],
+                       [GaussianRational(1, 1), GaussianRational(0, Fraction(1, 2)), 0],
+                       [GaussianRational(1, -1), GaussianRational(Fraction(3, 2), 1), 5]])
+    assert rref(m) == ref.rref(m)
+    assert det(m) == ref.det(m) != ZERO
+    assert inverse(m) @ m == Mat.identity(3)
+
+
+def test_shape_errors_are_kept():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.zeros(2, 3) @ Mat.zeros(2, 3)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        Mat.zeros(2, 3).mat_vec([1, 2])
+    with pytest.raises(ValueError, match="non-square"):
+        det(Mat.zeros(2, 3))
+    with pytest.raises(ValueError, match="non-square"):
+        inverse(Mat.zeros(2, 3))
+
+
+# --- sympy cross-check over Q(i) -------------------------------------------
+
+def _to_sympy(sp, e: GaussianRational):
+    return sp.Rational(e.re.numerator, e.re.denominator) + \
+        sp.I * sp.Rational(e.im.numerator, e.im.denominator)
+
+
+def _same(sp, ours: GaussianRational, theirs) -> bool:
+    return sp.expand(_to_sympy(sp, ours) - theirs) == 0
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_rref_and_det_match_sympy(gaussian):
+    sp = pytest.importorskip("sympy")
+    for seed in range(12):
+        rng = random.Random(4000 * seed + gaussian)
+        m = _matrix(rng, gaussian, rows=rng.randint(1, 5), cols=rng.randint(1, 5))
+        sm = sp.Matrix(m.rows, m.cols, [_to_sympy(sp, e) for e in m.entries])
+        red, pivots, rank = rref(m)
+        s_red, s_pivots = sm.rref(simplify=True)
+        assert pivots == tuple(s_pivots) and rank == len(s_pivots), seed
+        assert all(_same(sp, a, b) for a, b in zip(red.entries, s_red)), seed
+        n = min(m.rows, m.cols)
+        square = Mat.from_rows([list(m.row(i))[:n] for i in range(n)])
+        assert _same(sp, det(square), sm[:n, :n].det()), seed
