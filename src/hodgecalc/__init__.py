@@ -29,13 +29,13 @@ from .lmhs import (
     deligne_bigrading, verify_polarized_lmhs,
 )
 from .orbit import (
-    ChernSample, MetricPolynomial, chern_form_at, hodge_metric_matrix,
-    hodge_metric_polynomial, permutation_monomial_check,
+    ChernSample, HessianTable, MetricPolynomial, chern_form_at, hessian_table,
+    hodge_metric_matrix, hodge_metric_polynomial, permutation_monomial_check,
     restriction_limit_check, stratum_factorization,
 )
 from .monomial import (
     MonomialMap, RelationSpace, SaturationRefinement, compatibility_check,
-    connected_refinement, monomial_map, nonnegative_generators, relation_space,
+    compatibility_checks, connected_refinement, monomial_map, nonnegative_generators, relation_space,
     strata_boundary_positivity, stratum_monomial_map,
 )
 from .chern import ChernSymbol, schur_polynomial, segre_polynomial

@@ -33,13 +33,31 @@ for name in ("schur", "segre"):
     _NEEDS_INPUT[name] = False
 
 
-def _parse_stratum(text):
-    if not text:
-        return None
+# Subcommands whose --stratum must leave at least one variable out.
+_PROPER_STRATUM = ("limit-check", "factorize")
+
+
+def _parse_stratum(text, k, proper=False):
+    """0-based indices of a --stratum value, checked against the k variables
+    of the document (not checked when k is None)."""
     try:
-        return [int(tok) - 1 for tok in text.split(",") if tok.strip()]
+        indices = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise SchemaError(f"bad --stratum value {text!r}") from exc
+    if k is not None and any(not 1 <= i <= k for i in indices):
+        raise SchemaError(f"--stratum {text!r}: indices must lie in 1..{k}")
+    if len(set(indices)) != len(indices):
+        raise SchemaError(f"--stratum {text!r} repeats an index")
+    if proper and k is not None and len(indices) >= k:
+        raise SchemaError(f"--stratum {text!r} must leave out at least one of the {k} variables")
+    return [i - 1 for i in indices]
+
+
+def _parse_partition(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"bad --partition value {text!r}") from exc
 
 
 def _parse_scales(text):
@@ -165,9 +183,10 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "chern":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import chern_form_at, hodge_metric_polynomial
+        from .orbit import chern_form_at, hessian_table, hodge_metric_polynomial
         import random
         p = hodge_metric_polynomial(doc.obj)
+        table = hessian_table(p)
         rng = random.Random(seed)
         points = [tuple(Fraction(1) for _ in range(p.num_vars))]
         for _ in range(max(0, flags.get("rays", 3) - 1)):
@@ -176,7 +195,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         out = []
         all_psd = True
         for x in points:
-            s = chern_form_at(p, x)
+            s = chern_form_at(table, x)
             out.append({"x": [str(v) for v in x],
                         "G": [[str(s.g[i, j].real_or_raise())
                                for j in range(s.g.cols)] for i in range(s.g.rows)],
@@ -267,24 +286,14 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "compat":
         _expect_kind(doc, "orbit", subcommand)
-        from .monomial import compatibility_check
-        spec = doc.obj
-        k = spec.num_params
+        from .monomial import compatibility_checks
         results = {}
-        ok = True
-        from itertools import combinations
-        for r in range(1, k):
-            for small in combinations(range(k), r):
-                for extra in range(1, k - r + 1):
-                    for add in combinations([j for j in range(k) if j not in small], extra):
-                        large = tuple(sorted(small + add))
-                        rep = compatibility_check(spec, small, large)
-                        key = (",".join(str(i + 1) for i in small) + " < "
-                               + ",".join(str(i + 1) for i in large))
-                        results[key] = rep.passed
-                        ok = ok and rep.passed
+        for rep in compatibility_checks(doc.obj):
+            key = (",".join(str(i + 1) for i in rep.subset_small) + " < "
+                   + ",".join(str(i + 1) for i in rep.subset_large))
+            results[key] = rep.passed
         f["pairs"] = results
-        g["compatible"] = ok
+        g["compatible"] = all(results.values())
         return report
 
     if subcommand == "curvature":
@@ -306,10 +315,10 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "horizontal":
         _expect_kind(doc, "phs", subcommand)
-        from .horizontal import (bisectional_curvature, graded_end_algebra,
-                                 sectional_quartic, top_block)
+        from .horizontal import bisectional_curvature, graded_end_algebra, sectional_quartic
         import random
-        from .rationals import GaussianRational, ZERO
+        from .matrices import Mat
+        from .rationals import GaussianRational
         ge = graded_end_algebra(doc.obj)
         f["pieceDims"] = {str(p): ge.piece_dim(p) for p in sorted(ge.pieces)}
         rng = random.Random(seed)
@@ -320,10 +329,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
             coeffs = [GaussianRational(Fraction(rng.randint(-3, 3)),
                                        Fraction(rng.randint(-3, 3)))
                       for _ in range(gm1.rows)]
-            v = [ZERO] * (doc.obj.dim ** 2)
-            for c, i in zip(coeffs, range(gm1.rows)):
-                v = [a + c * b for a, b in zip(v, gm1.row(i))]
-            xi = ge.unflatten(v)
+            xi = ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries)
             if xi.is_zero():
                 continue
             val = bisectional_curvature(ge, xi, xi)
@@ -405,19 +411,6 @@ def main(argv=None) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HODGECALC_SEED", "0"))
-    flags = {
-        "seed": seed,
-        "stratum": _parse_stratum(args.stratum) if args.stratum else None,
-        "rays": args.rays,
-        "scales": _parse_scales(args.scales) if args.scales else None,
-        "degree": args.degree,
-        "rank": args.rank,
-        "alpha": args.alpha,
-        "partition": ([int(x) for x in args.partition.split(",")]
-                      if args.partition else None),
-    }
-    flags = {k: v for k, v in flags.items() if v is not None}
-    flags.setdefault("seed", seed)
     try:
         if args.subcommand not in SUBCOMMANDS:
             raise UnknownSubcommand(
@@ -428,6 +421,19 @@ def main(argv=None) -> int:
             doc = parse_problem(args.input)
         elif _NEEDS_INPUT[args.subcommand] and args.subcommand != "multiplier-ideal":
             raise SchemaError(f"{args.subcommand} needs --input")
+        k = doc.obj.num_params if doc is not None and doc.kind == "orbit" else None
+        flags = {
+            "seed": seed,
+            "stratum": (_parse_stratum(args.stratum, k, args.subcommand in _PROPER_STRATUM)
+                        if args.stratum else None),
+            "rays": args.rays,
+            "scales": _parse_scales(args.scales) if args.scales else None,
+            "degree": args.degree,
+            "rank": args.rank,
+            "alpha": args.alpha,
+            "partition": _parse_partition(args.partition) if args.partition else None,
+        }
+        flags = {name: v for name, v in flags.items() if v is not None}
         start = time.perf_counter()
         report = dispatch(doc, args.subcommand, flags)
         report.timings["total"] = time.perf_counter() - start

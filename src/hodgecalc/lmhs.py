@@ -9,7 +9,7 @@ pivoted LDL decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotMHS
@@ -87,17 +87,6 @@ class DeligneBigrading:
         return sub_sum_ambient(
             [m for (p, q), m in self.pieces.items() if p + q == k], self.ambient)
 
-    def grading_matrix(self) -> Mat:
-        """The semisimple operator acting by p+q on I^{p,q}."""
-        rows, vals = [], []
-        for (p, q) in sorted(self.pieces):
-            m = self.pieces[(p, q)]
-            for i in range(m.rows):
-                rows.append(list(m.row(i)))
-                vals.append(Fraction(p + q))
-        t = Mat.from_rows(rows).transpose()
-        return t @ Mat.diag(vals) @ inverse(t)
-
     def hodge_numbers(self) -> dict:
         return {(p, q): m.rows for (p, q), m in self.pieces.items() if m.rows}
 
@@ -115,24 +104,27 @@ def deligne_bigrading(wf: WeightFiltration, flag, *, require_mhs: bool = True) -
     def f_level(p):
         return flag_level(levels, p, n, d)
 
+    # conj(F^q) ∩ W_m, each computed once; F^q is 0 above n and V below 0
+    meets = {}
+
+    def conj_meet(q, m):
+        key = (min(max(q, -1), n + 1), m)
+        if key not in meets:
+            meets[key] = sub_intersect(sub_conj(f_level(q)), wf.level(m))
+        return meets[key]
+
     pieces = {}
     lo, hi = -n - 1, 2 * n + 1   # probe well beyond the effective window
-    for p in range(lo, hi + 1):
+    for p in range(lo, n + 1):   # F^p = 0 for p > n
         for q in range(lo, hi + 1):
             k = p + q
             if k < 0 or k > 2 * n:
                 continue
-            wk = wf.level(k)
-            fbar_sum = sub_conj(f_level(q))
-            inner = sub_intersect(fbar_sum, wk)
-            extra = [inner]
-            for j in range(1, 2 * n + 2):
-                if k - j - 1 < 0:
-                    break
-                term = sub_intersect(sub_conj(f_level(q - j)), wf.level(k - j - 1))
-                extra.append(term)
-            rhs = sub_sum_ambient(extra, d)
-            piece = sub_intersect(sub_intersect(f_level(p), wk), rhs)
+            fw = sub_intersect(f_level(p), wf.level(k))
+            if not fw.rows:
+                continue
+            extra = [conj_meet(q, k)] + [conj_meet(q - j, k - j - 1) for j in range(1, k)]
+            piece = sub_intersect(fw, sub_sum_ambient(extra, d))
             if sub_dim(piece):
                 pieces[(p, q)] = piece
 
@@ -271,6 +263,9 @@ class CheckResult:
 @dataclass(frozen=True)
 class LmhsReport:
     checks: tuple
+    # (weight filtration, bigrading) when validation got that far, for
+    # callers that go on to use them; never rendered and never compared
+    lmhs: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def all_passed(self) -> bool:
@@ -283,25 +278,17 @@ class LmhsReport:
 def primitive_subspace(bi: DeligneBigrading, n_total: Mat, i: int) -> Mat:
     """Primitive part of the graded piece of weight n+i, realized inside the
     canonical grading subspace V_{n+i} (valid because N respects the grading)."""
-    n = bi.weight
-    vk = bi.grading_subspace(n + i)
+    vk = bi.grading_subspace(bi.weight + i)
     if vk.rows == 0:
         return vk
-    power = Mat.identity(bi.ambient)
-    for _ in range(i + 1):
-        power = power @ n_total
-    rows = [list(power.mat_vec(vk.row(r))) for r in range(vk.rows)]
-    coeffs = kernel_basis(Mat.from_rows(rows).transpose())
-    prim_rows = []
-    for c in coeffs:
-        v = [ZERO] * bi.ambient
-        for coef, r in zip(c, range(vk.rows)):
-            if coef:
-                v = [a + coef * b for a, b in zip(v, vk.row(r))]
-        prim_rows.append(v)
-    if not prim_rows:
-        return sub_zero(bi.ambient)
-    return sub_canonical(Mat.from_rows(prim_rows))
+    return _kernel_within(vk, n_total ** (i + 1))
+
+
+def _kernel_within(space: Mat, op: Mat) -> Mat:
+    """{v in the row space of `space` : op v = 0}, as a canonical basis."""
+    images = Mat.from_rows([op.mat_vec(space.row(r)) for r in range(space.rows)])
+    coeffs = kernel_basis(images.transpose())
+    return sub_canonical(Mat.from_rows(coeffs) @ space) if coeffs else sub_zero(space.cols)
 
 
 def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
@@ -317,7 +304,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
 
     for idx, nmat in enumerate(spec.nilpotents):
         checks.append(CheckResult(f"nilpotent[{idx}] is nilpotent", is_nilpotent(nmat)))
-        skew = (nmat.transpose() @ spec.q + spec.q @ nmat).is_zero()
+        skew = nmat.transpose() @ spec.q == -(spec.q @ nmat)
         checks.append(CheckResult(f"nilpotent[{idx}] infinitesimally q-skew", skew))
         real = nmat.is_real()
         checks.append(CheckResult(f"nilpotent[{idx}] rational", real))
@@ -352,7 +339,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
     checks.append(CheckResult("R-split", bi.r_split))
     checks.append(CheckResult("effective", bi.effective))
     if not (bi.r_split and bi.effective):
-        return LmhsReport(tuple(checks))
+        return LmhsReport(tuple(checks), (wf, bi))
 
     n_total = spec.n_sum()
     power = Mat.identity(d)
@@ -388,7 +375,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
             checks.append(CheckResult(
                 f"Hodge-Riemann positivity on primitive ({p},{q_})",
                 bool(pd), f"rank {rk} of {pm.rows}"))
-    return LmhsReport(tuple(checks))
+    return LmhsReport(tuple(checks), (wf, bi))
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +439,11 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
         kk = n + i
         if kk not in eig:
             continue
-        vk = eig[kk]
         # primitive part: kernel of N_I^(i+1) inside V_k
-        rows = [list(powers[i + 1].mat_vec(vk.row(r))) for r in range(vk.rows)]
-        coeffs = kernel_basis(Mat.from_rows(rows).transpose())
-        prim_rows = []
-        for c in coeffs:
-            v = [ZERO] * d
-            for coef, r in zip(c, range(vk.rows)):
-                if coef:
-                    v = [a + coef * b for a, b in zip(v, vk.row(r))]
-            prim_rows.append(v)
-        if not prim_rows:
-            continue
-        prim = sub_canonical(Mat.from_rows(prim_rows))
+        prim = _kernel_within(eig[kk], powers[i + 1])
         pd = prim.rows
+        if not pd:
+            continue
 
         def coords(v):
             c = coords_in_basis(prim, v)
@@ -510,15 +487,18 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
     return pieces
 
 
-def stratum_hodge_numbers(spec: PolarizedOrbitSpec, subset) -> dict:
-    """j -> h^(n-j,0) of the limiting structure along the stratum `subset`."""
-    n = spec.weight
-    if not sorted(set(subset)):
-        top = spec.flag[0]
-        return {0: top.rows}
+def piece_hodge_numbers(pieces) -> dict:
+    """j -> h^(n-j,0) summed over the pieces of associated_graded_orbit."""
     out = {}
-    for piece in associated_graded_orbit(spec, subset):
+    for piece in pieces:
         top = piece.orbit.flag[0]
         if top.rows:
             out[piece.level] = out.get(piece.level, 0) + top.rows
     return out
+
+
+def stratum_hodge_numbers(spec: PolarizedOrbitSpec, subset) -> dict:
+    """j -> h^(n-j,0) of the limiting structure along the stratum `subset`."""
+    if not set(subset):
+        return {0: spec.flag[0].rows}
+    return piece_hodge_numbers(associated_graded_orbit(spec, subset))

@@ -155,7 +155,7 @@ class Mat:
         return all(e.is_real for e in self.entries)
 
     def commutes_with(self, other: "Mat") -> bool:
-        return (self @ other - other @ self).is_zero()
+        return self @ other == other @ self
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -565,18 +565,10 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
     for i in range(b.rows):
         cols.append([-x for x in b.row(i)])
     m = Mat.from_rows(cols).transpose()  # ambient x (p+q)
-    vecs = []
-    for k in kernel_basis(m):
-        coeffs = k[:a.rows]
-        v = [ZERO] * ambient
-        for c, i in zip(coeffs, range(a.rows)):
-            if c:
-                row = a.row(i)
-                v = [x + c * y for x, y in zip(v, row)]
-        vecs.append(v)
-    if not vecs:
+    kern = kernel_basis(m)
+    if not kern:
         return sub_zero(ambient)
-    return sub_canonical(Mat.from_rows(vecs))
+    return sub_canonical(Mat.from_rows([k[:a.rows] for k in kern]) @ a)
 
 
 def sub_conj(s: Mat) -> Mat:

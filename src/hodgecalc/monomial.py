@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cones import nonnegative_extreme_rays, _scale_primitive
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, inverse, kernel_basis, smith_normal_form, sub_canonical, sub_zero,
+    Mat, inverse, kernel_basis, smith_normal_form, sub_canonical, sub_contains_vec,
+    sub_zero,
 )
 from .rationals import ZERO
 from .weightfilt import weight_filtration_centered
@@ -146,10 +148,12 @@ def w_minus1_end(n_cone: Mat) -> Mat:
 def stratum_relation_rows(spec: PolarizedOrbitSpec, subset):
     """Basis of {b over the complement : sum b_j N_j in W_-1(N_subset) End(V)}."""
     subset = sorted(set(subset))
+    return _relation_rows(spec, subset, w_minus1_end(spec.n_sum(subset)))
+
+
+def _relation_rows(spec: PolarizedOrbitSpec, subset, w: Mat):
+    """stratum_relation_rows with W_-1(N_subset) End(V) given as `w`."""
     complement = [j for j in range(spec.num_params) if j not in subset]
-    d = spec.dim
-    n_cone = spec.n_sum(subset)
-    w = w_minus1_end(n_cone)
     # unknowns: (b over complement, c over w-basis);
     # equation: sum b_j vec(N_j) - sum c_r w_r = 0
     cols = []
@@ -198,21 +202,50 @@ def compatibility_check(spec: PolarizedOrbitSpec, small, large) -> Compatibility
     large = sorted(set(large))
     if not set(small) < set(large):
         raise ValueError("need a strictly nested pair of strata")
-    rel_rows, complement = stratum_relation_rows(spec, small)
+    return _compatibility(spec, small, large, stratum_relation_rows(spec, small),
+                          w_minus1_end(spec.n_sum(large)))
+
+
+def _compatibility(spec, small, large, relations, w_large: Mat) -> CompatibilityReport:
+    """compatibility_check from the relation rows of `small` and W_-1 of `large`."""
+    rel_rows, complement = relations
     gens = tuple(_scale_primitive([Fraction(x.re) for x in row]) for row in rel_rows)
-    w = w_minus1_end(spec.n_sum(large))
-    large_c = [j for j in range(spec.num_params) if j not in set(large)]
-    verdicts = []
     d = spec.dim
+    verdicts = []
     for g in gens:
         total = Mat.zeros(d, d)
         for coeff, j in zip(g, complement):
-            if coeff and j in large_c:
+            if coeff and j not in large:
                 total = total + spec.nilpotents[j].scale(Fraction(coeff))
-        from .matrices import sub_contains_vec
-        verdicts.append(sub_contains_vec(w, list(total.vec())))
+        verdicts.append(sub_contains_vec(w_large, list(total.vec())))
     return CompatibilityReport(tuple(small), tuple(large), gens,
                                tuple(verdicts), all(verdicts))
+
+
+def compatibility_checks(spec: PolarizedOrbitSpec):
+    """compatibility_check of every strictly nested pair of nonempty proper
+    strata, small by size then lexicographically, each large after it the
+    same way; W_-1(End) and the relation rows of each stratum are derived
+    once per call."""
+    k = spec.num_params
+    w = {}
+
+    def w_of(subset):
+        if subset not in w:
+            w[subset] = w_minus1_end(spec.n_sum(subset))
+        return w[subset]
+
+    out = []
+    for r in range(1, k):
+        for small in combinations(range(k), r):
+            relations = _relation_rows(spec, list(small), w_of(small))
+            rest = [j for j in range(k) if j not in small]
+            for extra in range(1, k - r + 1):
+                for add in combinations(rest, extra):
+                    large = tuple(sorted(small + add))
+                    out.append(_compatibility(spec, list(small), list(large),
+                                              relations, w_of(large)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,5 +333,4 @@ def strata_boundary_positivity(spec: PolarizedOrbitSpec, index: int, subset=None
     if not rows:
         return any(target)
     space = sub_canonical(Mat.from_rows(rows))
-    from .matrices import sub_contains_vec
     return not sub_contains_vec(space, target)

@@ -54,9 +54,6 @@ class NormPositivityModel:
                         tensor[self.col(alpha, i)] = ea * xv
         return self.a.mat_vec(tensor)
 
-    def apply_tensor(self, tensor):
-        return self.a.mat_vec(tensor)
-
     def to_json(self):
         return {"dimT": self.dim_t, "rankE": self.rank_e, "rankG": self.rank_g,
                 "A": self.a.to_json()}

@@ -16,7 +16,7 @@ import random
 from .errors import DegenerateDet, NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
 from .lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_sign,
-    stratum_hodge_numbers, verify_polarized_lmhs,
+    piece_hodge_numbers, stratum_hodge_numbers, verify_polarized_lmhs,
 )
 from .matrices import Mat
 from .polynomials import MultiPoly, poly_mat_det
@@ -69,10 +69,12 @@ class MetricPolynomial:
 
 
 def _require_valid(spec: PolarizedOrbitSpec):
+    """(weight filtration, bigrading) of a spec that passes validation."""
     report = verify_polarized_lmhs(spec)
     if not report.all_passed:
         names = ", ".join(c.name for c in report.failed())
         raise NotPolarized(f"orbit fails validation: {names}")
+    return report.lmhs
 
 
 def hodge_metric_matrix(spec: PolarizedOrbitSpec, *, validate: bool = True) -> MetricMatrix:
@@ -83,9 +85,7 @@ def hodge_metric_matrix(spec: PolarizedOrbitSpec, *, validate: bool = True) -> M
     1/4pi^2 from the cut-off coordinates) are divided out and recorded only
     through the sign unit.
     """
-    if validate:
-        _require_valid(spec)
-    wf, bi = spec.lmhs()
+    wf, bi = _require_valid(spec) if validate else spec.lmhs()
     if not bi.effective:
         raise NotEffective("bigrading has pieces outside the effective range")
     n, k, d = spec.weight, spec.num_params, spec.dim
@@ -173,24 +173,45 @@ class ChernSample:
     rank: int
 
 
-def chern_form_at(p, x) -> ChernSample:
-    """G_ij = (dP_i dP_j - P dP_ij) / P^2 evaluated exactly at x."""
+@dataclass(frozen=True)
+class HessianTable:
+    """P with its first partials and the lower triangle of its Hessian,
+    derived once and shared by every Chern sample of P."""
+
+    p: MultiPoly
+    firsts: tuple
+    seconds: tuple           # seconds[i][j] = d_i d_j P for j <= i
+
+
+def hessian_table(p) -> HessianTable:
+    """The HessianTable of a MultiPoly or a MetricPolynomial."""
     poly = p.p if isinstance(p, MetricPolynomial) else p
+    firsts = tuple(poly.partial_derivative(j) for j in range(poly.num_vars))
+    seconds = tuple(tuple(f.partial_derivative(j) for j in range(i + 1))
+                    for i, f in enumerate(firsts))
+    return HessianTable(poly, firsts, seconds)
+
+
+def chern_form_at(p, x) -> ChernSample:
+    """G_ij = (dP_i dP_j - P dP_ij) / P^2 evaluated exactly at x.
+
+    `p` is a MultiPoly, a MetricPolynomial or the HessianTable of either;
+    pass the table when sampling the same P at several points."""
+    table = p if isinstance(p, HessianTable) else hessian_table(p)
     xs = [Fraction(v) for v in x]
-    val = poly.evaluate(xs)
+    val = table.p.evaluate(xs)
     if isinstance(val, GaussianRational):
         val = val.real_or_raise()
     if val == 0:
         raise ZeroAtPoint(f"polynomial vanishes at {xs}")
-    k = poly.num_vars
-    firsts = [poly.partial_derivative(j) for j in range(k)]
-    fvals = [f.evaluate(xs) for f in firsts]
-    entries = []
-    for i in range(k):
-        for j in range(k):
-            second = firsts[i].partial_derivative(j).evaluate(xs)
-            entries.append(Fraction(fvals[i] * fvals[j] - val * second, val * val))
-    g = Mat(k, k, entries)
+    k = table.p.num_vars
+    fvals = [f.evaluate(xs) for f in table.firsts]
+    entries = [[None] * k for _ in range(k)]
+    for i, row in enumerate(table.seconds):
+        for j, second in enumerate(row):
+            entries[i][j] = entries[j][i] = Fraction(
+                fvals[i] * fvals[j] - val * second.evaluate(xs), val * val)
+    g = Mat.from_rows(entries)
     from .lmhs import hermitian_psd_status
     psd, rk, _ = hermitian_psd_status(g)
     return ChernSample(tuple(xs), g, psd, rk)
@@ -223,9 +244,13 @@ def stratum_metric_polynomial(spec: PolarizedOrbitSpec, subset, *, rule: str = "
     Product over the primitive graded pieces of the stratum degeneration,
     normalized to leading coefficient 1.
     """
-    complement = [j for j in range(spec.num_params) if j not in set(subset)]
-    acc = MultiPoly.const(len(complement), 1)
-    for piece in associated_graded_orbit(spec, subset, rule=rule):
+    num_vars = spec.num_params - len(set(subset))
+    return _pieces_polynomial(associated_graded_orbit(spec, subset, rule=rule), num_vars)
+
+
+def _pieces_polynomial(pieces, num_vars: int) -> MultiPoly:
+    acc = MultiPoly.const(num_vars, 1)
+    for piece in pieces:
         acc = acc * hodge_metric_polynomial(piece.orbit, validate=False).p
     lead = acc.leading_coefficient()
     if lead <= 0:
@@ -268,7 +293,8 @@ def stratum_factorization(p: MetricPolynomial, subset, spec: PolarizedOrbitSpec)
         raise NoFactorization("internal error: factor product mismatch")
 
     # degree bound from the stratum Hodge numbers
-    hs = stratum_hodge_numbers(spec, subset)
+    pieces = associated_graded_orbit(spec, subset)
+    hs = piece_hodge_numbers(pieces)
     bound = sum(j * h for j, h in hs.items())
     if deg_i != bound:
         raise NoFactorization(
@@ -279,7 +305,7 @@ def stratum_factorization(p: MetricPolynomial, subset, spec: PolarizedOrbitSpec)
     complement = [j for j in range(k) if j not in set(subset)]
     mapping = {j: complement.index(j) for j in complement}
     p_ic_small = p_ic.rename_vars(len(complement), mapping)
-    stratum = stratum_metric_polynomial(spec, subset)
+    stratum = _pieces_polynomial(pieces, len(complement))
     lead_small = p_ic_small.leading_coefficient()
     if lead_small <= 0:
         raise NoFactorization("complement factor has non-positive leading coefficient")
@@ -358,6 +384,7 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
     base = tuple(Fraction(b) for b in (base or [1] * len(complement)))
 
     g_limit = chern_form_at(stratum, base).g
+    table = hessian_table(p)
 
     all_devs = []
     exact_zero = True
@@ -369,7 +396,7 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
                 x[j] = base[pos]
             for pos, j in enumerate(subset):
                 x[j] = s * Fraction(ray[pos])
-            sample = chern_form_at(p, x)
+            sample = chern_form_at(table, x)
             worst = Fraction(0)
             for a, ja in enumerate(complement):
                 for b, jb in enumerate(complement):
@@ -407,28 +434,26 @@ def permutation_monomial_check(spec: PolarizedOrbitSpec, permutation) -> Permuta
     if sorted(perm) != list(range(k)):
         raise ValueError("permutation must reorder 0..k-1")
     p = hodge_metric_polynomial(spec)
-    prev = {}
-    exps = [0] * k
-    for i in range(1, k + 1):
-        cur = stratum_hodge_numbers(spec, perm[:i])
-        ell = sum(j * (cur.get(j, 0) - prev.get(j, 0))
-                  for j in set(cur) | set(prev))
-        exps[perm[i - 1]] = ell
-        prev = cur
-    present = p.p.coefficient(tuple(exps)) != 0
+    numbers = {}          # subset -> stratum Hodge numbers, once per subset
+
+    def chain_exponents(order):
+        prev, exps = {}, [0] * k
+        for i in range(1, k + 1):
+            key = frozenset(order[:i])
+            if key not in numbers:
+                numbers[key] = stratum_hodge_numbers(spec, sorted(key))
+            cur = numbers[key]
+            exps[order[i - 1]] = sum(j * (cur.get(j, 0) - prev.get(j, 0))
+                                     for j in set(cur) | set(prev))
+            prev = cur
+        return tuple(exps)
+
+    exps = chain_exponents(perm)
+    present = p.p.coefficient(exps) != 0
 
     # convex hull of all chain monomials contains every monomial of P
     from itertools import permutations as _perms
     from .cones import hull_contains
-    points = []
-    for sigma in _perms(range(k)):
-        prev = {}
-        e = [0] * k
-        for i in range(1, k + 1):
-            cur = stratum_hodge_numbers(spec, list(sigma[:i]))
-            e[sigma[i - 1]] = sum(j * (cur.get(j, 0) - prev.get(j, 0))
-                                  for j in set(cur) | set(prev))
-            prev = cur
-        points.append(tuple(e))
+    points = [chain_exponents(sigma) for sigma in _perms(range(k))]
     hull_ok = all(hull_contains(points, exp) for exp in p.p.terms)
-    return PermutationMonomialReport(tuple(perm), tuple(exps), present, hull_ok)
+    return PermutationMonomialReport(tuple(perm), exps, present, hull_ok)

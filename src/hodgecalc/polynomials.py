@@ -209,21 +209,6 @@ class MultiPoly:
              if sum(wt * p for wt, p in zip(weights, e)) == w}
         return MultiPoly(self.num_vars, t)
 
-    def substitute(self, values: dict) -> "MultiPoly":
-        """Substitute exact values for a subset of variables (by index)."""
-        t = {}
-        for e, c in self.terms.items():
-            coef = c
-            ne = list(e)
-            for j, val in values.items():
-                if e[j]:
-                    coef = _cmul(coef, _coeff(as_gauss(val) ** e[j])
-                                 if isinstance(val, GaussianRational) else val ** e[j])
-                ne[j] = 0
-            key = tuple(ne)
-            t[key] = _cadd(t.get(key, Fraction(0)), coef)
-        return MultiPoly(self.num_vars, t)
-
     def rename_vars(self, new_num_vars: int, mapping) -> "MultiPoly":
         """Reindex variables: mapping[old_index] = new_index.
 
@@ -332,15 +317,3 @@ def poly_mat_det(m) -> MultiPoly:
         return acc
 
     return expand(0, frozenset(range(n)))
-
-
-def poly_vector_apply(mat_rows, vec):
-    """Apply a matrix of scalars (rows of GaussianRational) to a vector of MultiPoly."""
-    out = []
-    for row in mat_rows:
-        acc = MultiPoly.zero(vec[0].num_vars)
-        for c, p in zip(row, vec):
-            if c and p:
-                acc = acc + p.scale(_coeff(c) if not isinstance(c, GaussianRational) else c)
-        out.append(acc)
-    return out

@@ -209,17 +209,7 @@ def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
         else:
             coeffs = [tuple(ONE if i == j else ZERO for j in range(wk.rows))
                       for i in range(wk.rows)]
-        prim_rows = []
-        for c in coeffs:
-            v = [ZERO] * d
-            for coef, i in zip(c, range(wk.rows)):
-                if coef:
-                    v = [a + coef * b for a, b in zip(v, wk.row(i))]
-            prim_rows.append(v)
-        if not prim_rows:
-            prim_cand = sub_zero(d)
-        else:
-            prim_cand = sub_canonical(Mat.from_rows(prim_rows))
+        prim_cand = sub_canonical(Mat.from_rows(coeffs) @ wk) if coeffs else sub_zero(d)
         candidates = prim_cand.row_list()
         if rule == "reversed":
             candidates = candidates[::-1]
@@ -262,11 +252,7 @@ def _solve_in_subspace(m: Mat, sub: Mat, target):
     c = solve(cols, target)
     if c is None:
         raise NoSolution("primitive-lift correction has no solution")
-    u = [ZERO] * m.cols
-    for coef, i in zip(c, range(sub.rows)):
-        if coef:
-            u = [a + coef * b for a, b in zip(u, sub.row(i))]
-    return u
+    return (Mat.from_rows([c]) @ sub).entries
 
 
 def _check_grading(y: Mat, wf: WeightFiltration):

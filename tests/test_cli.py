@@ -154,3 +154,39 @@ def test_env_seed(monkeypatch, capsys):
         ["chern", "--input", "builtin:dollar-bill", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 11
+
+
+# Each bad flag value exits 2 with a one-line message and no traceback.
+BAD_FLAGS = {
+    "stratum-not-a-number": ["weight-filtration", "--input", "builtin:dollar-bill",
+                             "--stratum", "x"],
+    "scales-not-a-range": ["limit-check", "--input", "builtin:dollar-bill",
+                           "--stratum", "3", "--scales", "abc"],
+    "partition-not-a-number": ["schur", "--partition", "a,1"],
+    "limit-check-stratum-zero": ["limit-check", "--input", "builtin:dollar-bill",
+                                 "--stratum", "0"],
+    "limit-check-stratum-all": ["limit-check", "--input", "builtin:dollar-bill",
+                                "--stratum", "1,2,3"],
+    "factorize-stratum-repeated": ["factorize", "--input", "builtin:dollar-bill",
+                                   "--stratum", "2,2"],
+    "weight-filtration-stratum-nine": ["weight-filtration", "--input",
+                                       "builtin:dollar-bill", "--stratum", "9"],
+    "stratum-map-stratum-seven": ["stratum-map", "--input", "builtin:dollar-bill",
+                                  "--stratum", "7"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_flag_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_full_stratum_allowed_where_no_complement_is_needed(capsys):
+    argv = ["weight-filtration", "--input", "builtin:dollar-bill", "--format", "json"]
+    code, full, _ = run_cli(argv + ["--stratum", "1,2,3"], capsys)
+    assert code == 0
+    assert run_cli(argv, capsys)[1] == full    # the whole cone is the default

@@ -153,3 +153,42 @@ def test_rref_and_det_match_sympy(gaussian):
         n = min(m.rows, m.cols)
         square = Mat.from_rows([list(m.row(i))[:n] for i in range(n)])
         assert _same(sp, det(square), sm[:n, :n].det()), seed
+
+
+def _integer_matrix(rng: random.Random, rows: int, cols: int) -> Mat:
+    """A seeded integer matrix: full, of lower rank (a product through a
+    narrower middle), or with zero rows and columns."""
+    kind = rng.choice(("full", "low-rank", "zero-lines"))
+    if kind == "low-rank":
+        k = rng.randint(0, min(rows, cols))
+        left = Mat.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)])
+        right = Mat.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)])
+        return left @ right if k else Mat.zeros(rows, cols)
+    m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-lines":
+        for i in range(rows):
+            if rng.random() < 0.3:
+                m[i] = [0] * cols
+        for j in range(cols):
+            if rng.random() < 0.3:
+                for row in m:
+                    row[j] = 0
+    return Mat.from_rows(m)
+
+
+def test_smith_invariant_factors_match_sympy():
+    sp = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+    from hodgecalc.matrices import smith_normal_form
+    shapes = set()
+    for seed in range(60):
+        rng = random.Random(5000 + seed)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _integer_matrix(rng, rows, cols)
+        theirs = sympy_smith(sp.Matrix(rows, cols, [int(e.re) for e in m.entries]),
+                             domain=sp.ZZ)
+        expected = tuple(abs(int(theirs[i, i])) for i in range(min(rows, cols))
+                         if theirs[i, i] != 0)
+        assert smith_normal_form(m).invariant_factors == expected, seed
+        shapes.add((rows < cols) - (rows > cols))
+    assert shapes == {-1, 0, 1}      # tall, square and wide matrices all occur

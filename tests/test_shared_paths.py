@@ -1,0 +1,259 @@
+"""Oracles for the objects that one orbit computation derives once and shares.
+
+Each shared path is compared with an independent computation: the
+full-probe Deligne bigrading kept in ``reference_lmhs``, or the same answer
+composed from separate public calls.  The call-count tests pin that sharing
+is scoped to one call: a second call on the same spec does the same work.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+import reference_lmhs as ref
+from hodgecalc import lmhs, monomial, orbit
+from hodgecalc.cli import main
+from hodgecalc.cones import hull_contains
+from hodgecalc.lmhs import (
+    PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
+    stratum_hodge_numbers, verify_polarized_lmhs,
+)
+from hodgecalc.matrices import Mat, sub_canonical
+from hodgecalc.monomial import compatibility_check, compatibility_checks
+from hodgecalc.orbit import (
+    chern_form_at, default_rays, hessian_table, hodge_metric_polynomial,
+    permutation_monomial_check, restriction_limit_check, stratum_factorization,
+    stratum_metric_polynomial,
+)
+from hodgecalc.rationals import GaussianRational
+from hodgecalc.schemas import fixture_names, load_fixture
+from hodgecalc.weightfilt import weight_filtration
+
+ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
+
+
+def direct_sum(specs) -> PolarizedOrbitSpec:
+    """Block-diagonal Q and N_j, stacked flags; every summand keeps its own
+    variables, so P of the sum is the product of the summands' P."""
+    dim = sum(s.dim for s in specs)
+    offsets = [sum(s.dim for s in specs[:i]) for i in range(len(specs))]
+
+    def embed(off, row):
+        return [0] * off + list(row) + [0] * (dim - off - len(row))
+
+    def block(off, m):
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(m.rows):
+            rows[off + i] = embed(off, m.row(i))
+        return Mat.from_rows(rows)
+
+    q = sum((block(off, s.q) for off, s in zip(offsets, specs)), Mat.zeros(dim, dim))
+    nilpotents = tuple(block(off, n) for off, s in zip(offsets, specs) for n in s.nilpotents)
+    flag = []
+    for p in range(specs[0].weight + 1):
+        rows = [embed(off, s.flag[p].row(i)) for off, s in zip(offsets, specs)
+                for i in range(s.flag[p].rows)]
+        flag.append(Mat.from_rows(rows) if rows else Mat.zeros(0, dim))
+    return PolarizedOrbitSpec(dim, specs[0].weight, q, nilpotents, tuple(flag))
+
+
+@pytest.fixture(scope="module")
+def sums(dollar_bill):
+    return {8: direct_sum([dollar_bill] * 2), 12: direct_sum([dollar_bill] * 3)}
+
+
+def assert_same_bigrading(wf, flag, **kwargs):
+    ours = deligne_bigrading(wf, flag, **kwargs)
+    theirs = ref.deligne_bigrading(wf, flag)
+    assert ours.pieces == theirs.pieces
+    assert list(ours.pieces) == list(theirs.pieces)      # same probe order
+    assert (ours.r_split, ours.effective) == (theirs.r_split, theirs.effective)
+
+
+# --- Deligne bigrading ------------------------------------------------------
+
+@pytest.mark.parametrize("name", ORBIT_FIXTURES)
+def test_bigrading_matches_full_probe_on_fixtures(name):
+    spec = load_fixture(name).obj
+    orbits = [spec]
+    for r in range(1, spec.num_params + 1):
+        for subset in combinations(range(spec.num_params), r):
+            orbits += [piece.orbit for piece in associated_graded_orbit(spec, subset)]
+    for o in orbits:
+        assert_same_bigrading(weight_filtration(o.n_sum(), o.weight), o.flag)
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_bigrading_matches_full_probe_on_direct_sums(sums, dim):
+    spec = sums[dim]
+    assert_same_bigrading(weight_filtration(spec.n_sum(), spec.weight), spec.flag)
+
+
+@pytest.mark.parametrize("name", ["dollar-bill", "weight2-tate-degeneration"])
+def test_bigrading_matches_full_probe_off_mhs(name):
+    """Random nested flags (no MHS, Gaussian entries): the formula's pieces,
+    R-splitness and effectivity still agree probe for probe."""
+    spec = load_fixture(name).obj
+    wf = weight_filtration(spec.n_sum(), spec.weight)
+    for seed in range(12):
+        rng = random.Random(seed)
+        rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+                 for _ in range(spec.dim)] for _ in range(spec.dim)]
+        sizes = sorted(rng.randint(1, spec.dim) for _ in range(spec.weight + 1))
+        flag = [sub_canonical(Mat.from_rows(rows[:size])) for size in sizes]
+        assert_same_bigrading(wf, flag, require_mhs=False)
+
+
+def test_metric_polynomial_runs_the_bigrading_once_per_call(dollar_bill, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deligne_bigrading(*args, **kwargs)
+    monkeypatch.setattr(lmhs, "deligne_bigrading", counted)
+    first = hodge_metric_polynomial(dollar_bill)
+    assert len(calls) == 1
+    second = hodge_metric_polynomial(dollar_bill)
+    assert len(calls) == 2                       # no cache across calls
+    assert first == second
+
+
+def test_validation_report_keeps_its_bigrading(dollar_bill):
+    report = verify_polarized_lmhs(dollar_bill)
+    wf, bi = report.lmhs
+    wf2, bi2 = dollar_bill.lmhs()
+    assert wf.graded_dims == wf2.graded_dims and bi.pieces == bi2.pieces
+    assert report == lmhs.LmhsReport(report.checks)    # never compared
+
+
+# --- Stratum pieces ---------------------------------------------------------
+
+def test_stratum_factorization_matches_public_calls(dollar_bill, sums, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return associated_graded_orbit(*args, **kwargs)
+    for spec, subsets in ((dollar_bill, [s for r in (1, 2) for s in combinations(range(3), r)]),
+                          (sums[8], [(0, 4), (2,), (1, 3, 5)])):
+        p = hodge_metric_polynomial(spec)
+        k = spec.num_params
+        for subset in subsets:
+            monkeypatch.setattr(orbit, "associated_graded_orbit", counted)
+            calls.clear()
+            fac = stratum_factorization(p, subset, spec)
+            assert len(calls) == 1, subset
+            monkeypatch.undo()
+            weights = [1 if j in subset else 0 for j in range(k)]
+            assert fac.leading == p.p.leading_part_by_weight(weights)
+            assert fac.p_i * fac.p_ic == fac.leading
+            assert fac.remainder == p.p - fac.leading
+            hs = stratum_hodge_numbers(spec, subset)
+            assert fac.deg_bound == sum(j * h for j, h in hs.items())
+            assert fac.stratum_poly == stratum_metric_polynomial(spec, subset)
+
+
+def test_permutation_check_asks_each_subset_once(dollar_bill, monkeypatch):
+    calls = []
+
+    def counted(spec, subset):
+        calls.append(tuple(subset))
+        return stratum_hodge_numbers(spec, subset)
+    monkeypatch.setattr(orbit, "stratum_hodge_numbers", counted)
+    rep = permutation_monomial_check(dollar_bill, (2, 0, 1))
+    assert sorted(calls) == sorted(s for r in (1, 2, 3) for s in combinations(range(3), r))
+    monkeypatch.undo()
+
+    def chain(order):
+        exps, prev = [0] * 3, {}
+        for i in range(1, 4):
+            cur = stratum_hodge_numbers(dollar_bill, order[:i])
+            exps[order[i - 1]] = sum(j * (cur.get(j, 0) - prev.get(j, 0))
+                                     for j in set(cur) | set(prev))
+            prev = cur
+        return tuple(exps)
+    assert rep.exponents == chain([2, 0, 1])
+    p = hodge_metric_polynomial(dollar_bill).p
+    assert rep.present == (p.coefficient(rep.exponents) != 0)
+    points = [chain(list(s)) for s in permutations(range(3))]
+    assert rep.hull_ok == all(hull_contains(points, e) for e in p.terms)
+
+
+# --- Chern forms and restriction limits -------------------------------------
+
+def full_hessian_form(poly, x):
+    """-Hess log P at x from every first and second partial, unshared."""
+    xs = [Fraction(v) for v in x]
+    val = poly.evaluate(xs)
+    k = poly.num_vars
+    first = [poly.partial_derivative(i).evaluate(xs) for i in range(k)]
+    return [[Fraction(first[i] * first[j]
+                      - val * poly.partial_derivative(i).partial_derivative(j).evaluate(xs),
+                      val * val) for j in range(k)] for i in range(k)]
+
+
+def test_chern_form_matches_full_hessian(dollar_bill, sums):
+    rng = random.Random(3)
+    for spec in (dollar_bill, sums[8]):
+        p = hodge_metric_polynomial(spec)
+        table = hessian_table(p)
+        for _ in range(3):
+            x = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(p.num_vars)]
+            sample = chern_form_at(p, x)
+            assert sample.g == Mat.from_rows(full_hessian_form(p.p, x))
+            assert chern_form_at(table, x) == sample == chern_form_at(p.p, x)
+
+
+def test_restriction_limit_matches_sampled_chern_forms(dollar_bill):
+    subset, complement = [2], [0, 1]
+    scales = [Fraction(10) ** e for e in range(1, 5)]
+    rays = default_rays(subset, 3, 5)
+    base = (Fraction(1), Fraction(2))
+    lr = restriction_limit_check(dollar_bill, subset, rays=rays, scales=scales, base=base)
+    p = hodge_metric_polynomial(dollar_bill).p
+    limit = full_hessian_form(stratum_metric_polynomial(dollar_bill, subset), base)
+    expected = []
+    for ray in rays:
+        devs = []
+        for s in scales:
+            g = full_hessian_form(p, [base[0], base[1], s * ray[0]])
+            devs.append(max(abs(g[ja][jb] - limit[a][b]) / max(Fraction(1), abs(limit[a][b]))
+                            for a, ja in enumerate(complement)
+                            for b, jb in enumerate(complement)))
+        expected.append(tuple(devs))
+    assert lr.deviations == tuple(expected)
+    assert lr.final_max_deviation == max(d[-1] for d in expected)
+
+
+# --- compat -----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["dollar-bill", "duplicated-pair"])
+def test_compat_matches_compatibility_check(name, capsys, monkeypatch):
+    spec = load_fixture(name).obj
+    calls, original = [], monomial.w_minus1_end
+
+    def counted(n_cone):
+        calls.append(n_cone)
+        return original(n_cone)
+    monkeypatch.setattr(monomial, "w_minus1_end", counted)
+    shared = compatibility_checks(spec)
+    monkeypatch.undo()
+    k = spec.num_params
+    assert len(calls) == 2 ** k - 1              # once per nonempty stratum
+    pairs = [(small, large) for r in range(1, k) for small in combinations(range(k), r)
+             for large_size in range(r + 1, k + 1)
+             for large in combinations(range(k), large_size) if set(small) < set(large)]
+    assert sorted((r.subset_small, r.subset_large) for r in shared) == sorted(pairs)
+    for rep in shared:
+        assert rep == compatibility_check(spec, rep.subset_small, rep.subset_large)
+
+    assert main(["compat", "--input", f"builtin:{name}", "--format", "json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["findings"]["pairs"]
+    assert verdicts == {
+        ",".join(str(i + 1) for i in small) + " < " + ",".join(str(i + 1) for i in large):
+        compatibility_check(spec, small, large).passed for small, large in pairs}
