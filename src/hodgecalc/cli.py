@@ -60,6 +60,16 @@ def _parse_partition(text):
         raise SchemaError(f"bad --partition value {text!r}") from exc
 
 
+def _parse_alpha(text):
+    try:
+        alpha = [Fraction(a) for a in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad --alpha value {text!r}") from exc
+    if any(a <= 0 for a in alpha):
+        raise SchemaError(f"--alpha {text!r}: weights must be positive")
+    return alpha
+
+
 def _parse_scales(text):
     if not text:
         return None
@@ -368,7 +378,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         if doc is not None and doc.kind == "alpha":
             alpha, bound = doc.obj
         elif flags.get("alpha"):
-            alpha = [Fraction(a) for a in flags["alpha"].split(",")]
+            alpha = flags["alpha"]
             bound = flags.get("degree", 24)
         else:
             raise SchemaError("multiplier-ideal needs an alpha document or --alpha")
@@ -430,7 +440,7 @@ def main(argv=None) -> int:
             "scales": _parse_scales(args.scales) if args.scales else None,
             "degree": args.degree,
             "rank": args.rank,
-            "alpha": args.alpha,
+            "alpha": _parse_alpha(args.alpha) if args.alpha else None,
             "partition": _parse_partition(args.partition) if args.partition else None,
         }
         flags = {name: v for name, v in flags.items() if v is not None}

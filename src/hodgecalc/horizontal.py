@@ -9,12 +9,12 @@ exact Hodge metric Tr(X Y*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
 from .lmhs import hermitian_psd_status
-from .matrices import Mat, inverse, kernel_basis, rank, rref, sub_canonical, sub_zero
+from .matrices import Mat, Splitting, inverse, kernel_basis, rank, rref, sub_canonical, sub_zero
 from .rationals import GaussianRational, ZERO, ONE, i_power
 
 
@@ -29,14 +29,7 @@ class PolarizedHS:
 
     def weil_matrix(self) -> Mat:
         """The operator acting by i^(p-q) on each piece."""
-        rows, units = [], []
-        for (p, qq) in sorted(self.pieces):
-            m = self.pieces[(p, qq)]
-            for r in range(m.rows):
-                rows.append(list(m.row(r)))
-                units.append(i_power(p - qq))
-        t = Mat.from_rows(rows).transpose()
-        return t @ Mat.diag(units) @ inverse(t)
+        return Splitting(self.pieces).diagonal(lambda key: i_power(key[0] - key[1]))
 
     def metric_matrix(self) -> Mat:
         """Gram H of the Hodge metric h(u, v) = -Q(Cu, conj v), so that
@@ -130,6 +123,8 @@ class GradedEnd:
     phs: PolarizedHS
     pieces: dict          # p -> basis Mat (rows are flattened endomorphisms)
     metric: Mat           # Hodge metric Gram on V (for adjoints)
+    # V as the direct sum of the (p, q) pieces of phs
+    splitting: Splitting = field(compare=False, repr=False)
 
     def piece_dim(self, p: int) -> int:
         m = self.pieces.get(p)
@@ -172,60 +167,26 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     lie_space = sub_canonical(Mat.from_rows([list(v) for v in lie])) if lie \
         else sub_zero(d * d)
 
-    # graded condition: X maps each (r, s) piece into (r+p, s-p)
+    # graded condition: X maps each (r, s) piece into (r+p, s-p), so entry
+    # (i, j) of X in the basis of the pieces vanishes unless the key of row i
+    # is the key of column j shifted by (p, -p)
+    split = Splitting(phs.pieces)
+    labels = split.labels
+    adapted = [split.t_inv @ Mat(d, d, x) @ split.t for x in lie_space.row_list()]
     pieces = {}
     for p in range(-n, n + 1):
-        cond_rows = []
-        for (r, s), basis in phs.pieces.items():
-            target = phs.pieces.get((r + p, s - p))
-            tgt_rows = target.row_list() if target is not None else []
-            # complement test: the image must have zero coefficients on the
-            # other pieces; build a projector annihilating the target
-            others = [m for key, m in phs.pieces.items() if key != (r + p, s - p)]
-            other_rows = [row for m in others for row in m.row_list()]
-            if not other_rows:
-                continue
-            other_mat = Mat.from_rows(other_rows)
-            full = Mat.from_rows((tgt_rows or []) + other_rows)
-            finv = inverse(full.transpose())
-            # coefficients on the "others" block of X v for v in basis
-            offset = len(tgt_rows)
-            for bi in range(basis.rows):
-                v = basis.row(bi)
-                for oi in range(len(other_rows)):
-                    row = [ZERO] * (d * d)
-                    # coefficient = sum_c finv[offset+oi, c] * (Xv)_c
-                    for c in range(d):
-                        coef = finv[offset + oi, c]
-                        if coef:
-                            for k in range(d):
-                                if v[k]:
-                                    row[c * d + k] = row[c * d + k] + coef * v[k]
-                    cond_rows.append(row)
-        if cond_rows:
-            m = Mat.from_rows([list(lie_space.row(i)) for i in range(lie_space.rows)])
-            # solve within the Lie algebra coordinates
-            cond = Mat.from_rows(cond_rows)
-            comb = cond @ m.transpose()
-            coeffs = kernel_basis(comb)
-        else:
-            coeffs = [tuple(ONE if i == j else ZERO for j in range(lie_space.rows))
-                      for i in range(lie_space.rows)]
-        piece_rows = []
-        for ctuple in coeffs:
-            v = [ZERO] * (d * d)
-            for c, i in zip(ctuple, range(lie_space.rows)):
-                if c:
-                    v = [a + c * b for a, b in zip(v, lie_space.row(i))]
-            if any(v):
-                piece_rows.append(v)
-        if piece_rows:
-            pieces[p] = sub_canonical(Mat.from_rows(piece_rows))
+        off = [(i, j) for i, a in enumerate(labels) for j, b in enumerate(labels)
+               if a != (b[0] + p, b[1] - p)]
+        # solve within the Lie algebra coordinates
+        cond = Mat(len(off), len(adapted), [x[i, j] for i, j in off for x in adapted])
+        coeffs = kernel_basis(cond)
+        if coeffs:
+            pieces[p] = sub_canonical(Mat.from_rows(coeffs) @ lie_space)
     total = sum(m.rows for m in pieces.values())
     if total != lie_space.rows:
         raise NotPolarized(
             f"graded pieces have dimension {total}, algebra has {lie_space.rows}")
-    return GradedEnd(phs, pieces, phs.metric_matrix())
+    return GradedEnd(phs, pieces, phs.metric_matrix(), split)
 
 
 def bracket(x: Mat, y: Mat) -> Mat:
@@ -280,26 +241,10 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
         if src is None or dst is None:
             continue
         # matrix of xi restricted: coordinates of xi(src_i) in dst basis
-        full_rows = [list(r) for key in sorted(phs.pieces) for r in phs.pieces[key].row_list()]
-        keys = [key for key in sorted(phs.pieces) for _ in range(phs.pieces[key].rows)]
-        full = Mat.from_rows(full_rows)
-        finv = inverse(full.transpose())
-        dst_positions = [i for i, key in enumerate(keys) if key == (p - 1, n - p + 1)]
-        cols = []
-        for i in range(src.rows):
-            img = xi.mat_vec(src.row(i))
-            coords = finv.mat_vec(img)
-            cols.append([coords[pos] for pos in dst_positions])
-        a = Mat.from_rows(cols).transpose()
-        # metric Grams on source and target
-        def gram(basis):
-            return Mat.from_rows([
-                [sum((h[r_, c_] * basis[i, r_] * basis[j, c_].conj()
-                      for r_ in range(phs.dim) for c_ in range(phs.dim)
-                      if basis[i, r_] and basis[j, c_]), ZERO)
-                 for j in range(basis.rows)] for i in range(basis.rows)])
-        g_src = gram(src)
-        g_dst = gram(dst)
+        a = ge.splitting.block(xi, (p, n - p), (p - 1, n - p + 1))
+        # metric Grams on source and target: sum_rc h[r, c] b_i[r] conj(b_j[c])
+        g_src = src @ h @ src.conj_transpose()
+        g_dst = dst @ h @ dst.conj_transpose()
         a_star = inverse(g_src.transpose()) @ a.conj_transpose() @ g_dst.transpose()
         m1 = a_star @ a
         sum_l2 = m1.trace().real_or_raise()
@@ -320,20 +265,8 @@ def sectional_quartic(ge: GradedEnd, xi: Mat) -> QuarticReport:
 def top_block(ge: GradedEnd, xi: Mat) -> Mat:
     """Matrix of xi restricted to the top piece map V^{n,0} -> V^{n-1,1},
     with columns indexed by the source basis."""
-    phs = ge.phs
-    n = phs.weight
-    src = phs.pieces[(n, 0)]
-    dst = phs.pieces[(n - 1, 1)]
-    full_rows = [list(r) for key in sorted(phs.pieces)
-                 for r in phs.pieces[key].row_list()]
-    keys = [key for key in sorted(phs.pieces) for _ in range(phs.pieces[key].rows)]
-    finv = inverse(Mat.from_rows(full_rows).transpose())
-    positions = [i for i, key in enumerate(keys) if key == (n - 1, 1)]
-    cols = []
-    for i in range(src.rows):
-        coords = finv.mat_vec(xi.mat_vec(src.row(i)))
-        cols.append([coords[pos] for pos in positions])
-    return Mat.from_rows(cols).transpose()
+    n = ge.phs.weight
+    return ge.splitting.block(xi, (n, 0), (n - 1, 1))
 
 
 def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
@@ -354,11 +287,7 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     c = solve(m, list(target.vec()))
     if c is None:
         raise ZeroVector("no horizontal direction has the requested block")
-    v = [ZERO] * (ge.phs.dim ** 2)
-    for coef, i in zip(c, range(gm1.rows)):
-        if coef:
-            v = [a + coef * b for a, b in zip(v, gm1.row(i))]
-    out = ge.unflatten(v)
+    out = ge.unflatten((Mat.from_rows([c]) @ gm1).entries)
     if top_block(ge, out) != target:
         raise ZeroVector("internal error: block solve failed")
     return out

@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from .errors import NotMHS
 from .matrices import (
-    Mat, coords_in_basis, inverse, is_nilpotent, kernel_basis, rank, rref,
+    Mat, coords_in_basis, is_nilpotent, kernel_basis, rank, rref,
     sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from .rationals import GaussianRational, ZERO, i_power
-from .weightfilt import WeightFiltration, grading_element, weight_filtration
+from .weightfilt import WeightFiltration, grading_splitting, weight_filtration
 
 # Global orientation of the positivity convention for polarizing forms: the
 # Hermitian form  - i^(p-q) * Q(u, N^i conj v) = - i^(p-q) (-1)^i Q(N^i u, conj v)
@@ -413,20 +413,7 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
     d, n = spec.dim, spec.weight
     n_i = spec.n_sum(subset)
     wf = weight_filtration(n_i, n)
-    y = grading_element(n_i, wf, rule=rule)
-    from .weightfilt import integer_eigen_decomposition
-    eig = integer_eigen_decomposition(y)
-    # projector decomposition of the identity
-    rows, labels = [], []
-    for kk in sorted(eig):
-        for r in range(eig[kk].rows):
-            rows.append(list(eig[kk].row(r)))
-            labels.append(kk)
-    t = Mat.from_rows(rows).transpose()
-    t_inv = inverse(t)
-    projectors = {kk: t @ Mat.diag([Fraction(1) if lab == kk else Fraction(0)
-                                    for lab in labels]) @ t_inv
-                  for kk in sorted(eig)}
+    _, split = grading_splitting(n_i, wf, rule=rule)
 
     complement = [j for j in range(k) if j not in subset]
     levels = flag_levels(spec.flag, n, d)
@@ -437,10 +424,10 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
 
     for i in range(0, n + 1):
         kk = n + i
-        if kk not in eig:
+        if kk not in split.spaces:
             continue
         # primitive part: kernel of N_I^(i+1) inside V_k
-        prim = _kernel_within(eig[kk], powers[i + 1])
+        prim = _kernel_within(split.space(kk), powers[i + 1])
         pd = prim.rows
         if not pd:
             continue
@@ -451,7 +438,7 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
                 raise NotMHS("projection left the primitive subspace")
             return list(c)
 
-        proj_k = projectors[kk]
+        proj_k = split.projector(kk)
         # induced nilpotents: ad-weight-zero parts restricted to the piece
         induced = []
         for j in complement:

@@ -665,6 +665,46 @@ class Quotient:
         return Mat.from_rows([list(c) for c in cols]).transpose()
 
 
+class Splitting:
+    """The ambient space as a direct sum of subspaces V_key, each given by a
+    row basis; empty subspaces are dropped.
+
+    ``t`` has the basis vectors as columns, keys in sorted order, and
+    ``labels`` holds the key of each column.  Row j of ``t_inv`` reads off
+    the j-th coordinate, and it does not depend on the order of the basis
+    vectors, only on the set of them.
+    """
+
+    def __init__(self, spaces: dict):
+        self.spaces = {k: spaces[k] for k in sorted(spaces) if spaces[k].rows}
+        self.labels = tuple(k for k, s in self.spaces.items() for _ in range(s.rows))
+        self.t = Mat.from_rows([r for s in self.spaces.values() for r in s.row_list()]).transpose()
+        try:
+            self.t_inv = inverse(self.t)
+        except (NoSolution, ValueError):
+            raise NoSolution("the subspaces do not split the space") from None
+        # the rows of t_inv that read off the coordinates on each V_k
+        self._duals = {k: Mat.from_rows([self.t_inv.row(j) for j, key in enumerate(self.labels)
+                                         if key == k]) for k in self.spaces}
+
+    def space(self, k) -> Mat:
+        """The row basis of V_k."""
+        return self.spaces[k]
+
+    def block(self, m: Mat, src, dst) -> Mat:
+        """The V_src -> V_dst block of m: column i holds the V_dst coordinates
+        of m applied to the i-th basis vector of V_src."""
+        return self._duals[dst] @ m @ self.spaces[src].transpose()
+
+    def projector(self, k) -> Mat:
+        """The projection onto V_k along the other subspaces."""
+        return self.spaces[k].transpose() @ self._duals[k]
+
+    def diagonal(self, f) -> Mat:
+        """The operator acting on each V_k as the scalar f(k)."""
+        return self.t @ Mat.diag([f(k) for k in self.labels]) @ self.t_inv
+
+
 # ---------------------------------------------------------------------------
 # Nilpotency
 # ---------------------------------------------------------------------------

@@ -246,22 +246,11 @@ def projectivized_chern_form(model: NormPositivityModel, e, *,
 
     ambient = (fiber_subspace if fiber_subspace is not None
                else Mat.identity(model.rank_e))
-    # directions in the fiber subspace orthogonal to e
-    rows = []
-    for i in range(ambient.rows):
-        rows.append([x for x in ambient.row(i)])
+    # directions in the fiber subspace orthogonal to e: the inner product
+    # <w, e> = sum w_i conj(e_i) vanishes, a kernel within the subspace
     conj_e = Mat.from_rows([[x.conj() for x in e]])
-    # inner product <w, e> = sum w_i conj(e_i); kernel within the subspace
-    prods = Mat.from_rows([[sum((w * c for w, c in zip(rows[i], conj_e.row(0))), ZERO)]
-                           for i in range(len(rows))]).transpose()
-    coeffs = kernel_basis(prods)
-    basis = []
-    for ctuple in coeffs:
-        v = [ZERO] * model.rank_e
-        for c, i in zip(ctuple, range(len(rows))):
-            if c:
-                v = [x + c * y for x, y in zip(v, rows[i])]
-        basis.append(v)
+    coeffs = kernel_basis(conj_e @ ambient.transpose())
+    basis = (Mat.from_rows(coeffs) @ ambient).row_list() if coeffs else []
     # Fubini-Study matrix I - e e* restricted to the chosen basis
     fs = []
     for u in basis:

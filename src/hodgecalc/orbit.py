@@ -48,12 +48,6 @@ class MetricMatrix:
             off += m
         return out
 
-    def determinant(self) -> MultiPoly:
-        acc = MultiPoly.const(self.num_vars, 1)
-        for _, _, mat in self.blocks:
-            acc = acc * poly_mat_det(mat)
-        return acc
-
 
 @dataclass(frozen=True)
 class MetricPolynomial:
@@ -141,10 +135,12 @@ def hodge_metric_matrix(spec: PolarizedOrbitSpec, *, validate: bool = True) -> M
 def hodge_metric_polynomial(spec: PolarizedOrbitSpec, *, validate: bool = True) -> MetricPolynomial:
     """Product of the block determinants, normalized to leading coefficient 1."""
     mm = hodge_metric_matrix(spec, validate=validate)
-    raw = mm.determinant()
+    raw = MultiPoly.const(mm.num_vars, 1)
     for i, frame, mat in mm.blocks:
-        if i > 0 and poly_mat_det(mat).is_zero():
+        block_det = poly_mat_det(mat)
+        if i > 0 and block_det.is_zero():
             raise DegenerateDet(f"block at level {i} has vanishing determinant")
+        raw = raw * block_det
     if raw.is_zero():
         raise DegenerateDet("metric determinant vanishes identically")
     if not raw.is_real():

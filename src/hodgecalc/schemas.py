@@ -38,6 +38,18 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _int_field(payload, key: str, default=None) -> int:
+    """payload[key] (or the default when it is absent) as an int: a JSON
+    integer or a string of one."""
+    value = payload.get(key, default)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"'{key}' must be an integer, got {value!r}")
+
+
 def _parse_matrix(data, what: str) -> Mat:
     try:
         return Mat.from_json(data)
@@ -48,10 +60,12 @@ def _parse_matrix(data, what: str) -> Mat:
 def _build_orbit(payload) -> PolarizedOrbitSpec:
     for key in ("dim", "weight", "Q", "nilpotents", "F"):
         _require(key in payload, f"orbit payload is missing '{key}'")
-    dim = int(payload["dim"])
-    weight = int(payload["weight"])
+    dim = _int_field(payload, "dim")
+    weight = _int_field(payload, "weight")
     _require(dim > 0, "dim must be positive")
     _require(weight >= 0, "weight must be non-negative")
+    for key in ("nilpotents", "F"):
+        _require(isinstance(payload[key], list), f"'{key}' must be a list")
     q = _parse_matrix(payload["Q"], "Q")
     _require(q.rows == dim and q.cols == dim, "Q must be dim x dim")
     nilpotents = []
@@ -80,19 +94,19 @@ def _build_orbit(payload) -> PolarizedOrbitSpec:
 def _build_phs(payload):
     from .horizontal import phs_weight1, phs_weight2
     _require("weight" in payload, "phs payload is missing 'weight'")
-    weight = int(payload["weight"])
+    weight = _int_field(payload, "weight")
     if weight == 1:
         _require("genus" in payload or "omega" in payload,
                  "weight-1 phs needs 'genus' or 'omega'")
         if "omega" in payload:
             omega = _parse_matrix(payload["omega"], "omega")
             return phs_weight1(omega.rows, omega)
-        return phs_weight1(int(payload["genus"]))
+        return phs_weight1(_int_field(payload, "genus"))
     if weight == 2:
         for key in ("h20", "h11"):
             _require(key in payload, f"weight-2 phs needs '{key}'")
         omega = _parse_matrix(payload["omega"], "omega") if "omega" in payload else None
-        return phs_weight2(int(payload["h20"]), int(payload["h11"]), omega)
+        return phs_weight2(_int_field(payload, "h20"), _int_field(payload, "h11"), omega)
     raise SchemaError("phs constructors cover weights 1 and 2")
 
 
@@ -100,9 +114,9 @@ def _build_model(payload) -> NormPositivityModel:
     for key in ("dimT", "rankE", "rankG", "A"):
         _require(key in payload, f"model payload is missing '{key}'")
     a = _parse_matrix(payload["A"], "A")
+    dims = [_int_field(payload, key) for key in ("dimT", "rankE", "rankG")]
     try:
-        return NormPositivityModel(int(payload["dimT"]), int(payload["rankE"]),
-                                   int(payload["rankG"]), a)
+        return NormPositivityModel(*dims, a)
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -111,7 +125,7 @@ def _build_subspace(payload) -> Mat:
     _require("basis" in payload, "subspace payload is missing 'basis'")
     basis = _parse_matrix(payload["basis"], "basis")
     if "ambient" in payload:
-        _require(basis.cols == int(payload["ambient"]),
+        _require(basis.cols == _int_field(payload, "ambient"),
                  "basis vectors must match the ambient dimension")
     return basis
 
@@ -124,7 +138,7 @@ def _build_alpha(payload):
     except Exception as exc:
         raise ParseError(f"bad weight vector: {exc}") from exc
     _require(all(a > 0 for a in alpha), "weights must be positive")
-    bound = int(payload.get("degreeBound", 24))
+    bound = _int_field(payload, "degreeBound", 24)
     _require(bound >= 0, "degreeBound must be non-negative")
     return (alpha, bound)
 

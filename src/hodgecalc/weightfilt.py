@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Quotient, inverse, kernel_space, column_space, kernel_basis,
+    Mat, Quotient, Splitting, kernel_space, column_space, kernel_basis,
     nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -172,14 +172,21 @@ def _complement_from_candidates(sub: Mat, candidates) -> list:
 
 
 def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
-    """A semisimple Y with eigenspaces splitting wf and [Y, n] = -2n.
+    """A semisimple Y with eigenspaces splitting wf and [Y, n] = -2n; see
+    `grading_splitting`."""
+    return grading_splitting(n, wf, rule)[0]
+
+
+def grading_splitting(n: Mat, wf: WeightFiltration, rule: str = "echelon"):
+    """(Y, its eigenspace splitting): Y is a semisimple grading element of wf
+    with [Y, n] = -2n, and the splitting is keyed by Hodge-indexed weight.
 
     Construction: lift the primitive subspace of each graded piece (echelon
     representatives, corrected so the appropriate power of n kills the lift
-    exactly), then propagate down the strings by n.  `rule` selects the
-    deterministic complement choice; "reversed" flips the candidate order and
-    exists to let tests confirm that reported invariants do not depend on the
-    splitting.
+    exactly), then propagate down the strings by n; the string vectors are
+    the basis of the splitting.  `rule` selects the deterministic complement
+    choice; "reversed" flips the candidate order and exists to let tests
+    confirm that reported invariants do not depend on the splitting.
     """
     if rule not in ("echelon", "reversed"):
         raise ValueError(f"unknown splitting rule {rule!r}")
@@ -190,7 +197,7 @@ def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
     for _ in range(2 * nw + 2):
         powers.append(powers[-1] @ n)
 
-    spaces = {m: [] for m in range(-s, s + 1)}   # centered weight -> vectors
+    spaces = {m + nw: [] for m in range(-s, s + 1)}   # Hodge weight -> vectors
     for m in range(s, -1, -1):
         wk = wf.level(nw + m)
         wk1 = wf.level(nw + m - 1)
@@ -221,27 +228,21 @@ def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
                 v = [a - b for a, b in zip(v, u)]
                 if any(powers[m + 1].mat_vec(v)):
                     raise NoSolution("internal error: primitive correction failed")
-            spaces[m].append(tuple(v))
+            spaces[m + nw].append(tuple(v))
             cur = tuple(v)
             for j in range(1, m + 1):
                 cur = n.mat_vec(cur)
-                spaces[m - 2 * j].append(cur)
+                spaces[m + nw - 2 * j].append(cur)
 
-    basis_rows = []
-    eigvals = []
-    for m in range(s, -s - 1, -1):
-        for v in spaces.get(m, []):
-            basis_rows.append(list(v))
-            eigvals.append(m + nw)
-    t = Mat.from_rows(basis_rows).transpose()
-    if rref(t)[2] != d:
-        raise NoSolution("internal error: string basis does not span")
-    t_inv = inverse(t)
-    y = t @ Mat.diag([Fraction(e) for e in eigvals]) @ t_inv
+    try:
+        split = Splitting({k: Mat.from_rows(vs) for k, vs in spaces.items() if vs})
+    except NoSolution:
+        raise NoSolution("internal error: string basis does not span") from None
+    y = split.diagonal(lambda k: k)
     if not (y @ n - n @ y + n.scale(2)).is_zero():
         raise NoSolution("internal error: [Y,N] != -2N")
     _check_grading(y, wf)
-    return y
+    return y, split
 
 
 def _solve_in_subspace(m: Mat, sub: Mat, target):
@@ -300,15 +301,9 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
     """
     d = n.rows
     yc = y - Mat.identity(d).scale(Fraction(weight))
-    spaces = integer_eigen_decomposition(yc)
-    basis_rows, labels = [], []
-    for k in sorted(spaces):
-        for i in range(spaces[k].rows):
-            basis_rows.append(list(spaces[k].row(i)))
-            labels.append(k)
-    t = Mat.from_rows(basis_rows).transpose()
-    t_inv = inverse(t)
-    n_t = t_inv @ n @ t
+    split = Splitting(integer_eigen_decomposition(yc))
+    labels = split.labels
+    n_t = split.t_inv @ n @ split.t
     # sanity: n must lower the weight by exactly 2
     for i in range(d):
         for j in range(d):
@@ -343,7 +338,7 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
     x_t = [[ZERO] * d for _ in range(d)]
     for (i, j), c in index.items():
         x_t[i][j] = sol[c]
-    n_plus = t @ Mat.from_rows(x_t) @ t_inv
+    n_plus = split.t @ Mat.from_rows(x_t) @ split.t_inv
     triple = Sl2Triple(n_plus, yc, n)
     if not triple.check():
         raise NoSolution("internal error: bracket relations failed")
@@ -426,22 +421,11 @@ def y_eigen_decomposition(n2: Mat, y: Mat) -> dict:
     sum to n2 exactly.
     """
     d = y.rows
-    spaces = integer_eigen_decomposition(y)
-    basis_rows = []
-    labels = []
-    for k in sorted(spaces):
-        for i in range(spaces[k].rows):
-            basis_rows.append(list(spaces[k].row(i)))
-            labels.append(k)
-    t = Mat.from_rows(basis_rows).transpose()
-    t_inv = inverse(t)
-    projectors = {}
-    for k in sorted(spaces):
-        sel = Mat.diag([Fraction(1) if lab == k else Fraction(0) for lab in labels])
-        projectors[k] = t @ sel @ t_inv
+    split = Splitting(integer_eigen_decomposition(y))
+    projectors = {k: split.projector(k) for k in split.spaces}
     comps = {}
-    for k2 in sorted(spaces):
-        for k1 in sorted(spaces):
+    for k2 in split.spaces:
+        for k1 in split.spaces:
             m = k2 - k1
             piece = projectors[k2] @ n2 @ projectors[k1]
             if not piece.is_zero():

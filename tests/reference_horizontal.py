@@ -1,0 +1,92 @@
+"""The graded endomorphism algebra as it was first written, kept as a test oracle.
+
+This is ``hodgecalc.horizontal.graded_end_algebra`` before it built the
+splitting of V into Hodge pieces once: for every grade and every piece it
+stacks the target piece and the other pieces and inverts that basis to read
+off coefficients, and it solves one system in the d^2 entries of X per
+grade.  It returns the graded pieces only.  ``test_shared_paths.py`` asserts
+that the library finds the same pieces; a block-pair solve of the graded
+algebra can be checked against it the same way.
+"""
+
+from __future__ import annotations
+
+from hodgecalc.errors import NotPolarized
+from hodgecalc.horizontal import PolarizedHS
+from hodgecalc.matrices import Mat, inverse, kernel_basis, sub_canonical, sub_zero
+from hodgecalc.rationals import ONE, ZERO
+
+
+def graded_end_pieces(phs: PolarizedHS) -> dict:
+    """Compute the graded pieces of {X : Q(Xu, v) + Q(u, Xv) = 0}."""
+    phs.validate()
+    d = phs.dim
+    n = phs.weight
+    # form-preserving condition: Q(Xu, v) + Q(u, Xv) = 0 for basis u, v;
+    # condition_{ij} = sum_k X_{ki} Q_{kj} + Q_{ik} X_{kj}
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            row = [ZERO] * (d * d)
+            for k in range(d):
+                row[k * d + i] = row[k * d + i] + phs.q[k, j]
+                row[k * d + j] = row[k * d + j] + phs.q[i, k]
+            rows.append(row)
+    lie = kernel_basis(Mat.from_rows(rows))
+    lie_space = sub_canonical(Mat.from_rows([list(v) for v in lie])) if lie \
+        else sub_zero(d * d)
+
+    # graded condition: X maps each (r, s) piece into (r+p, s-p)
+    pieces = {}
+    for p in range(-n, n + 1):
+        cond_rows = []
+        for (r, s), basis in phs.pieces.items():
+            target = phs.pieces.get((r + p, s - p))
+            tgt_rows = target.row_list() if target is not None else []
+            # complement test: the image must have zero coefficients on the
+            # other pieces; build a projector annihilating the target
+            others = [m for key, m in phs.pieces.items() if key != (r + p, s - p)]
+            other_rows = [row for m in others for row in m.row_list()]
+            if not other_rows:
+                continue
+            other_mat = Mat.from_rows(other_rows)
+            full = Mat.from_rows((tgt_rows or []) + other_rows)
+            finv = inverse(full.transpose())
+            # coefficients on the "others" block of X v for v in basis
+            offset = len(tgt_rows)
+            for bi in range(basis.rows):
+                v = basis.row(bi)
+                for oi in range(len(other_rows)):
+                    row = [ZERO] * (d * d)
+                    # coefficient = sum_c finv[offset+oi, c] * (Xv)_c
+                    for c in range(d):
+                        coef = finv[offset + oi, c]
+                        if coef:
+                            for k in range(d):
+                                if v[k]:
+                                    row[c * d + k] = row[c * d + k] + coef * v[k]
+                    cond_rows.append(row)
+        if cond_rows:
+            m = Mat.from_rows([list(lie_space.row(i)) for i in range(lie_space.rows)])
+            # solve within the Lie algebra coordinates
+            cond = Mat.from_rows(cond_rows)
+            comb = cond @ m.transpose()
+            coeffs = kernel_basis(comb)
+        else:
+            coeffs = [tuple(ONE if i == j else ZERO for j in range(lie_space.rows))
+                      for i in range(lie_space.rows)]
+        piece_rows = []
+        for ctuple in coeffs:
+            v = [ZERO] * (d * d)
+            for c, i in zip(ctuple, range(lie_space.rows)):
+                if c:
+                    v = [a + c * b for a, b in zip(v, lie_space.row(i))]
+            if any(v):
+                piece_rows.append(v)
+        if piece_rows:
+            pieces[p] = sub_canonical(Mat.from_rows(piece_rows))
+    total = sum(m.rows for m in pieces.values())
+    if total != lie_space.rows:
+        raise NotPolarized(
+            f"graded pieces have dimension {total}, algebra has {lie_space.rows}")
+    return pieces

@@ -173,6 +173,9 @@ BAD_FLAGS = {
                                        "builtin:dollar-bill", "--stratum", "9"],
     "stratum-map-stratum-seven": ["stratum-map", "--input", "builtin:dollar-bill",
                                   "--stratum", "7"],
+    "alpha-not-a-number": ["multiplier-ideal", "--alpha", "abc"],
+    "alpha-zero-denominator": ["multiplier-ideal", "--alpha", "1/0"],
+    "alpha-not-positive": ["multiplier-ideal", "--alpha", "2,0"],
 }
 
 
@@ -190,3 +193,39 @@ def test_full_stratum_allowed_where_no_complement_is_needed(capsys):
     code, full, _ = run_cli(argv + ["--stratum", "1,2,3"], capsys)
     assert code == 0
     assert run_cli(argv, capsys)[1] == full    # the whole cone is the default
+
+
+def _mutated(name, **changes):
+    doc = json.loads(render_problem(load_fixture(name)))
+    doc["payload"].update(changes)
+    return doc
+
+
+# Each malformed field exits 2 with a one-line message and no traceback:
+# integer fields of every document kind, and the list fields of an orbit.
+BAD_DOCUMENTS = {
+    "dim-not-an-integer": ("validate", _mutated("dollar-bill", dim="x")),
+    "weight-a-fraction": ("validate", _mutated("dollar-bill", weight=1.5)),
+    "weight-a-boolean": ("validate", _mutated("dollar-bill", weight=True)),
+    "nilpotents-not-a-list": ("validate", _mutated("dollar-bill", nilpotents=5)),
+    "F-not-a-list": ("validate", _mutated("dollar-bill", F=5)),
+    "genus-not-an-integer": ("horizontal", _mutated("weight1-genus2", genus="x")),
+    "h20-not-an-integer": ("horizontal", _mutated("weight2-normal-form", h20=[2])),
+    "dimT-not-an-integer": ("curvature", _mutated("grassmannian-g24", dimT="x")),
+    "degreeBound-not-an-integer": ("multiplier-ideal",
+                                   _mutated("alpha-example", degreeBound="x")),
+    "ambient-not-an-integer": ("validate", {"kind": "subspace",
+                                            "payload": {"basis": [["1", "0"]], "ambient": None}}),
+}
+
+
+@pytest.mark.parametrize("doc", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())
+def test_bad_document_field_exits_2(doc, tmp_path, capsys):
+    command, payload = doc
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

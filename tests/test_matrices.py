@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
-    Mat, Quotient, det, kernel_basis, rank, rref, smith_normal_form,
+    Mat, Quotient, Splitting, det, kernel_basis, rank, rref, smith_normal_form,
     sub_complement_in, sub_contains, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational
@@ -136,3 +138,30 @@ def test_complement_is_complementary():
     assert comp.rows == 2
     assert sub_equal(sub_sum(sub, comp), sup)
     assert sub_intersect(sub, comp).rows == 0
+
+
+def test_splitting_of_a_plane_and_a_line():
+    plane = Mat.from_rows([[1, 1, 0], [0, 1, 1]])
+    line = Mat.from_rows([[1, 0, 1]])
+    split = Splitting({"b": line, "a": plane, "c": Mat.zeros(0, 3)})
+    assert list(split.spaces) == ["a", "b"] and split.labels == ("a", "a", "b")
+    assert split.t @ split.t_inv == Mat.identity(3)
+    v = [3, 5, 4]                      # 2 (1,1,0) + 3 (0,1,1) + 1 (1,0,1)
+    assert split.t_inv.mat_vec(v) == (2, 3, 1)
+    pa, pb = split.projector("a"), split.projector("b")
+    assert pa + pb == Mat.identity(3) and pa @ pa == pa and pa @ pb == Mat.zeros(3, 3)
+    assert pb.mat_vec(v) == (1, 0, 1)
+    assert split.diagonal(lambda k: 1 if k == "a" else 0) == pa
+    # m (1,0,1) = (1,0,4) = -3/2 (1,1,0) + 3/2 (0,1,1) + 5/2 (1,0,1)
+    m = Mat.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+    assert split.block(m, "b", "a") == Mat.from_rows([[Fraction(-3, 2)], [Fraction(3, 2)]])
+    assert split.block(m, "b", "b") == Mat.from_rows([[Fraction(5, 2)]])
+
+
+@pytest.mark.parametrize("spaces", [
+    {0: Mat.from_rows([[1, 0, 0]]), 1: Mat.from_rows([[2, 0, 0], [0, 1, 0]])},
+    {0: Mat.from_rows([[1, 0, 0]])},
+], ids=["dependent", "too-few"])
+def test_splitting_needs_a_direct_sum(spaces):
+    with pytest.raises(NoSolution):
+        Splitting(spaces)

@@ -1,7 +1,8 @@
 """Oracles for the objects that one orbit computation derives once and shares.
 
 Each shared path is compared with an independent computation: the
-full-probe Deligne bigrading kept in ``reference_lmhs``, or the same answer
+full-probe Deligne bigrading kept in ``reference_lmhs``, the graded
+endomorphism algebra kept in ``reference_horizontal``, or the same answer
 composed from separate public calls.  The call-count tests pin that sharing
 is scoped to one call: a second call on the same spec does the same work.
 """
@@ -15,15 +16,20 @@ from itertools import combinations, permutations
 
 import pytest
 
+import reference_horizontal as ref_horizontal
 import reference_lmhs as ref
-from hodgecalc import lmhs, monomial, orbit
+from conftest import random_nilpotent
+from hodgecalc import lmhs, monomial, orbit, weightfilt
 from hodgecalc.cli import main
 from hodgecalc.cones import hull_contains
 from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
     stratum_hodge_numbers, verify_polarized_lmhs,
 )
-from hodgecalc.matrices import Mat, sub_canonical
+from hodgecalc.horizontal import (
+    graded_end_algebra, phs_weight1, phs_weight2, principal_value_traces, top_block,
+)
+from hodgecalc.matrices import Mat, solve, sub_canonical
 from hodgecalc.monomial import compatibility_check, compatibility_checks
 from hodgecalc.orbit import (
     chern_form_at, default_rays, hessian_table, hodge_metric_polynomial,
@@ -32,7 +38,9 @@ from hodgecalc.orbit import (
 )
 from hodgecalc.rationals import GaussianRational
 from hodgecalc.schemas import fixture_names, load_fixture
-from hodgecalc.weightfilt import weight_filtration
+from hodgecalc.weightfilt import (
+    grading_element, grading_splitting, integer_eigen_decomposition, weight_filtration,
+)
 
 ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
 
@@ -182,6 +190,143 @@ def test_permutation_check_asks_each_subset_once(dollar_bill, monkeypatch):
     assert rep.present == (p.coefficient(rep.exponents) != 0)
     points = [chain(list(s)) for s in permutations(range(3))]
     assert rep.hull_ok == all(hull_contains(points, e) for e in p.terms)
+
+
+# --- One splitting of V ----------------------------------------------------
+
+def assert_eigen_splitting(n, weight, y, split):
+    """split is the eigenspace splitting of y, and y is the public grading
+    element of n: each space is the eigenspace that integer_eigen_decomposition
+    finds, and each projector is the Lagrange polynomial in y that is 1 on
+    its eigenvalue and 0 on the others."""
+    wf = weight_filtration(n, weight)
+    assert y == grading_element(n, wf)
+    eig = integer_eigen_decomposition(y)
+    assert {k: sub_canonical(m) for k, m in split.spaces.items()} == eig
+    d = n.rows
+    one = Mat.identity(d)
+    projectors = {}
+    for k in eig:
+        lagrange = one
+        for j in eig:
+            if j != k:
+                lagrange = lagrange @ (y - one.scale(j)).scale(Fraction(1, k - j))
+        projectors[k] = split.projector(k)
+        assert projectors[k] == lagrange
+    assert sum(projectors.values(), Mat.zeros(d, d)) == one
+    for k, p in projectors.items():
+        for j, q in projectors.items():
+            assert p @ q == (p if j == k else Mat.zeros(d, d))
+
+
+def check_stratum_splittings(spec, subsets, monkeypatch):
+    """associated_graded_orbit takes the splitting that the grading
+    construction built, and finds no eigenbasis of its own."""
+    used, eigen_calls = [], []
+
+    def recording(n, wf, **kwargs):
+        out = grading_splitting(n, wf, **kwargs)
+        used.append((n, out))
+        return out
+    monkeypatch.setattr(lmhs, "grading_splitting", recording)
+    monkeypatch.setattr(weightfilt, "integer_eigen_decomposition",
+                        lambda *args: eigen_calls.append(args))
+    for subset in subsets:
+        associated_graded_orbit(spec, subset)
+        assert [n for n, _ in used] == [spec.n_sum(s) for s in subsets[:len(used)]]
+    assert len(used) == len(subsets) and eigen_calls == []
+    monkeypatch.undo()
+    for n, (y, split) in used:
+        assert_eigen_splitting(n, spec.weight, y, split)
+
+
+@pytest.mark.parametrize("name", ORBIT_FIXTURES)
+def test_stratum_splittings_on_fixtures(name, monkeypatch):
+    spec = load_fixture(name).obj
+    k = spec.num_params
+    subsets = [s for r in range(1, k + 1) for s in combinations(range(k), r)]
+    check_stratum_splittings(spec, subsets, monkeypatch)
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_stratum_splittings_on_direct_sums(sums, dim, monkeypatch):
+    spec = sums[dim]
+    k = spec.num_params
+    rng = random.Random(dim)
+    subsets = [tuple(range(k))] + [tuple(sorted(rng.sample(range(k), rng.randint(1, k - 1))))
+                                   for _ in range(6)]
+    check_stratum_splittings(spec, subsets, monkeypatch)
+
+
+def test_grading_splittings_of_seeded_nilpotents():
+    for seed in range(4):
+        n = random_nilpotent(random.Random(seed), 8)
+        wf = weight_filtration(n, 8)
+        for rule in ("echelon", "reversed"):
+            y, split = grading_splitting(n, wf, rule=rule)
+            if rule == "echelon":
+                assert_eigen_splitting(n, 8, y, split)
+            assert y == grading_element(n, wf, rule=rule)
+
+
+PHS_CASES = {"weight1-g2": (phs_weight1, 2), "weight1-g3": (phs_weight1, 3),
+             "weight2-1-2": (phs_weight2, 1, 2), "weight2-2-2": (phs_weight2, 2, 2),
+             "weight2-3-4": (phs_weight2, 3, 4)}
+
+
+def stacked_coords(phs, v, key):
+    """Coordinates of v on the (p, q) piece `key`, by a solve against the
+    stacked basis of all the pieces."""
+    keys = sorted(phs.pieces)
+    stacked = Mat.from_rows([r for k in keys for r in phs.pieces[k].row_list()])
+    c = solve(stacked.transpose(), v)
+    start = sum(phs.pieces[k].rows for k in keys[:keys.index(key)])
+    return list(c[start:start + phs.pieces[key].rows])
+
+
+def block_by_solve(phs, xi, src, dst):
+    basis = phs.pieces[src]
+    return Mat.from_rows([stacked_coords(phs, xi.mat_vec(basis.row(i)), dst)
+                          for i in range(basis.rows)]).transpose()
+
+
+@pytest.mark.parametrize("case", PHS_CASES.values(), ids=PHS_CASES.keys())
+def test_graded_end_algebra_matches_reference(case):
+    make, *args = case
+    phs = make(*args)
+    ge = graded_end_algebra(phs)
+    theirs = ref_horizontal.graded_end_pieces(phs)
+    assert ge.pieces == theirs and list(ge.pieces) == list(theirs)
+
+    n = phs.weight
+    gm1 = ge.pieces[-1]
+    rng = random.Random(n * 10 + phs.dim)
+    samples = [ge.unflatten(gm1.row(i)) for i in range(gm1.rows)]
+    for _ in range(3):
+        coeffs = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(gm1.rows)]
+        samples.append(ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries))
+    h = ge.metric
+
+    def gram(basis):
+        return Mat.from_rows([[sum((h[r, c] * basis[i, r] * basis[j, c].conj()
+                                    for r in range(phs.dim) for c in range(phs.dim)),
+                                   GaussianRational(0))
+                               for j in range(basis.rows)] for i in range(basis.rows)])
+    for xi in samples:
+        assert top_block(ge, xi) == block_by_solve(phs, xi, (n, 0), (n - 1, 1))
+        expected = {}
+        for p in range((n + 2) // 2, n + 1):
+            src, dst = (p, n - p), (p - 1, n - p + 1)
+            a = block_by_solve(phs, xi, src, dst)
+            g_src, g_dst = gram(phs.pieces[src]), gram(phs.pieces[dst])
+            m1 = solve_left(g_src.transpose(), a.conj_transpose() @ g_dst.transpose()) @ a
+            expected[p] = (m1.trace().real_or_raise(), (m1 @ m1).trace().real_or_raise())
+        assert principal_value_traces(ge, xi) == expected
+
+
+def solve_left(a, b):
+    """The matrix x with a @ x = b, column by column."""
+    return Mat.from_rows([solve(a, b.col(j)) for j in range(b.cols)]).transpose()
 
 
 # --- Chern forms and restriction limits -------------------------------------
