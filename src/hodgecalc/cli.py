@@ -333,6 +333,9 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         f["pieceDims"] = {str(p): ge.piece_dim(p) for p in sorted(ge.pieces)}
         rng = random.Random(seed)
         gm1 = ge.pieces.get(-1)
+        if gm1 is None:
+            raise SchemaError("horizontal needs a phs whose horizontal piece "
+                              "g^{-1,1} is nonzero (h20 > 0 for weight 2, genus > 0 for weight 1)")
         samples = []
         all_neg = True
         for _ in range(3):

@@ -40,9 +40,8 @@ class PolarizedHS:
 
     def validate(self):
         d = self.dim
-        total_rows = [r for m in self.pieces.values() for r in m.row_list()]
         if sum(m.rows for m in self.pieces.values()) != d or \
-                rref(Mat.from_rows(total_rows))[2] != d:
+                rref(Mat.stack(self.pieces.values()))[2] != d:
             raise NotPolarized("Hodge pieces do not decompose the space")
         for (p, qq), m in self.pieces.items():
             if p + qq != self.weight:

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .errors import NotMHS
 from .matrices import (
-    Mat, coords_in_basis, is_nilpotent, kernel_basis, rank, rref,
+    Mat, is_nilpotent, kernel_matrix, rank, row_coords, rref,
     sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
-from .rationals import GaussianRational, ZERO, i_power
+from .rationals import GaussianRational, i_power
 from .weightfilt import WeightFiltration, grading_splitting, weight_filtration
 
 # Global orientation of the positivity convention for polarizing forms: the
@@ -129,13 +129,13 @@ def deligne_bigrading(wf: WeightFiltration, flag, *, require_mhs: bool = True) -
                 pieces[(p, q)] = piece
 
     total = sum(m.rows for m in pieces.values())
-    stacked_rows = [r for m in pieces.values() for r in m.row_list()]
-    direct = total == d and (not stacked_rows or rref(Mat.from_rows(stacked_rows))[2] == d)
+    stacked_rank = rref(Mat.stack(pieces.values()))[2] if pieces else 0
+    direct = total == d and (not pieces or stacked_rank == d)
     if not direct:
         if require_mhs:
             raise NotMHS(
                 f"Deligne pieces have total dimension {total} with rank "
-                f"{rref(Mat.from_rows(stacked_rows))[2] if stacked_rows else 0}, ambient {d}")
+                f"{stacked_rank}, ambient {d}")
 
     # compatibility with W and F
     for k in range(0, 2 * n + 1):
@@ -207,16 +207,9 @@ class PolarizedOrbitSpec:
         )
 
 
-def q_pairing(q: Mat, u, v) -> GaussianRational:
-    """Q(u, v) for column vectors given as sequences."""
-    acc = ZERO
-    for i, ui in enumerate(u):
-        if ui:
-            row = q.row(i)
-            for j, vj in enumerate(v):
-                if vj and row[j]:
-                    acc = acc + ui * row[j] * vj
-    return acc
+def q_gram(q: Mat, left: Mat, right: Mat) -> Mat:
+    """The matrix of Q(u, v) for the rows u of left and v of right."""
+    return left @ q @ right.transpose()
 
 
 def hermitian_psd_status(h: Mat):
@@ -286,9 +279,8 @@ def primitive_subspace(bi: DeligneBigrading, n_total: Mat, i: int) -> Mat:
 
 def _kernel_within(space: Mat, op: Mat) -> Mat:
     """{v in the row space of `space` : op v = 0}, as a canonical basis."""
-    images = Mat.from_rows([op.mat_vec(space.row(r)) for r in range(space.rows)])
-    coeffs = kernel_basis(images.transpose())
-    return sub_canonical(Mat.from_rows(coeffs) @ space) if coeffs else sub_zero(space.cols)
+    coeffs = kernel_matrix((space @ op.transpose()).transpose())
+    return sub_canonical(coeffs @ space) if coeffs.rows else sub_zero(space.cols)
 
 
 def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
@@ -350,9 +342,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
         prim = primitive_subspace(bi, n_total, i)
         if prim.rows == 0:
             continue
-        gram = Mat.from_rows([
-            [q_pairing(spec.q, powers[i].mat_vec(prim.row(a)), prim.row(b))
-             for b in range(prim.rows)] for a in range(prim.rows)])
+        gram = q_gram(spec.q, prim @ powers[i].transpose(), prim)
         nd = rank(gram) == prim.rows
         checks.append(CheckResult(f"Q_{i} nondegenerate on primitive weight {n + i}", nd))
         # positivity piece by piece
@@ -363,10 +353,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
             if pm.rows == 0:
                 continue
             unit = hermitian_sign(p, q_, i)
-            block = Mat.from_rows([
-                [unit * q_pairing(spec.q, powers[i].mat_vec(pm.row(a)),
-                                  [x.conj() for x in pm.row(b)])
-                 for b in range(pm.rows)] for a in range(pm.rows)])
+            block = q_gram(spec.q, pm @ powers[i].transpose(), pm.conj()).scale(unit)
             try:
                 psd, rk, pd = hermitian_psd_status(block)
             except ValueError:
@@ -432,41 +419,29 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
         if not pd:
             continue
 
-        def coords(v):
-            c = coords_in_basis(prim, v)
+        def coords(s: Mat) -> Mat:
+            c = row_coords(prim, s)
             if c is None:
                 raise NotMHS("projection left the primitive subspace")
-            return list(c)
+            return c
 
         proj_k = split.projector(kk)
         # induced nilpotents: ad-weight-zero parts restricted to the piece
         induced = []
         for j in complement:
             nj0 = proj_k @ spec.nilpotents[j] @ proj_k
-            cols = [coords(nj0.mat_vec(prim.row(r))) for r in range(pd)]
-            induced.append(Mat.from_rows(cols).transpose())
+            induced.append(coords(prim @ nj0.transpose()).transpose())
         # twisted pairing
         sign = Fraction(-1) ** i
-        gram = Mat.from_rows([
-            [q_pairing(spec.q, powers[i].mat_vec(prim.row(a)), prim.row(b)) * sign
-             for b in range(pd)] for a in range(pd)])
+        gram = q_gram(spec.q, prim @ powers[i].transpose(), prim).scale(sign)
         # induced filtration, untwisted by i
         piece_weight = n - i
         flag_rows = []
         for p_prime in range(piece_weight, -1, -1):
             fp = flag_level(levels, p_prime + i, n, d)
             inter = sub_intersect(fp, wf.level(kk))
-            proj_rows = [list(proj_k.mat_vec(inter.row(r))) for r in range(inter.rows)]
-            if proj_rows:
-                projected = sub_canonical(Mat.from_rows(proj_rows))
-            else:
-                projected = sub_zero(d)
-            inside = sub_intersect(projected, prim)
-            if inside.rows:
-                flag_rows.append(Mat.from_rows(
-                    [coords(inside.row(r)) for r in range(inside.rows)]))
-            else:
-                flag_rows.append(Mat.zeros(0, pd))
+            projected = sub_canonical(inter @ proj_k.transpose())
+            flag_rows.append(coords(sub_intersect(projected, prim)))
         orbit = PolarizedOrbitSpec(
             dim=pd, weight=piece_weight, q=gram,
             nilpotents=tuple(induced), flag=tuple(flag_rows))

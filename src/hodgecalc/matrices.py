@@ -7,193 +7,45 @@ so two subspaces are equal iff their canonical matrices are equal.
 Pivoting is always leftmost-column, smallest-row-index: every operation is
 deterministic.
 
-Entries are ``GaussianRational``, but products and elimination run on
-Python ints: each row is cleared of denominators, a real matrix is reduced
-over Z and one with a non-real entry over Z[i], by fraction-free
-(Bareiss) Gauss-Jordan elimination with the pivot rule above, and the
-result is divided back once at the end.  The reduced row echelon form is
-unique, so the answer is exactly the one of fraction-by-fraction
-elimination.
+A ``Mat`` is stored in cleared integer form: a ring, one int row per matrix
+row and one positive int denominator per row, so that row i of the matrix
+is its int row divided by its denominator.  A real matrix is stored over Z
+(`_Z`, a row is a list of ints); a matrix with a non-real entry over Z[i]
+(`_ZI`, a row is a pair of parallel int lists, real parts and imaginary
+parts).  The form is canonical: in each row the gcd of the ints and the
+denominator is 1, and the ring is Z[i] only when some imaginary part is
+nonzero.  So equal matrices have equal forms, and ``==`` and ``hash``
+compare the forms.  A Mat built from entries computes its form once; one
+returned by an operation is built in the form directly, and its
+``entries`` (a tuple of ``GaussianRational``, row-major) are built the
+first time they are read.  Int rows are shared between matrices and are
+never changed in place.
+
+Every operation of this module works on the form: products, the entry-wise
+operations, and elimination, which is fraction-free (Bareiss) Gauss-Jordan
+elimination with the pivot rule above, each pivot row divided once at the
+end.  The reduced row echelon form is unique, so the answer is exactly the
+one of fraction-by-fraction elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import NoSolution, NotNilpotent
-from .rationals import GaussianRational, as_gauss, ZERO, ONE
-
-
-class Mat:
-    """Immutable dense matrix with GaussianRational entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        ent = tuple(map(as_gauss, entries))
-        if len(ent) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Mat is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows) -> "Mat":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
-    @classmethod
-    def diag(cls, values) -> "Mat":
-        values = list(values)
-        n = len(values)
-        return cls(n, n, [as_gauss(values[i]) if i == j else ZERO
-                          for i in range(n) for j in range(n)])
-
-    # -- access --------------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.entries])
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        return _product(self, other)
-
-    def scale(self, c) -> "Mat":
-        c = as_gauss(c)
-        return Mat(self.rows, self.cols, [c * a for a in self.entries])
-
-    def __pow__(self, n: int) -> "Mat":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        out = Mat.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return out
-
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self.entries[i * self.cols + j]
-                    for j in range(self.cols) for i in range(self.rows)])
-
-    def conj(self) -> "Mat":
-        return Mat(self.rows, self.cols, [a.conj() for a in self.entries])
-
-    def conj_transpose(self) -> "Mat":
-        return self.transpose().conj()
-
-    def trace(self) -> GaussianRational:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
-
-    def vec(self):
-        """Row-major flattening as a tuple."""
-        return self.entries
-
-    def mat_vec(self, v):
-        """Matrix times column vector (v a sequence)."""
-        v = [as_gauss(x) for x in v]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        support = [k for k, x in enumerate(v) if x]
-        c = self.cols
-        columns = Mat(self.rows, len(support),
-                      [self.entries[i * c + k] for i in range(self.rows) for k in support])
-        return _product(columns, Mat(len(support), 1, [v[k] for k in support])).entries
-
-    def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
-
-    def is_real(self) -> bool:
-        return all(e.is_real for e in self.entries)
-
-    def commutes_with(self, other: "Mat") -> bool:
-        return self @ other == other @ self
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in self.row(i))
-                         for i in range(self.rows))
-        return f"Mat[{body}]"
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return [[e.to_json() for e in self.row(i)] for i in range(self.rows)]
-
-    @classmethod
-    def from_json(cls, data) -> "Mat":
-        return cls.from_rows([[GaussianRational.from_json(e) for e in row]
-                              for row in data])
+from .rationals import GaussianRational, as_gauss, ZERO
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels
+# Integer rows
 # ---------------------------------------------------------------------------
 #
-# Products and elimination run on Python ints: each row is multiplied by the
-# lcm of its denominators.  A real matrix runs over Z, where a row is a list
-# of ints and a scalar an int.  A matrix with any non-real entry runs over
-# Z[i], where a row is a pair of parallel int lists (real parts, imaginary
-# parts) and a scalar an (re, im) pair, or 0 when it is zero.  The ring is
-# read from the entries once per matrix.
+# Over Z a row is a list of ints and a scalar an int.  Over Z[i] a row is a
+# pair of parallel int lists (real parts, imaginary parts) and a scalar an
+# (re, im) pair, or 0 when it is zero.  Denominators of stored rows are
+# always positive ints; the pivots of an elimination over Z[i] are Gaussian.
 
 _FZERO = Fraction(0)
 
@@ -217,22 +69,80 @@ class _Z:
     one = 1
 
     @staticmethod
-    def rows(m: Mat):
-        """Rows of m times the lcm of their denominators, and those lcms."""
-        out = [_clear([e.re for e in m.row(i)]) for i in range(m.rows)]
-        return [row for row, _ in out], [d for _, d in out]
+    def clear(entries):
+        """The canonical (row, denominator) of a row of Gaussian rationals."""
+        return _clear([e.re for e in entries])
 
     @staticmethod
-    def embed(n: int) -> int:
-        return n
+    def zero_row(cols: int):
+        return [0] * cols
+
+    @staticmethod
+    def unit_row(cols: int, j: int, d: int):
+        row = [0] * cols
+        row[j] = d
+        return row
 
     @staticmethod
     def at(row, j):
         return row[j]
 
     @staticmethod
+    def cut(row, lo, hi):
+        return row[lo:hi]
+
+    @staticmethod
+    def join(row, other):
+        return row + other
+
+    @staticmethod
+    def columns(rows):
+        return [list(c) for c in zip(*rows)]
+
+    @staticmethod
+    def neg(row):
+        return [-x for x in row]
+
+    @staticmethod
+    def mul(row, k: int):
+        return [x * k for x in row]
+
+    @staticmethod
+    def kernel_row(cols: int, fc: int, d: int, used):
+        """d times the kernel vector of free column fc: v[fc] = d and
+        v[pc] = -d * x / q for each pivot column pc with entry x / q at fc."""
+        v = [0] * cols
+        v[fc] = d
+        for pc, x, q in used:
+            v[pc] = -x * (d // q)
+        return v
+
+    @staticmethod
+    def lincomb(row, a: int, other, b: int):
+        """a * row + b * other, for ints a and b."""
+        if a == 1 and b == 1:
+            return [x + y for x, y in zip(row, other)]
+        return [a * x + b * y for x, y in zip(row, other)]
+
+    @staticmethod
+    def normal(row, d: int):
+        """The canonical (row', d') with row' / d' = row / d, for an int d."""
+        if d == 1:
+            return row, 1
+        g = gcd(d, *row)
+        if d < 0:
+            g = -g
+        if g == 1:
+            return row, d
+        return [x // g for x in row], d // g
+
+    quotient = normal      # row / p for a pivot p, which over Z is an int
+
+    @staticmethod
     def scale(row, p, q):
         """p * row / q, where the division is exact."""
+        if q == 1:
+            return [x * p for x in row]
         return [x * p // q for x in row]
 
     @staticmethod
@@ -258,12 +168,12 @@ class _Z:
         return acc
 
     @staticmethod
-    def value(x, d) -> GaussianRational:
+    def value(x, d: int) -> GaussianRational:
         """The Gaussian rational x / d."""
         return GaussianRational(_fraction(x, d), _FZERO) if x else ZERO
 
     @staticmethod
-    def entries(row, d):
+    def entries(row, d: int):
         """The Gaussian rationals row / d."""
         return [_Z.value(x, d) for x in row]
 
@@ -274,21 +184,84 @@ class _ZI:
     one = (1, 0)
 
     @staticmethod
-    def rows(m: Mat):
-        """Rows of m times the lcm of their denominators, and those lcms."""
-        c = m.cols
-        out = [_clear([e.re for e in m.row(i)] + [e.im for e in m.row(i)])
-               for i in range(m.rows)]
-        return [(row[:c], row[c:]) for row, _ in out], [d for _, d in out]
+    def clear(entries):
+        """The canonical (row, denominator) of a row of Gaussian rationals."""
+        row, d = _clear([e.re for e in entries] + [e.im for e in entries])
+        c = len(entries)
+        return (row[:c], row[c:]), d
 
     @staticmethod
-    def embed(n: int):
-        return (n, 0)
+    def zero_row(cols: int):
+        return [0] * cols, [0] * cols
+
+    @staticmethod
+    def unit_row(cols: int, j: int, d: int):
+        return _Z.unit_row(cols, j, d), [0] * cols
 
     @staticmethod
     def at(row, j):
         a, b = row[0][j], row[1][j]
         return (a, b) if a or b else 0
+
+    @staticmethod
+    def cut(row, lo, hi):
+        return row[0][lo:hi], row[1][lo:hi]
+
+    @staticmethod
+    def join(row, other):
+        return row[0] + other[0], row[1] + other[1]
+
+    @staticmethod
+    def columns(rows):
+        return [(list(a), list(b)) for a, b in zip(zip(*[r[0] for r in rows]),
+                                                   zip(*[r[1] for r in rows]))]
+
+    @staticmethod
+    def neg(row):
+        return [-x for x in row[0]], [-y for y in row[1]]
+
+    @staticmethod
+    def mul(row, k: int):
+        return [x * k for x in row[0]], [y * k for y in row[1]]
+
+    @staticmethod
+    def kernel_row(cols: int, fc: int, d: int, used):
+        """d times the kernel vector of free column fc: v[fc] = d and
+        v[pc] = -d * x / q for each pivot column pc with entry x / q at fc."""
+        re, im = [0] * cols, [0] * cols
+        re[fc] = d
+        for pc, (a, b), q in used:
+            re[pc], im[pc] = -a * (d // q), -b * (d // q)
+        return re, im
+
+    @staticmethod
+    def lincomb(row, a: int, other, b: int):
+        """a * row + b * other, for ints a and b."""
+        return _Z.lincomb(row[0], a, other[0], b), _Z.lincomb(row[1], a, other[1], b)
+
+    @staticmethod
+    def normal(row, d: int):
+        """The canonical (row', d') with row' / d' = row / d, for an int d."""
+        if d == 1:
+            return row, 1
+        re, im = row
+        g = gcd(d, *re, *im)
+        if d < 0:
+            g = -g
+        if g == 1:
+            return row, d
+        return ([x // g for x in re], [y // g for y in im]), d // g
+
+    @staticmethod
+    def quotient(row, p):
+        """The canonical (row', d') with row' / d' = row / p."""
+        pr, pi = p
+        if pi:      # row / p = row * conj(p) / |p|^2
+            re, im = row
+            row = ([x * pr + y * pi for x, y in zip(re, im)],
+                   [y * pr - x * pi for x, y in zip(re, im)])
+            pr = pr * pr + pi * pi
+        return _ZI.normal(row, pr)
 
     @staticmethod
     def _divide(re, im, q):
@@ -334,38 +307,288 @@ class _ZI:
         return re, im
 
     @staticmethod
-    def value(x, d) -> GaussianRational:
+    def value(x, d: int) -> GaussianRational:
         """The Gaussian rational x / d."""
-        (a, b), (dr, di) = x, d
-        if not (a or b):
-            return ZERO
-        if di == 0:
-            return GaussianRational(_fraction(a, dr), _fraction(b, dr))
-        n = dr * dr + di * di
-        return GaussianRational(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
+        return _gauss(*x, d) if x else ZERO
 
     @staticmethod
-    def entries(row, d):
+    def entries(row, d: int):
         """The Gaussian rationals row / d."""
-        return [_ZI.value(x, d) for x in zip(*row)]
+        return [_gauss(a, b, d) for a, b in zip(*row)]
 
 
-def _ring(*matrices):
-    """Z when every entry is real, else Z[i]."""
-    return _ZI if any(e.im for m in matrices for e in m.entries) else _Z
+def _gauss(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b i) / d."""
+    return GaussianRational(_fraction(a, d), _fraction(b, d)) if a or b else ZERO
 
+
+def _rows_in(m: "Mat", ring):
+    """The int rows of m over ring: a real matrix's rows lifted to Z[i]."""
+    if m._ring is ring:
+        return m._num
+    zero = [0] * m.cols
+    return [(row, zero) for row in m._num]
+
+
+def _common_ring(*matrices):
+    return _ZI if any(m._ring is _ZI for m in matrices) else _Z
+
+
+class Mat:
+    """Immutable dense matrix with GaussianRational entries, stored as
+    canonical integer rows (see the module docstring)."""
+
+    __slots__ = ("rows", "cols", "_ring", "_num", "_den", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries):
+        ent = tuple(map(as_gauss, entries))
+        if len(ent) != rows * cols:
+            raise ValueError("entry count does not match shape")
+        ring = _ZI if any(e.im for e in ent) else _Z
+        form = [ring.clear(ent[i * cols:(i + 1) * cols]) for i in range(rows)]
+        _set(self, rows, cols, ring, [r for r, _ in form], [d for _, d in form], ent)
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, ring, num, den) -> "Mat":
+        """The Mat of canonical int rows; over Z[i] with no imaginary part
+        left, the rows drop to Z."""
+        if ring is _ZI and not any(any(im) for _, im in num):
+            ring, num = _Z, [re for re, _ in num]
+        m = object.__new__(cls)
+        _set(m, rows, cols, ring, num, den, None)
+        return m
+
+    def __setattr__(self, *a):
+        raise AttributeError("Mat is immutable")
+
+    @property
+    def entries(self):
+        """Row-major tuple of GaussianRational entries, built on first read."""
+        ent = self._entries
+        if ent is None:
+            entries = self._ring.entries
+            ent = tuple(e for row, d in zip(self._num, self._den) for e in entries(row, d))
+            object.__setattr__(self, "_entries", ent)
+        return ent
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_rows(cls, rows) -> "Mat":
+        rows = [list(r) for r in rows]
+        n = len(rows)
+        m = len(rows[0]) if rows else 0
+        if any(len(r) != m for r in rows):
+            raise ValueError("ragged rows")
+        return cls(n, m, [e for r in rows for e in r])
+
+    @classmethod
+    def identity(cls, n: int) -> "Mat":
+        return cls._make(n, n, _Z, [_Z.unit_row(n, i, 1) for i in range(n)], [1] * n)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "Mat":
+        return cls._make(rows, cols, _Z, [[0] * cols] * rows, [1] * rows)
+
+    @classmethod
+    def diag(cls, values) -> "Mat":
+        values = list(values)
+        n = len(values)
+        return cls(n, n, [as_gauss(values[i]) if i == j else ZERO
+                          for i in range(n) for j in range(n)])
+
+    @classmethod
+    def stack(cls, mats) -> "Mat":
+        """The rows of the given matrices, one matrix under the next.  A
+        matrix with no rows adds nothing, whatever its number of columns."""
+        mats = list(mats)
+        if not mats:
+            raise ValueError("stack of no matrices")
+        cols = next((m.cols for m in mats if m.rows), mats[0].cols)
+        mats = [m for m in mats if m.rows]
+        if any(m.cols != cols for m in mats):
+            raise ValueError("shape mismatch in stack")
+        ring = _common_ring(*mats)
+        return cls._make(sum(m.rows for m in mats), cols, ring,
+                         [row for m in mats for row in _rows_in(m, ring)],
+                         [d for m in mats for d in m._den])
+
+    # -- access --------------------------------------------------------------
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int):
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int):
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+    def row_list(self):
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    # -- algebra --------------------------------------------------------------
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other."""
+        self._same_shape(other)
+        ring = _common_ring(self, other)
+        pairs = []
+        for x, dx, y, dy in zip(_rows_in(self, ring), self._den, _rows_in(other, ring), other._den):
+            d = dx if dx == dy else lcm(dx, dy)
+            pairs.append(ring.normal(ring.lincomb(x, d // dx, y, sign * (d // dy)), d))
+        return _from_pairs(self.rows, self.cols, ring, pairs)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Mat":
+        ring = self._ring
+        return Mat._make(self.rows, self.cols, ring, [ring.neg(r) for r in self._num], self._den)
+
+    def __matmul__(self, other: "Mat") -> "Mat":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        return _product(self, other)
+
+    def scale(self, c) -> "Mat":
+        c = as_gauss(c)
+        if not c:
+            return Mat.zeros(self.rows, self.cols)
+        ring = _ZI if c.im else self._ring
+        crow, q = ring.clear([c])
+        p = ring.at(crow, 0)
+        return _from_pairs(self.rows, self.cols, ring,
+                           [ring.normal(ring.scale(row, p, ring.one), d * q)
+                            for row, d in zip(_rows_in(self, ring), self._den)])
+
+    def __pow__(self, n: int) -> "Mat":
+        if self.rows != self.cols:
+            raise ValueError("power of non-square matrix")
+        out = Mat.identity(self.rows)
+        base = self
+        while n:
+            if n & 1:
+                out = out @ base
+            base = base @ base if n > 1 else base
+            n >>= 1
+        return out
+
+    def transpose(self) -> "Mat":
+        ring, den = self._ring, self._den
+        if not self.rows:
+            return Mat.zeros(self.cols, 0)
+        d = lcm(*den)
+        rows = self._num if d == 1 else [ring.mul(r, d // q) for r, q in zip(self._num, den)]
+        return _from_pairs(self.cols, self.rows, ring, [ring.normal(c, d) for c in ring.columns(rows)])
+
+    def conj(self) -> "Mat":
+        if self._ring is _Z:
+            return self
+        return Mat._make(self.rows, self.cols, _ZI,
+                         [(re, [-y for y in im]) for re, im in self._num], self._den)
+
+    def conj_transpose(self) -> "Mat":
+        return self.transpose().conj()
+
+    def trace(self) -> GaussianRational:
+        return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
+
+    def vec(self):
+        """Row-major flattening as a tuple."""
+        return self.entries
+
+    def mat_vec(self, v):
+        """Matrix times column vector (v a sequence)."""
+        v = list(v)
+        if len(v) != self.cols:
+            raise ValueError("vector length mismatch")
+        return _product(self, Mat(len(v), 1, v)).entries
+
+    def is_zero(self) -> bool:
+        return self._ring is _Z and not any(map(any, self._num))
+
+    def is_real(self) -> bool:
+        return self._ring is _Z
+
+    def commutes_with(self, other: "Mat") -> bool:
+        return self @ other == other @ self
+
+    def __eq__(self, other):
+        return (isinstance(other, Mat) and self.rows == other.rows
+                and self.cols == other.cols and self._ring is other._ring
+                and self._den == other._den and self._num == other._num)
+
+    def __hash__(self):
+        if self._ring is _Z:
+            body = tuple(map(tuple, self._num))
+        else:
+            body = tuple((tuple(re), tuple(im)) for re, im in self._num)
+        return hash((self.rows, self.cols, self._den, body))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(e) for e in self.row(i))
+                         for i in range(self.rows))
+        return f"Mat[{body}]"
+
+    def _same_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+
+    # -- serialization -------------------------------------------------------
+
+    def to_json(self):
+        return [[e.to_json() for e in self.row(i)] for i in range(self.rows)]
+
+    @classmethod
+    def from_json(cls, data) -> "Mat":
+        return cls.from_rows([[GaussianRational.from_json(e) for e in row]
+                              for row in data])
+
+
+def _set(m: Mat, rows, cols, ring, num, den, entries):
+    put = object.__setattr__
+    put(m, "rows", rows)
+    put(m, "cols", cols)
+    put(m, "_ring", ring)
+    put(m, "_num", tuple(num))
+    put(m, "_den", tuple(den))
+    put(m, "_entries", entries)
+
+
+def _take(m: Mat, indices) -> Mat:
+    """The rows of m at the given indices, in that order."""
+    return Mat._make(len(indices), m.cols, m._ring,
+                     [m._num[i] for i in indices], [m._den[i] for i in indices])
+
+
+def _from_pairs(rows: int, cols: int, ring, pairs) -> Mat:
+    """The Mat of a list of canonical (int row, denominator) pairs."""
+    return Mat._make(rows, cols, ring, [r for r, _ in pairs], [d for _, d in pairs])
+
+
+def _cut_columns(m: Mat, lo: int, hi: int) -> Mat:
+    """Columns lo..hi-1 of m."""
+    ring = m._ring
+    return _from_pairs(m.rows, hi - lo, ring, [ring.normal(ring.cut(row, lo, hi), d)
+                                               for row, d in zip(m._num, m._den)])
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels
+# ---------------------------------------------------------------------------
 
 def _product(a: Mat, b: Mat) -> Mat:
     """a @ b, row by row, with the support of each row of b found once."""
-    ring = _ring(a, b)
-    arows, alcms = ring.rows(a)
-    brows, blcms = ring.rows(b)
-    d = lcm(*blcms)
-    supports = [ring.support(row, d // l) for row, l in zip(brows, blcms)]
-    out = []
-    for row, l in zip(arows, alcms):
-        out.extend(ring.entries(ring.dot(row, supports, b.cols), ring.embed(l * d)))
-    return Mat(a.rows, b.cols, out)
+    ring = _common_ring(a, b)
+    d = lcm(*b._den)
+    supports = [ring.support(row, d // l) for row, l in zip(_rows_in(b, ring), b._den)]
+    return _from_pairs(a.rows, b.cols, ring, [ring.normal(ring.dot(row, supports, b.cols), l * d)
+                                              for row, l in zip(_rows_in(a, ring), a._den)])
 
 
 def _eliminate(rows, cols: int, ring):
@@ -376,7 +599,8 @@ def _eliminate(rows, cols: int, ring):
     the next row operation divides exactly by it (E. H. Bareiss, Math. Comp.
     22, 1968).  A row that needs no operation at a step is left as it is:
     rows[r] equals minors[level[r]] times the rational row it stands for,
-    so the row operations divide by that minor instead.
+    so the row operations divide by that minor instead.  Only the list
+    `rows` changes: each row operation makes a new row.
 
     Returns (pivot columns, sign of the row permutation, minors, level).
     """
@@ -424,14 +648,26 @@ def rref(m: Mat):
     """
     if not m.rows:
         return m, (), 0
-    ring = _ring(m)
-    rows, _ = ring.rows(m)
+    ring, rows = m._ring, list(m._num)
     pivots, _, minors, level = _eliminate(rows, m.cols, ring)
-    out = []
-    for r in range(len(pivots)):
-        out.extend(ring.entries(rows[r], minors[level[r]]))
-    out.extend([ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return Mat(m.rows, m.cols, out), tuple(pivots), len(pivots)
+    reduced = [ring.quotient(rows[r], minors[level[r]]) for r in range(len(pivots))]
+    reduced += [(ring.zero_row(m.cols), 1)] * (m.rows - len(pivots))
+    return _from_pairs(m.rows, m.cols, ring, reduced), tuple(pivots), len(pivots)
+
+
+def kernel_matrix(m: Mat) -> Mat:
+    """The vectors of `kernel_basis` as the rows of a Mat."""
+    red, pivots, _ = rref(m)
+    ring = red._ring
+    pairs = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        used = [(pc, ring.at(row, fc), q) for pc, row, q in zip(pivots, red._num, red._den)
+                if ring.at(row, fc)]
+        d = lcm(*[q for _, _, q in used])
+        pairs.append(ring.normal(ring.kernel_row(m.cols, fc, d, used), d))
+    return _from_pairs(len(pairs), m.cols, ring, pairs)
 
 
 def kernel_basis(m: Mat):
@@ -440,17 +676,8 @@ def kernel_basis(m: Mat):
     Free variables are taken in increasing column order, so the result is
     deterministic.
     """
-    red, pivots, rank = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        basis.append(tuple(v))
-    return basis
+    k = kernel_matrix(m)
+    return [k.row(i) for i in range(k.rows)]
 
 
 def solve(m: Mat, b):
@@ -459,28 +686,34 @@ def solve(m: Mat, b):
     Free variables are set to zero (deterministic particular solution).
     """
     b = [as_gauss(x) for x in b]
-    aug = Mat.from_rows([list(m.row(i)) + [b[i]] for i in range(m.rows)])
-    red, pivots, rank = rref(aug)
+    ring = _ZI if m._ring is _ZI or any(x.im for x in b) else _Z
+    aug = []                # the canonical rows of [m | b]
+    for i, (row, d) in enumerate(zip(_rows_in(m, ring), m._den)):
+        x, q = ring.clear([b[i]])
+        l = lcm(d, q)
+        aug.append(ring.normal(ring.join(ring.mul(row, l // d), ring.mul(x, l // q)), l))
+    red, pivots, _ = rref(_from_pairs(m.rows, m.cols + 1, ring, aug))
     if m.cols in pivots:
         return None
+    ring = red._ring
     x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, m.cols]
+    for pc, row, d in zip(pivots, red._num, red._den):
+        x[pc] = ring.value(ring.at(row, m.cols), d)
     return tuple(x)
 
 
 def det(m: Mat) -> GaussianRational:
     """Exact determinant: the sign of the row permutation times the last
-    pivot of the fraction-free elimination, over the product of the row lcms.
+    pivot of the fraction-free elimination, over the product of the row
+    denominators.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    ring = _ring(m)
-    rows, lcms = ring.rows(m)
-    pivots, sign, minors, _ = _eliminate(rows, m.cols, ring)
+    ring = m._ring
+    pivots, sign, minors, _ = _eliminate(list(m._num), m.cols, ring)
     if len(pivots) < m.rows:
         return ZERO
-    out = ring.value(minors[-1], ring.embed(prod(lcms)))
+    out = ring.value(minors[-1], prod(m._den))
     return -out if sign < 0 else out
 
 
@@ -488,13 +721,14 @@ def inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix; NoSolution if it is singular."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = Mat.from_rows([list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)]
-                         for i in range(n)])
-    red, piv, r = rref(aug)
-    if r != n or any(p >= n for p in piv[:n]):
+    n, ring = m.rows, m._ring
+    # [m | I] row by row: row i of m is m._num[i] / d, so that of I is d e_i / d
+    aug = Mat._make(n, 2 * n, ring, [ring.join(row, ring.unit_row(n, i, d))
+                                      for i, (row, d) in enumerate(zip(m._num, m._den))], m._den)
+    red, pivots, r = rref(aug)
+    if r != n or any(p >= n for p in pivots):
         raise NoSolution("matrix is singular")
-    return Mat.from_rows([list(red.row(i))[n:] for i in range(n)])
+    return _cut_columns(red, n, 2 * n)
 
 
 def rank(m: Mat) -> int:
@@ -508,7 +742,7 @@ def rank(m: Mat) -> int:
 def sub_canonical(basis: Mat) -> Mat:
     """Canonical (rref, zero rows dropped) basis matrix of a row space."""
     red, pivots, r = rref(basis)
-    return Mat.from_rows([list(red.row(i)) for i in range(r)]) if r else Mat.zeros(0, basis.cols)
+    return _take(red, range(r)) if r else Mat.zeros(0, basis.cols)
 
 
 def sub_zero(ambient: int) -> Mat:
@@ -527,8 +761,7 @@ def sub_sum(*spaces: Mat) -> Mat:
     spaces = [s for s in spaces if s.rows]
     if not spaces:
         raise ValueError("sum of no spaces needs an ambient dimension")
-    stacked = Mat.from_rows([r for s in spaces for r in s.row_list()])
-    return sub_canonical(stacked)
+    return sub_canonical(Mat.stack(spaces))
 
 
 def sub_sum_ambient(spaces, ambient: int) -> Mat:
@@ -548,7 +781,7 @@ def sub_contains_vec(s: Mat, v) -> bool:
 
 def sub_contains(s: Mat, t: Mat) -> bool:
     """True iff row space t is contained in row space s."""
-    return all(sub_contains_vec(s, t.row(i)) for i in range(t.rows))
+    return t.rows == 0 or rank(Mat.stack([s, t])) == rank(s)
 
 
 def sub_equal(s: Mat, t: Mat) -> bool:
@@ -559,16 +792,11 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
     ambient = a.cols
     if a.rows == 0 or b.rows == 0:
         return sub_zero(ambient)
-    cols = []
-    for i in range(a.rows):
-        cols.append(list(a.row(i)))
-    for i in range(b.rows):
-        cols.append([-x for x in b.row(i)])
-    m = Mat.from_rows(cols).transpose()  # ambient x (p+q)
-    kern = kernel_basis(m)
-    if not kern:
+    # x a = y b exactly when (x, y) is in the left kernel of [a; -b]
+    kern = kernel_matrix(Mat.stack([a, -b]).transpose())
+    if not kern.rows:
         return sub_zero(ambient)
-    return sub_canonical(Mat.from_rows([k[:a.rows] for k in kern]) @ a)
+    return sub_canonical(_cut_columns(kern, 0, a.rows) @ a)
 
 
 def sub_conj(s: Mat) -> Mat:
@@ -587,10 +815,19 @@ def column_space(m: Mat) -> Mat:
 
 
 def kernel_space(m: Mat) -> Mat:
-    ks = kernel_basis(m)
-    if not ks:
-        return sub_zero(m.cols)
-    return sub_canonical(Mat.from_rows([list(v) for v in ks]))
+    k = kernel_matrix(m)
+    return sub_canonical(k) if k.rows else sub_zero(m.cols)
+
+
+def extend_basis(sub: Mat, candidates: Mat) -> Mat:
+    """The rows of `candidates`, taken in order, that each raise the rank of
+    `sub` plus the rows already taken (sub must have independent rows)."""
+    chosen = []
+    for i in range(candidates.rows):
+        trial = Mat.stack([sub, _take(candidates, chosen + [i])])
+        if rank(trial) > sub.rows + len(chosen):
+            chosen.append(i)
+    return _take(candidates, chosen)
 
 
 def sub_complement_in(sub: Mat, sup: Mat) -> Mat:
@@ -599,18 +836,7 @@ def sub_complement_in(sub: Mat, sup: Mat) -> Mat:
     Greedily extends a basis of sub by canonical basis rows of sup; the
     result is deterministic.
     """
-    current = [list(sub.row(i)) for i in range(sub.rows)]
-    chosen = []
-    base_rank = sub.rows
-    sup_c = sub_canonical(sup)
-    for i in range(sup_c.rows):
-        cand = list(sup_c.row(i))
-        trial = current + chosen + [cand]
-        if rref(Mat.from_rows(trial))[2] > base_rank + len(chosen):
-            chosen.append(cand)
-    if not chosen:
-        return sub_zero(sup.cols)
-    return Mat.from_rows(chosen)
+    return extend_basis(sub, sub_canonical(sup))
 
 
 def coords_in_basis(basis: Mat, v):
@@ -618,6 +844,26 @@ def coords_in_basis(basis: Mat, v):
     if basis.rows == 0:
         return () if not any(as_gauss(x) for x in v) else None
     return solve(basis.transpose(), v)
+
+
+def row_coords(basis: Mat, s: Mat):
+    """The matrix whose row i holds `coords_in_basis(basis, row i of s)`, or
+    None when some row of s is not in the row space of basis."""
+    k = basis.rows
+    if k == 0:
+        return Mat.zeros(s.rows, 0) if s.is_zero() else None
+    if s.rows == 0:
+        return Mat.zeros(0, k)
+    # one elimination of [basis^T | s^T]: the pivots of the first k columns
+    # do not depend on the columns after them
+    red, pivots, r = rref(Mat.stack([basis, s]).transpose())
+    if r and pivots[-1] >= k:
+        return None
+    ring = red._ring
+    rows, dens = [ring.zero_row(s.rows)] * k, [1] * k     # free coordinates are 0
+    for pc, row, d in zip(pivots, red._num, red._den):
+        rows[pc], dens[pc] = ring.normal(ring.cut(row, k, k + s.rows), d)
+    return Mat._make(k, s.rows, ring, rows, dens).transpose()
 
 
 class Quotient:
@@ -635,34 +881,27 @@ class Quotient:
         self.comp = sub_complement_in(self.sub, self.sup)
         self.dim = self.comp.rows
         self.ambient = sup.cols
-        if self.dim:
-            self._basis = Mat.from_rows(self.comp.row_list() + self.sub.row_list())
-        else:
-            self._basis = self.sub
+        self._basis = Mat.stack([self.comp, self.sub])
 
-    def project_vec(self, v):
-        """Class of v (must lie in sup) as complement coordinates."""
-        coords = coords_in_basis(self._basis, v)
+    def project_rows(self, s: Mat) -> Mat:
+        """The classes of the rows of s (which must lie in sup) as rows of
+        complement coordinates."""
+        coords = row_coords(self._basis, s)
         if coords is None:
             raise ValueError("vector not in the total space")
-        return tuple(coords[: self.dim])
+        return _cut_columns(coords, 0, self.dim)
 
     def project_sub(self, s: Mat) -> Mat:
         """Image in the quotient of a subspace of sup (rows in quotient coords)."""
         if self.dim == 0 or s.rows == 0:
             return Mat.zeros(0, self.dim)
-        rows = [list(self.project_vec(s.row(i))) for i in range(s.rows)]
-        return sub_canonical(Mat.from_rows(rows))
+        return sub_canonical(self.project_rows(s))
 
     def induced_map(self, m: Mat) -> Mat:
         """Matrix of the endomorphism induced by m (which must preserve sup, sub)."""
-        cols = []
-        for i in range(self.dim):
-            img = m.mat_vec(self.comp.row(i))
-            cols.append(self.project_vec(img))
         if self.dim == 0:
             return Mat.zeros(0, 0)
-        return Mat.from_rows([list(c) for c in cols]).transpose()
+        return self.project_rows(self.comp @ m.transpose()).transpose()
 
 
 class Splitting:
@@ -678,14 +917,15 @@ class Splitting:
     def __init__(self, spaces: dict):
         self.spaces = {k: spaces[k] for k in sorted(spaces) if spaces[k].rows}
         self.labels = tuple(k for k, s in self.spaces.items() for _ in range(s.rows))
-        self.t = Mat.from_rows([r for s in self.spaces.values() for r in s.row_list()]).transpose()
+        self.t = (Mat.stack(self.spaces.values()).transpose() if self.spaces
+                  else Mat.zeros(0, 0))
         try:
             self.t_inv = inverse(self.t)
         except (NoSolution, ValueError):
             raise NoSolution("the subspaces do not split the space") from None
         # the rows of t_inv that read off the coordinates on each V_k
-        self._duals = {k: Mat.from_rows([self.t_inv.row(j) for j, key in enumerate(self.labels)
-                                         if key == k]) for k in self.spaces}
+        self._duals = {k: _take(self.t_inv, [j for j, key in enumerate(self.labels) if key == k])
+                       for k in self.spaces}
 
     def space(self, k) -> Mat:
         """The row basis of V_k."""
@@ -743,19 +983,16 @@ class SmithForm:
     invariant_factors: tuple
 
 
-def _int_entries(m: Mat):
-    out = []
-    for e in m.entries:
-        if not e.is_real or e.re.denominator != 1:
-            raise ValueError("smith_normal_form needs integer entries")
-        out.append(int(e.re))
-    return out
+def _int_mat(rows) -> Mat:
+    """The Mat of a list of int rows."""
+    return Mat._make(len(rows), len(rows[0]) if rows else 0, _Z, rows, [1] * len(rows))
 
 
 def smith_normal_form(a: Mat) -> SmithForm:
     nr, nc = a.rows, a.cols
-    ints = _int_entries(a)
-    m = [ints[i * nc:(i + 1) * nc] for i in range(nr)]
+    if a._ring is not _Z or any(d != 1 for d in a._den):
+        raise ValueError("smith_normal_form needs integer entries")
+    m = [list(row) for row in a._num]
     limit = min(nr, nc)
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
@@ -829,9 +1066,7 @@ def smith_normal_form(a: Mat) -> SmithForm:
             for r_ in v:
                 r_[i] = -r_[i]
 
-    d = Mat.from_rows([[Fraction(m[i][j]) for j in range(nc)] for i in range(nr)])
-    u_m = Mat.from_rows([[Fraction(x) for x in row] for row in u])
-    v_m = Mat.from_rows([[Fraction(x) for x in row] for row in v])
+    d, u_m, v_m = _int_mat(m), _int_mat(u), _int_mat(v)
     factors = tuple(int(m[i][i]) for i in range(limit) if m[i][i] != 0)
 
     # exact sanity checks

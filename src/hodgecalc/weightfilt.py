@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Quotient, Splitting, kernel_space, column_space, kernel_basis,
+    Mat, Quotient, Splitting, kernel_space, column_space, extend_basis, kernel_matrix,
     nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
-from .rationals import GaussianRational, ZERO, ONE
+from .rationals import GaussianRational, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +150,13 @@ def _check_weight_filtration(n: Mat, wf: WeightFiltration):
             nk = Mat.identity(n.rows)
             for _ in range(k):
                 nk = nk @ n
-            rows = [list(bot.project_vec(nk.mat_vec(top.comp.row(i))))
-                    for i in range(top.dim)]
-            if rref(Mat.from_rows(rows))[2] != top.dim:
+            if rref(bot.project_rows(top.comp @ nk.transpose()))[2] != top.dim:
                 raise NoSolution("internal error: Hard Lefschetz map not bijective")
 
 
 # ---------------------------------------------------------------------------
 # Grading elements and sl2 triples
 # ---------------------------------------------------------------------------
-
-def _complement_from_candidates(sub: Mat, candidates) -> list:
-    """Greedy echelon complement of `sub` drawn from an ordered candidate list."""
-    base = [list(r) for r in sub.row_list()]
-    chosen = []
-    for cand in candidates:
-        trial = base + chosen + [list(cand)]
-        if rref(Mat.from_rows(trial))[2] > len(base) + len(chosen):
-            chosen.append(list(cand))
-    return chosen
-
 
 def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
     """A semisimple Y with eigenspaces splitting wf and [Y, n] = -2n; see
@@ -207,21 +194,17 @@ def grading_splitting(n: Mat, wf: WeightFiltration, rule: str = "echelon"):
         # i.e. n^(m+1) v lands in W_{n-m-3}
         low = wf.level(nw - m - 3)
         qlow = Quotient(sub_full(d), low)
-        cond_rows = []
-        for i in range(wk.rows):
-            img = powers[m + 1].mat_vec(wk.row(i))
-            cond_rows.append(list(qlow.project_vec(img)) if qlow.dim else [])
         if qlow.dim:
-            coeffs = kernel_basis(Mat.from_rows(cond_rows).transpose())
+            images = qlow.project_rows(wk @ powers[m + 1].transpose())
+            coeffs = kernel_matrix(images.transpose())
         else:
-            coeffs = [tuple(ONE if i == j else ZERO for j in range(wk.rows))
-                      for i in range(wk.rows)]
-        prim_cand = sub_canonical(Mat.from_rows(coeffs) @ wk) if coeffs else sub_zero(d)
-        candidates = prim_cand.row_list()
-        if rule == "reversed":
-            candidates = candidates[::-1]
-        lifts = _complement_from_candidates(sub_intersect(prim_cand, wk1), candidates)
-        for v in lifts:
+            coeffs = Mat.identity(wk.rows)
+        prim_cand = sub_canonical(coeffs @ wk) if coeffs.rows else sub_zero(d)
+        candidates = prim_cand
+        if rule == "reversed" and prim_cand.rows:
+            candidates = Mat.from_rows(prim_cand.row_list()[::-1])
+        lifts = extend_basis(sub_intersect(prim_cand, wk1), candidates)
+        for v in lifts.row_list():
             w = powers[m + 1].mat_vec(v)
             if any(w):
                 u = _solve_in_subspace(powers[m + 1], wk1, w)
@@ -249,8 +232,7 @@ def _solve_in_subspace(m: Mat, sub: Mat, target):
     """Some u in the row space `sub` with m @ u = target."""
     if sub.rows == 0:
         raise NoSolution("no solution in the zero subspace")
-    cols = Mat.from_rows([list(m.mat_vec(sub.row(i))) for i in range(sub.rows)]).transpose()
-    c = solve(cols, target)
+    c = solve((sub @ m.transpose()).transpose(), target)
     if c is None:
         raise NoSolution("primitive-lift correction has no solution")
     return (Mat.from_rows([c]) @ sub).entries
@@ -366,20 +348,22 @@ def integer_eigen_decomposition(y: Mat) -> dict:
     """Eigenspaces of a semisimple matrix with integer eigenvalues.
 
     Returns k -> basis matrix; raises if eigenspaces do not fill the space.
-    A bounded window around zero is probed first (gradings always land
-    there); the fallback derives candidates from the rational-root bound on
-    the characteristic polynomial.
+    A bounded window around zero is probed first, from zero outwards
+    (0, -1, 1, -2, 2, ...), until the eigenspaces fill the space: the
+    eigenvalues of a grading lie there, those of a centred one closest to
+    zero.  The fallback derives candidates from the rational-root bound on
+    the characteristic polynomial.  Keys are in ascending order.
     """
     d = y.rows
     probe = {}
     total = 0
-    for k in range(-2 * d, 2 * d + 1):
+    for k in sorted(range(-2 * d, 2 * d + 1), key=lambda k: (abs(k), k)):
         eig = kernel_space(y - Mat.identity(d).scale(Fraction(k)))
         if sub_dim(eig):
             probe[k] = eig
             total += sub_dim(eig)
         if total == d:
-            return probe
+            return dict(sorted(probe.items()))
     from .polynomials import MultiPoly, poly_mat_det
     entries = []
     for i in range(d):

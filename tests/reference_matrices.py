@@ -2,9 +2,10 @@
 
 These are the fraction-full ``GaussianRational`` versions of ``rref``,
 ``det``, ``Mat.__matmul__`` and ``Mat.mat_vec`` that ``hodgecalc.matrices``
-used before its integer kernels.  They are slow and simple on purpose; the
-property tests in ``test_matrix_oracles.py`` assert that the library gives
-exactly the same answers.
+used before its integer kernels, and the entry-by-entry ``Mat`` methods it
+used before matrices were stored as integer rows.  They are slow and simple
+on purpose; the property tests in ``test_matrix_oracles.py`` assert that the
+library gives exactly the same answers.
 """
 
 from __future__ import annotations
@@ -98,3 +99,55 @@ def mat_vec(self: Mat, v):
         raise ValueError("vector length mismatch")
     return tuple(sum((self[i, k] * v[k] for k in range(self.cols)
                       if v[k]), ZERO) for i in range(self.rows))
+
+
+# --- entry-wise methods ------------------------------------------------------
+
+def add(a: Mat, b: Mat) -> Mat:
+    return Mat(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def sub(a: Mat, b: Mat) -> Mat:
+    return Mat(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)])
+
+
+def neg(a: Mat) -> Mat:
+    return Mat(a.rows, a.cols, [-x for x in a.entries])
+
+
+def scale(a: Mat, c) -> Mat:
+    c = as_gauss(c)
+    return Mat(a.rows, a.cols, [c * x for x in a.entries])
+
+
+def transpose(a: Mat) -> Mat:
+    return Mat(a.cols, a.rows, [a.entries[i * a.cols + j]
+                                for j in range(a.cols) for i in range(a.rows)])
+
+
+def conj(a: Mat) -> Mat:
+    return Mat(a.rows, a.cols, [x.conj() for x in a.entries])
+
+
+def is_zero(a: Mat) -> bool:
+    return all(not x for x in a.entries)
+
+
+def is_real(a: Mat) -> bool:
+    return all(x.is_real for x in a.entries)
+
+
+def stack(mats) -> Mat:
+    rows = [r for m in mats for r in m.row_list()]
+    return Mat.from_rows(rows) if rows else Mat.zeros(0, mats[0].cols)
+
+
+def extend_basis(sub: Mat, candidates: Mat) -> Mat:
+    """The greedy complement on row lists that sub_complement_in and the
+    grading construction each ran before ``matrices.extend_basis``."""
+    base = sub.row_list()
+    chosen = []
+    for cand in candidates.row_list():
+        if rref(Mat.from_rows(base + chosen + [cand]))[2] > len(base) + len(chosen):
+            chosen.append(cand)
+    return Mat.from_rows(chosen) if chosen else Mat.zeros(0, candidates.cols)

@@ -216,6 +216,9 @@ BAD_DOCUMENTS = {
                                    _mutated("alpha-example", degreeBound="x")),
     "ambient-not-an-integer": ("validate", {"kind": "subspace",
                                             "payload": {"basis": [["1", "0"]], "ambient": None}}),
+    # no horizontal directions: the (-1) piece of the graded algebra is empty
+    "horizontal-h20-zero": ("horizontal", _mutated("weight2-normal-form", h20=0)),
+    "horizontal-genus-zero": ("horizontal", _mutated("weight1-genus2", genus=0)),
 }
 
 

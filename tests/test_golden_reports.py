@@ -1,0 +1,79 @@
+"""Byte-identical JSON reports against goldens saved from a known-good build.
+
+Criterion 9 compares two runs of the same build; this file compares each
+report with the bytes in `tests/goldens/`, so a change in how numbers are
+represented or computed that alters a printed digit fails here.
+
+Write the goldens (only on a commit whose reports are known to be right):
+
+    PYTHONPATH=src python tests/test_golden_reports.py --capture
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from hodgecalc.cli import main
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+# the 16 criterion-9 commands with --seed 7, then sl2, weight-filtration and
+# one more validate; the exit code each printed at capture time
+COMMANDS = [
+    (["validate", "--input", "builtin:dollar-bill"], 0),
+    (["metric-poly", "--input", "builtin:dollar-bill"], 0),
+    (["bigrading", "--input", "builtin:dollar-bill"], 0),
+    (["chern", "--input", "builtin:dollar-bill", "--seed", "7"], 0),
+    (["limit-check", "--input", "builtin:dollar-bill", "--stratum", "3",
+      "--scales", "1e1..1e8", "--seed", "7"], 0),
+    (["factorize", "--input", "builtin:dollar-bill", "--stratum", "3"], 0),
+    (["monomial-map", "--input", "builtin:dollar-bill"], 0),
+    (["stratum-map", "--input", "builtin:dollar-bill", "--stratum", "1"], 0),
+    (["refine", "--input", "builtin:duplicated-pair"], 0),
+    (["compat", "--input", "builtin:dollar-bill"], 0),
+    (["rwfp", "--input", "builtin:dollar-bill"], 0),
+    (["curvature", "--input", "builtin:grassmannian-g24", "--seed", "7"], 0),
+    (["horizontal", "--input", "builtin:weight2-normal-form", "--seed", "7"], 0),
+    (["schur", "--partition", "1,1", "--rank", "3"], 0),
+    (["segre", "--degree", "3", "--rank", "4"], 0),
+    (["multiplier-ideal", "--input", "builtin:alpha-example"], 0),
+    (["sl2", "--input", "builtin:dollar-bill"], 0),
+    (["weight-filtration", "--input", "builtin:dollar-bill"], 0),
+    (["validate", "--input", "builtin:elliptic-degeneration"], 0),
+]
+
+
+def golden_path(argv) -> Path:
+    name = "_".join(a.replace("builtin:", "").replace("--", "")
+                    .replace(",", "-").replace(".", "")
+                    for a in argv)
+    return GOLDENS / f"{name}.json"
+
+
+def run_report(argv, out: Path) -> int:
+    return main(argv + ["--format", "json", "--output", str(out)])
+
+
+@pytest.mark.parametrize("argv,code", COMMANDS,
+                         ids=[golden_path(a).stem for a, _ in COMMANDS])
+def test_report_matches_golden(argv, code, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_report(argv, out) == code
+    assert out.read_bytes() == golden_path(argv).read_bytes()
+
+
+def capture():
+    GOLDENS.mkdir(exist_ok=True)
+    for argv, code in COMMANDS:
+        path = golden_path(argv)
+        got = run_report(argv, path)
+        if got != code:
+            raise SystemExit(f"{argv} exited with {got}, expected {code}")
+        print(path.name)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
+    capture()

@@ -165,3 +165,16 @@ def test_splitting_of_a_plane_and_a_line():
 def test_splitting_needs_a_direct_sum(spaces):
     with pytest.raises(NoSolution):
         Splitting(spaces)
+
+
+def test_stack_puts_rows_under_each_other():
+    i = GaussianRational(0, 1)
+    a, b = Mat.from_rows([[1, Fraction(1, 2)]]), Mat.from_rows([[i, 0], [0, 3]])
+    s = Mat.stack([a, Mat.zeros(0, 2), b])
+    assert s == Mat.from_rows([[1, Fraction(1, 2)], [i, 0], [0, 3]]) and not s.is_real()
+    assert Mat.stack([Mat.zeros(0, 0), a, Mat.zeros(0, 5)]) == a   # no rows, no width
+    assert Mat.stack([Mat.zeros(0, 3)]) == Mat.zeros(0, 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.stack([a, Mat.identity(3)])
+    with pytest.raises(ValueError, match="no matrices"):
+        Mat.stack([])

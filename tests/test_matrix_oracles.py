@@ -3,20 +3,28 @@
 The oracle is the fraction-full implementation kept in
 ``reference_matrices``; ``kernel_basis`` and ``solve`` are compared with the
 same functions running on the reference ``rref``.  Where sympy is installed,
-``rref`` and ``det`` are also checked against it over Q(i).
+``rref`` and ``det`` are also checked against it over Q(i).  Where hypothesis
+is installed, the entry-wise methods are checked against entry-by-entry
+``GaussianRational`` arithmetic, and every result against the canonical
+form of its entries.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import reference_matrices as ref
 from hodgecalc import matrices
 from hodgecalc.errors import NoSolution
-from hodgecalc.matrices import Mat, det, inverse, kernel_basis, rref, solve
+from hodgecalc.matrices import (
+    Mat, coords_in_basis, det, extend_basis, inverse, kernel_basis, row_coords, rref, solve,
+    sub_canonical,
+)
 from hodgecalc.rationals import GaussianRational, ZERO
 
 
@@ -192,3 +200,143 @@ def test_smith_invariant_factors_match_sympy():
         assert smith_normal_form(m).invariant_factors == expected, seed
         shapes.add((rows < cols) - (rows > cols))
     assert shapes == {-1, 0, 1}      # tall, square and wide matrices all occur
+
+
+# --- the stored form against entry-by-entry arithmetic ------------------------
+
+def assert_canonical(m: Mat):
+    """m's integer rows are the canonical form: one positive denominator per
+    row, gcd of each row with its denominator 1, Z[i] only when some
+    imaginary part is nonzero."""
+    gaussian = m._ring is matrices._ZI
+    assert len(m._num) == len(m._den) == m.rows
+    for row, d in zip(m._num, m._den):
+        parts = row[0] + row[1] if gaussian else row
+        assert isinstance(row, tuple if gaussian else list)
+        assert len(parts) == (2 if gaussian else 1) * m.cols
+        assert type(d) is int and d > 0 and gcd(d, *parts) == 1
+    assert not gaussian or any(any(im) for _, im in m._num)
+
+
+def assert_same(ours: Mat, reference: Mat):
+    assert_canonical(ours)
+    assert ours == reference and hash(ours) == hash(reference)
+    assert ours.entries == reference.entries
+
+
+def _strategies(st):
+    small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+    big = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
+    part = st.one_of(st.just(Fraction(0)), small, big)
+    real = st.builds(GaussianRational, part)
+    gaussian = st.builds(GaussianRational, part, part)
+    scalars = st.one_of(real, gaussian, st.just(ZERO))
+
+    @st.composite
+    def matrix(draw, rows, cols):
+        scalar = draw(st.sampled_from([real, gaussian]))
+        entries = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+        return Mat(rows, cols, [ZERO if i // cols in zero_rows else e
+                                for i, e in enumerate(entries)])
+
+    @st.composite
+    def pair(draw):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        return draw(matrix(rows, cols)), draw(matrix(rows, cols))
+
+    return scalars, matrix, pair
+
+
+def test_entrywise_methods_match_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars, _, pair = _strategies(st)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pair(), scalars, st.data())
+    def check(ab, c, data):
+        a, b = ab
+        assert_same(a + b, ref.add(a, b))
+        assert_same(a - b, ref.sub(a, b))
+        assert_same(-a, ref.neg(a))
+        assert_same(a.scale(c), ref.scale(a, c))
+        assert_same(a.transpose(), ref.transpose(a))
+        assert_same(a.conj(), ref.conj(a))
+        assert a.is_zero() == ref.is_zero(a) and a.is_real() == ref.is_real(a)
+        v = data.draw(st.lists(scalars, min_size=a.cols, max_size=a.cols))
+        assert a.mat_vec(v) == ref.mat_vec(a, v)
+        assert_same(Mat.stack([a, b]), ref.stack([a, b]))
+    check()
+
+
+def test_kernel_results_equal_entry_built_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    def check(n, k, p, data):
+        a, b = data.draw(matrix(n, k)), data.draw(matrix(k, p))
+        for out in (a @ b, rref(a)[0], a.transpose() @ a):
+            assert_same(out, Mat(out.rows, out.cols, out.entries))
+    check()
+
+
+def test_gaussian_product_with_cancelled_imaginary_parts_is_real():
+    i = GaussianRational(0, 1)
+    a = Mat.from_rows([[i, 1], [GaussianRational(1, 1), 2]])
+    b = Mat.from_rows([[i, 0], [1, GaussianRational(3, -1)]])
+    p = a @ b        # row 0 is [i*i + 1, 3 - i]: one entry cancels, one is not real
+    assert not p.is_real()
+    real = Mat.from_rows([[i, 1]]) @ Mat.from_rows([[i], [1]])      # i*i + 1 = 0
+    assert real.is_real() and real.is_zero() and real == Mat.zeros(1, 1)
+    two = Mat.from_rows([[GaussianRational(1, 1)]]) @ Mat.from_rows([[GaussianRational(1, -1)]])
+    assert two.is_real() and two == Mat.from_rows([[2]]) and hash(two) == hash(Mat.from_rows([[2]]))
+    assert_canonical(two)
+    assert a.conj().conj() == a and (a - a) == Mat.zeros(2, 2) and (a - a).is_real()
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    """Int rows are shared between matrices, so no operation may change a
+    row of its input in place."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def check(n, k, data):
+        a, b, s = data.draw(matrix(n, n)), data.draw(matrix(n, k)), data.draw(matrix(k, n))
+        before = [copy.deepcopy((m._num, m._den)) for m in (a, b, s)]
+        rref(a), rref(b), det(a), a @ b, s @ a, Mat.stack([a, s]), kernel_basis(b)
+        solve(a, [1] * n), a.transpose(), b.scale(GaussianRational(2, 1)), a + a
+        try:
+            inverse(a)
+        except NoSolution:
+            pass
+        assert [(m._num, m._den) for m in (a, b, s)] == before
+        assert all(m == Mat(m.rows, m.cols, m.entries) for m in (a, b, s))
+    check()
+
+
+@RINGS
+def test_row_coords_and_extend_basis_match_row_by_row(gaussian, big):
+    for seed in SEEDS:
+        rng = random.Random(6000 * seed + 10 * gaussian + big)
+        k, c = rng.randint(0, 4), rng.randint(1, 5)
+        basis = _matrix(rng, gaussian, big, rows=k, cols=c)
+        # rows in the row space of basis, then maybe one that is not
+        s = ref.matmul(_matrix(rng, gaussian, big, rows=rng.randint(0, 3), cols=k), basis) \
+            if k else Mat.zeros(rng.randint(0, 3), c)
+        if rng.random() < 0.5:
+            s = Mat.stack([s, _matrix(rng, gaussian, big, rows=1, cols=c)])
+        expected = [coords_in_basis(basis, s.row(i)) for i in range(s.rows)]
+        got = row_coords(basis, s)
+        if None in expected:
+            assert got is None, seed
+        else:
+            assert got == Mat(s.rows, k, [x for row in expected for x in row]), seed
+        independent = sub_canonical(basis)
+        assert extend_basis(independent, s) == ref.extend_basis(independent, s), seed

@@ -2,7 +2,8 @@
 
 Each shared path is compared with an independent computation: the
 full-probe Deligne bigrading kept in ``reference_lmhs``, the graded
-endomorphism algebra kept in ``reference_horizontal``, or the same answer
+endomorphism algebra kept in ``reference_horizontal``, the ascending
+eigenvalue probe kept in ``reference_weightfilt``, or the same answer
 composed from separate public calls.  The call-count tests pin that sharing
 is scoped to one call: a second call on the same spec does the same work.
 """
@@ -18,6 +19,7 @@ import pytest
 
 import reference_horizontal as ref_horizontal
 import reference_lmhs as ref
+import reference_weightfilt as ref_weightfilt
 from conftest import random_nilpotent
 from hodgecalc import lmhs, monomial, orbit, weightfilt
 from hodgecalc.cli import main
@@ -29,7 +31,7 @@ from hodgecalc.lmhs import (
 from hodgecalc.horizontal import (
     graded_end_algebra, phs_weight1, phs_weight2, principal_value_traces, top_block,
 )
-from hodgecalc.matrices import Mat, solve, sub_canonical
+from hodgecalc.matrices import Mat, inverse, kernel_space, solve, sub_canonical
 from hodgecalc.monomial import compatibility_check, compatibility_checks
 from hodgecalc.orbit import (
     chern_form_at, default_rays, hessian_table, hodge_metric_polynomial,
@@ -402,3 +404,59 @@ def test_compat_matches_compatibility_check(name, capsys, monkeypatch):
     assert verdicts == {
         ",".join(str(i + 1) for i in small) + " < " + ",".join(str(i + 1) for i in large):
         compatibility_check(spec, small, large).passed for small, large in pairs}
+
+
+# --- Eigenvalue probe order -------------------------------------------------
+
+def regular_nilpotent(rng: random.Random, dim: int) -> Mat:
+    """One Jordan block: strictly upper triangular with a nonzero
+    superdiagonal, conjugated by a unimodular lower-triangular matrix."""
+    a = [[(rng.choice((-2, -1, 1, 2)) if j == i + 1 else rng.randint(-2, 2)) if j > i else 0
+          for j in range(dim)] for i in range(dim)]
+    t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                        for j in range(dim)] for i in range(dim)])
+    return t @ Mat.from_rows(a) @ inverse(t)
+
+
+def grading_elements():
+    """(label, Y in Hodge indexing, weight) for every stratum of every bundled
+    orbit fixture and for seeded dim-8 nilpotents."""
+    for name in ORBIT_FIXTURES:
+        spec = load_fixture(name).obj
+        k = spec.num_params
+        for subset in (s for r in range(1, k + 1) for s in combinations(range(k), r)):
+            n = spec.n_sum(subset)
+            yield f"{name}{subset}", grading_element(n, weight_filtration(n, spec.weight)), spec.weight
+    for seed in range(3):
+        for make in (random_nilpotent, regular_nilpotent):
+            n = make(random.Random(seed), 8)
+            yield f"{make.__name__}({seed})", grading_element(n, weight_filtration(n, 8)), 8
+
+
+def test_eigen_probe_from_zero_matches_ascending_probe():
+    cases = 0
+    for label, y, weight in grading_elements():
+        centred = y - Mat.identity(y.rows).scale(weight)
+        for m in (y, centred):
+            ours, theirs = integer_eigen_decomposition(m), ref_weightfilt.integer_eigen_decomposition(m)
+            assert list(ours.items()) == list(theirs.items()), label
+        cases += 1
+    assert cases > 20
+
+
+def test_eigen_probe_of_a_centred_regular_grading(monkeypatch):
+    """For a dim-8 regular nilpotent the centred eigenvalues are -7, -5, ..., 7:
+    15 probes from zero outwards, 24 in ascending order from -16."""
+    n = regular_nilpotent(random.Random(0), 8)
+    y = grading_element(n, weight_filtration(n, 8)) - Mat.identity(8).scale(8)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return kernel_space(m)
+    for module in (weightfilt, ref_weightfilt):
+        calls.clear()
+        monkeypatch.setattr(module, "kernel_space", counting)
+        module.integer_eigen_decomposition(y)
+        monkeypatch.undo()
+        assert len(calls) == (15 if module is weightfilt else 24)
