@@ -280,7 +280,7 @@ def primitive_subspace(bi: DeligneBigrading, n_total: Mat, i: int) -> Mat:
 def _kernel_within(space: Mat, op: Mat) -> Mat:
     """{v in the row space of `space` : op v = 0}, as a canonical basis."""
     coeffs = kernel_matrix((space @ op.transpose()).transpose())
-    return sub_canonical(coeffs @ space) if coeffs.rows else sub_zero(space.cols)
+    return sub_canonical(coeffs @ space)
 
 
 def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:

@@ -100,10 +100,6 @@ class _Z:
         return [list(c) for c in zip(*rows)]
 
     @staticmethod
-    def neg(row):
-        return [-x for x in row]
-
-    @staticmethod
     def mul(row, k: int):
         return [x * k for x in row]
 
@@ -215,10 +211,6 @@ class _ZI:
     def columns(rows):
         return [(list(a), list(b)) for a, b in zip(zip(*[r[0] for r in rows]),
                                                    zip(*[r[1] for r in rows]))]
-
-    @staticmethod
-    def neg(row):
-        return [-x for x in row[0]], [-y for y in row[1]]
 
     @staticmethod
     def mul(row, k: int):
@@ -447,8 +439,7 @@ class Mat:
         return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        ring = self._ring
-        return Mat._make(self.rows, self.cols, ring, [ring.neg(r) for r in self._num], self._den)
+        return self.scale(-1)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -794,8 +785,6 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
         return sub_zero(ambient)
     # x a = y b exactly when (x, y) is in the left kernel of [a; -b]
     kern = kernel_matrix(Mat.stack([a, -b]).transpose())
-    if not kern.rows:
-        return sub_zero(ambient)
     return sub_canonical(_cut_columns(kern, 0, a.rows) @ a)
 
 
@@ -815,8 +804,7 @@ def column_space(m: Mat) -> Mat:
 
 
 def kernel_space(m: Mat) -> Mat:
-    k = kernel_matrix(m)
-    return sub_canonical(k) if k.rows else sub_zero(m.cols)
+    return sub_canonical(kernel_matrix(m))
 
 
 def extend_basis(sub: Mat, candidates: Mat) -> Mat:

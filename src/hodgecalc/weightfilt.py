@@ -199,7 +199,7 @@ def grading_splitting(n: Mat, wf: WeightFiltration, rule: str = "echelon"):
             coeffs = kernel_matrix(images.transpose())
         else:
             coeffs = Mat.identity(wk.rows)
-        prim_cand = sub_canonical(coeffs @ wk) if coeffs.rows else sub_zero(d)
+        prim_cand = sub_canonical(coeffs @ wk)
         candidates = prim_cand
         if rule == "reversed" and prim_cand.rows:
             candidates = Mat.from_rows(prim_cand.row_list()[::-1])
