@@ -53,11 +53,21 @@ def _parse_stratum(text, k, proper=False):
     return [i - 1 for i in indices]
 
 
-def _parse_partition(text):
+def _parse_partition(text, rank):
     try:
-        return [int(x) for x in text.split(",")]
+        lam = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise SchemaError(f"bad --partition value {text!r}") from exc
+    if min(lam) < 0 or lam != sorted(lam, reverse=True) or (rank is not None and lam[0] > rank):
+        raise SchemaError(f"--partition {text!r} must be non-increasing, nonnegative "
+                          "and at most the rank")
+    return lam
+
+
+def _at_least(flag, value, low):
+    if value is not None and value < low:
+        raise SchemaError(f"--{flag} {value}: must be at least {low}")
+    return value
 
 
 def _parse_alpha(text):
@@ -357,7 +367,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
     if subcommand == "schur":
         from .chern import schur_polynomial
         partition = flags.get("partition") or []
-        rank_ = flags.get("rank") or max(partition, default=1) or 1
+        rank_ = flags.get("rank", max(partition, default=1) or 1)
         sym = schur_polynomial(partition, rank_)
         f["partition"] = list(partition)
         f["rank"] = rank_
@@ -439,12 +449,12 @@ def main(argv=None) -> int:
             "seed": seed,
             "stratum": (_parse_stratum(args.stratum, k, args.subcommand in _PROPER_STRATUM)
                         if args.stratum else None),
-            "rays": args.rays,
+            "rays": _at_least("rays", args.rays, 1),
             "scales": _parse_scales(args.scales) if args.scales else None,
-            "degree": args.degree,
-            "rank": args.rank,
+            "degree": _at_least("degree", args.degree, 0),
+            "rank": _at_least("rank", args.rank, 1),
             "alpha": _parse_alpha(args.alpha) if args.alpha else None,
-            "partition": _parse_partition(args.partition) if args.partition else None,
+            "partition": _parse_partition(args.partition, args.rank) if args.partition else None,
         }
         flags = {name: v for name, v in flags.items() if v is not None}
         start = time.perf_counter()

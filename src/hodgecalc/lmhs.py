@@ -4,7 +4,7 @@ The central object is a polarized orbit: (V, Q, N_1..N_k, F) with commuting
 Q-skew nilpotents and a Hodge filtration such that (W(sum N_i), F) is an
 R-split mixed Hodge structure polarized in the graded sense.  Everything is
 exact: V = Q^d, F has Gaussian-rational bases, and positivity checks are
-pivoted LDL decompositions.
+fraction-free symmetric eliminations (``matrices.hermitian_psd_status``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotMHS
 from .matrices import (
-    Mat, is_nilpotent, kernel_matrix, rank, row_coords, rref,
+    Mat, hermitian_psd_status, is_nilpotent, kernel_matrix, rank, row_coords, rref,
     sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -210,40 +210,6 @@ class PolarizedOrbitSpec:
 def q_gram(q: Mat, left: Mat, right: Mat) -> Mat:
     """The matrix of Q(u, v) for the rows u of left and v of right."""
     return left @ q @ right.transpose()
-
-
-def hermitian_psd_status(h: Mat):
-    """(is_psd, rank, is_pd) of a Hermitian matrix by exact pivoted LDL."""
-    n = h.rows
-    a = [[h[i, j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if not a[i][i].is_real:
-            raise ValueError("matrix is not Hermitian")
-    active = list(range(n))
-    rk = 0
-    while active:
-        pivot = None
-        for i in active:
-            di = a[i][i].re
-            if di < 0:
-                return False, rk, False
-            if di > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            # all remaining diagonal entries are zero: PSD iff the block is zero
-            for i in active:
-                for j in active:
-                    if a[i][j]:
-                        return False, rk, False
-            return True, rk, rk == n
-        rk += 1
-        p = a[pivot][pivot]
-        rest = [i for i in active if i != pivot]
-        for i in rest:
-            for j in rest:
-                a[i][j] = a[i][j] - a[i][pivot] * a[pivot][j] / p
-        active = rest
-    return True, rk, rk == n
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ Every operation of this module works on the form: products, the entry-wise
 operations, and elimination, which is fraction-free (Bareiss) Gauss-Jordan
 elimination with the pivot rule above, each pivot row divided once at the
 end.  The reduced row echelon form is unique, so the answer is exactly the
-one of fraction-by-fraction elimination.
+one of fraction-by-fraction elimination.  The positivity test of a Hermitian
+matrix, `hermitian_psd_status`, is the symmetric form of the same
+elimination, with diagonal pivots.
 """
 
 from __future__ import annotations
@@ -706,6 +708,40 @@ def det(m: Mat) -> GaussianRational:
         return ZERO
     out = ring.value(minors[-1], prod(m._den))
     return -out if sign < 0 else out
+
+
+def hermitian_psd_status(h: Mat):
+    """(is_psd, rank, is_pd) of a Hermitian matrix, by symmetric Bareiss
+    elimination of the int rows of l * h, l the lcm of the row denominators.
+
+    The pivot is the first positive diagonal entry of the active block; a
+    negative one ends the test.  After k pivots an active entry is the one
+    of pivoted LDL times the (positive) principal minor of the pivots, so
+    signs and zeros are those of LDL; each step divides exactly by the
+    previous pivot.
+    """
+    n, ring = h.rows, h._ring
+    l = lcm(*h._den)
+    rows = [ring.mul(row, l // d) for row, d in zip(h._num, h._den)]
+    diag = (lambda i: rows[i][i]) if ring is _Z else (lambda i: rows[i][0][i])
+    if ring is _ZI and any(rows[i][1][i] for i in range(n)):
+        raise ValueError("matrix is not Hermitian")
+    active, q = list(range(n)), ring.one
+    while active:
+        if any(diag(i) < 0 for i in active):
+            return False, n - len(active), False
+        pivot = next((i for i in active if diag(i) > 0), None)
+        if pivot is None:
+            # all active diagonal entries are zero: PSD iff the block is zero
+            zero = not any(ring.at(rows[i], j) for i in active for j in active)
+            return zero, n - len(active), False
+        active.remove(pivot)
+        prow, p = rows[pivot], ring.at(rows[pivot], pivot)
+        for i in active:
+            f = ring.at(rows[i], pivot)
+            rows[i] = ring.combine(rows[i], prow, p, f, q) if f else ring.scale(rows[i], p, q)
+        q = p
+    return True, n, True
 
 
 def inverse(m: Mat) -> Mat:

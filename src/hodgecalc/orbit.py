@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 import random
 
 from .errors import DegenerateDet, NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
@@ -18,9 +19,9 @@ from .lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_sign,
     piece_hodge_numbers, stratum_hodge_numbers, verify_polarized_lmhs,
 )
-from .matrices import Mat
+from .matrices import Mat, hermitian_psd_status
 from .polynomials import MultiPoly, poly_mat_det
-from .rationals import GaussianRational, ZERO
+from .rationals import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -77,55 +78,38 @@ def hodge_metric_matrix(spec: PolarizedOrbitSpec, *, validate: bool = True) -> M
     Block i is  sign(i) * Q((sum_j x_j N_j)^i u_a, conj u_b)  on a canonical
     basis of I^{weight, i}; physical positive constants (2^i/i! and powers of
     1/4pi^2 from the cut-off coordinates) are divided out and recorded only
-    through the sign unit.
+    through the sign unit.  The N_j commute, so (sum_j x_j N_j)^i is the sum
+    over |alpha| = i of (i choose alpha) x^alpha N^alpha, and the coefficient
+    of x^alpha in block i is sign(i) (i choose alpha) F (N^alpha)^T Q conj(F)^T
+    for the frame F: one matrix product per monomial.
     """
     wf, bi = _require_valid(spec) if validate else spec.lmhs()
     if not bi.effective:
         raise NotEffective("bigrading has pieces outside the effective range")
-    n, k, d = spec.weight, spec.num_params, spec.dim
+    n, k = spec.weight, spec.num_params
+    transposes = [nj.transpose() for nj in spec.nilpotents]
     blocks = []
     for i in range(0, n + 1):
         frame = bi.piece(n, i)
         if frame.rows == 0:
             continue
         unit = hermitian_sign(n, i, i)
-        mat = []
-        for a in range(frame.rows):
-            # poly-vector (sum_j x_j N_j)^i u_a
-            vec = [MultiPoly.const(k, frame[a, c]) for c in range(d)]
-            for _ in range(i):
-                nxt = [MultiPoly.zero(k) for _ in range(d)]
-                for j, nj in enumerate(spec.nilpotents):
-                    xj = MultiPoly.variable(k, j)
-                    for r in range(d):
-                        acc = nxt[r]
-                        row = nj.row(r)
-                        for c in range(d):
-                            if row[c] and vec[c]:
-                                acc = acc + (vec[c] * xj).scale(row[c])
-                        nxt[r] = acc
-                vec = nxt
-            row_out = []
-            for b in range(frame.rows):
-                acc = MultiPoly.zero(k)
-                vb = [x.conj() for x in frame.row(b)]
-                for r in range(d):
-                    if not vec[r]:
-                        continue
-                    qrow = spec.q.row(r)
-                    coef = ZERO
-                    for c in range(d):
-                        if qrow[c] and vb[c]:
-                            coef = coef + qrow[c] * vb[c]
-                    if coef:
-                        acc = acc + vec[r].scale(coef)
-                row_out.append(acc.scale(unit))
-            mat.append(row_out)
-        # Hermitian sanity
-        for a in range(frame.rows):
-            for b in range(frame.rows):
-                if mat[a][b].conj() != mat[b][a]:
-                    raise NotPolarized("metric block is not Hermitian")
+        # F (N^alpha)^T for |alpha| = i, each alpha reached once by taking j
+        # non-decreasing; a zero product stays zero, so it is dropped
+        powers = [((0,) * k, 0, frame)]
+        for _ in range(i):
+            powers = [(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:], j, fn @ transposes[j])
+                      for alpha, lo, fn in powers for j in range(lo, k)]
+            powers = [t for t in powers if not t[2].is_zero()]
+        right = spec.q @ frame.conj_transpose()
+        coeffs = []
+        for alpha, _, fn in powers:
+            c = (fn @ right).scale(unit * (factorial(i) // prod(map(factorial, alpha))))
+            if c.conj_transpose() != c:
+                raise NotPolarized("metric block is not Hermitian")
+            coeffs.append((alpha, c))
+        mat = [[MultiPoly(k, {alpha: c[a, b] for alpha, c in coeffs}) for b in range(frame.rows)]
+               for a in range(frame.rows)]
         blocks.append((i, frame, mat))
     if sum(b[1].rows for b in blocks) != spec.flag[0].rows:
         raise NotEffective("frame does not exhaust the top flag level")
@@ -208,7 +192,6 @@ def chern_form_at(p, x) -> ChernSample:
             entries[i][j] = entries[j][i] = Fraction(
                 fvals[i] * fvals[j] - val * second.evaluate(xs), val * val)
     g = Mat.from_rows(entries)
-    from .lmhs import hermitian_psd_status
     psd, rk, _ = hermitian_psd_status(g)
     return ChernSample(tuple(xs), g, psd, rk)
 

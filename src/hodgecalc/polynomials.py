@@ -4,11 +4,15 @@ Coefficients are rational (``Fraction``) whenever possible and Gaussian
 rational otherwise; zero coefficients are never stored.  The canonical term
 order is total degree descending, then exponent tuple lexicographic, which
 fixes printing and the notion of "first monomial" used for normalization.
+Evaluation runs on ints: the point and the coefficients are brought over
+common denominators, the terms are summed over Z (Z[i] when the point or a
+coefficient is non-real), and the sum is divided once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rationals import GaussianRational, as_gauss
 
@@ -40,6 +44,11 @@ def _cconj(a):
     if isinstance(a, GaussianRational):
         return _coeff(a.conj())
     return a
+
+
+def _int(q, b: int) -> int:
+    """q * b for an int or Fraction q whose denominator divides b."""
+    return q.numerator * (b // q.denominator)
 
 
 class MultiPoly:
@@ -188,17 +197,42 @@ class MultiPoly:
         return MultiPoly(self.num_vars, t)
 
     def evaluate(self, xs):
-        xs = list(xs)
+        """The value at the point xs: a Fraction when it is real, a
+        GaussianRational otherwise.
+
+        The sum runs on ints, over Z[i] only when the point or a coefficient
+        is non-real.  With the point written as A / b and the coefficients as
+        C_e / d (one common b and d), the value is
+        sum_e C_e A^e b^(deg - |e|) / (d b^deg), divided once at the end."""
+        xs = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in xs]
         if len(xs) != self.num_vars:
             raise ValueError("evaluation point has wrong length")
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(xs, e):
-                if p:
-                    term = _cmul(term, _coeff(as_gauss(x) ** p) if isinstance(x, GaussianRational) else x ** p)
-            acc = _cadd(acc, term)
-        return acc
+        cs = [(c, 0) if isinstance(c, Fraction) else (c.re, c.im) for c in self.terms.values()]
+        b = lcm(*[q.denominator for x in xs for q in x])
+        d = lcm(*[q.denominator for c in cs for q in c])
+        deg = self.total_degree()
+        if not any(im for _, im in xs) and not any(im for _, im in cs):
+            a = [_int(x, b) for x, _ in xs]
+            s = 0
+            for e, (c, _) in zip(self.terms, cs):
+                t = _int(c, d) * b ** (deg - sum(e))
+                for p, ai in zip(e, a):
+                    if p:
+                        t *= ai ** p
+                s += t
+            return Fraction(s, d * b ** deg)
+        a = [(_int(x, b), _int(y, b)) for x, y in xs]
+        sr = si = 0
+        for e, (c, ci) in zip(self.terms, cs):
+            k = b ** (deg - sum(e))
+            t = _int(c, d) * k, _int(ci, d) * k
+            for p, ai in zip(e, a):
+                for _ in range(p):
+                    t = t[0] * ai[0] - t[1] * ai[1], t[0] * ai[1] + t[1] * ai[0]
+            sr += t[0]
+            si += t[1]
+        den = d * b ** deg
+        return GaussianRational(Fraction(sr, den), Fraction(si, den)) if si else Fraction(sr, den)
 
     def leading_part_by_weight(self, weights) -> "MultiPoly":
         """Sum of terms of maximal weighted degree (weights one per variable)."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Quotient, Splitting, kernel_space, column_space, extend_basis, kernel_matrix,
+    Mat, Quotient, Splitting, kernel_space, extend_basis, kernel_matrix,
     nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -36,7 +36,7 @@ def weight_filtration_centered(n: Mat) -> dict:
         W_k = N W_(k+2)                 (k < 0),
 
     equivalent to the closed form  W_k = sum_a im(N^a) ∩ ker(N^(a+k+1)),
-    which stands as the independent oracle in the test suite.
+    which the test suite keeps as its independent oracle.
     """
     d = n.rows
     s = nilpotency_index(n) - 1
@@ -57,33 +57,6 @@ def weight_filtration_centered(n: Mat) -> dict:
             out[k] = image
         above = prev
         prev = out[k]
-    return out
-
-
-def weight_filtration_centered_by_intersections(n: Mat) -> dict:
-    """Closed-form variant W_k = sum_a im(N^a) ∩ ker(N^(a+k+1)); kept as an
-    independent second route for uniqueness testing."""
-    d = n.rows
-    s = nilpotency_index(n) - 1
-    powers = [Mat.identity(d)]
-    for _ in range(s + 1):
-        powers.append(powers[-1] @ n)
-    images = [column_space(p) for p in powers]
-    kernels = {j: kernel_space(powers[j]) for j in range(1, s + 2)}
-
-    def ker(j):
-        if j <= 0:
-            return sub_zero(d)
-        if j > s:
-            return sub_full(d)
-        return kernels[j]
-
-    out = {}
-    for k in range(-s, s + 1):
-        pieces = []
-        for a in range(0, s + 1):
-            pieces.append(sub_intersect(images[a], ker(a + k + 1)))
-        out[k] = sub_sum_ambient(pieces, d)
     return out
 
 

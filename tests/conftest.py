@@ -61,3 +61,28 @@ def random_nilpotent(rng: random.Random, dim: int) -> Mat:
 
 def random_fraction(rng: random.Random, lo: int = 1, hi: int = 9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+
+def direct_sum(specs) -> PolarizedOrbitSpec:
+    """Block-diagonal Q and N_j, stacked flags; every summand keeps its own
+    variables, so P of the sum is the product of the summands' P."""
+    dim = sum(s.dim for s in specs)
+    offsets = [sum(s.dim for s in specs[:i]) for i in range(len(specs))]
+
+    def embed(off, row):
+        return [0] * off + list(row) + [0] * (dim - off - len(row))
+
+    def block(off, m):
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(m.rows):
+            rows[off + i] = embed(off, m.row(i))
+        return Mat.from_rows(rows)
+
+    q = sum((block(off, s.q) for off, s in zip(offsets, specs)), Mat.zeros(dim, dim))
+    nilpotents = tuple(block(off, n) for off, s in zip(offsets, specs) for n in s.nilpotents)
+    flag = []
+    for p in range(specs[0].weight + 1):
+        rows = [embed(off, s.flag[p].row(i)) for off, s in zip(offsets, specs)
+                for i in range(s.flag[p].rows)]
+        flag.append(Mat.from_rows(rows) if rows else Mat.zeros(0, dim))
+    return PolarizedOrbitSpec(dim, specs[0].weight, q, nilpotents, tuple(flag))

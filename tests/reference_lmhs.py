@@ -1,17 +1,22 @@
-"""The full-probe Deligne bigrading, kept as a test oracle.
+"""The full-probe Deligne bigrading and the pivoted LDL positivity test,
+kept as test oracles.
 
-This is ``hodgecalc.lmhs.deligne_bigrading`` as it was before it skipped
-the levels p > n and shared each conj(F^q) ∩ W_m between probes: every
-(p, q) in the window is evaluated from the closed formula on its own.
-``test_shared_paths.py`` asserts that the library gives the same pieces and
-the same R-split and effectivity flags.
+``deligne_bigrading`` is ``hodgecalc.lmhs.deligne_bigrading`` as it was
+before it skipped the levels p > n and shared each conj(F^q) ∩ W_m between
+probes: every (p, q) in the window is evaluated from the closed formula on
+its own.  ``test_shared_paths.py`` asserts that the library gives the same
+pieces and the same R-split and effectivity flags.
+
+``hermitian_psd_status`` is the pivoted LDL in ``GaussianRational``
+arithmetic that the library ran before its fraction-free elimination;
+``test_int_oracles.py`` asserts the same (psd, rank, pd).
 """
 
 from __future__ import annotations
 
 from hodgecalc.lmhs import DeligneBigrading, flag_level, flag_levels
 from hodgecalc.matrices import (
-    sub_conj, sub_dim, sub_equal, sub_intersect, sub_sum_ambient, sub_zero,
+    Mat, sub_conj, sub_dim, sub_equal, sub_intersect, sub_sum_ambient, sub_zero,
 )
 
 
@@ -46,3 +51,37 @@ def deligne_bigrading(wf, flag) -> DeligneBigrading:
                   for (p, q), m in pieces.items())
     effective = all(0 <= p <= n and 0 <= q <= n for (p, q) in pieces)
     return DeligneBigrading(n, d, pieces, r_split, effective)
+
+
+def hermitian_psd_status(h: Mat):
+    """(is_psd, rank, is_pd) of a Hermitian matrix by exact pivoted LDL."""
+    n = h.rows
+    a = [[h[i, j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if not a[i][i].is_real:
+            raise ValueError("matrix is not Hermitian")
+    active = list(range(n))
+    rk = 0
+    while active:
+        pivot = None
+        for i in active:
+            di = a[i][i].re
+            if di < 0:
+                return False, rk, False
+            if di > 0 and pivot is None:
+                pivot = i
+        if pivot is None:
+            # all remaining diagonal entries are zero: PSD iff the block is zero
+            for i in active:
+                for j in active:
+                    if a[i][j]:
+                        return False, rk, False
+            return True, rk, rk == n
+        rk += 1
+        p = a[pivot][pivot]
+        rest = [i for i in active if i != pivot]
+        for i in rest:
+            for j in rest:
+                a[i][j] = a[i][j] - a[i][pivot] * a[pivot][j] / p
+        active = rest
+    return True, rk, rk == n

@@ -176,6 +176,21 @@ BAD_FLAGS = {
     "alpha-not-a-number": ["multiplier-ideal", "--alpha", "abc"],
     "alpha-zero-denominator": ["multiplier-ideal", "--alpha", "1/0"],
     "alpha-not-positive": ["multiplier-ideal", "--alpha", "2,0"],
+    "segre-degree-negative": ["segre", "--degree", "-1"],
+    "segre-rank-negative": ["segre", "--rank", "-1"],
+    "multiplier-ideal-degree-negative": ["multiplier-ideal", "--alpha", "1,1", "--degree", "-1"],
+    "chern-rays-zero": ["chern", "--input", "builtin:dollar-bill", "--rays", "0"],
+    "chern-rays-negative": ["chern", "--input", "builtin:dollar-bill", "--rays", "-3"],
+    "curvature-rays-zero": ["curvature", "--input", "builtin:grassmannian-g24", "--rays", "0"],
+    "horizontal-rays-negative": ["horizontal", "--input", "builtin:weight2-normal-form",
+                                 "--rays", "-3"],
+    "limit-check-rays-negative": ["limit-check", "--input", "builtin:dollar-bill",
+                                  "--stratum", "3", "--rays", "-2"],
+    "schur-rank-zero": ["schur", "--partition", "2,1", "--rank", "0"],
+    "schur-partition-increasing": ["schur", "--partition", "1,2"],
+    "schur-rank-negative": ["schur", "--partition", "1,1", "--rank", "-2"],
+    "schur-partition-negative-part": ["schur", "--partition", "2,-1"],
+    "schur-part-above-rank": ["schur", "--partition", "3,1", "--rank", "2"],
 }
 
 
@@ -186,6 +201,17 @@ def test_bad_flag_exits_2(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_smallest_allowed_flag_values(capsys):
+    for argv, expected in ((["segre", "--degree", "0", "--rank", "1"], '"symbol": "1"'),
+                           (["schur", "--partition", "2,0", "--rank", "2"], '"rank": 2'),
+                           (["schur", "--partition", "0"], '"rank": 1')):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and expected in out
+    code, out, _ = run_cli(["chern", "--input", "builtin:dollar-bill", "--rays", "1",
+                            "--format", "json"], capsys)
+    assert code == 0 and len(json.loads(out)["findings"]["samples"]) == 1
 
 
 def test_full_stratum_allowed_where_no_complement_is_needed(capsys):

@@ -20,7 +20,7 @@ import pytest
 import reference_horizontal as ref_horizontal
 import reference_lmhs as ref
 import reference_weightfilt as ref_weightfilt
-from conftest import random_nilpotent
+from conftest import direct_sum, random_nilpotent
 from hodgecalc import lmhs, monomial, orbit, weightfilt
 from hodgecalc.cli import main
 from hodgecalc.cones import hull_contains
@@ -45,31 +45,6 @@ from hodgecalc.weightfilt import (
 )
 
 ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
-
-
-def direct_sum(specs) -> PolarizedOrbitSpec:
-    """Block-diagonal Q and N_j, stacked flags; every summand keeps its own
-    variables, so P of the sum is the product of the summands' P."""
-    dim = sum(s.dim for s in specs)
-    offsets = [sum(s.dim for s in specs[:i]) for i in range(len(specs))]
-
-    def embed(off, row):
-        return [0] * off + list(row) + [0] * (dim - off - len(row))
-
-    def block(off, m):
-        rows = [[0] * dim for _ in range(dim)]
-        for i in range(m.rows):
-            rows[off + i] = embed(off, m.row(i))
-        return Mat.from_rows(rows)
-
-    q = sum((block(off, s.q) for off, s in zip(offsets, specs)), Mat.zeros(dim, dim))
-    nilpotents = tuple(block(off, n) for off, s in zip(offsets, specs) for n in s.nilpotents)
-    flag = []
-    for p in range(specs[0].weight + 1):
-        rows = [embed(off, s.flag[p].row(i)) for off, s in zip(offsets, specs)
-                for i in range(s.flag[p].rows)]
-        flag.append(Mat.from_rows(rows) if rows else Mat.zeros(0, dim))
-    return PolarizedOrbitSpec(dim, specs[0].weight, q, nilpotents, tuple(flag))
 
 
 @pytest.fixture(scope="module")

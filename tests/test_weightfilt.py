@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_nilpotent
+from reference_weightfilt import weight_filtration_centered_by_intersections
 from hodgecalc.errors import NotCommuting, NotNilpotent
 from hodgecalc.matrices import (
     Mat, sub_contains, sub_dim, sub_equal, sub_image,
@@ -13,8 +14,7 @@ from hodgecalc.matrices import (
 from hodgecalc.weightfilt import (
     complete_sl2, grading_element, integer_eigen_decomposition,
     relative_weight_filtration_check, weight_filtration,
-    weight_filtration_centered, weight_filtration_centered_by_intersections,
-    y_eigen_decomposition,
+    weight_filtration_centered, y_eigen_decomposition,
 )
 
 
