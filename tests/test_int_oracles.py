@@ -189,7 +189,7 @@ def assert_same_blocks(spec, validate=True):
 
 
 def _with_pieces(spec):
-    """The spec and the orbit of every piece of every stratum of it."""
+    """The orbit of every piece of every stratum of spec."""
     pieces = []
     for r in range(1, spec.num_params + 1):
         for subset in combinations(range(spec.num_params), r):
@@ -237,7 +237,7 @@ def test_metric_matrix_rejects_a_non_hermitian_block():
 def test_metric_coefficients_use_transposed_nilpotents(dollar_bill):
     """The coefficient of x_j in block 1 is unit F N_j^T Q conj(F)^T; with
     N_j in place of N_j^T the answer differs, so the orientation is pinned."""
-    (i, frame, mat), = hodge_metric_matrix(dollar_bill).blocks
+    (_, frame, mat), = hodge_metric_matrix(dollar_bill).blocks
     right, unit = dollar_bill.q @ frame.conj_transpose(), hermitian_sign(1, 1, 1)
     for j, nj in enumerate(dollar_bill.nilpotents):
         exp = tuple(int(v == j) for v in range(3))
