@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
 from .lmhs import hermitian_psd_status
-from .matrices import Mat, Splitting, inverse, kernel_basis, rank, rref, sub_canonical, sub_zero
+from .matrices import (
+    Mat, Splitting, ad_matrix, inverse, kernel_matrix, kernel_space, rank, rref, sub_canonical,
+)
 from .rationals import GaussianRational, ZERO, ONE, i_power
 
 
@@ -26,6 +28,9 @@ class PolarizedHS:
     weight: int
     q: Mat
     pieces: dict           # (p, q) -> basis Mat (rows)
+
+    def __post_init__(self):
+        self.validate()
 
     def weil_matrix(self) -> Mat:
         """The operator acting by i^(p-q) on each piece."""
@@ -57,31 +62,20 @@ class PolarizedHS:
             raise NotPolarized("metric is not positive definite")
 
 
-def _block(vals, r0, c0, sub: Mat, out_rows, out_cols):
-    for i in range(sub.rows):
-        for j in range(sub.cols):
-            vals[(r0 + i) * out_cols + (c0 + j)] = sub[i, j]
-
-
 def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:
     """Weight-one structure from a normalized period matrix (default i*I)."""
     g = genus
     if omega is None:
         omega = Mat.identity(g).scale(GaussianRational(0, 1))
     d = 2 * g
-    vals = [ZERO] * (d * d)
-    _block(vals, 0, g, Mat.identity(g), d, d)
-    _block(vals, g, 0, Mat.identity(g).scale(GaussianRational(-1)), d, d)
-    q = Mat(d, d, vals)
+    q = Mat.from_rows([[0, 1], [-1, 0]]).kron(Mat.identity(g))
     rows10 = []
     for c in range(g):
         v = [omega[r, c] for r in range(g)] + [ONE if r == c else ZERO for r in range(g)]
         rows10.append(v)
     v10 = Mat.from_rows(rows10)
     v01 = v10.conj()
-    phs = PolarizedHS(d, 1, q, {(1, 0): v10, (0, 1): v01})
-    phs.validate()
-    return phs
+    return PolarizedHS(d, 1, q, {(1, 0): v10, (0, 1): v01})
 
 
 def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
@@ -89,11 +83,7 @@ def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
     if omega is None:
         omega = Mat.identity(h20)
     d = 2 * h20 + h11
-    vals = [ZERO] * (d * d)
-    _block(vals, 0, 0, Mat.identity(h20), d, d)
-    _block(vals, h20, h20, Mat.identity(h11).scale(GaussianRational(-1)), d, d)
-    _block(vals, h20 + h11, h20 + h11, Mat.identity(h20), d, d)
-    q = Mat(d, d, vals)
+    q = Mat.diag([1] * h20 + [-1] * h11 + [1] * h20)
     ii = GaussianRational(0, 1)
     rows20 = []
     for c in range(h20):
@@ -106,9 +96,7 @@ def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
         v = [ZERO] * h20 + [ONE if r == c else ZERO for r in range(h11)] + [ZERO] * h20
         rows11.append(v)
     v11 = Mat.from_rows(rows11)
-    phs = PolarizedHS(d, 2, q, {(2, 0): v20, (1, 1): v11, (0, 2): v20.conj()})
-    phs.validate()
-    return phs
+    return PolarizedHS(d, 2, q, {(2, 0): v20, (1, 1): v11, (0, 2): v20.conj()})
 
 
 # ---------------------------------------------------------------------------
@@ -149,38 +137,30 @@ class GradedEnd:
 
 def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     """Compute the graded pieces of {X : Q(Xu, v) + Q(u, Xv) = 0}."""
-    phs.validate()
     d = phs.dim
     n = phs.weight
-    # form-preserving condition: Q(Xu, v) + Q(u, Xv) = 0 for basis u, v;
-    # condition_{ij} = sum_k X_{ki} Q_{kj} + Q_{ik} X_{kj}
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                row[k * d + i] = row[k * d + i] + phs.q[k, j]
-                row[k * d + j] = row[k * d + j] + phs.q[i, k]
-            rows.append(row)
-    lie = kernel_basis(Mat.from_rows(rows))
-    lie_space = sub_canonical(Mat.from_rows([list(v) for v in lie])) if lie \
-        else sub_zero(d * d)
+    # form-preserving condition: X^T Q + Q X = 0.  On row-major vec(X),
+    # vec(Q X) = (Q (x) I) vec(X), and (X^T Q)_ij = (Q^T X)_ji is row (j, i)
+    # of (Q^T (x) I) vec(X)
+    one = Mat.identity(d)
+    swap = [j * d + i for i in range(d) for j in range(d)]
+    lie_space = kernel_space(phs.q.transpose().kron(one).take(swap) + phs.q.kron(one))
 
     # graded condition: X maps each (r, s) piece into (r+p, s-p), so entry
     # (i, j) of X in the basis of the pieces vanishes unless the key of row i
-    # is the key of column j shifted by (p, -p)
+    # is the key of column j shifted by (p, -p); column m of `adapted` is
+    # vec(t^-1 X_m t) for the m-th basis vector X_m of the Lie algebra
     split = Splitting(phs.pieces)
     labels = split.labels
-    adapted = [split.t_inv @ Mat(d, d, x) @ split.t for x in lie_space.row_list()]
+    adapted = split.t_inv.kron(split.t.transpose()) @ lie_space.transpose()
     pieces = {}
     for p in range(-n, n + 1):
-        off = [(i, j) for i, a in enumerate(labels) for j, b in enumerate(labels)
+        off = [i * d + j for i, a in enumerate(labels) for j, b in enumerate(labels)
                if a != (b[0] + p, b[1] - p)]
         # solve within the Lie algebra coordinates
-        cond = Mat(len(off), len(adapted), [x[i, j] for i, j in off for x in adapted])
-        coeffs = kernel_basis(cond)
-        if coeffs:
-            pieces[p] = sub_canonical(Mat.from_rows(coeffs) @ lie_space)
+        coeffs = kernel_matrix(adapted.take(off))
+        if coeffs.rows:
+            pieces[p] = sub_canonical(coeffs @ lie_space)
     total = sum(m.rows for m in pieces.values())
     if total != lie_space.rows:
         raise NotPolarized(
@@ -209,11 +189,9 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     dim_m1 = gm1.rows
     if g0 is None or g0.rows == 0:
         return dim_m1
-    images = []
-    for i in range(g0.rows):
-        x = ge.unflatten(g0.row(i))
-        images.append(list(bracket(xi, x).vec()))
-    return dim_m1 - rank(Mat.from_rows(images))
+    # row i is vec([xi, X_i]) for the i-th basis vector X_i of the 0 piece:
+    # g0 @ ad(xi)^T, and ad(xi)^T = ad(xi^T)
+    return dim_m1 - rank(g0 @ ad_matrix(xi.transpose()))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,11 @@ class _Z:
         return [x * k for x in row]
 
     @staticmethod
+    def outer(row, other):
+        """The products x * y, x in row and y in other, x the slower index."""
+        return [x * y for x in row for y in other]
+
+    @staticmethod
     def kernel_row(cols: int, fc: int, d: int, used):
         """d times the kernel vector of free column fc: v[fc] = d and
         v[pc] = -d * x / q for each pivot column pc with entry x / q at fc."""
@@ -217,6 +222,12 @@ class _ZI:
     @staticmethod
     def mul(row, k: int):
         return [x * k for x in row[0]], [y * k for y in row[1]]
+
+    @staticmethod
+    def outer(row, other):
+        """The products x * y, x in row and y in other, x the slower index."""
+        return ([a * c - b * e for a, b in zip(*row) for c, e in zip(*other)],
+                [a * e + b * c for a, b in zip(*row) for c, e in zip(*other)])
 
     @staticmethod
     def kernel_row(cols: int, fc: int, d: int, used):
@@ -459,7 +470,23 @@ class Mat:
                            [ring.normal(ring.scale(row, p, ring.one), d * q)
                             for row, d in zip(_rows_in(self, ring), self._den)])
 
+    def kron(self, other: "Mat") -> "Mat":
+        """The Kronecker product: entry (i * other.rows + k, j * other.cols + l)
+        is self[i, j] * other[k, l]."""
+        ring = _common_ring(self, other)
+        return _from_pairs(self.rows * other.rows, self.cols * other.cols, ring,
+                           [ring.normal(ring.outer(x, y), dx * dy)
+                            for x, dx in zip(_rows_in(self, ring), self._den)
+                            for y, dy in zip(_rows_in(other, ring), other._den)])
+
+    def take(self, indices) -> "Mat":
+        """The rows at the given indices, in that order."""
+        return Mat._make(len(indices), self.cols, self._ring,
+                         [self._num[i] for i in indices], [self._den[i] for i in indices])
+
     def __pow__(self, n: int) -> "Mat":
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
         out = Mat.identity(self.rows)
@@ -551,12 +578,6 @@ def _set(m: Mat, rows, cols, ring, num, den, entries):
     put(m, "_num", tuple(num))
     put(m, "_den", tuple(den))
     put(m, "_entries", entries)
-
-
-def _take(m: Mat, indices) -> Mat:
-    """The rows of m at the given indices, in that order."""
-    return Mat._make(len(indices), m.cols, m._ring,
-                     [m._num[i] for i in indices], [m._den[i] for i in indices])
 
 
 def _from_pairs(rows: int, cols: int, ring, pairs) -> Mat:
@@ -769,7 +790,7 @@ def rank(m: Mat) -> int:
 def sub_canonical(basis: Mat) -> Mat:
     """Canonical (rref, zero rows dropped) basis matrix of a row space."""
     red, pivots, r = rref(basis)
-    return _take(red, range(r)) if r else Mat.zeros(0, basis.cols)
+    return red.take(range(r)) if r else Mat.zeros(0, basis.cols)
 
 
 def sub_zero(ambient: int) -> Mat:
@@ -848,10 +869,10 @@ def extend_basis(sub: Mat, candidates: Mat) -> Mat:
     `sub` plus the rows already taken (sub must have independent rows)."""
     chosen = []
     for i in range(candidates.rows):
-        trial = Mat.stack([sub, _take(candidates, chosen + [i])])
+        trial = Mat.stack([sub, candidates.take(chosen + [i])])
         if rank(trial) > sub.rows + len(chosen):
             chosen.append(i)
-    return _take(candidates, chosen)
+    return candidates.take(chosen)
 
 
 def sub_complement_in(sub: Mat, sup: Mat) -> Mat:
@@ -948,7 +969,7 @@ class Splitting:
         except (NoSolution, ValueError):
             raise NoSolution("the subspaces do not split the space") from None
         # the rows of t_inv that read off the coordinates on each V_k
-        self._duals = {k: _take(self.t_inv, [j for j, key in enumerate(self.labels) if key == k])
+        self._duals = {k: self.t_inv.take([j for j, key in enumerate(self.labels) if key == k])
                        for k in self.spaces}
 
     def space(self, k) -> Mat:
@@ -970,8 +991,15 @@ class Splitting:
 
 
 # ---------------------------------------------------------------------------
-# Nilpotency
+# ad and nilpotency
 # ---------------------------------------------------------------------------
+
+def ad_matrix(n: Mat) -> Mat:
+    """Matrix of ad(n) = [n, .] on row-major flattened endomorphisms:
+    n (x) I - I (x) n^T."""
+    one = Mat.identity(n.rows)
+    return n.kron(one) - one.kron(n.transpose())
+
 
 def nilpotency_index(n: Mat) -> int:
     """Smallest m >= 1 with n**m = 0; raises NotNilpotent otherwise."""

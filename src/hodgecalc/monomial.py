@@ -19,10 +19,9 @@ from .cones import nonnegative_extreme_rays, _scale_primitive
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, inverse, kernel_basis, smith_normal_form, sub_canonical, sub_contains_vec,
-    sub_zero,
+    Mat, ad_matrix, inverse, kernel_basis, smith_normal_form, sub_canonical,
+    sub_contains_vec, sub_zero,
 )
-from .rationals import ZERO
 from .weightfilt import weight_filtration_centered
 
 
@@ -119,23 +118,9 @@ def monomial_map(spec: PolarizedOrbitSpec) -> MonomialMap:
                        tuple(range(k)))
 
 
-def _ad_matrix(n: Mat) -> Mat:
-    """Matrix of ad(n) = [n, .] acting on row-major flattened endomorphisms."""
-    d = n.rows
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [ZERO] * (d * d)
-            for k_ in range(d):
-                row[k_ * d + j] = row[k_ * d + j] + n[i, k_]
-                row[i * d + k_] = row[i * d + k_] - n[k_, j]
-            rows.append(row)
-    return Mat.from_rows(rows)
-
-
 def w_minus1_end(n_cone: Mat) -> Mat:
     """Level -1 of the centered weight filtration of ad(n_cone) on End(V)."""
-    ad = _ad_matrix(n_cone)
+    ad = ad_matrix(n_cone)
     centered = weight_filtration_centered(ad)
     s = max(centered)
     if -1 < -s:

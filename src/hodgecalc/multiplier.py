@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -41,23 +41,19 @@ def multiplier_ideal_monomials(alpha, degree_bound: int = 24) -> MonomialIdeal:
     def member(beta) -> bool:
         return sum(Fraction(b + 1, 1) / a for b, a in zip(beta, alpha)) > 1
 
-    gens = []
-    for beta in product(range(degree_bound + 1), repeat=n):
-        if sum(beta) > degree_bound or not member(beta):
-            continue
-        minimal = True
-        for j in range(n):
-            if beta[j] and member(beta[:j] + (beta[j] - 1,) + beta[j + 1:]):
-                minimal = False
-                break
-        if minimal:
+    # one walk of the simplex {|beta| <= bound}: by stars and bars, each
+    # n-subset c_1 < ... < c_n of range(bound + n) is one point, with
+    # beta_j = c_j - c_(j-1) - 1 and c_0 = -1.  A minimal generator could
+    # exist just beyond the bound when some non-member on the boundary
+    # |beta| = bound has member successors only outside the range: that
+    # sets `truncated`.
+    gens, truncated = [], False
+    for c in combinations(range(degree_bound + n), n):
+        beta = tuple(b - a - 1 for a, b in zip((-1,) + c, c))
+        if not member(beta):
+            truncated = truncated or sum(beta) == degree_bound
+        elif not any(beta[j] and member(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+                     for j in range(n)):
             gens.append(beta)
-    # truncation: a minimal generator could exist just beyond the bound when
-    # some boundary non-member has all-member successors outside the range
-    truncated = False
-    for beta in product(range(degree_bound + 1), repeat=n):
-        if sum(beta) == degree_bound and not member(beta):
-            truncated = True
-            break
     gens.sort()
     return MonomialIdeal(tuple(gens), degree_bound, truncated)

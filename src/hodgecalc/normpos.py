@@ -16,9 +16,9 @@ import random
 
 from .errors import DimensionMismatch, NotUnit
 from .lmhs import hermitian_psd_status
-from .matrices import Mat, kernel_basis, rank
+from .matrices import Mat, kernel_basis, kernel_matrix, rank
 from .polynomials import MultiPoly, poly_mat_det
-from .rationals import GaussianRational, ZERO, ONE, as_gauss
+from .rationals import GaussianRational, ZERO, as_gauss
 
 
 @dataclass(frozen=True)
@@ -76,46 +76,22 @@ class CurvatureTensor:
         return self.nakano[alpha * self.dim_t + i, beta * self.dim_t + j]
 
     def value(self, e, xi) -> Fraction:
-        """The real curvature form on a decomposable pair."""
-        e = [as_gauss(x) for x in e]
-        xi = [as_gauss(x) for x in xi]
-        acc = ZERO
-        for a in range(self.rank_e):
-            for b in range(self.rank_e):
-                for i in range(self.dim_t):
-                    for j in range(self.dim_t):
-                        t = self.theta(a, b, i, j)
-                        if t:
-                            acc = acc + t * e[a] * e[b].conj() * xi[i] * xi[j].conj()
-        return acc.real_or_raise()
+        """The real curvature form on a decomposable pair: v N v* for the
+        row vector v = e (x) xi and N the Nakano matrix."""
+        v = Mat(1, self.rank_e, e).kron(Mat(1, self.dim_t, xi))
+        return (v @ self.nakano @ v.conj_transpose())[0, 0].real_or_raise()
 
     def horizontal_form(self, e) -> Mat:
-        """The Hermitian form Theta(e, ., .) on T."""
-        e = [as_gauss(x) for x in e]
-        entries = []
-        for i in range(self.dim_t):
-            for j in range(self.dim_t):
-                acc = ZERO
-                for a in range(self.rank_e):
-                    for b in range(self.rank_e):
-                        t = self.theta(a, b, i, j)
-                        if t:
-                            acc = acc + t * e[a] * e[b].conj()
-                entries.append(acc)
-        return Mat(self.dim_t, self.dim_t, entries)
+        """The Hermitian form Theta(e, ., .) on T: E^T N conj(E) for the
+        column E = e (x) I_T."""
+        frame = Mat(self.rank_e, 1, e).kron(Mat.identity(self.dim_t))
+        return frame.transpose() @ self.nakano @ frame.conj()
 
     def trace_form(self) -> Mat:
-        """The first Chern form as a Hermitian matrix on T."""
-        entries = []
-        for i in range(self.dim_t):
-            for j in range(self.dim_t):
-                acc = ZERO
-                for a in range(self.rank_e):
-                    t = self.theta(a, a, i, j)
-                    if t:
-                        acc = acc + t
-                entries.append(acc)
-        return Mat(self.dim_t, self.dim_t, entries)
+        """The first Chern form as a Hermitian matrix on T: the sum of the
+        horizontal forms of the frame vectors of E."""
+        return sum((self.horizontal_form(e) for e in Mat.identity(self.rank_e).row_list()),
+                   Mat.zeros(self.dim_t, self.dim_t))
 
 
 def curvature_from_model(model: NormPositivityModel) -> CurvatureTensor:
@@ -248,20 +224,11 @@ def projectivized_chern_form(model: NormPositivityModel, e, *,
                else Mat.identity(model.rank_e))
     # directions in the fiber subspace orthogonal to e: the inner product
     # <w, e> = sum w_i conj(e_i) vanishes, a kernel within the subspace
-    conj_e = Mat.from_rows([[x.conj() for x in e]])
-    coeffs = kernel_basis(conj_e @ ambient.transpose())
-    basis = (Mat.from_rows(coeffs) @ ambient).row_list() if coeffs else []
+    row_e = Mat(1, model.rank_e, e)
+    basis = kernel_matrix(row_e.conj() @ ambient.transpose()) @ ambient
     # Fubini-Study matrix I - e e* restricted to the chosen basis
-    fs = []
-    for u in basis:
-        row = []
-        for w in basis:
-            inner = sum((a * b.conj() for a, b in zip(u, w)), ZERO)
-            ue = sum((a * b.conj() for a, b in zip(u, e)), ZERO)
-            we = sum((a * b.conj() for a, b in zip(w, e)), ZERO)
-            row.append(inner - ue * we.conj())
-        fs.append(row)
-    vertical = Mat.from_rows(fs) if fs else Mat.zeros(0, 0)
+    fubini_study = Mat.identity(model.rank_e) - row_e.conj_transpose() @ row_e
+    vertical = basis @ fubini_study @ basis.conj_transpose()
 
     hpsd, hrank, hpd = hermitian_psd_status(horizontal)
     if vertical.rows:
@@ -276,14 +243,8 @@ def projectivized_chern_form(model: NormPositivityModel, e, *,
 
 def flat_directions(model: NormPositivityModel, e):
     """Basis of {xi in T : A(e (x) xi) = 0} and its dimension."""
-    e = [as_gauss(x) for x in e]
-    cols = []
-    for i in range(model.dim_t):
-        xi = [ZERO] * model.dim_t
-        xi[i] = ONE
-        cols.append(list(model.apply(e, xi)))
-    m = Mat.from_rows(cols).transpose()
-    basis = kernel_basis(m)
+    frame = Mat(model.rank_e, 1, e).kron(Mat.identity(model.dim_t))
+    basis = kernel_basis(model.a @ frame)
     return basis, len(basis)
 
 
@@ -293,20 +254,14 @@ def quotient_curvature_at(theta_e: CurvatureTensor, inclusion: Mat, beta_mats,
     fundamental form's norm; always >= the first term."""
     jq = inclusion.mat_vec(q_vec)
     base = theta_e.value(jq, xi)
-    xi = [as_gauss(x) for x in xi]
     if len(beta_mats) != theta_e.dim_t:
         raise DimensionMismatch("need one second-fundamental-form matrix per direction")
+    # |sum_i xi_i beta_i* q|^2
     dim_s = beta_mats[0].cols if beta_mats else 0
-    acc = ZERO
-    for i, bi in enumerate(beta_mats):
-        for j, bj in enumerate(beta_mats):
-            if not (xi[i] and xi[j]):
-                continue
-            u = bi.conj_transpose().mat_vec(q_vec)
-            w = bj.conj_transpose().mat_vec(q_vec)
-            inner = sum((a * b.conj() for a, b in zip(u, w)), ZERO)
-            acc = acc + inner * xi[i] * xi[j].conj()
-    correction = acc.real_or_raise()
+    q = Mat(len(q_vec), 1, q_vec)
+    w = sum((b.conj_transpose().scale(x) @ q for b, x in zip(beta_mats, xi)),
+            Mat.zeros(dim_s, 1))
+    correction = (w.conj_transpose() @ w)[0, 0].real_or_raise()
     if correction < 0:
         raise DimensionMismatch("internal error: correction term not a norm")
     return base + correction

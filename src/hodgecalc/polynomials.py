@@ -130,6 +130,8 @@ class MultiPoly:
         return MultiPoly(self.num_vars, {e: _cmul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
         out = MultiPoly.const(self.num_vars, 1)
         for _ in range(n):
             out = out * self

@@ -100,13 +100,18 @@ def _build_phs(payload):
                  "weight-1 phs needs 'genus' or 'omega'")
         if "omega" in payload:
             omega = _parse_matrix(payload["omega"], "omega")
+            _require(omega.rows == omega.cols, "weight-1 omega must be square")
             return phs_weight1(omega.rows, omega)
         return phs_weight1(_int_field(payload, "genus"))
     if weight == 2:
         for key in ("h20", "h11"):
             _require(key in payload, f"weight-2 phs needs '{key}'")
-        omega = _parse_matrix(payload["omega"], "omega") if "omega" in payload else None
-        return phs_weight2(_int_field(payload, "h20"), _int_field(payload, "h11"), omega)
+        h20, h11 = _int_field(payload, "h20"), _int_field(payload, "h11")
+        omega = None
+        if "omega" in payload:
+            omega = _parse_matrix(payload["omega"], "omega")
+            _require(omega.rows == h20 and omega.cols == h20, "weight-2 omega must be h20 x h20")
+        return phs_weight2(h20, h11, omega)
     raise SchemaError("phs constructors cover weights 1 and 2")
 
 

@@ -2,8 +2,9 @@
 
 These are the fraction-full ``GaussianRational`` versions of ``rref``,
 ``det``, ``Mat.__matmul__`` and ``Mat.mat_vec`` that ``hodgecalc.matrices``
-used before its integer kernels, and the entry-by-entry ``Mat`` methods it
-used before matrices were stored as integer rows.  They are slow and simple
+used before its integer kernels, the entry-by-entry ``Mat`` methods it
+used before matrices were stored as integer rows, and the index loops that
+``Mat.kron`` and ``ad_matrix`` replaced.  They are slow and simple
 on purpose; the property tests in ``test_matrix_oracles.py`` assert that the
 library gives exactly the same answers.
 """
@@ -151,3 +152,27 @@ def extend_basis(sub: Mat, candidates: Mat) -> Mat:
         if rref(Mat.from_rows(base + chosen + [cand]))[2] > len(base) + len(chosen):
             chosen.append(cand)
     return Mat.from_rows(chosen) if chosen else Mat.zeros(0, candidates.cols)
+
+
+# --- Kronecker products --------------------------------------------------------
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """The Kronecker product, one entry product at a time."""
+    return Mat(a.rows * b.rows, a.cols * b.cols,
+               [a[i, j] * b[k, l] for i in range(a.rows) for k in range(b.rows)
+                for j in range(a.cols) for l in range(b.cols)])
+
+
+def ad_matrix(n: Mat) -> Mat:
+    """Matrix of ad(n) = [n, .] acting on row-major flattened endomorphisms,
+    as ``hodgecalc.monomial`` built it before ``matrices.ad_matrix``."""
+    d = n.rows
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            row = [ZERO] * (d * d)
+            for k_ in range(d):
+                row[k_ * d + j] = row[k_ * d + j] + n[i, k_]
+                row[i * d + k_] = row[i * d + k_] - n[k_, j]
+            rows.append(row)
+    return Mat.from_rows(rows)

@@ -245,6 +245,15 @@ BAD_DOCUMENTS = {
     # no horizontal directions: the (-1) piece of the graded algebra is empty
     "horizontal-h20-zero": ("horizontal", _mutated("weight2-normal-form", h20=0)),
     "horizontal-genus-zero": ("horizontal", _mutated("weight1-genus2", genus=0)),
+    # an omega of the wrong shape: a weight-1 omega must be square, one of
+    # weight 2 must be h20 x h20
+    "weight1-omega-3x1": ("validate", {"kind": "phs", "payload": {
+        "weight": 1, "omega": [[{"re": "0", "im": "1"}]] * 3}}),
+    "weight1-omega-2x3": ("validate", {"kind": "phs", "payload": {
+        "weight": 1, "omega": [[{"re": "0", "im": "1"}, "0", "5"],
+                               ["0", {"re": "0", "im": "1"}, "7"]]}}),
+    "weight2-omega-too-small": ("validate", _mutated("weight2-normal-form",
+                                                     omega=[["1"]])),
 }
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hodgecalc.errors import ZeroVector
+from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import (
-    bisectional_curvature, bracket, direction_with_block, graded_end_algebra,
+    PolarizedHS, bisectional_curvature, bracket, direction_with_block, graded_end_algebra,
     kernel_dimension, phs_weight1, phs_weight2, sectional_quartic, top_block,
 )
 from hodgecalc.matrices import Mat, rank, sub_contains_vec
@@ -116,6 +116,23 @@ def test_kernel_dimension_weight2_all_ranks(algebras_w2):
                 assert ge.piece_dim(-1) == expected
             else:
                 assert kernel_dimension(ge, xi) == expected
+
+
+def test_kernel_dimension_matches_bracket_loop(algebras_w1, algebras_w2):
+    rng = random.Random(19)
+    # a period matrix with a real part: its 0 piece is not closed under
+    # transposition, so [xi, .] and [xi^T, .] have different ranks on it
+    omega = Mat.from_rows([[GaussianRational(1, 1), Fraction(1, 2)],
+                           [Fraction(1, 2), GaussianRational(0, 2)]])
+    skewed = graded_end_algebra(phs_weight1(2, omega))
+    for ge in list(algebras_w1.values()) + list(algebras_w2.values()) + [skewed]:
+        gm1, g0 = ge.pieces[-1], ge.pieces[0]
+        coeffs = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                  for _ in range(gm1.rows)]
+        xi = ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries)
+        images = Mat.from_rows([list(bracket(xi, ge.unflatten(g0.row(i))).vec())
+                                for i in range(g0.rows)])
+        assert kernel_dimension(ge, xi) == gm1.rows - rank(images)
 
 
 def test_maximal_rank_iff_trivial_kernel(algebras_w2):
@@ -243,3 +260,25 @@ def test_adjoint_is_metric_adjoint(algebras_w1):
                         acc = acc + a[i] * h[i, j] * b[j].conj()
             return acc
         assert pair(x.mat_vec(u), v) == pair(u, xs.mat_vec(v))
+
+
+def test_structure_is_validated_once_on_construction(monkeypatch):
+    calls = []
+    validate = PolarizedHS.validate
+
+    def counted(self):
+        calls.append(self.dim)
+        validate(self)
+    monkeypatch.setattr(PolarizedHS, "validate", counted)
+    phs = phs_weight2(2, 1)
+    assert calls == [5]
+    graded_end_algebra(phs)
+    assert calls == [5]
+
+
+def test_bad_structure_raises_on_construction():
+    good = phs_weight1(1)
+    with pytest.raises(NotPolarized):       # Q of the wrong sign
+        PolarizedHS(2, 1, good.q.scale(-1), good.pieces)
+    with pytest.raises(NotPolarized):       # the pieces do not span V
+        PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})

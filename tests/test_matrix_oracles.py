@@ -340,3 +340,66 @@ def test_row_coords_and_extend_basis_match_row_by_row(gaussian, big):
             assert got == Mat(s.rows, k, [x for row in expected for x in row]), seed
         independent = sub_canonical(basis)
         assert extend_basis(independent, s) == ref.extend_basis(independent, s), seed
+
+
+# --- Kronecker products ------------------------------------------------------
+
+def test_kron_and_take_match_entrywise_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+    shape = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(shape, shape, st.data())
+    def check(sa, sb, data):
+        a, b = data.draw(matrix(*sa)), data.draw(matrix(*sb))
+        assert_same(a.kron(b), ref.kron(a, b))
+        rows = data.draw(st.lists(st.integers(0, a.rows - 1))) if a.rows else []
+        assert_same(a.take(rows), Mat.from_rows([a.row(i) for i in rows])
+                    if rows else Mat.zeros(0, a.cols))
+    check()
+
+
+def test_kron_over_z_and_zi():
+    i = GaussianRational(0, 1)
+    a = Mat.from_rows([[1, 2], [Fraction(1, 3), 0]])
+    b = Mat.from_rows([[i, 1], [GaussianRational(1, 1), Fraction(3, 2)]])
+    for x, y in ((a, a), (a, b), (b, a), (b, b)):
+        assert_same(x.kron(y), ref.kron(x, y))
+    # canonical factors whose product row shares a factor with its
+    # denominator: ((1 + i) / 2)^2 = 2i / 4 = i / 2, and 3/2 times 2/3
+    c = Mat.from_rows([[GaussianRational(Fraction(1, 2), Fraction(1, 2))]])
+    assert_same(c.kron(c), Mat.from_rows([[GaussianRational(0, Fraction(1, 2))]]))
+    assert_same(Mat.from_rows([[Fraction(3, 2)]]).kron(Mat.from_rows([[Fraction(2, 3)]])),
+                 Mat.identity(1))
+    for rows, cols in ((0, 2), (2, 0), (0, 0)):
+        z = Mat.zeros(rows, cols)
+        assert_same(z.kron(b), ref.kron(z, b))
+        assert_same(b.kron(z), ref.kron(b, z))
+
+
+def test_ad_matrix_matches_index_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 4).flatmap(lambda d: matrix(d, d)))
+    def check(n):
+        assert_same(matrices.ad_matrix(n), ref.ad_matrix(n))
+    check()
+
+
+def test_ad_matrix_is_the_bracket():
+    rng = random.Random(13)
+    for d in range(1, 5):
+        n, x = _matrix(rng, True, rows=d, cols=d), _matrix(rng, True, rows=d, cols=d)
+        got = matrices.ad_matrix(n).mat_vec(x.vec())
+        assert Mat(d, d, got) == n @ x - x @ n
+
+
+@pytest.mark.parametrize("n", [-1, -2, 1.0, 2.5, "2"])
+def test_power_needs_a_nonnegative_int(n):
+    with pytest.raises(ValueError):
+        Mat.identity(2) ** n

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_normpos as ref
 from hodgecalc.errors import NotUnit
 from hodgecalc.lmhs import hermitian_psd_status
 from hodgecalc.matrices import Mat, rank
@@ -250,6 +251,64 @@ def test_semipositivity_zero_model():
     assert not rep.strongly_semi_positive
 
 
+# --- the curvature forms against their index loops --------------------------------------
+
+# unit fiber vectors with Gaussian rational entries, one per rank
+UNIT = {1: [GaussianRational(Fraction(3, 5), Fraction(4, 5))],
+        2: [GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(-4, 5))],
+        3: [GaussianRational(Fraction(2, 3)), GaussianRational(0, Fraction(1, 3)),
+            GaussianRational(Fraction(-2, 3))]}
+
+
+def _gauss_vector(rng, n):
+    return [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+
+
+def assert_forms_match_loops(model, rng):
+    theta = curvature_from_model(model)
+    e, xi = _gauss_vector(rng, model.rank_e), _gauss_vector(rng, model.dim_t)
+    assert theta.value(e, xi) == ref.value(theta, e, xi)
+    assert theta.horizontal_form(e) == ref.horizontal_form(theta, e)
+    assert theta.trace_form() == ref.trace_form(theta)
+    assert flat_directions(model, e) == ref.flat_directions(model, e)
+    unit = UNIT[model.rank_e]
+    assert flat_directions(model, unit) == ref.flat_directions(model, unit)
+    form = projectivized_chern_form(model, unit)
+    assert form.horizontal == ref.horizontal_form(theta, unit)
+    assert form.vertical == ref.vertical_block(model, unit)
+    dim_s = rng.randint(1, 3)
+    beta = [Mat(dim_s, model.rank_e, _gauss_vector(rng, dim_s * model.rank_e))
+            for _ in range(model.dim_t)]
+    q = _gauss_vector(rng, dim_s)
+    inclusion = Mat(model.rank_e, dim_s, _gauss_vector(rng, model.rank_e * dim_s))
+    expected = theta.value(inclusion.mat_vec(q), xi) + ref.quotient_correction(beta, q, xi)
+    assert quotient_curvature_at(theta, inclusion, beta, q, xi) == expected
+
+
+def test_forms_match_index_loops_on_g24(g24_model):
+    rng = random.Random(17)
+    for _ in range(10):
+        assert_forms_match_loops(g24_model, rng)
+    s2 = sym_power_model(g24_model, 2)
+    unit = [ONE, ZERO, ZERO, ZERO]
+    sym_basis = sym_subspace_basis(2, 2)
+    form = projectivized_chern_form(s2, unit, fiber_subspace=sym_basis)
+    assert form.vertical == ref.vertical_block(s2, unit, sym_basis)
+    assert form.horizontal == ref.horizontal_form(curvature_from_model(s2), unit)
+
+
+def test_forms_match_index_loops_on_seeded_complex_models():
+    rng = random.Random(23)
+    for _ in range(30):
+        model = _random_model(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+        assert_forms_match_loops(model, rng)
+
+
+def test_empty_quotient_correction():
+    theta = curvature_from_model(NormPositivityModel(0, 1, 1, Mat.zeros(1, 0)))
+    assert quotient_curvature_at(theta, Mat.identity(1), [], [1], []) == 0
+
+
 # --- multiplier ideals -------------------------------------------------------------------
 
 def test_multiplier_whole_ring():
@@ -285,3 +344,32 @@ def test_multiplier_antichain_and_generation():
     for beta in product(range(7), repeat=2):
         generated = any(all(x >= y for x, y in zip(beta, g)) for g in gens)
         assert generated == member(beta)
+
+
+def _box_walk(alpha, degree_bound):
+    """The generators and truncation flag from two walks of the
+    (bound+1)^n box, as multiplier_ideal_monomials first computed them."""
+    from itertools import product
+    alpha = [Fraction(a) for a in alpha]
+    n = len(alpha)
+
+    def member(beta):
+        return sum(Fraction(b + 1, 1) / a for b, a in zip(beta, alpha)) > 1
+
+    gens = [beta for beta in product(range(degree_bound + 1), repeat=n)
+            if sum(beta) <= degree_bound and member(beta)
+            and not any(beta[j] and member(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+                        for j in range(n))]
+    truncated = any(sum(beta) == degree_bound and not member(beta)
+                    for beta in product(range(degree_bound + 1), repeat=n))
+    return tuple(sorted(gens)), truncated
+
+
+def test_multiplier_simplex_walk_matches_box_walk():
+    rng = random.Random(29)
+    cases = [([], 0), ([], 3), ([1], 0), ([Fraction(1, 2)], 0), ([4, 4], 3), ([4, 4], 12)]
+    cases += [([Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))],
+               rng.randint(0, 8)) for _ in range(25)]
+    for alpha, bound in cases:
+        ideal = multiplier_ideal_monomials(alpha, bound)
+        assert (ideal.generators, ideal.truncated) == _box_walk(alpha, bound), (alpha, bound)

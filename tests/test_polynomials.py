@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from hodgecalc.matrices import Mat, det
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
 from hodgecalc.rationals import GaussianRational
@@ -99,3 +101,14 @@ def test_canonical_rendering():
 def test_json_round_trip():
     p = x(2, 0) * x(2, 1).scale(Fraction(3, 7)) - MultiPoly.const(2, Fraction(1, 2))
     assert MultiPoly.from_json(p.to_json()) == p
+
+
+def test_power():
+    assert x(1, 0) ** 0 == MultiPoly.const(1, 1)
+    assert x(2, 1) ** 3 == x(2, 1) * x(2, 1) * x(2, 1)
+
+
+@pytest.mark.parametrize("n", [-1, -2, 1.0, "2"])
+def test_power_needs_a_nonnegative_int(n):
+    with pytest.raises(ValueError):
+        x(1, 0) ** n

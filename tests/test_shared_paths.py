@@ -248,7 +248,10 @@ def test_grading_splittings_of_seeded_nilpotents():
 
 PHS_CASES = {"weight1-g2": (phs_weight1, 2), "weight1-g3": (phs_weight1, 3),
              "weight2-1-2": (phs_weight2, 1, 2), "weight2-2-2": (phs_weight2, 2, 2),
-             "weight2-3-4": (phs_weight2, 3, 4)}
+             "weight2-3-4": (phs_weight2, 3, 4),
+             # a period matrix with a real part
+             "weight1-g2-skewed": (phs_weight1, 2, Mat.from_rows(
+                 [[GaussianRational(1, 1), Fraction(1, 2)], [Fraction(1, 2), GaussianRational(0, 2)]]))}
 
 
 def stacked_coords(phs, v, key):
