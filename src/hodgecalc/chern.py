@@ -44,12 +44,10 @@ def chern_generator(rank: int, i: int) -> ChernSymbol:
     return ChernSymbol(rank, MultiPoly.variable(rank, i - 1))
 
 
-def schur_polynomial(partition, rank: int, *, pivot_row: int = 0) -> ChernSymbol:
+def schur_polynomial(partition, rank: int) -> ChernSymbol:
     """Determinant expansion of the Schur symbol of a partition.
 
-    The (i, j) entry of the underlying matrix is c_{lambda_i + j - i}; the
-    pivot_row argument only changes the expansion order (used to cross-check
-    the determinant by an independent expansion) and never the value.
+    The (i, j) entry of the underlying matrix is c_{lambda_i + j - i}.
     """
     lam = [int(x) for x in partition]
     if any(a < 0 for a in lam) or any(a < b for a, b in zip(lam, lam[1:])):
@@ -61,31 +59,7 @@ def schur_polynomial(partition, rank: int, *, pivot_row: int = 0) -> ChernSymbol
         return ChernSymbol(rank, MultiPoly.const(rank, 1))
     entries = [[chern_generator(rank, lam[i] + j - i).poly for j in range(n)]
                for i in range(n)]
-    if pivot_row:
-        r0 = pivot_row % n
-        order = [r0] + [i for i in range(n) if i != r0]
-        sign = _perm_sign(order)
-        entries = [entries[i] for i in order]
-        poly = poly_mat_det(entries)
-        return ChernSymbol(rank, poly if sign > 0 else -poly)
     return ChernSymbol(rank, poly_mat_det(entries))
-
-
-def _perm_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def segre_polynomial(degree: int, rank: int) -> ChernSymbol:

@@ -261,15 +261,12 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "monomial-map":
-        from .monomial import monomial_map, nonnegative_generators
+        from .monomial import MonomialMap, monomial_map, nonnegative_generators
         if doc.kind == "orbit":
             mm = monomial_map(doc.obj)
         elif doc.kind == "subspace":
-            rays = nonnegative_generators(doc.obj.row_list(), doc.obj.cols)
-            from .monomial import MonomialMap
-            mm = MonomialMap(tuple(sorted((tuple(int(x) for x in r) for r in rays),
-                                          reverse=True)),
-                             tuple(range(doc.obj.cols)))
+            mm = MonomialMap.from_rays(nonnegative_generators(doc.obj.row_list(), doc.obj.cols),
+                                       range(doc.obj.cols))
         else:
             raise SchemaError("monomial-map needs an orbit or subspace document")
         f.update(mm.to_json())
@@ -291,9 +288,11 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         if doc.kind == "orbit":
             mm = monomial_map(doc.obj)
         elif doc.kind == "subspace":
-            exps = tuple(tuple(int(x.real_or_raise()) for x in doc.obj.row(i))
-                         for i in range(doc.obj.rows))
-            mm = MonomialMap(exps, tuple(range(doc.obj.cols)))
+            exps = [[x.re for x in row] for row in doc.obj.row_list()]
+            if any(x.denominator != 1 for row in exps for x in row):
+                raise SchemaError("refine needs a basis of integer exponent vectors")
+            mm = MonomialMap(tuple(tuple(map(int, row)) for row in exps),
+                             tuple(range(doc.obj.cols)))
         else:
             raise SchemaError("refine needs an orbit or subspace document")
         ref = connected_refinement(mm)

@@ -3,83 +3,74 @@
 Cones are handled in the halfspace form {y : a . y >= 0 for a in rows};
 the incremental algorithm maintains a lineality basis and an extreme-ray
 list, with the classical combinatorial adjacency test, so the output rays
-are exactly the extreme rays.  All arithmetic is rational.
+are exactly the extreme rays.  Every vector is a primitive integer vector:
+scaling by a positive rational changes neither a halfspace nor a ray, so
+all arithmetic is on ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSpanned
 from .matrices import Mat, rank, rref
-from .rationals import GaussianRational
+from .rationals import as_gauss
 
 
-def _as_frac(x) -> Fraction:
-    if isinstance(x, GaussianRational):
-        return x.real_or_raise()
-    return Fraction(x)
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _project(v, a, p, d):
+    """d v - (a . v) p: v moved along p into the hyperplane a . y = 0, for
+    a . p = d."""
+    c = _dot(a, v)
+    return [d * x - c * y for x, y in zip(v, p)]
 
 
-def _scale_primitive(v):
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    denoms = [x.denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _primitive(v):
+    """An int vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def primitive_ray(v):
+    """The primitive integer vector on the ray of a real rational vector
+    (entries int, Fraction, decimal string or real GaussianRational)."""
+    ratios = [as_gauss(x).real_or_raise().as_integer_ratio() for x in v]
+    d = lcm(*[q for _, q in ratios])
+    return _primitive([p * (d // q) for p, q in ratios])
 
 
 def dd_extreme_rays(inequalities, dim: int):
     """Extreme rays and final lineality of {y in R^dim : a . y >= 0}.
 
-    Returns (rays, lineality) as tuples of rational tuples; rays are
-    primitive-integer scaled.
+    Returns (rays, lineality) as tuples of primitive integer tuples; the
+    lineality vectors are those of its reduced row echelon basis.
     """
-    lineality = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-                 for i in range(dim)]
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []           # list of (vector, zero-set frozenset)
     processed = []
 
-    for a in inequalities:
-        a = tuple(_as_frac(x) for x in a)
-        idx = len(processed)
-        # reduce lineality if it sticks out of the hyperplane
-        pivot = None
-        for l in lineality:
-            d = _dot(a, l)
-            if d != 0:
-                pivot = tuple(x / d for x in l)
-                break
-        if pivot is not None:
-            lineality = [tuple(x - _dot(a, l) * p for x, p in zip(l, pivot))
-                         for l in lineality]
-            lineality = [l for l in lineality if any(l)]
+    for idx, a in enumerate(inequalities):
+        a = primitive_ray(a)
+        processed.append(a)
+        p = next((l for l in lineality if _dot(a, l)), None)
+        if p is not None:
+            # the lineality vector p sticks out of the hyperplane: oriented
+            # into the halfspace it becomes a ray, and the rest of the
+            # lineality is projected into the hyperplane along it
+            d = _dot(a, p)
+            if d < 0:
+                p, d = tuple(-x for x in p), -d
+            lineality = [w for w in (_project(l, a, p, d) for l in lineality) if any(w)]
             # keep an independent basis
             if lineality:
-                m = Mat.from_rows([list(l) for l in lineality])
-                red, piv, rk = rref(m)
-                lineality = [tuple(Fraction(x.re) for x in red.row(i)) for i in range(rk)]
-            new_rays = []
-            for v, z in rays:
-                d = _dot(a, v)
-                w = tuple(x - d * p for x, p in zip(v, pivot))
-                new_rays.append((w, z | {idx}))
-            new_rays.append((tuple(pivot), frozenset(
-                j for j in range(idx) if _dot(processed[j], pivot) == 0)))
-            rays = [(v, frozenset(z)) for v, z in new_rays]
-            processed.append(a)
+                red, _, rk = rref(Mat.from_rows(lineality))
+                lineality = [primitive_ray(red.row(i)) for i in range(rk)]
+            rays = [(_primitive(_project(v, a, p, d)), z | {idx}) for v, z in rays]
+            # the lineality lies in every earlier hyperplane, and so does p
+            rays.append((p, frozenset(range(idx))))
             continue
 
         plus, zero, minus = [], [], []
@@ -95,51 +86,18 @@ def dd_extreme_rays(inequalities, dim: int):
         for vp, zp, dp in plus:
             for vm, zm, dm in minus:
                 common = zp & zm
-                adjacent = True
-                for v3, z3, _ in plus:
-                    if v3 is not vp and common <= z3:
-                        adjacent = False
-                        break
-                if adjacent:
-                    for v3, z3, _ in minus:
-                        if v3 is not vm and common <= z3:
-                            adjacent = False
-                            break
-                if adjacent:
-                    for v3, z3 in zero:
-                        if common <= z3:
-                            adjacent = False
-                            break
+                adjacent = (not any(v3 is not vp and common <= z3 for v3, z3, _ in plus)
+                            and not any(v3 is not vm and common <= z3 for v3, z3, _ in minus)
+                            and not any(common <= z3 for _, z3 in zero))
                 if not adjacent:
                     continue
-                w = tuple(dp * x - dm * y for x, y in zip(vm, vp))
-                # normalize early to keep numbers small
-                w = tuple(Fraction(x) for x in _scale_primitive(w))
-                zw = frozenset(j for j in range(idx + 1)
-                               if _dot((processed + [a])[j], w) == 0)
-                new_rays.append((w, zw))
-        # update zero sets of surviving rays for the new inequality
-        rays = []
-        seen = set()
-        for v, z in new_rays:
-            key = _scale_primitive(v)
-            if key in seen:
-                continue
-            seen.add(key)
-            zz = frozenset(j for j in range(idx + 1)
-                           if _dot((processed + [a])[j], v) == 0)
-            rays.append((v, zz))
-        processed.append(a)
+                w = _primitive([dp * x - dm * y for x, y in zip(vm, vp)])
+                new_rays.append((w, frozenset(j for j, b in enumerate(processed)
+                                              if _dot(b, w) == 0)))
+        # the zero sets are exact, so only repeated rays go
+        rays = list(dict(new_rays).items())
 
-    out = []
-    seen = set()
-    for v, _ in rays:
-        key = _scale_primitive(v)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    lin = tuple(_scale_primitive(l) for l in lineality)
-    return tuple(sorted(out)), lin
+    return tuple(sorted({v for v, _ in rays})), tuple(lineality)
 
 
 def nonnegative_extreme_rays(basis_rows, ambient: int):
@@ -147,35 +105,24 @@ def nonnegative_extreme_rays(basis_rows, ambient: int):
 
     Raises NotSpanned if the rays fail to span the subspace.
     """
-    rows = [tuple(_as_frac(x) for x in r) for r in basis_rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
+    # parametrize the subspace by its canonical rref basis
+    red, _, rk = rref(Mat.from_rows(basis_rows))
+    if not rk:
         return tuple()
-    d = rank(Mat.from_rows([list(r) for r in rows]))
-    # parametrize the subspace by the first d independent rows (canonical rref)
-    red, piv, rk = rref(Mat.from_rows([list(r) for r in rows]))
-    param = [tuple(Fraction(x.re) for x in red.row(i)) for i in range(rk)]
+    param = [primitive_ray(red.row(i)) for i in range(rk)]
     # y in R^rk, x = sum y_i param_i; inequality rows: coordinates of x
-    ineqs = []
-    for coord in range(ambient):
-        ineqs.append(tuple(p[coord] for p in param))
+    ineqs = [tuple(p[coord] for p in param) for coord in range(ambient)]
     rays_y, lin = dd_extreme_rays(ineqs, rk)
     if lin:
         raise NotSpanned("internal error: nonnegative cone contains a line")
     rays_x = []
     for ry in rays_y:
-        x = [Fraction(0)] * ambient
-        for c, p in zip(ry, param):
-            if c:
-                x = [a + c * b for a, b in zip(x, p)]
+        x = [_dot(ry, col) for col in ineqs]
         if any(v < 0 for v in x):
             raise NotSpanned("internal error: ray escapes the orthant")
-        rays_x.append(_scale_primitive(x))
+        rays_x.append(_primitive(x))
     rays_x = sorted(set(rays_x))
-    if not rays_x:
-        span_rank = 0
-    else:
-        span_rank = rank(Mat.from_rows([list(r) for r in rays_x]))
+    span_rank = rank(Mat.from_rows(rays_x))
     if span_rank != rk:
         raise NotSpanned(
             f"non-negative rays span rank {span_rank} < subspace rank {rk}")
@@ -189,15 +136,11 @@ def hull_contains(points, query) -> bool:
     satisfies every facet inequality of the cone over the lifted points and
     lies in their linear span.
     """
-    pts = [tuple(_as_frac(x) for x in p) + (Fraction(1),) for p in points]
-    q = tuple(_as_frac(x) for x in query) + (Fraction(1),)
-    d = len(q)
-    span = Mat.from_rows([list(p) for p in pts])
-    if rank(Mat.from_rows([list(p) for p in pts] + [list(q)])) != rank(span):
+    pts = [primitive_ray(tuple(p) + (1,)) for p in points]
+    q = primitive_ray(tuple(query) + (1,))
+    span = Mat.from_rows(pts)
+    if rank(Mat.from_rows(pts + [q])) != rank(span):
         return False
     # dual cone {h : h . p >= 0 for all p}; its rays/lineality give all facets
-    rays, lin = dd_extreme_rays([p for p in pts], d)
-    for h in rays:
-        if _dot([Fraction(x) for x in h], q) < 0:
-            return False
-    return True
+    rays, _ = dd_extreme_rays(pts, len(q))
+    return all(_dot(h, q) >= 0 for h in rays)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
-from .lmhs import hermitian_psd_status
 from .matrices import (
-    Mat, Splitting, ad_matrix, inverse, kernel_matrix, kernel_space, rank, rref, sub_canonical,
+    Mat, Splitting, ad_matrix, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
+    rref, solve, sub_canonical,
 )
 from .rationals import GaussianRational, ZERO, ONE, i_power
 
@@ -252,16 +252,13 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     Solves within the (-1)-graded piece; raises when the block is not
     attainable (the block map is injective on the piece, so the solution is
     unique when it exists)."""
-    from .matrices import solve
     gm1 = ge.pieces.get(-1)
     if gm1 is None or gm1.rows == 0:
         raise ZeroVector("the (-1) piece is trivial")
-    cols = []
-    for i in range(gm1.rows):
-        xi = ge.unflatten(gm1.row(i))
-        cols.append(list(top_block(ge, xi).vec()))
-    m = Mat.from_rows(cols).transpose()
-    c = solve(m, list(target.vec()))
+    n = ge.phs.weight
+    # column i is the flattened top block of the i-th basis vector of the piece
+    m = ge.splitting.flat_blocks(gm1, (n, 0), (n - 1, 1)).transpose()
+    c = solve(m, target.vec())
     if c is None:
         raise ZeroVector("no horizontal direction has the requested block")
     out = ge.unflatten((Mat.from_rows([c]) @ gm1).entries)

@@ -350,7 +350,7 @@ class StratumPiece:
     orbit: PolarizedOrbitSpec
 
 
-def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "echelon"):
+def associated_graded_orbit(spec: PolarizedOrbitSpec, subset):
     """Primitive graded pieces of W(N_I) with their induced orbit data.
 
     The splitting is the deterministic echelon grading element of N_I; on
@@ -366,7 +366,7 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset, *, rule: str = "ec
     d, n = spec.dim, spec.weight
     n_i = spec.n_sum(subset)
     wf = weight_filtration(n_i, n)
-    _, split = grading_splitting(n_i, wf, rule=rule)
+    _, split = grading_splitting(n_i, wf)
 
     complement = [j for j in range(k) if j not in subset]
     levels = flag_levels(spec.flag, n, d)

@@ -866,13 +866,13 @@ def kernel_space(m: Mat) -> Mat:
 
 def extend_basis(sub: Mat, candidates: Mat) -> Mat:
     """The rows of `candidates`, taken in order, that each raise the rank of
-    `sub` plus the rows already taken (sub must have independent rows)."""
-    chosen = []
-    for i in range(candidates.rows):
-        trial = Mat.stack([sub, candidates.take(chosen + [i])])
-        if rank(trial) > sub.rows + len(chosen):
-            chosen.append(i)
-    return candidates.take(chosen)
+    `sub` plus the rows already taken (sub must have independent rows).
+
+    One elimination of [sub^T | candidates^T]: a column is a pivot exactly
+    when it is outside the span of the columns before it, so the pivots
+    after the first sub.rows columns mark the rows to take."""
+    _, pivots, _ = rref(Mat.stack([sub, candidates]).transpose())
+    return candidates.take([p - sub.rows for p in pivots if p >= sub.rows])
 
 
 def sub_complement_in(sub: Mat, sup: Mat) -> Mat:
@@ -980,6 +980,13 @@ class Splitting:
         """The V_src -> V_dst block of m: column i holds the V_dst coordinates
         of m applied to the i-th basis vector of V_src."""
         return self._duals[dst] @ m @ self.spaces[src].transpose()
+
+    def flat_blocks(self, flat: Mat, src, dst) -> Mat:
+        """The V_src -> V_dst blocks of the endomorphisms whose row-major
+        flattenings are the rows of `flat`, each block flattened the same way,
+        from one product: vec(D X S^T) = (D (x) S) vec(X) for the block
+        D X S^T of X."""
+        return flat @ self._duals[dst].kron(self.spaces[src]).transpose()
 
     def projector(self, k) -> Mat:
         """The projection onto V_k along the other subspaces."""

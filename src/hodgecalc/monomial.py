@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cones import nonnegative_extreme_rays, _scale_primitive
+from .cones import nonnegative_extreme_rays, primitive_ray
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
@@ -96,6 +96,12 @@ class MonomialMap:
             out.append("*".join(factors) if factors else "1")
         return tuple(out)
 
+    @classmethod
+    def from_rays(cls, rays, variables) -> "MonomialMap":
+        """The map whose exponents are the given primitive rays, largest
+        first."""
+        return cls(tuple(sorted(rays, reverse=True)), tuple(variables))
+
     def to_json(self):
         return {"exponents": [list(r) for r in self.exponents],
                 "variables": [j + 1 for j in self.variables],
@@ -111,11 +117,7 @@ def monomial_map(spec: PolarizedOrbitSpec) -> MonomialMap:
     """Monomials separating the fibers of the full orbit."""
     rs = relation_space(spec.nilpotents)
     k = spec.num_params
-    rays = nonnegative_generators([list(r) for r in rs.orth_basis], k) \
-        if rs.orth_basis else tuple()
-    return MonomialMap(tuple(sorted((tuple(int(x) for x in r) for r in rays),
-                                    reverse=True)),
-                       tuple(range(k)))
+    return MonomialMap.from_rays(nonnegative_generators(rs.orth_basis, k), range(k))
 
 
 def w_minus1_end(n_cone: Mat) -> Mat:
@@ -160,11 +162,8 @@ def stratum_monomial_map(spec: PolarizedOrbitSpec, subset) -> MonomialMap:
     rel_rows, complement = stratum_relation_rows(spec, subset)
     space = _vec_rows_to_space(rel_rows, len(complement))
     orth = _orth_complement(space, len(complement))
-    rays = nonnegative_generators(orth.row_list(), len(complement)) \
-        if orth.rows else tuple()
-    return MonomialMap(tuple(sorted((tuple(int(x) for x in r) for r in rays),
-                                    reverse=True)),
-                       tuple(complement))
+    return MonomialMap.from_rays(nonnegative_generators(orth.row_list(), len(complement)),
+                                 complement)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def compatibility_check(spec: PolarizedOrbitSpec, small, large) -> Compatibility
 def _compatibility(spec, small, large, relations, w_large: Mat) -> CompatibilityReport:
     """compatibility_check from the relation rows of `small` and W_-1 of `large`."""
     rel_rows, complement = relations
-    gens = tuple(_scale_primitive([Fraction(x.re) for x in row]) for row in rel_rows)
+    gens = tuple(primitive_ray(row) for row in rel_rows)
     d = spec.dim
     verdicts = []
     for g in gens:

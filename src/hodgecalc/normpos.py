@@ -15,8 +15,7 @@ from itertools import product
 import random
 
 from .errors import DimensionMismatch, NotUnit
-from .lmhs import hermitian_psd_status
-from .matrices import Mat, kernel_basis, kernel_matrix, rank
+from .matrices import Mat, hermitian_psd_status, kernel_basis, kernel_matrix, rank
 from .polynomials import MultiPoly, poly_mat_det
 from .rationals import GaussianRational, ZERO, as_gauss
 
@@ -39,20 +38,9 @@ class NormPositivityModel:
         if self.a.rows != self.rank_g or self.a.cols != self.rank_e * self.dim_t:
             raise DimensionMismatch("model matrix shape mismatch")
 
-    def col(self, alpha: int, i: int) -> int:
-        return alpha * self.dim_t + i
-
     def apply(self, e, xi):
         """A(e (x) xi) for vectors e in E, xi in T."""
-        e = [as_gauss(x) for x in e]
-        xi = [as_gauss(x) for x in xi]
-        tensor = [ZERO] * (self.rank_e * self.dim_t)
-        for alpha, ea in enumerate(e):
-            if ea:
-                for i, xv in enumerate(xi):
-                    if xv:
-                        tensor[self.col(alpha, i)] = ea * xv
-        return self.a.mat_vec(tensor)
+        return (self.a @ Mat(self.rank_e, 1, e).kron(Mat(self.dim_t, 1, xi))).entries
 
     def to_json(self):
         return {"dimT": self.dim_t, "rankE": self.rank_e, "rankG": self.rank_g,
@@ -119,29 +107,27 @@ def sym_power_model(model: NormPositivityModel, k: int) -> NormPositivityModel:
         raise ValueError("power must be >= 1")
     if k == 1:
         return model
-    r, t, g = model.rank_e, model.dim_t, model.rank_g
-    re_k = r ** k
-    block = (r ** (k - 1)) * g
-    rg_k = k * block
-    entries = {}
-    for alphas in product(range(r), repeat=k):
-        a_idx = 0
-        for a in alphas:
-            a_idx = a_idx * r + a
-        for i in range(t):
-            col = a_idx * t + i
-            for pos in range(k):
-                rest = alphas[:pos] + alphas[pos + 1:]
-                rest_idx = 0
-                for a in rest:
-                    rest_idx = rest_idx * r + a
-                for gamma in range(g):
-                    row = pos * block + rest_idx * g + gamma
-                    val = model.a[gamma, model.col(alphas[pos], i)]
-                    if val:
-                        entries[(row, col)] = entries.get((row, col), ZERO) + val
-    flat = [entries.get((i, j), ZERO) for i in range(rg_k) for j in range(re_k * t)]
-    return NormPositivityModel(t, re_k, rg_k, Mat(rg_k, re_k * t, flat))
+    r, t = model.rank_e, model.dim_t
+    identity = Mat.identity(r ** k)
+    rest_a = Mat.identity(r ** (k - 1)).kron(model.a)
+    slots = []
+    for pos in range(k):
+        # S_pos moves the factor in slot pos of E^(x)k to the last place: its
+        # row (rest, a) picks the tensor index with a put back into slot pos
+        s_pos = identity.take([_tensor_index(s[:pos] + s[-1:] + s[pos:-1], r)
+                               for s in product(range(r), repeat=k)])
+        # slot pos of the target: A applied to that factor, the rest kept
+        slots.append(rest_a @ s_pos.kron(Mat.identity(t)))
+    a_k = Mat.stack(slots)
+    return NormPositivityModel(t, r ** k, a_k.rows, a_k)
+
+
+def _tensor_index(alphas, rank_e: int) -> int:
+    """The position of e_{a1} (x) ... (x) e_{ak} in the tensor power."""
+    idx = 0
+    for a in alphas:
+        idx = idx * rank_e + a
+    return idx
 
 
 def sym_vector(indices, rank_e: int):
@@ -156,9 +142,7 @@ def sym_vector(indices, rank_e: int):
     perms = list(permutations(indices))
     coeff = GaussianRational(Fraction(1, len(perms)))
     for p in perms:
-        idx = 0
-        for a in p:
-            idx = idx * rank_e + a
+        idx = _tensor_index(p, rank_e)
         v[idx] = v[idx] + coeff
     norm2 = sum((x.abs2() for x in v), Fraction(0))
     return v, norm2
@@ -185,20 +169,6 @@ class ProjectivizedForm:
     psd: bool
     positive_definite: bool
     horizontal_kernel_dim: int
-
-    def full(self) -> Mat:
-        h, v = self.horizontal, self.vertical
-        n = h.rows + v.rows
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                if i < h.rows and j < h.rows:
-                    entries.append(h[i, j])
-                elif i >= h.rows and j >= h.rows:
-                    entries.append(v[i - h.rows, j - h.rows])
-                else:
-                    entries.append(ZERO)
-        return Mat(n, n, entries)
 
 
 def projectivized_chern_form(model: NormPositivityModel, e, *,
@@ -284,23 +254,13 @@ def chern_form_norm(model: NormPositivityModel, q: int, subspace_rows) -> Fracti
     if q == 0:
         return Fraction(1)
     # E-valued matrix: entry (gamma, column c) is a linear polynomial in the
-    # fiber coordinates
+    # fiber coordinates, whose coefficients are row gamma of A (I_E (x) xi_c)
+    units = [tuple(int(j == alpha) for j in range(model.rank_e)) for alpha in range(model.rank_e)]
     cols = []
     for r in rows:
-        xi = [as_gauss(x) for x in r]
-        col = []
-        for gamma in range(model.rank_g):
-            p = MultiPoly.zero(model.rank_e)
-            for alpha in range(model.rank_e):
-                coef = ZERO
-                for i in range(model.dim_t):
-                    a = model.a[gamma, model.col(alpha, i)]
-                    if a and xi[i]:
-                        coef = coef + a * xi[i]
-                if coef:
-                    p = p + MultiPoly.variable(model.rank_e, alpha).scale(coef)
-            col.append(p)
-        cols.append(col)
+        forms = model.a @ Mat.identity(model.rank_e).kron(Mat(model.dim_t, 1, r))
+        cols.append([MultiPoly(model.rank_e, dict(zip(units, forms.row(gamma))))
+                     for gamma in range(model.rank_g)])
     total = Fraction(0)
     from itertools import combinations
     from math import factorial
@@ -325,15 +285,13 @@ def trace_form_power_vanishes(model: NormPositivityModel, q: int) -> bool:
 
 
 def tangent_to_hom_rank(model: NormPositivityModel) -> int:
-    """Rank of A viewed as T -> Hom(E, G)."""
-    cols = []
-    for i in range(model.dim_t):
-        col = []
-        for gamma in range(model.rank_g):
-            for alpha in range(model.rank_e):
-                col.append(model.a[gamma, model.col(alpha, i)])
-        cols.append(col)
-    return rank(Mat.from_rows(cols))
+    """Rank of A viewed as T -> Hom(E, G): the rank of the column blocks
+    A (e_alpha (x) I_T) of A, one for each frame vector of E, stacked."""
+    t = model.dim_t
+    columns = model.a.transpose()
+    blocks = [columns.take(range(alpha * t, (alpha + 1) * t)).transpose()
+              for alpha in range(model.rank_e)]
+    return rank(Mat.stack(blocks)) if blocks else 0
 
 
 # ---------------------------------------------------------------------------

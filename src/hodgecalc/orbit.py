@@ -217,14 +217,14 @@ def _split_exponent(exp, subset):
     return ei, ec
 
 
-def stratum_metric_polynomial(spec: PolarizedOrbitSpec, subset, *, rule: str = "echelon") -> MultiPoly:
+def stratum_metric_polynomial(spec: PolarizedOrbitSpec, subset) -> MultiPoly:
     """Metric polynomial of the boundary stratum, in the complement variables.
 
     Product over the primitive graded pieces of the stratum degeneration,
     normalized to leading coefficient 1.
     """
     num_vars = spec.num_params - len(set(subset))
-    return _pieces_polynomial(associated_graded_orbit(spec, subset, rule=rule), num_vars)
+    return _pieces_polynomial(associated_graded_orbit(spec, subset), num_vars)
 
 
 def _pieces_polynomial(pieces, num_vars: int) -> MultiPoly:

@@ -129,6 +129,7 @@ def _build_model(payload) -> NormPositivityModel:
 def _build_subspace(payload) -> Mat:
     _require("basis" in payload, "subspace payload is missing 'basis'")
     basis = _parse_matrix(payload["basis"], "basis")
+    _require(basis.is_real(), "subspace basis must be real")
     if "ambient" in payload:
         _require(basis.cols == _int_field(payload, "ambient"),
                  "basis vectors must match the ambient dimension")

@@ -131,25 +131,21 @@ def _check_weight_filtration(n: Mat, wf: WeightFiltration):
 # Grading elements and sl2 triples
 # ---------------------------------------------------------------------------
 
-def grading_element(n: Mat, wf: WeightFiltration, rule: str = "echelon") -> Mat:
+def grading_element(n: Mat, wf: WeightFiltration) -> Mat:
     """A semisimple Y with eigenspaces splitting wf and [Y, n] = -2n; see
     `grading_splitting`."""
-    return grading_splitting(n, wf, rule)[0]
+    return grading_splitting(n, wf)[0]
 
 
-def grading_splitting(n: Mat, wf: WeightFiltration, rule: str = "echelon"):
+def grading_splitting(n: Mat, wf: WeightFiltration):
     """(Y, its eigenspace splitting): Y is a semisimple grading element of wf
     with [Y, n] = -2n, and the splitting is keyed by Hodge-indexed weight.
 
     Construction: lift the primitive subspace of each graded piece (echelon
     representatives, corrected so the appropriate power of n kills the lift
     exactly), then propagate down the strings by n; the string vectors are
-    the basis of the splitting.  `rule` selects the deterministic complement
-    choice; "reversed" flips the candidate order and exists to let tests
-    confirm that reported invariants do not depend on the splitting.
+    the basis of the splitting.
     """
-    if rule not in ("echelon", "reversed"):
-        raise ValueError(f"unknown splitting rule {rule!r}")
     d = n.rows
     nw = wf.weight
     s = max((abs(k - nw) for k in range(2 * nw + 1) if wf.graded_dims[k]), default=0)
@@ -173,10 +169,7 @@ def grading_splitting(n: Mat, wf: WeightFiltration, rule: str = "echelon"):
         else:
             coeffs = Mat.identity(wk.rows)
         prim_cand = sub_canonical(coeffs @ wk)
-        candidates = prim_cand
-        if rule == "reversed" and prim_cand.rows:
-            candidates = Mat.from_rows(prim_cand.row_list()[::-1])
-        lifts = extend_basis(sub_intersect(prim_cand, wk1), candidates)
+        lifts = extend_basis(sub_intersect(prim_cand, wk1), prim_cand)
         for v in lifts.row_list():
             w = powers[m + 1].mat_vec(v)
             if any(w):

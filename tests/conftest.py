@@ -45,6 +45,16 @@ def g24_model():
     return load_fixture("grassmannian-g24").obj
 
 
+def reverse_grading_candidates(monkeypatch):
+    """Make the grading construction of `weightfilt` take its primitive lifts
+    from the candidate rows in reversed order: another valid splitting, for
+    checks that reported invariants do not depend on the splitting."""
+    from hodgecalc import weightfilt
+    extend = weightfilt.extend_basis
+    monkeypatch.setattr(weightfilt, "extend_basis", lambda sub, candidates: extend(
+        sub, candidates.take(range(candidates.rows - 1, -1, -1))))
+
+
 def random_nilpotent(rng: random.Random, dim: int) -> Mat:
     """A seeded random nilpotent: strictly upper triangular conjugated by a
     random unimodular lower-triangular matrix."""

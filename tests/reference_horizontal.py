@@ -11,9 +11,9 @@ algebra can be checked against it the same way.
 
 from __future__ import annotations
 
-from hodgecalc.errors import NotPolarized
-from hodgecalc.horizontal import PolarizedHS
-from hodgecalc.matrices import Mat, inverse, kernel_basis, sub_canonical, sub_zero
+from hodgecalc.errors import NotPolarized, ZeroVector
+from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
+from hodgecalc.matrices import Mat, inverse, kernel_basis, solve, sub_canonical, sub_zero
 from hodgecalc.rationals import ONE, ZERO
 
 
@@ -90,3 +90,24 @@ def graded_end_pieces(phs: PolarizedHS) -> dict:
         raise NotPolarized(
             f"graded pieces have dimension {total}, algebra has {lie_space.rows}")
     return pieces
+
+
+def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
+    """``hodgecalc.horizontal.direction_with_block`` as it read the top block
+    of each basis vector of the (-1) piece one at a time, unflattening the
+    vector and calling ``top_block`` on it."""
+    gm1 = ge.pieces.get(-1)
+    if gm1 is None or gm1.rows == 0:
+        raise ZeroVector("the (-1) piece is trivial")
+    cols = []
+    for i in range(gm1.rows):
+        xi = ge.unflatten(gm1.row(i))
+        cols.append(list(top_block(ge, xi).vec()))
+    m = Mat.from_rows(cols).transpose()
+    c = solve(m, list(target.vec()))
+    if c is None:
+        raise ZeroVector("no horizontal direction has the requested block")
+    out = ge.unflatten((Mat.from_rows([c]) @ gm1).entries)
+    if top_block(ge, out) != target:
+        raise ZeroVector("internal error: block solve failed")
+    return out

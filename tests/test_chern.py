@@ -6,7 +6,7 @@ from hodgecalc.chern import (
     chern_generator, grothendieck_defect, schur_polynomial, segre_polynomial,
 )
 from hodgecalc.errors import InvalidPartition
-from hodgecalc.polynomials import MultiPoly
+from hodgecalc.polynomials import MultiPoly, poly_mat_det
 
 
 def c(r, i):
@@ -32,13 +32,32 @@ def test_schur_invalid():
         schur_polynomial([4], 3)
 
 
+def _perm_sign(order) -> int:
+    sign = 1
+    seen = [False] * len(order)
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def test_schur_alternate_expansion_agrees():
-    # cross-check the determinant by expanding along a different row
+    # cross-check the determinant by expanding it with row 1 moved to the top
     for partition in ([1, 1], [2, 1], [2, 2], [1, 1, 1], [3, 2, 1]):
+        n = len(partition)
+        order = [1] + [i for i in range(n) if i != 1]
         for rank in (3, 4):
-            a = schur_polynomial(partition, rank)
-            b = schur_polynomial(partition, rank, pivot_row=1)
-            assert a == b
+            entries = [[c(rank, partition[i] + j - i) for j in range(n)] for i in range(n)]
+            b = poly_mat_det([entries[i] for i in order])
+            assert schur_polynomial(partition, rank).poly == (b if _perm_sign(order) > 0 else -b)
 
 
 def test_schur_single_columns_match_dual_identity():

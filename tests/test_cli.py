@@ -254,6 +254,16 @@ BAD_DOCUMENTS = {
                                ["0", {"re": "0", "im": "1"}, "7"]]}}),
     "weight2-omega-too-small": ("validate", _mutated("weight2-normal-form",
                                                      omega=[["1"]])),
+    # refine reads a subspace basis as exponent vectors, so they must be
+    # integers; no subspace basis may have a non-real entry
+    "refine-half-exponent": ("refine", {"kind": "subspace",
+                                        "payload": {"basis": [["1/2", 1]]}}),
+    "refine-fractional-exponents": ("refine", {"kind": "subspace",
+                                               "payload": {"basis": [["3/2", "1/2"]]}}),
+    "monomial-map-gaussian-basis": ("monomial-map", {"kind": "subspace", "payload": {
+        "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
+    "refine-gaussian-basis": ("refine", {"kind": "subspace", "payload": {
+        "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
 }
 
 

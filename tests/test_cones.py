@@ -6,11 +6,13 @@ from itertools import combinations
 
 import pytest
 
+import reference_cones as ref
 from hodgecalc.cones import (
-    dd_extreme_rays, hull_contains, nonnegative_extreme_rays, _scale_primitive,
+    dd_extreme_rays, hull_contains, nonnegative_extreme_rays, primitive_ray,
 )
 from hodgecalc.errors import NotSpanned
 from hodgecalc.matrices import Mat, kernel_basis, rank
+from hodgecalc.rationals import GaussianRational
 
 
 def _brute_force_rays(basis_rows, ambient):
@@ -54,7 +56,7 @@ def _brute_force_rays(basis_rows, ambient):
             actual = frozenset(j for j, v in enumerate(x) if v)
             if not actual <= frozenset(support):
                 continue
-            rays.append((_scale_primitive(x), actual))
+            rays.append((primitive_ray(x), actual))
     # keep support-minimal representatives
     out = set()
     for v, sup in rays:
@@ -125,3 +127,83 @@ def test_hull_on_affine_subspace():
     assert hull_contains(pts, (1, 1))
     assert not hull_contains(pts, (1, 0))
     assert not hull_contains(pts, (3, -1))
+
+
+# --- against the Fraction implementation ---------------------------------------------
+
+def _entry(rng):
+    """An int, or now and then a Fraction or a real GaussianRational."""
+    x = rng.randint(-3, 3)
+    roll = rng.random()
+    if roll < 0.15:
+        return Fraction(x, rng.choice((2, 3, 5)))
+    if roll < 0.25:
+        return GaussianRational(Fraction(x, rng.choice((1, 4))))
+    return x
+
+
+def _system(rng):
+    """Seeded inequalities on R^dim: fewer rows than dim leave a lineality,
+    zero and repeated rows included."""
+    dim = rng.randint(0, 5)
+    rows = [[_entry(rng) for _ in range(dim)] for _ in range(rng.randint(0, 7))]
+    if rows and rng.random() < 0.3:
+        rows.append([0] * dim)
+    if rows and rng.random() < 0.3:
+        rows.append([2 * x for x in rng.choice(rows)])
+    return rows, dim
+
+
+def test_dd_extreme_rays_match_fraction_implementation():
+    lines = 0
+    for seed in range(1500):
+        rows, dim = _system(random.Random(seed))
+        rays, lin = dd_extreme_rays(rows, dim)
+        assert (rays, lin) == ref.dd_extreme_rays(rows, dim), seed
+        lines += bool(rays) and bool(lin)
+    assert lines >= 100    # cones with rays that are not pointed
+
+
+def test_dd_extreme_rays_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4),
+                                                    st.integers(1, 6)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 4).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                                     max_size=6))))
+    def check(case):
+        dim, rows = case
+        assert dd_extreme_rays(rows, dim) == ref.dd_extreme_rays(rows, dim)
+    check()
+
+
+def test_nonnegative_rays_and_hulls_match_fraction_implementation():
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except NotSpanned as exc:
+            return str(exc)
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        ambient = rng.randint(1, 5)
+        rows = [[_entry(rng) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+        assert (outcome(nonnegative_extreme_rays, rows, ambient)
+                == outcome(ref.nonnegative_extreme_rays, rows, ambient)), seed
+        dim = rng.randint(1, 3)
+        points = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                  for _ in range(rng.randint(0, 5))]
+        query = tuple(rng.randint(-2, 2) for _ in range(dim))
+        assert hull_contains(points, query) == ref.hull_contains(points, query), seed
+
+
+def test_primitive_ray():
+    assert primitive_ray([Fraction(1, 2), Fraction(-3, 4), 0]) == (2, -3, 0)
+    assert primitive_ray([GaussianRational(6), "9", 0]) == (2, 3, 0)
+    assert primitive_ray([0, 0]) == (0, 0)
+    assert primitive_ray([]) == ()
+    with pytest.raises(ValueError):
+        primitive_ray([GaussianRational(1, 1)])

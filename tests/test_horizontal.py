@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import reference_horizontal as ref
+from hodgecalc import horizontal
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import (
     PolarizedHS, bisectional_curvature, bracket, direction_with_block, graded_end_algebra,
@@ -37,6 +39,13 @@ def _rank_r_direction(ge, r):
     target = Mat.from_rows([[1 if (i == j and i < r) else 0
                              for j in range(rows_src)] for i in range(rows_dst)])
     return direction_with_block(ge, target)
+
+
+def _skewed_algebra():
+    """A weight-1 algebra whose period matrix has a real part."""
+    omega = Mat.from_rows([[GaussianRational(1, 1), Fraction(1, 2)],
+                           [Fraction(1, 2), GaussianRational(0, 2)]])
+    return graded_end_algebra(phs_weight1(2, omega))
 
 
 def test_weight1_dims(algebras_w1):
@@ -122,9 +131,7 @@ def test_kernel_dimension_matches_bracket_loop(algebras_w1, algebras_w2):
     rng = random.Random(19)
     # a period matrix with a real part: its 0 piece is not closed under
     # transposition, so [xi, .] and [xi^T, .] have different ranks on it
-    omega = Mat.from_rows([[GaussianRational(1, 1), Fraction(1, 2)],
-                           [Fraction(1, 2), GaussianRational(0, 2)]])
-    skewed = graded_end_algebra(phs_weight1(2, omega))
+    skewed = _skewed_algebra()
     for ge in list(algebras_w1.values()) + list(algebras_w2.values()) + [skewed]:
         gm1, g0 = ge.pieces[-1], ge.pieces[0]
         coeffs = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
@@ -282,3 +289,40 @@ def test_bad_structure_raises_on_construction():
         PolarizedHS(2, 1, good.q.scale(-1), good.pieces)
     with pytest.raises(NotPolarized):       # the pieces do not span V
         PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})
+
+
+def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2):
+    def outcome(f, ge, target):
+        try:
+            return f(ge, target)
+        except ZeroVector as exc:
+            return str(exc)
+
+    rng = random.Random(47)
+    for ge in list(algebras_w1.values()) + list(algebras_w2.values()) + [_skewed_algebra()]:
+        gm1 = ge.pieces[-1]
+        coeffs = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                  for _ in range(gm1.rows)]
+        xi = ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries)
+        block = top_block(ge, xi)
+        # a reachable block, and one with random entries (reachable only
+        # when the block map is onto)
+        for target in (block, Mat(block.rows, block.cols, [
+                GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                for _ in range(block.rows * block.cols)])):
+            got = outcome(direction_with_block, ge, target)
+            assert got == outcome(ref.direction_with_block, ge, target)
+        assert direction_with_block(ge, block) == xi
+
+
+def test_direction_with_block_reads_every_block_at_once(algebras_w2, monkeypatch):
+    calls = []
+    real = horizontal.top_block
+
+    def counting(ge, xi):
+        calls.append(xi)
+        return real(ge, xi)
+    monkeypatch.setattr(horizontal, "top_block", counting)
+    ge = algebras_w2[(3, 4)]
+    direction_with_block(ge, Mat.diag([1, 1, 1]).take([0, 1, 2, 0]))
+    assert len(calls) == 1     # the check of the answer

@@ -342,6 +342,48 @@ def test_row_coords_and_extend_basis_match_row_by_row(gaussian, big):
         assert extend_basis(independent, s) == ref.extend_basis(independent, s), seed
 
 
+def test_extend_basis_matches_greedy_loop():
+    """The pivots of one elimination pick the rows the greedy loop picks:
+    over Z and Z[i], with candidates that depend on sub and on earlier
+    candidates, zero rows, and shapes without rows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+    small = st.integers(0, 4)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(small, small, small, st.integers(0, 3), st.data())
+    def check(cols, k, n, extra, data):
+        sub = sub_canonical(data.draw(matrix(k, cols)))
+        free = data.draw(matrix(n, cols))
+        # rows in the span of sub and the free candidates, placed anywhere
+        spanned = Mat.stack([sub, free])
+        mix = data.draw(matrix(extra, spanned.rows))
+        dependent = mix @ spanned if spanned.rows else Mat.zeros(extra, cols)
+        candidates = Mat.stack([free, dependent])
+        order = data.draw(st.permutations(range(candidates.rows)))
+        candidates = candidates.take(order)
+        assert_same(extend_basis(sub, candidates), ref.extend_basis(sub, candidates))
+    check()
+
+
+def test_extend_basis_is_one_elimination(monkeypatch):
+    calls = []
+    real = matrices.rref
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(matrices, "rref", counting)
+    rng = random.Random(31)
+    for rows in (0, 1, 6):
+        sub = sub_canonical(_matrix(rng, True, rows=2, cols=5))
+        candidates = _matrix(rng, True, rows=rows, cols=5)
+        calls.clear()
+        extend_basis(sub, candidates)
+        assert len(calls) == 1
+
+
 # --- Kronecker products ------------------------------------------------------
 
 def test_kron_and_take_match_entrywise_products():

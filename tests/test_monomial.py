@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from hodgecalc.cones import _scale_primitive
+from hodgecalc.cones import primitive_ray
 from hodgecalc.matrices import Mat, rank, smith_normal_form, sub_contains_vec
 from hodgecalc.monomial import (
     MonomialMap, compatibility_check, connected_refinement, monomial_map,
@@ -22,7 +22,7 @@ def test_relation_space_duplicate():
     n = Mat.from_rows([[0, 1], [0, 0]])
     rs = relation_space((n, n))
     assert rs.dim == 1
-    assert _scale_primitive([x.real_or_raise() for x in rs.basis[0]]) == (1, -1)
+    assert primitive_ray([x.real_or_raise() for x in rs.basis[0]]) == (1, -1)
 
 
 def test_relation_space_triple():
@@ -102,7 +102,7 @@ def test_stratum_relations_match_induced_maps(dollar_bill):
     rel, complement = stratum_relation_rows(dollar_bill, [0])
     assert complement == [1, 2]
     assert len(rel) == 1
-    assert _scale_primitive([x.real_or_raise() for x in rel[0]]) == (1, -1)
+    assert primitive_ray([x.real_or_raise() for x in rel[0]]) == (1, -1)
 
 
 def test_w_minus1_contains_deeper_directions(dollar_bill):

@@ -7,8 +7,7 @@ import pytest
 
 import reference_normpos as ref
 from hodgecalc.errors import NotUnit
-from hodgecalc.lmhs import hermitian_psd_status
-from hodgecalc.matrices import Mat, rank
+from hodgecalc.matrices import Mat, hermitian_psd_status, rank
 from hodgecalc.multiplier import multiplier_ideal_monomials
 from hodgecalc.normpos import (
     NormPositivityModel, chern_form_norm, curvature_from_model, flat_directions,
@@ -302,6 +301,36 @@ def test_forms_match_index_loops_on_seeded_complex_models():
     for _ in range(30):
         model = _random_model(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
         assert_forms_match_loops(model, rng)
+
+
+def assert_model_maps_match_loops(model, rng):
+    for _ in range(3):
+        e, xi = _gauss_vector(rng, model.rank_e), _gauss_vector(rng, model.dim_t)
+        assert model.apply(e, xi) == ref.apply(model, e, xi)
+    assert tangent_to_hom_rank(model) == ref.tangent_to_hom_rank(model)
+    for q in range(min(model.dim_t, model.rank_g) + 1):
+        rows = [_gauss_vector(rng, model.dim_t) for _ in range(q)]
+        assert chern_form_norm(model, q, rows) == ref.chern_form_norm(model, q, rows)
+    for k in (1, 2, 3):
+        assert sym_power_model(model, k) == ref.sym_power_model(model, k)
+
+
+def test_model_maps_match_index_loops_on_g24(g24_model):
+    rng = random.Random(41)
+    assert_model_maps_match_loops(g24_model, rng)
+    assert chern_form_norm(g24_model, 2, [[1, 0, 0, 1], [0, 1, -1, 0]]) == \
+        ref.chern_form_norm(g24_model, 2, [[1, 0, 0, 1], [0, 1, -1, 0]])
+
+
+def test_model_maps_match_index_loops_on_seeded_complex_models():
+    rng = random.Random(43)
+    models = [_random_model(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+              for _ in range(20)]
+    # shapes without rows or columns: no G, no T
+    models += [NormPositivityModel(2, 2, 0, Mat.zeros(0, 4)),
+               NormPositivityModel(0, 2, 2, Mat.zeros(2, 0))]
+    for model in models:
+        assert_model_maps_match_loops(model, rng)
 
 
 def test_empty_quotient_correction():

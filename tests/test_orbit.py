@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_fraction
+from conftest import random_fraction, reverse_grading_candidates
 from hodgecalc.errors import ZeroAtPoint
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
@@ -158,11 +158,13 @@ def test_factorization_all_subsets_all_specs(dollar_bill, commuting_pair,
                     assert f.remainder.weighted_degree(w) < f.deg_bound
 
 
-def test_stratum_polynomial_splitting_invariance(dollar_bill):
-    # reported stratum polynomials do not depend on the splitting rule
+def test_stratum_polynomial_splitting_invariance(dollar_bill, monkeypatch):
+    # reported stratum polynomials do not depend on the splitting
     for subset in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-        a = stratum_metric_polynomial(dollar_bill, subset, rule="echelon")
-        b = stratum_metric_polynomial(dollar_bill, subset, rule="reversed")
+        a = stratum_metric_polynomial(dollar_bill, subset)
+        with monkeypatch.context() as patch:
+            reverse_grading_candidates(patch)
+            b = stratum_metric_polynomial(dollar_bill, subset)
         assert a == b
 
 

@@ -20,7 +20,7 @@ import pytest
 import reference_horizontal as ref_horizontal
 import reference_lmhs as ref
 import reference_weightfilt as ref_weightfilt
-from conftest import direct_sum, random_nilpotent
+from conftest import direct_sum, random_nilpotent, reverse_grading_candidates
 from hodgecalc import lmhs, monomial, orbit, weightfilt
 from hodgecalc.cli import main
 from hodgecalc.cones import hull_contains
@@ -201,8 +201,8 @@ def check_stratum_splittings(spec, subsets, monkeypatch):
     construction built, and finds no eigenbasis of its own."""
     used, eigen_calls = [], []
 
-    def recording(n, wf, **kwargs):
-        out = grading_splitting(n, wf, **kwargs)
+    def recording(n, wf):
+        out = grading_splitting(n, wf)
         used.append((n, out))
         return out
     monkeypatch.setattr(lmhs, "grading_splitting", recording)
@@ -235,15 +235,17 @@ def test_stratum_splittings_on_direct_sums(sums, dim, monkeypatch):
     check_stratum_splittings(spec, subsets, monkeypatch)
 
 
-def test_grading_splittings_of_seeded_nilpotents():
+def test_grading_splittings_of_seeded_nilpotents(monkeypatch):
     for seed in range(4):
         n = random_nilpotent(random.Random(seed), 8)
         wf = weight_filtration(n, 8)
-        for rule in ("echelon", "reversed"):
-            y, split = grading_splitting(n, wf, rule=rule)
-            if rule == "echelon":
-                assert_eigen_splitting(n, 8, y, split)
-            assert y == grading_element(n, wf, rule=rule)
+        y, split = grading_splitting(n, wf)
+        assert_eigen_splitting(n, 8, y, split)
+        assert y == grading_element(n, wf)
+        with monkeypatch.context() as patch:
+            reverse_grading_candidates(patch)
+            y, split = grading_splitting(n, wf)
+            assert y == grading_element(n, wf)
 
 
 PHS_CASES = {"weight1-g2": (phs_weight1, 2), "weight1-g3": (phs_weight1, 3),

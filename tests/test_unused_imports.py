@@ -1,9 +1,12 @@
-"""Every module of the library uses each name it imports.
+"""Every module of the library uses each name it imports, and imports each
+name from the module that defines it.
 
 A name counts as used when it appears anywhere in the module's code.  The
 modules use ``from __future__ import annotations``, so annotations are code
-and need no quotes.  ``__init__`` is left out: its imports are the
-package's public names.
+and need no quotes.  ``__init__`` is left out of the first check: its
+imports are the package's public names.  The second check covers every
+module: a ``from .mod import name`` must name a public function, class or
+assigned name of ``mod`` itself, not one that ``mod`` only imports.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hodgecalc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -44,3 +48,55 @@ def test_the_check_finds_an_unused_import():
               "def f() -> ONE:\n"
               "    return os.sep, ZERO\n")
     assert unused_imports(source) == [(2, "system")]
+
+
+def defined_names(source: str):
+    """The names a module binds at top level other than by importing them."""
+    names = set()
+    statements = list(ast.parse(source).body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                statements.extend(getattr(node, field, []))
+    return names
+
+
+def misplaced_imports(source: str, defined):
+    """(line, module, name) of each ``from .module import name`` whose name
+    is private or is not defined in that module; `defined(module)` gives the
+    names a module defines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names = defined(node.module)
+            out += [(node.lineno, node.module, alias.name) for alias in node.names
+                    if alias.name.startswith("_") or alias.name not in names]
+    return sorted(out)
+
+
+def _package_names(module: str):
+    return defined_names((PACKAGE / f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_imports_public_names_from_their_home(path):
+    assert misplaced_imports(path.read_text(), _package_names) == []
+
+
+def test_the_check_finds_misplaced_imports():
+    modules = {"matrices": "from .rationals import ZERO\ndef rank(m): pass\n_cache = {}\n",
+               "rationals": "ZERO = 0\n"}
+
+    def defined(module):
+        return defined_names(modules[module])
+    source = ("from .matrices import rank, ZERO\n"
+              "from .matrices import _cache\n"
+              "from .rationals import ZERO\n")
+    assert misplaced_imports(source, defined) == [(1, "matrices", "ZERO"),
+                                                  (2, "matrices", "_cache")]
