@@ -350,7 +350,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
             coeffs = [GaussianRational(Fraction(rng.randint(-3, 3)),
                                        Fraction(rng.randint(-3, 3)))
                       for _ in range(gm1.rows)]
-            xi = ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries)
+            xi = (Mat.from_rows([coeffs]) @ gm1).reshape(ge.phs.dim, ge.phs.dim)
             if xi.is_zero():
                 continue
             val = bisectional_curvature(ge, xi, xi)
@@ -374,9 +374,12 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "segre":
-        from .chern import segre_polynomial
+        from .chern import MAX_SEGRE_PRODUCTS, segre_polynomial, segre_products
         degree = flags.get("degree", 1)
         rank_ = flags.get("rank", 2)
+        if segre_products(degree, rank_) > MAX_SEGRE_PRODUCTS:
+            raise SchemaError(f"--degree {degree} with --rank {rank_} takes more than "
+                              f"{MAX_SEGRE_PRODUCTS} monomial products")
         sym = segre_polynomial(degree, rank_)
         f["degree"] = degree
         f["rank"] = rank_
@@ -385,14 +388,20 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "multiplier-ideal":
-        from .multiplier import multiplier_ideal_monomials
+        from math import comb
+        from .multiplier import MAX_SIMPLEX_POINTS, multiplier_ideal_monomials
         if doc is not None and doc.kind == "alpha":
             alpha, bound = doc.obj
+            field = "degreeBound"
         elif flags.get("alpha"):
             alpha = flags["alpha"]
             bound = flags.get("degree", 24)
+            field = "--degree"
         else:
             raise SchemaError("multiplier-ideal needs an alpha document or --alpha")
+        if comb(bound + len(alpha), len(alpha)) > MAX_SIMPLEX_POINTS:
+            raise SchemaError(f"{field} {bound} with {len(alpha)} weights walks more than "
+                              f"{MAX_SIMPLEX_POINTS} points")
         ideal = multiplier_ideal_monomials(alpha, bound)
         f["alpha"] = [str(a) for a in alpha]
         f["generators"] = [list(b) for b in ideal.generators]

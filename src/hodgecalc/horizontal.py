@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
 from .matrices import (
-    Mat, Splitting, ad_matrix, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
+    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
     rref, solve, sub_canonical,
 )
 from .rationals import GaussianRational, ZERO, ONE, i_power
@@ -189,9 +189,14 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     dim_m1 = gm1.rows
     if g0 is None or g0.rows == 0:
         return dim_m1
-    # row i is vec([xi, X_i]) for the i-th basis vector X_i of the 0 piece:
-    # g0 @ ad(xi)^T, and ad(xi)^T = ad(xi^T)
-    return dim_m1 - rank(g0 @ ad_matrix(xi.transpose()))
+    # row i is vec([xi, X_i]) = vec(xi X_i) - vec(X_i xi) for the i-th basis
+    # vector X_i of the 0 piece.  Stacked, the X_i give the rows vec(X_i xi);
+    # side by side, [X_1 | ... | X_r], they give the row blocks of xi X_i
+    r, d = g0.rows, ge.phs.dim
+    stacked = g0.reshape(r * d, d)
+    side = stacked.take([i * d + a for a in range(d) for i in range(r)]).reshape(d, r * d)
+    left = (xi @ side).reshape(d * r, d).take([a * r + i for i in range(r) for a in range(d)])
+    return dim_m1 - rank(left.reshape(r, d * d) - (stacked @ xi).reshape(r, d * d))
 
 
 @dataclass(frozen=True)
@@ -255,13 +260,18 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     gm1 = ge.pieces.get(-1)
     if gm1 is None or gm1.rows == 0:
         raise ZeroVector("the (-1) piece is trivial")
-    n = ge.phs.weight
+    phs = ge.phs
+    n = phs.weight
+    shape = (phs.pieces[(n - 1, 1)].rows, phs.pieces[(n, 0)].rows)
+    if (target.rows, target.cols) != shape:
+        raise ValueError(f"top block must be {shape[0]}x{shape[1]} "
+                         f"(dim V^(n-1,1) x dim V^(n,0)), got {target.rows}x{target.cols}")
     # column i is the flattened top block of the i-th basis vector of the piece
     m = ge.splitting.flat_blocks(gm1, (n, 0), (n - 1, 1)).transpose()
     c = solve(m, target.vec())
     if c is None:
         raise ZeroVector("no horizontal direction has the requested block")
-    out = ge.unflatten((Mat.from_rows([c]) @ gm1).entries)
+    out = (Mat.from_rows([c]) @ gm1).reshape(phs.dim, phs.dim)
     if top_block(ge, out) != target:
         raise ZeroVector("internal error: block solve failed")
     return out

@@ -484,6 +484,31 @@ class Mat:
         return Mat._make(len(indices), self.cols, self._ring,
                          [self._num[i] for i in indices], [self._den[i] for i in indices])
 
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The rows x cols matrix of the same row-major entries.  Only whole
+        rows are split or joined: cols must divide self.cols or be a
+        multiple of it."""
+        n, c = self.rows * self.cols, self.cols
+        if rows < 0 or cols < 0 or rows * cols != n or not (
+                cols == c or (cols and c % cols == 0) or (c and cols % c == 0)):
+            raise ValueError(f"cannot reshape {self.rows}x{c} to {rows}x{cols}")
+        if not n:
+            return Mat.zeros(rows, cols)
+        ring = self._ring
+        if cols <= c:       # split each row into c // cols rows
+            pairs = [ring.normal(ring.cut(row, lo, lo + cols), d)
+                     for row, d in zip(self._num, self._den) for lo in range(0, c, cols)]
+        else:               # join each k = cols // c consecutive rows
+            k, pairs = cols // c, []
+            for lo in range(0, self.rows, k):
+                dens = self._den[lo:lo + k]
+                l = lcm(*dens)
+                joined = ring.zero_row(0)
+                for row, d in zip(self._num[lo:lo + k], dens):
+                    joined = ring.join(joined, row if d == l else ring.mul(row, l // d))
+                pairs.append(ring.normal(joined, l))
+        return _from_pairs(rows, cols, ring, pairs)
+
     def __pow__(self, n: int) -> "Mat":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
@@ -700,6 +725,8 @@ def solve(m: Mat, b):
     Free variables are set to zero (deterministic particular solution).
     """
     b = [as_gauss(x) for x in b]
+    if len(b) != m.rows:
+        raise ValueError("vector length mismatch")
     ring = _ZI if m._ring is _ZI or any(x.im for x in b) else _Z
     aug = []                # the canonical rows of [m | b]
     for i, (row, d) in enumerate(zip(_rows_in(m, ring), m._den)):

@@ -7,13 +7,19 @@ off coefficients, and it solves one system in the d^2 entries of X per
 grade.  It returns the graded pieces only.  ``test_shared_paths.py`` asserts
 that the library finds the same pieces; a block-pair solve of the graded
 algebra can be checked against it the same way.
+
+``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
+``hodgecalc.horizontal.kernel_dimension`` as it was built from the
+d^2 x d^2 matrix of ad(xi^T).
 """
 
 from __future__ import annotations
 
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
-from hodgecalc.matrices import Mat, inverse, kernel_basis, solve, sub_canonical, sub_zero
+from hodgecalc.matrices import (
+    Mat, ad_matrix, inverse, kernel_basis, rank, solve, sub_canonical, sub_zero,
+)
 from hodgecalc.rationals import ONE, ZERO
 
 
@@ -111,3 +117,20 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     if top_block(ge, out) != target:
         raise ZeroVector("internal error: block solve failed")
     return out
+
+
+def bracket_matrix(ge: GradedEnd, xi: Mat) -> Mat:
+    """Row i is vec([xi, X_i]) for the i-th basis vector X_i of the 0 piece:
+    g0 @ ad(xi)^T, and ad(xi)^T = ad(xi^T)."""
+    return ge.pieces[0] @ ad_matrix(xi.transpose())
+
+
+def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
+    """dim ker of the lowering adjoint on the (-1) piece, from the rank of
+    ``bracket_matrix``."""
+    gm1 = ge.pieces.get(-1)
+    if gm1 is None:
+        return 0
+    if ge.piece_dim(0) == 0:
+        return gm1.rows
+    return gm1.rows - rank(bracket_matrix(ge, xi))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hodgecalc.chern import (
-    chern_generator, grothendieck_defect, schur_polynomial, segre_polynomial,
+    chern_generator, grothendieck_defect, schur_polynomial, segre_polynomial, segre_products,
 )
 from hodgecalc.errors import InvalidPartition
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
@@ -81,6 +81,19 @@ def test_segre_first_values():
     expected3 = (c(3, 1) * c(3, 1) * c(3, 1)
                  - (c(3, 1) * c(3, 2)).scale(2) + c(3, 3))
     assert segre_polynomial(3, 3).poly == expected3
+
+
+def test_segre_products_count_the_recursion():
+    # step q multiplies c_i by each monomial of s_(q-i), i = 1..min(q, rank)
+    for degree, rank in ((0, 1), (1, 1), (6, 1), (3, 4), (8, 2), (10, 3), (9, 5), (7, 9)):
+        terms = [len(segre_polynomial(m, rank).poly.terms) for m in range(degree + 1)]
+        expected = sum(terms[q - i] for q in range(1, degree + 1)
+                       for i in range(1, min(q, rank) + 1))
+        assert segre_products(degree, rank, limit=10 ** 9) == expected, (degree, rank)
+    # the count stops at the first degree that takes it past the limit,
+    # however large the request: 45 products up to degree 6, 75 up to 7
+    assert segre_products(10 ** 9, 10 ** 9, limit=50) == segre_products(7, 7, limit=10 ** 9) == 75
+    assert segre_products(10 ** 9, 1, limit=50) == 51
 
 
 def test_segre_rank_truncation():

@@ -179,6 +179,12 @@ BAD_FLAGS = {
     "segre-degree-negative": ["segre", "--degree", "-1"],
     "segre-rank-negative": ["segre", "--rank", "-1"],
     "multiplier-ideal-degree-negative": ["multiplier-ideal", "--alpha", "1,1", "--degree", "-1"],
+    # sizes over the budgets: rejected before any work starts
+    "multiplier-ideal-degree-over-budget": ["multiplier-ideal", "--alpha", "1,1,1",
+                                            "--degree", "100000"],
+    "multiplier-ideal-many-weights-over-budget": ["multiplier-ideal", "--alpha", ",".join(["2"] * 40)],
+    "segre-degree-over-budget": ["segre", "--degree", "100000", "--rank", "6"],
+    "segre-huge-rank-over-budget": ["segre", "--degree", "1000000000", "--rank", "1000000000"],
     "chern-rays-zero": ["chern", "--input", "builtin:dollar-bill", "--rays", "0"],
     "chern-rays-negative": ["chern", "--input", "builtin:dollar-bill", "--rays", "-3"],
     "curvature-rays-zero": ["curvature", "--input", "builtin:grassmannian-g24", "--rays", "0"],
@@ -201,6 +207,17 @@ def test_bad_flag_exits_2(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_budget_messages_name_the_field(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(_mutated("alpha-example", degreeBound=100000)))
+    for argv, field in ((["segre", "--degree", "100000", "--rank", "6"], "--degree 100000"),
+                        (["multiplier-ideal", "--alpha", "1,1,1", "--degree", "100000"],
+                         "--degree 100000"),
+                        (["multiplier-ideal", "--input", str(path)], "degreeBound 100000")):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith(f"error: {field} "), err
 
 
 def test_smallest_allowed_flag_values(capsys):
@@ -240,6 +257,8 @@ BAD_DOCUMENTS = {
     "dimT-not-an-integer": ("curvature", _mutated("grassmannian-g24", dimT="x")),
     "degreeBound-not-an-integer": ("multiplier-ideal",
                                    _mutated("alpha-example", degreeBound="x")),
+    "degreeBound-over-budget": ("multiplier-ideal",
+                                _mutated("alpha-example", degreeBound=100000)),
     "ambient-not-an-integer": ("validate", {"kind": "subspace",
                                             "payload": {"basis": [["1", "0"]], "ambient": None}}),
     # no horizontal directions: the (-1) piece of the graded algebra is empty

@@ -142,6 +142,56 @@ def test_kernel_dimension_matches_bracket_loop(algebras_w1, algebras_w2):
         assert kernel_dimension(ge, xi) == gm1.rows - rank(images)
 
 
+def _unimodular(rng, size):
+    """Seeded integer matrix of determinant 1: unit lower times unit upper."""
+    lower = [[1 if i == j else (rng.randint(-1, 1) if i > j else 0) for j in range(size)]
+             for i in range(size)]
+    upper = [[1 if i == j else (rng.randint(-1, 1) if i < j else 0) for j in range(size)]
+             for i in range(size)]
+    return Mat.from_rows(lower) @ Mat.from_rows(upper)
+
+
+def _seeded_directions(ge, rng):
+    """Directions whose top blocks have every rank, each the diagonal
+    pattern moved by unimodular matrices (by congruence in weight 1, where
+    the blocks are symmetric), then two seeded Gaussian directions."""
+    phs = ge.phs
+    n = phs.weight
+    src, dst = phs.pieces[(n, 0)].rows, phs.pieces[(n - 1, 1)].rows
+    out = []
+    for r in range(min(src, dst) + 1):
+        base = Mat.from_rows([[1 if (i == j and i < r) else 0 for j in range(src)]
+                              for i in range(dst)])
+        if n == 1:
+            t = _unimodular(rng, src)
+            target = t.transpose() @ base @ t
+        else:
+            target = _unimodular(rng, dst) @ base @ _unimodular(rng, src)
+        out.append(direction_with_block(ge, target))
+    gm1 = ge.pieces[-1]
+    for _ in range(2):
+        coeffs = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(gm1.rows)]
+        out.append((Mat.from_rows([coeffs]) @ gm1).reshape(phs.dim, phs.dim))
+    return out
+
+
+def test_kernel_dimension_matches_ad_matrix_form(algebras_w1, algebras_w2, monkeypatch):
+    # the bracket rows are the matrix g0 @ ad(xi^T), so the elimination runs
+    # on the same matrix and the rank is the same
+    seen = []
+    real_rank = horizontal.rank
+    monkeypatch.setattr(horizontal, "rank", lambda m: seen.append(m) or real_rank(m))
+    rng = random.Random(61)
+    algebras = [algebras_w1[2], algebras_w1[3]] + [
+        algebras_w2[key] for key in ((1, 2), (2, 2), (2, 3), (3, 4))]
+    for ge in algebras:
+        for xi in _seeded_directions(ge, rng):
+            seen.clear()
+            assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi)
+            assert seen == [ref.bracket_matrix(ge, xi)]
+
+
 def test_maximal_rank_iff_trivial_kernel(algebras_w2):
     for (h20, h11), ge in algebras_w2.items():
         rmax = min(h20, h11)
@@ -313,6 +363,14 @@ def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2)
             got = outcome(direction_with_block, ge, target)
             assert got == outcome(ref.direction_with_block, ge, target)
         assert direction_with_block(ge, block) == xi
+
+
+def test_direction_with_block_rejects_a_block_of_the_wrong_shape(algebras_w2):
+    # the top block is dim V^{1,1} x dim V^{2,0}
+    for key, wrong in (((2, 2), Mat.identity(3)), ((2, 3), Mat.zeros(2, 3)),
+                       ((2, 3), Mat.zeros(3, 3))):
+        with pytest.raises(ValueError, match="top block must be"):
+            direction_with_block(algebras_w2[key], wrong)
 
 
 def test_direction_with_block_reads_every_block_at_once(algebras_w2, monkeypatch):

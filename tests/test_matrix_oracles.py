@@ -134,6 +134,9 @@ def test_shape_errors_are_kept():
         det(Mat.zeros(2, 3))
     with pytest.raises(ValueError, match="non-square"):
         inverse(Mat.zeros(2, 3))
+    for b in ([1, 2, 3], [1], []):      # solve checks b as mat_vec checks v
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            solve(Mat.identity(2), b)
 
 
 # --- sympy cross-check over Q(i) -------------------------------------------
@@ -419,6 +422,60 @@ def test_kron_over_z_and_zi():
         z = Mat.zeros(rows, cols)
         assert_same(z.kron(b), ref.kron(z, b))
         assert_same(b.kron(z), ref.kron(b, z))
+
+
+# --- reshape ------------------------------------------------------------------
+
+def test_reshape_matches_entrywise_construction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, matrix, _ = _strategies(st)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 6), st.integers(0, 3), st.integers(1, 3),
+                      st.booleans(), st.data())
+    def check(rows, cols, k, split, data):
+        # a rows x (k * cols) matrix split into pieces of cols, or k * rows
+        # rows of cols joined k at a time
+        m = data.draw(matrix(rows, k * cols) if split else matrix(k * rows, cols))
+        shape = (k * rows, cols) if split else (rows, k * cols)
+        got = m.reshape(*shape)
+        assert_same(got, Mat(*shape, m.entries))
+        assert_same(got.reshape(m.rows, m.cols), m)
+    check()
+
+
+def test_reshape_renormalises_split_and_joined_rows():
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    i = GaussianRational(0, 1)
+    m = Mat.from_rows([[half, third]])                  # one row over 6
+    assert m._den == (6,)
+    assert_same(m.reshape(2, 1), Mat.from_rows([[half], [third]]))
+    assert_same(Mat.from_rows([[half], [third], [sixth], [0]]).reshape(1, 4),
+                 Mat.from_rows([[half, third, sixth, 0]]))
+    assert_same(Mat.from_rows([[half], [third]]).reshape(1, 2), m)
+    # a Gaussian row whose halves are one real and one non-real row
+    g = Mat.from_rows([[half, 1, GaussianRational(third, 1), 0]])
+    assert_same(g.reshape(2, 2), Mat.from_rows([[half, 1], [GaussianRational(third, 1), 0]]))
+    assert_same(Mat.from_rows([[i * third, 0], [half, sixth]]).reshape(1, 4),
+                 Mat(1, 4, [i * third, 0, half, sixth]))
+    assert_same(Mat.from_rows([[i, 0], [0, 1]]).reshape(4, 1).reshape(1, 4),
+                 Mat(1, 4, [i, 0, 0, 1]))
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        assert_same(Mat.zeros(2, 0).reshape(rows, cols), Mat.zeros(rows, cols))
+
+
+@pytest.mark.parametrize("shape,to", [
+    ((2, 6), (3, 4)),      # 4 neither divides 6 nor is a multiple of it
+    ((2, 6), (4, 4)),      # wrong entry count
+    ((2, 3), (1, 5)),
+    ((2, 2), (-1, -4)),
+    ((4, 2), (1, 6)),
+    ((0, 3), (0, 5)),
+])
+def test_reshape_rejects_other_shapes(shape, to):
+    with pytest.raises(ValueError, match="cannot reshape"):
+        Mat.zeros(*shape).reshape(*to)
 
 
 def test_ad_matrix_matches_index_loop():
