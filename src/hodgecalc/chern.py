@@ -77,8 +77,7 @@ def segre_products(degree: int, rank: int, limit: int = MAX_SEGRE_PRODUCTS) -> i
     for q in range(degree + 1):
         row = [1 if q == 0 else 0]
         for k in range(1, min(q, rank) + 1):
-            below = count[q - k]
-            row.append(row[k - 1] + below[min(k, len(below) - 1)])
+            row.append(row[k - 1] + count[q - k][min(k, q - k)])
         count.append(row)
         total += sum(count[q - i][-1] for i in range(1, min(q, rank) + 1))
         if total > limit:

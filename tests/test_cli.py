@@ -182,7 +182,8 @@ BAD_FLAGS = {
     # sizes over the budgets: rejected before any work starts
     "multiplier-ideal-degree-over-budget": ["multiplier-ideal", "--alpha", "1,1,1",
                                             "--degree", "100000"],
-    "multiplier-ideal-many-weights-over-budget": ["multiplier-ideal", "--alpha", ",".join(["2"] * 40)],
+    "multiplier-ideal-many-weights-over-budget": ["multiplier-ideal",
+                                                  "--alpha", ",".join(["2"] * 40)],
     "segre-degree-over-budget": ["segre", "--degree", "100000", "--rank", "6"],
     "segre-huge-rank-over-budget": ["segre", "--degree", "1000000000", "--rank", "1000000000"],
     "chern-rays-zero": ["chern", "--input", "builtin:dollar-bill", "--rays", "0"],
