@@ -442,6 +442,13 @@ def test_reshape_matches_entrywise_construction():
         got = m.reshape(*shape)
         assert_same(got, Mat(*shape, m.entries))
         assert_same(got.reshape(m.rows, m.cols), m)
+        # any other shape of the same size splits or joins a row in the
+        # middle, and is refused
+        n = m.rows * m.cols
+        for c in range(1, n + 1):
+            if n % c == 0 and c % m.cols and m.cols % c:
+                with pytest.raises(ValueError, match="cannot reshape"):
+                    m.reshape(n // c, c)
     check()
 
 
