@@ -67,11 +67,12 @@ def schur_polynomial(partition, rank: int) -> ChernSymbol:
 MAX_SEGRE_PRODUCTS = 100_000
 
 
-def segre_products(degree: int, rank: int, limit: int = MAX_SEGRE_PRODUCTS) -> int:
+def segre_products(degree: int, rank: int) -> int:
     """The monomial products c_i * s_(q-i) that `segre_polynomial` takes, or
-    the first running count past `limit`.  s_m has one monomial per
-    partition of m into parts <= rank; each degree q adds at least
-    min(q, rank) products, so the count stops after O(limit) steps."""
+    the first running count past MAX_SEGRE_PRODUCTS.  s_m has one monomial
+    per partition of m into parts <= rank; each degree q adds at least
+    min(q, rank) products, so the count stops after O(MAX_SEGRE_PRODUCTS)
+    steps."""
     # count[m][k]: partitions of m into parts <= k, for k = 0..min(m, rank)
     count, total = [], 0
     for q in range(degree + 1):
@@ -80,7 +81,7 @@ def segre_products(degree: int, rank: int, limit: int = MAX_SEGRE_PRODUCTS) -> i
             row.append(row[k - 1] + count[q - k][min(k, q - k)])
         count.append(row)
         total += sum(count[q - i][-1] for i in range(1, min(q, rank) + 1))
-        if total > limit:
+        if total > MAX_SEGRE_PRODUCTS:
             break
     return total
 

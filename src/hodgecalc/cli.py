@@ -388,19 +388,18 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "multiplier-ideal":
-        from math import comb
-        from .multiplier import MAX_SIMPLEX_POINTS, multiplier_ideal_monomials
+        from .multiplier import MAX_SIMPLEX_POINTS, multiplier_ideal_monomials, simplex_points
         if doc is not None and doc.kind == "alpha":
             alpha, bound = doc.obj
-            field = "degreeBound"
+            field = f"degreeBound {bound}"
         elif flags.get("alpha"):
             alpha = flags["alpha"]
             bound = flags.get("degree", 24)
-            field = "--degree"
+            field = f"--degree {bound}" + ("" if "degree" in flags else " (default)")
         else:
             raise SchemaError("multiplier-ideal needs an alpha document or --alpha")
-        if comb(bound + len(alpha), len(alpha)) > MAX_SIMPLEX_POINTS:
-            raise SchemaError(f"{field} {bound} with {len(alpha)} weights walks more than "
+        if simplex_points(bound, len(alpha)) > MAX_SIMPLEX_POINTS:
+            raise SchemaError(f"{field} with {len(alpha)} weights walks more than "
                               f"{MAX_SIMPLEX_POINTS} points")
         ideal = multiplier_ideal_monomials(alpha, bound)
         f["alpha"] = [str(a) for a in alpha]

@@ -5,11 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-# The most simplex points, C(degree_bound + n, n), that
-# `multiplier_ideal_monomials` may be asked to walk through the command line
-# (about 5 s on a 2-vCPU Xeon with Python 3.11).
-MAX_SIMPLEX_POINTS = 100_000
+# The most simplex points that `multiplier_ideal_monomials` may be asked to
+# walk through the command line: 25-60 us a point on a 2-vCPU Xeon with
+# Python 3.11, so at most about 12 s.  The default bound 24 passes for up to
+# 5 weights (118755 points, 5-7 s).
+MAX_SIMPLEX_POINTS = 200_000
+
+
+def simplex_points(degree_bound: int, n: int) -> int:
+    """The points beta in N^n with |beta| <= degree_bound that
+    `multiplier_ideal_monomials` walks: C(degree_bound + n, n)."""
+    return comb(degree_bound + n, n)
 
 
 @dataclass(frozen=True)

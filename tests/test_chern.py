@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hodgecalc.chern import (
-    chern_generator, grothendieck_defect, schur_polynomial, segre_polynomial, segre_products,
+    MAX_SEGRE_PRODUCTS, chern_generator, grothendieck_defect, schur_polynomial, segre_polynomial, segre_products,
 )
 from hodgecalc.errors import InvalidPartition
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
@@ -89,11 +89,12 @@ def test_segre_products_count_the_recursion():
         terms = [len(segre_polynomial(m, rank).poly.terms) for m in range(degree + 1)]
         expected = sum(terms[q - i] for q in range(1, degree + 1)
                        for i in range(1, min(q, rank) + 1))
-        assert segre_products(degree, rank, limit=10 ** 9) == expected, (degree, rank)
-    # the count stops at the first degree that takes it past the limit,
-    # however large the request: 45 products up to degree 6, 75 up to 7
-    assert segre_products(10 ** 9, 10 ** 9, limit=50) == segre_products(7, 7, limit=10 ** 9) == 75
-    assert segre_products(10 ** 9, 1, limit=50) == 51
+        assert segre_products(degree, rank) == expected, (degree, rank)
+    # the count stops at the first degree that takes it past the budget,
+    # however large the request
+    q = next(q for q in range(100) if segre_products(q, q) > MAX_SEGRE_PRODUCTS)
+    assert MAX_SEGRE_PRODUCTS < segre_products(10 ** 9, 10 ** 9) == segre_products(q, q)
+    assert segre_products(10 ** 9, 1) == MAX_SEGRE_PRODUCTS + 1
 
 
 def test_segre_rank_truncation():

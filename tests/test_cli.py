@@ -221,6 +221,45 @@ def test_budget_messages_name_the_field(tmp_path, capsys):
         assert code == 2 and err.startswith(f"error: {field} "), err
 
 
+def _largest_allowed(size, budget):
+    n = 0
+    while size(n + 1) <= budget:
+        n += 1
+    return n
+
+
+def test_multiplier_budget_edge(monkeypatch, capsys):
+    # the walk itself is replaced: only the gate in front of it runs
+    from hodgecalc import multiplier
+    calls = []
+    monkeypatch.setattr(multiplier, "multiplier_ideal_monomials",
+                        lambda alpha, bound: calls.append(bound)
+                        or multiplier.MonomialIdeal((), bound, False))
+    bound = _largest_allowed(lambda b: multiplier.simplex_points(b, 5),
+                             multiplier.MAX_SIMPLEX_POINTS)
+    assert bound >= 24
+    ones = ",".join(["1"] * 5)
+    for argv, code in ((["--degree", str(bound)], 0), (["--degree", str(bound + 1)], 2),
+                       ([], 0)):
+        assert run_cli(["multiplier-ideal", "--alpha", ones] + argv, capsys)[0] == code
+    assert calls == [bound, 24]
+    # the default bound is named as such when six weights pass the budget
+    code, _, err = run_cli(["multiplier-ideal", "--alpha", ",".join(["1"] * 6)], capsys)
+    assert code == 2 and err.startswith("error: --degree 24 (default) with 6 weights "), err
+
+
+def test_segre_budget_edge(monkeypatch, capsys):
+    from hodgecalc import chern
+    calls = []
+    monkeypatch.setattr(chern, "segre_polynomial", lambda degree, rank: calls.append(degree)
+                        or chern.ChernSymbol(rank, chern.MultiPoly.const(rank, 1)))
+    degree = _largest_allowed(lambda q: chern.segre_products(q, 6), chern.MAX_SEGRE_PRODUCTS)
+    for q, code in ((degree, 0), (degree + 1, 2)):
+        argv = ["segre", "--degree", str(q), "--rank", "6"]
+        assert run_cli(argv, capsys)[0] == code
+    assert calls == [degree]
+
+
 def test_smallest_allowed_flag_values(capsys):
     for argv, expected in ((["segre", "--degree", "0", "--rank", "1"], '"symbol": "1"'),
                            (["schur", "--partition", "2,0", "--rank", "2"], '"rank": 2'),
