@@ -109,8 +109,8 @@ def _expect_kind(doc: ProblemDocument, kind: str, command: str):
         raise SchemaError(f"{command} needs a {kind!r} document, got {doc.kind!r}")
 
 
-def _poly_entry(poly, prefix="x"):
-    return {"polynomial": poly.to_string(prefix),
+def _poly_entry(poly):
+    return {"polynomial": poly.to_string("x"),
             "terms": poly.to_json()["terms"]}
 
 
@@ -226,7 +226,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "limit-check":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import restriction_limit_check
+        from .orbit import LIMIT_TOLERANCE, restriction_limit_check
         if not stratum:
             raise SchemaError("limit-check needs --stratum")
         rays = None
@@ -242,7 +242,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         f["finalMaxDeviation"] = exact_entry(lr.final_max_deviation)
         f["exactZero"] = lr.exact_zero
         g["eventuallyDecreasing"] = lr.eventually_decreasing
-        g["withinTolerance"] = lr.final_max_deviation <= Fraction(1, 10 ** 6)
+        g["withinTolerance"] = lr.final_max_deviation <= LIMIT_TOLERANCE
         return report
 
     if subcommand == "factorize":

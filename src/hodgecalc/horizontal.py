@@ -17,7 +17,7 @@ from .matrices import (
     Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
     rref, solve, sub_canonical,
 )
-from .rationals import GaussianRational, ZERO, ONE, i_power
+from .rationals import GaussianRational, i_power
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,8 @@ def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:
         omega = Mat.identity(g).scale(GaussianRational(0, 1))
     d = 2 * g
     q = Mat.from_rows([[0, 1], [-1, 0]]).kron(Mat.identity(g))
-    rows10 = []
-    for c in range(g):
-        v = [omega[r, c] for r in range(g)] + [ONE if r == c else ZERO for r in range(g)]
-        rows10.append(v)
-    v10 = Mat.from_rows(rows10)
+    # row c is (column c of omega, e_c)
+    v10 = Mat.stack([omega, Mat.identity(g)]).transpose()
     v01 = v10.conj()
     return PolarizedHS(d, 1, q, {(1, 0): v10, (0, 1): v01})
 
@@ -84,18 +81,9 @@ def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
         omega = Mat.identity(h20)
     d = 2 * h20 + h11
     q = Mat.diag([1] * h20 + [-1] * h11 + [1] * h20)
-    ii = GaussianRational(0, 1)
-    rows20 = []
-    for c in range(h20):
-        v = ([omega[r, c] for r in range(h20)] + [ZERO] * h11
-             + [ii * omega[r, c] for r in range(h20)])
-        rows20.append(v)
-    v20 = Mat.from_rows(rows20)
-    rows11 = []
-    for c in range(h11):
-        v = [ZERO] * h20 + [ONE if r == c else ZERO for r in range(h11)] + [ZERO] * h20
-        rows11.append(v)
-    v11 = Mat.from_rows(rows11)
+    # row c of v20 is (column c of omega, 0, i * column c of omega); of v11, (0, e_c, 0)
+    v20 = Mat.stack([omega, Mat.zeros(h11, h20), omega.scale(GaussianRational(0, 1))]).transpose()
+    v11 = Mat.stack([Mat.zeros(h20, h11), Mat.identity(h11), Mat.zeros(h20, h11)]).transpose()
     return PolarizedHS(d, 2, q, {(2, 0): v20, (1, 1): v11, (0, 2): v20.conj()})
 
 

@@ -91,15 +91,43 @@ class DeligneBigrading:
         return {(p, q): m.rows for (p, q), m in self.pieces.items() if m.rows}
 
 
-def deligne_bigrading(wf: WeightFiltration, flag, *, require_mhs: bool = True) -> DeligneBigrading:
-    """Compute I^{p,q} from the standard closed formula.
+def deligne_bigrading(wf: WeightFiltration, flag) -> DeligneBigrading:
+    """Compute I^{p,q} from the standard closed formula (see `_closed_formula`).
 
-    I^{p,q} = F^p ∩ W_{p+q} ∩ ( conj(F^q) ∩ W_{p+q} + sum_{j>=1} conj(F^{q-j}) ∩ W_{p+q-j-1} ).
-    Raises NotMHS when the pieces fail to decompose the space.
+    Raises NotMHS when the pieces fail to decompose the space, or do not
+    span W and F.
     """
     n = wf.weight
     d = wf.ambient
     levels = flag_levels(flag, n, d)
+    bi = _closed_formula(wf, levels)
+    pieces = bi.pieces
+    total = sum(m.rows for m in pieces.values())
+    stacked_rank = rref(Mat.stack(pieces.values()))[2] if pieces else 0
+    if total != d or (pieces and stacked_rank != d):
+        raise NotMHS(
+            f"Deligne pieces have total dimension {total} with rank "
+            f"{stacked_rank}, ambient {d}")
+
+    # compatibility with W and F
+    for k in range(0, 2 * n + 1):
+        span = sub_sum_ambient([m for (p, q), m in pieces.items() if p + q <= k], d)
+        if not sub_equal(span, wf.level(k)):
+            raise NotMHS(f"W_{k} is not the span of I^(p,q) with p+q <= {k}")
+    for p in range(0, n + 1):
+        span = sub_sum_ambient([m for (pp, q), m in pieces.items() if pp >= p], d)
+        if not sub_equal(span, flag_level(levels, p, n, d)):
+            raise NotMHS(f"F^{p} is not the span of I^(p',q) with p' >= {p}")
+    return bi
+
+
+def _closed_formula(wf: WeightFiltration, levels: dict) -> DeligneBigrading:
+    """The pieces I^{p,q} = F^p ∩ W_{p+q} ∩ ( conj(F^q) ∩ W_{p+q} +
+    sum_{j>=1} conj(F^{q-j}) ∩ W_{p+q-j-1} ) of the flag with levels
+    p -> F^p, with their R-splitness and effectivity, whether or not they
+    form a mixed Hodge structure."""
+    n = wf.weight
+    d = wf.ambient
 
     def f_level(p):
         return flag_level(levels, p, n, d)
@@ -128,27 +156,6 @@ def deligne_bigrading(wf: WeightFiltration, flag, *, require_mhs: bool = True) -
             if sub_dim(piece):
                 pieces[(p, q)] = piece
 
-    total = sum(m.rows for m in pieces.values())
-    stacked_rank = rref(Mat.stack(pieces.values()))[2] if pieces else 0
-    direct = total == d and (not pieces or stacked_rank == d)
-    if not direct:
-        if require_mhs:
-            raise NotMHS(
-                f"Deligne pieces have total dimension {total} with rank "
-                f"{stacked_rank}, ambient {d}")
-
-    # compatibility with W and F
-    for k in range(0, 2 * n + 1):
-        span = sub_sum_ambient([m for (p, q), m in pieces.items() if p + q <= k], d)
-        if not sub_equal(span, wf.level(k)):
-            if require_mhs:
-                raise NotMHS(f"W_{k} is not the span of I^(p,q) with p+q <= {k}")
-    for p in range(0, n + 1):
-        span = sub_sum_ambient([m for (pp, q), m in pieces.items() if pp >= p], d)
-        if not sub_equal(span, f_level(p)):
-            if require_mhs:
-                raise NotMHS(f"F^{p} is not the span of I^(p',q) with p' >= {p}")
-
     r_split = all(sub_equal(sub_conj(m), pieces.get((q, p), sub_zero(d)))
                   for (p, q), m in pieces.items())
     effective = all(0 <= p <= n and 0 <= q <= n for (p, q) in pieces)
@@ -172,6 +179,14 @@ class PolarizedOrbitSpec:
     @property
     def num_params(self) -> int:
         return len(self.nilpotents)
+
+    def stratum(self, subset) -> list:
+        """The distinct indices of `subset` in increasing order; ValueError
+        when one is not the index of a nilpotent."""
+        subset = sorted(set(subset))
+        if any(i < 0 or i >= self.num_params for i in subset):
+            raise ValueError("stratum index out of range")
+        return subset
 
     def n_sum(self, subset=None) -> Mat:
         total = Mat.zeros(self.dim, self.dim)
@@ -234,17 +249,10 @@ class LmhsReport:
         return [c for c in self.checks if not c.passed]
 
 
-def primitive_subspace(bi: DeligneBigrading, n_total: Mat, i: int) -> Mat:
-    """Primitive part of the graded piece of weight n+i, realized inside the
-    canonical grading subspace V_{n+i} (valid because N respects the grading)."""
-    vk = bi.grading_subspace(bi.weight + i)
-    if vk.rows == 0:
-        return vk
-    return _kernel_within(vk, n_total ** (i + 1))
-
-
 def _kernel_within(space: Mat, op: Mat) -> Mat:
     """{v in the row space of `space` : op v = 0}, as a canonical basis."""
+    if not space.rows:
+        return space
     coeffs = kernel_matrix((space @ op.transpose()).transpose())
     return sub_canonical(coeffs @ space)
 
@@ -300,12 +308,13 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
         return LmhsReport(tuple(checks), (wf, bi))
 
     n_total = spec.n_sum()
-    power = Mat.identity(d)
-    powers = [power]
+    powers = [Mat.identity(d)]
     for _ in range(n + 1):
         powers.append(powers[-1] @ n_total)
     for i in range(0, n + 1):
-        prim = primitive_subspace(bi, n_total, i)
+        # primitive part of the graded piece of weight n+i, inside the
+        # canonical grading subspace V_{n+i} (N respects the grading)
+        prim = _kernel_within(bi.grading_subspace(n + i), powers[i + 1])
         if prim.rows == 0:
             continue
         gram = q_gram(spec.q, prim @ powers[i].transpose(), prim)
@@ -357,10 +366,8 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset):
     each graded piece the surviving directions j outside I act through the
     ad-weight-zero components, and the filtration is the projected one.
     """
-    subset = sorted(set(subset))
+    subset = spec.stratum(subset)
     k = spec.num_params
-    if any(i < 0 or i >= k for i in subset):
-        raise ValueError("stratum index out of range")
     if not subset:
         return [StratumPiece(0, sub_full(spec.dim), spec)]
     d, n = spec.dim, spec.weight

@@ -19,7 +19,7 @@ from .cones import nonnegative_extreme_rays, primitive_ray
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, ad_matrix, inverse, kernel_basis, smith_normal_form, sub_canonical,
+    Mat, ad_matrix, inverse, kernel_matrix, kernel_space, smith_normal_form,
     sub_contains_vec, sub_zero,
 )
 from .weightfilt import weight_filtration_centered
@@ -41,31 +41,18 @@ class RelationSpace:
         return len(self.basis)
 
 
-def _vec_rows_to_space(vecs, ambient):
-    if not vecs:
-        return sub_zero(ambient)
-    return sub_canonical(Mat.from_rows([list(v) for v in vecs]))
+def _flat(nilpotents, d: int) -> Mat:
+    """The matrix whose rows are the row-major flattenings vec(N_j)."""
+    return Mat.stack([Mat.zeros(0, d * d)] + [n.reshape(1, d * d) for n in nilpotents])
 
 
 def relation_space(nilpotents) -> RelationSpace:
     """Exact kernel of the flattening map a -> sum a_i N_i."""
-    k = len(nilpotents)
-    if k == 0:
+    if not nilpotents:
         return RelationSpace((), ())
-    d = nilpotents[0].rows
-    cols = Mat.from_rows([[n.vec()[i] for n in nilpotents]
-                          for i in range(d * d)])
-    kern = kernel_basis(cols)
-    basis = _vec_rows_to_space(kern, k)
-    orth = _orth_complement(basis, k)
+    basis = kernel_space(_flat(nilpotents, nilpotents[0].rows).transpose())
+    orth = kernel_space(basis)
     return RelationSpace(tuple(basis.row_list()), tuple(orth.row_list()))
-
-
-def _orth_complement(space: Mat, ambient: int) -> Mat:
-    if space.rows == 0:
-        return Mat.identity(ambient)
-    kern = kernel_basis(space)
-    return _vec_rows_to_space(kern, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -134,34 +121,25 @@ def w_minus1_end(n_cone: Mat) -> Mat:
 
 def stratum_relation_rows(spec: PolarizedOrbitSpec, subset):
     """Basis of {b over the complement : sum b_j N_j in W_-1(N_subset) End(V)}."""
-    subset = sorted(set(subset))
-    return _relation_rows(spec, subset, w_minus1_end(spec.n_sum(subset)))
-
-
-def _relation_rows(spec: PolarizedOrbitSpec, subset, w: Mat):
-    """stratum_relation_rows with W_-1(N_subset) End(V) given as `w`."""
-    complement = [j for j in range(spec.num_params) if j not in subset]
-    # unknowns: (b over complement, c over w-basis);
-    # equation: sum b_j vec(N_j) - sum c_r w_r = 0
-    cols = []
-    for j in complement:
-        cols.append(list(spec.nilpotents[j].vec()))
-    for r in range(w.rows):
-        cols.append([-x for x in w.row(r)])
-    if not cols:
-        return [], complement
-    m = Mat.from_rows(cols).transpose()
-    kern = kernel_basis(m)
-    b_rows = [list(v[:len(complement)]) for v in kern]
-    space = _vec_rows_to_space([r for r in b_rows if any(r)], len(complement))
+    subset = spec.stratum(subset)
+    space, complement = _relation_space(spec, subset, w_minus1_end(spec.n_sum(subset)))
     return space.row_list(), complement
+
+
+def _relation_space(spec: PolarizedOrbitSpec, subset, w: Mat):
+    """(canonical basis Mat of the stratum_relation_rows, complement), with
+    W_-1(N_subset) End(V) given as `w`: sum b_j vec(N_j) lies in the row
+    space of w exactly when it is orthogonal to the kernel of w."""
+    complement = [j for j in range(spec.num_params) if j not in subset]
+    flat = _flat([spec.nilpotents[j] for j in complement], spec.dim)
+    return kernel_space(kernel_matrix(w) @ flat.transpose()), complement
 
 
 def stratum_monomial_map(spec: PolarizedOrbitSpec, subset) -> MonomialMap:
     """Monomials in the complement variables separating stratum fibers."""
-    rel_rows, complement = stratum_relation_rows(spec, subset)
-    space = _vec_rows_to_space(rel_rows, len(complement))
-    orth = _orth_complement(space, len(complement))
+    subset = spec.stratum(subset)
+    space, complement = _relation_space(spec, subset, w_minus1_end(spec.n_sum(subset)))
+    orth = kernel_space(space)
     return MonomialMap.from_rays(nonnegative_generators(orth.row_list(), len(complement)),
                                  complement)
 
@@ -182,28 +160,25 @@ def compatibility_check(spec: PolarizedOrbitSpec, small, large) -> Compatibility
     large stratum's complement must satisfy the W_-1 condition of the large
     cone.
     """
-    small = sorted(set(small))
-    large = sorted(set(large))
+    small = spec.stratum(small)
+    large = spec.stratum(large)
     if not set(small) < set(large):
         raise ValueError("need a strictly nested pair of strata")
-    return _compatibility(spec, small, large, stratum_relation_rows(spec, small),
-                          w_minus1_end(spec.n_sum(large)))
+    relations = _relation_space(spec, small, w_minus1_end(spec.n_sum(small)))
+    return _compatibility(spec, small, large, relations, w_minus1_end(spec.n_sum(large)))
 
 
 def _compatibility(spec, small, large, relations, w_large: Mat) -> CompatibilityReport:
-    """compatibility_check from the relation rows of `small` and W_-1 of `large`."""
-    rel_rows, complement = relations
-    gens = tuple(primitive_ray(row) for row in rel_rows)
+    """compatibility_check from the relations of `small` and W_-1 of `large`."""
+    space, complement = relations
+    gens = tuple(primitive_ray(row) for row in space.row_list())
+    # row i is sum_j g_ij vec(N_j) over the complement of `large`
     d = spec.dim
-    verdicts = []
-    for g in gens:
-        total = Mat.zeros(d, d)
-        for coeff, j in zip(g, complement):
-            if coeff and j not in large:
-                total = total + spec.nilpotents[j].scale(Fraction(coeff))
-        verdicts.append(sub_contains_vec(w_large, list(total.vec())))
-    return CompatibilityReport(tuple(small), tuple(large), gens,
-                               tuple(verdicts), all(verdicts))
+    flat = _flat([spec.nilpotents[j] if j not in large else Mat.zeros(d, d)
+                  for j in complement], d)
+    totals = Mat(len(gens), len(complement), [c for g in gens for c in g]) @ flat
+    verdicts = tuple(sub_contains_vec(w_large, totals.row(i)) for i in range(totals.rows))
+    return CompatibilityReport(tuple(small), tuple(large), gens, verdicts, all(verdicts))
 
 
 def compatibility_checks(spec: PolarizedOrbitSpec):
@@ -222,7 +197,7 @@ def compatibility_checks(spec: PolarizedOrbitSpec):
     out = []
     for r in range(1, k):
         for small in combinations(range(k), r):
-            relations = _relation_rows(spec, list(small), w_of(small))
+            relations = _relation_space(spec, list(small), w_of(small))
             rest = [j for j in range(k) if j not in small]
             for extra in range(1, k - r + 1):
                 for add in combinations(rest, extra):
@@ -303,18 +278,10 @@ def strata_boundary_positivity(spec: PolarizedOrbitSpec, index: int, subset=None
     """
     if subset is None:
         subset = {index}
-    subset = sorted(set(subset))
+    subset = spec.stratum(subset)
     if index not in subset:
         raise ValueError("the normal direction must belong to the stratum")
     rest = [j for j in subset if j != index]
-    d = spec.dim
-    n_rest = spec.n_sum(rest)
-    w = w_minus1_end(n_rest)
-    rows = [list(w.row(i)) for i in range(w.rows)]
-    for j in rest:
-        rows.append(list(spec.nilpotents[j].vec()))
-    target = list(spec.nilpotents[index].vec())
-    if not rows:
-        return any(target)
-    space = sub_canonical(Mat.from_rows(rows))
-    return not sub_contains_vec(space, target)
+    flat = _flat([spec.nilpotents[j] for j in rest], spec.dim)
+    space = Mat.stack([w_minus1_end(spec.n_sum(rest)), flat])
+    return not sub_contains_vec(space, spec.nilpotents[index].vec())

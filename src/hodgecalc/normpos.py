@@ -298,6 +298,10 @@ def tangent_to_hom_rank(model: NormPositivityModel) -> int:
 # Semipositivity reports
 # ---------------------------------------------------------------------------
 
+# Seeded decomposable tensors drawn per sample for the strong-positivity witness.
+WITNESS_DRAWS = 25
+
+
 @dataclass(frozen=True)
 class SemipositivityReport:
     semi_positive: tuple      # bool per sample (Nakano matrix PSD)
@@ -306,16 +310,16 @@ class SemipositivityReport:
     strongly_semi_positive: bool
 
 
-def strong_semipositivity_check(samples, *, seed: int = 0, draws: int = 25) -> SemipositivityReport:
+def strong_semipositivity_check(samples, *, seed: int = 0) -> SemipositivityReport:
     """Check each curvature sample for semi-positivity and the sampled
-    strong-positivity witness."""
+    strong-positivity witness over WITNESS_DRAWS seeded decomposables."""
     rng = random.Random(seed)
     semis, minima, traces = [], [], []
     for sample in samples:
         psd, _, _ = hermitian_psd_status(sample.nakano)
         semis.append(psd)
         worst = None
-        for _ in range(draws):
+        for _ in range(WITNESS_DRAWS):
             e = [GaussianRational(Fraction(rng.randint(-3, 3)),
                                   Fraction(rng.randint(-3, 3)))
                  for _ in range(sample.rank_e)]

@@ -299,6 +299,10 @@ def stratum_factorization(p: MetricPolynomial, subset, spec: PolarizedOrbitSpec)
 # Restriction limits
 # ---------------------------------------------------------------------------
 
+# The largest final deviation a restriction-limit check accepts.
+LIMIT_TOLERANCE = Fraction(1, 10 ** 6)
+
+
 @dataclass(frozen=True)
 class LimitReport:
     subset: tuple
@@ -342,10 +346,10 @@ def default_rays(subset, count: int, seed: int):
 
 
 def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
-                            scales=None, base=None, seed: int = 0,
-                            tolerance: Fraction = Fraction(1, 10 ** 6)) -> LimitReport:
+                            scales=None, base=None, seed: int = 0) -> LimitReport:
     """Compare the complement block of the Chern form against the stratum form
-    along rays going to infinity in the subset variables."""
+    along rays going to infinity in the subset variables; the check passes
+    when the deviations eventually decrease and end within LIMIT_TOLERANCE."""
     subset = sorted(set(subset))
     k = spec.num_params
     complement = [j for j in range(k) if j not in subset]
@@ -388,7 +392,7 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
         all_devs.append(tuple(devs))
     final_max = max(d[-1] for d in all_devs)
     decreasing = all(_is_eventually_decreasing(list(d)) for d in all_devs)
-    passed = decreasing and final_max <= tolerance
+    passed = decreasing and final_max <= LIMIT_TOLERANCE
     return LimitReport(tuple(subset), base, scales, tuple(rays), tuple(all_devs),
                        decreasing, final_max, exact_zero, passed)
 

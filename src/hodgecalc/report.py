@@ -18,8 +18,9 @@ from .rationals import GaussianRational
 SIG_DIGITS = 12
 
 
-def frac_to_decimal(value, sig: int = SIG_DIGITS) -> str:
-    """Exact rounded decimal rendering of a Fraction, scientific notation."""
+def frac_to_decimal(value) -> str:
+    """Exact rounded decimal rendering of a Fraction to SIG_DIGITS
+    significant digits, scientific notation."""
     if isinstance(value, GaussianRational):
         value = value.real_or_raise()
     value = Fraction(value)
@@ -33,8 +34,8 @@ def frac_to_decimal(value, sig: int = SIG_DIGITS) -> str:
     dscaled = d * 10 ** max(0, e) if e > 0 else d
     if scaled < dscaled:
         e -= 1
-    # digits = round(n/d * 10^(sig-1-e)), half away from zero
-    shift = sig - 1 - e
+    # digits = round(n/d * 10^(SIG_DIGITS-1-e)), half away from zero
+    shift = SIG_DIGITS - 1 - e
     if shift >= 0:
         num = n * 10 ** shift
         den = d
@@ -44,7 +45,7 @@ def frac_to_decimal(value, sig: int = SIG_DIGITS) -> str:
     digits, rem = divmod(num, den)
     if 2 * rem >= den:
         digits += 1
-    if len(str(digits)) > sig:   # rounding rolled over a power of ten
+    if len(str(digits)) > SIG_DIGITS:   # rounding rolled over a power of ten
         digits //= 10
         e += 1
     s = str(digits).rstrip("0") or "0"

@@ -297,71 +297,32 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
 # Eigenspace decompositions and the relative weight filtration
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    t = 1
-    while t * t <= n:
-        if n % t == 0:
-            small.append(t)
-            if t != n // t:
-                large.append(n // t)
-        t += 1
-    return small + large[::-1]
-
-
 def integer_eigen_decomposition(y: Mat) -> dict:
     """Eigenspaces of a semisimple matrix with integer eigenvalues.
 
-    Returns k -> basis matrix; raises if eigenspaces do not fill the space.
-    A bounded window around zero is probed first, from zero outwards
-    (0, -1, 1, -2, 2, ...), until the eigenspaces fill the space: the
-    eigenvalues of a grading lie there, those of a centred one closest to
-    zero.  The fallback derives candidates from the rational-root bound on
-    the characteristic polynomial.  Keys are in ascending order.
+    Returns k -> basis matrix, keys in ascending order; raises if the
+    eigenspaces do not fill the space.  Candidates are probed from zero
+    outwards (0, -1, 1, -2, 2, ...): the eigenvalues of a grading lie near
+    zero, those of a centred one closest to it.  The eigenvalues, counted
+    with multiplicity, have squares summing to tr(y^2), so the probe stops
+    once k^2 exceeds tr(y^2) less the squares of those already found.
     """
     d = y.rows
-    probe = {}
-    total = 0
-    for k in sorted(range(-2 * d, 2 * d + 1), key=lambda k: (abs(k), k)):
-        eig = kernel_space(y - Mat.identity(d).scale(Fraction(k)))
-        if sub_dim(eig):
-            probe[k] = eig
-            total += sub_dim(eig)
-        if total == d:
-            return dict(sorted(probe.items()))
-    from .polynomials import MultiPoly, poly_mat_det
-    entries = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if i == j:
-                row.append(MultiPoly(1, {(1,): 1}) - MultiPoly.const(1, y[i, j]))
-            else:
-                row.append(MultiPoly.const(1, ZERO - y[i, j]))
-        entries.append(row)
-    charpoly = poly_mat_det(entries)
-    candidates = {0}
-    lowest = None
-    for (e,), c in sorted(charpoly.terms.items()):
-        lowest = c
-        break
-    if lowest is not None:
-        val = lowest.re if hasattr(lowest, "re") else lowest
-        num = abs(val.numerator)
-        if num:
-            for t in _divisors(num):
-                candidates.update({t, -t})
-    spaces = {}
-    total = 0
-    for k in sorted(candidates):
-        eig = kernel_space(y - Mat.identity(d).scale(Fraction(k)))
-        if sub_dim(eig):
-            spaces[k] = eig
-            total += sub_dim(eig)
-    if total != d:
+    squares = (y @ y).trace()
+    if squares.im or squares.re.denominator != 1 or squares.re < 0:
         raise NoSolution("matrix is not semisimple with integer eigenvalues")
-    return spaces
+    rest = int(squares.re)      # sum of the squares of the eigenvalues not found yet
+    spaces, total, k = {}, 0, 0
+    while k * k <= rest:
+        eig = kernel_space(y - Mat.identity(d).scale(k))
+        if eig.rows:
+            spaces[k] = eig
+            total += eig.rows
+            rest -= eig.rows * k * k
+        if total == d:
+            return dict(sorted(spaces.items()))
+        k = -k if k < 0 else -k - 1
+    raise NoSolution("matrix is not semisimple with integer eigenvalues")
 
 
 def y_eigen_decomposition(n2: Mat, y: Mat) -> dict:

@@ -11,6 +11,10 @@ algebra can be checked against it the same way.
 ``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the
 d^2 x d^2 matrix of ad(xi^T).
+
+``phs_weight1`` and ``phs_weight2`` build the frames of the Hodge pieces
+row by row from the entries of omega, where the library stacks omega with
+identity and zero blocks and transposes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,42 @@ from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
 from hodgecalc.matrices import (
     Mat, ad_matrix, inverse, kernel_basis, rank, solve, sub_canonical, sub_zero,
 )
-from hodgecalc.rationals import ONE, ZERO
+from hodgecalc.rationals import GaussianRational, ONE, ZERO
+
+
+def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:
+    g = genus
+    if omega is None:
+        omega = Mat.identity(g).scale(GaussianRational(0, 1))
+    d = 2 * g
+    q = Mat.from_rows([[0, 1], [-1, 0]]).kron(Mat.identity(g))
+    rows10 = []
+    for c in range(g):
+        v = [omega[r, c] for r in range(g)] + [ONE if r == c else ZERO for r in range(g)]
+        rows10.append(v)
+    v10 = Mat.from_rows(rows10)
+    v01 = v10.conj()
+    return PolarizedHS(d, 1, q, {(1, 0): v10, (0, 1): v01})
+
+
+def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
+    if omega is None:
+        omega = Mat.identity(h20)
+    d = 2 * h20 + h11
+    q = Mat.diag([1] * h20 + [-1] * h11 + [1] * h20)
+    ii = GaussianRational(0, 1)
+    rows20 = []
+    for c in range(h20):
+        v = ([omega[r, c] for r in range(h20)] + [ZERO] * h11
+             + [ii * omega[r, c] for r in range(h20)])
+        rows20.append(v)
+    v20 = Mat.from_rows(rows20)
+    rows11 = []
+    for c in range(h11):
+        v = [ZERO] * h20 + [ONE if r == c else ZERO for r in range(h11)] + [ZERO] * h20
+        rows11.append(v)
+    v11 = Mat.from_rows(rows11)
+    return PolarizedHS(d, 2, q, {(2, 0): v20, (1, 1): v11, (0, 2): v20.conj()})
 
 
 def graded_end_pieces(phs: PolarizedHS) -> dict:

@@ -16,6 +16,33 @@ from hodgecalc.matrices import Mat, rank, sub_contains_vec
 from hodgecalc.rationals import GaussianRational, ZERO
 
 
+def assert_same_structure(ours, theirs):
+    """== on the form, the dimension, the weight and every nonempty piece.
+    An empty piece is the zero subspace of V (0 x d) where the row loops
+    built a 0 x 0 matrix; only its row count is ever read."""
+    assert (ours.dim, ours.weight, ours.q) == (theirs.dim, theirs.weight, theirs.q)
+    assert list(ours.pieces) == list(theirs.pieces)
+    for key, m in ours.pieces.items():
+        if m.rows:
+            assert m == theirs.pieces[key], key
+        else:
+            assert (m, theirs.pieces[key]) == (Mat.zeros(0, ours.dim), Mat.zeros(0, 0)), key
+
+
+def test_frames_match_the_row_loops():
+    i = GaussianRational(0, 1)
+    skewed1 = Mat.from_rows([[1 + 2 * i, Fraction(1, 2) + i], [Fraction(1, 2) + i, -1 + 2 * i]])
+    skewed2 = Mat.from_rows([[2, 1, 0], [-1, 3, 1], [0, Fraction(1, 3), 1]])
+    cases = [(phs_weight1, ref.phs_weight1, (g,)) for g in (1, 2, 3)]
+    cases += [(phs_weight2, ref.phs_weight2, (h20, h11)) for h20, h11 in
+              ((1, 1), (2, 3), (3, 4), (1, 0), (3, 0))]
+    cases += [(phs_weight1, ref.phs_weight1, (2, skewed1)),
+              (phs_weight2, ref.phs_weight2, (3, 2, skewed2)),
+              (phs_weight2, ref.phs_weight2, (3, 0, skewed2))]
+    for ours, theirs, args in cases:
+        assert_same_structure(ours(*args), theirs(*args))
+
+
 @pytest.fixture(scope="module")
 def algebras_w1():
     return {g: graded_end_algebra(phs_weight1(g)) for g in (1, 2, 3, 4)}

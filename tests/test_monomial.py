@@ -3,6 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+import reference_monomial as ref
+from conftest import direct_sum
 from hodgecalc.cones import primitive_ray
 from hodgecalc.matrices import Mat, rank, smith_normal_form, sub_contains_vec
 from hodgecalc.monomial import (
@@ -10,6 +14,9 @@ from hodgecalc.monomial import (
     relation_space, strata_boundary_positivity, stratum_monomial_map,
     stratum_relation_rows, w_minus1_end,
 )
+from hodgecalc.schemas import fixture_names, load_fixture
+
+ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
 
 
 def test_relation_space_dollar_bill(dollar_bill):
@@ -197,3 +204,68 @@ def test_compatibility_duplicated_pair(duplicated_pair):
     for small in ([0], [1]):
         rep = compatibility_check(duplicated_pair, small, [0, 1])
         assert rep.passed
+
+
+# --- the relation systems against the entry-list oracle ----------------------------
+
+def subsets(k, sizes=None):
+    return [list(s) for r in (sizes or range(k + 1)) for s in combinations(range(k), r)]
+
+
+def assert_same_relations(spec, strata, pairs):
+    """The library and reference_monomial agree with == on the relation space,
+    and on the relation rows, stratum map and boundary positivity of every
+    stratum in `strata` and the compatibility of every (small, large) pair."""
+    assert relation_space(spec.nilpotents) == ref.relation_space(spec.nilpotents)
+    for subset in strata:
+        assert stratum_relation_rows(spec, subset) == ref.stratum_relation_rows(spec, subset)
+        assert stratum_monomial_map(spec, subset) == ref.stratum_monomial_map(spec, subset)
+        for index in subset:
+            assert strata_boundary_positivity(spec, index, subset) == \
+                ref.strata_boundary_positivity(spec, index, subset), (subset, index)
+    for small, large in pairs:
+        assert compatibility_check(spec, small, large) == \
+            ref.compatibility_check(spec, small, large), (small, large)
+
+
+@pytest.mark.parametrize("name", ORBIT_FIXTURES)
+def test_relation_systems_match_entry_lists_on_fixtures(name):
+    spec = load_fixture(name).obj
+    k = spec.num_params
+    pairs = [(small, large) for small in subsets(k, range(1, k)) for large in subsets(k)
+             if set(small) < set(large)]
+    assert_same_relations(spec, subsets(k), pairs)
+
+
+def test_relation_systems_match_entry_lists_on_direct_sums(dollar_bill):
+    eight, twelve = direct_sum([dollar_bill] * 2), direct_sum([dollar_bill] * 3)
+    assert_same_relations(eight, subsets(6, (0, 1)) + [[1, 4], [0, 2, 5], list(range(6))],
+                          [([0], [0, 3]), ([1, 4], [1, 2, 4, 5]), ([2], list(range(6)))])
+    assert_same_relations(twelve, [[4], [0, 3, 6]],
+                          [([4], [4, 7]), ([0, 3, 6], [0, 1, 3, 6, 8])])
+
+
+def test_relation_systems_match_entry_lists_with_relations(dollar_bill):
+    """Repeated and scaled directions give nonzero relation spaces and
+    relation rows on every stratum."""
+    n = dollar_bill.nilpotents
+    spec = dollar_bill.__class__(dollar_bill.dim, dollar_bill.weight, dollar_bill.q,
+                                 n + (n[0].scale(2), n[1] + n[2]), dollar_bill.flag)
+    assert relation_space(spec.nilpotents).dim == 2
+    pairs = [(small, large) for small in subsets(5, (1, 2)) for large in subsets(5, (3, 4))
+             if set(small) < set(large)]
+    assert_same_relations(spec, subsets(5), pairs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: stratum_relation_rows(spec, [3]),
+    lambda spec: stratum_monomial_map(spec, [7]),
+    lambda spec: compatibility_check(spec, [5], [5, 6]),
+    lambda spec: compatibility_check(spec, [0], [0, 3]),
+    lambda spec: strata_boundary_positivity(spec, 9),
+    lambda spec: strata_boundary_positivity(spec, 0, [0, -1]),
+], ids=["relation-rows", "stratum-map", "compat-both", "compat-large", "boundary",
+        "boundary-negative"])
+def test_stratum_index_out_of_range(dollar_bill, call):
+    with pytest.raises(ValueError, match="stratum index out of range"):
+        call(dollar_bill)

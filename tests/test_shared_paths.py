@@ -23,6 +23,7 @@ import reference_weightfilt as ref_weightfilt
 from conftest import direct_sum, random_nilpotent, reverse_grading_candidates
 from hodgecalc import lmhs, monomial, orbit, weightfilt
 from hodgecalc.cli import main
+from hodgecalc.errors import NoSolution
 from hodgecalc.cones import hull_contains
 from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
@@ -52,8 +53,13 @@ def sums(dollar_bill):
     return {8: direct_sum([dollar_bill] * 2), 12: direct_sum([dollar_bill] * 3)}
 
 
-def assert_same_bigrading(wf, flag, **kwargs):
-    ours = deligne_bigrading(wf, flag, **kwargs)
+def assert_same_bigrading(wf, flag, formula=None):
+    """The library's bigrading (or, with `formula` set, its unchecked closed
+    formula) against the full probe of reference_lmhs."""
+    if formula is None:
+        ours = deligne_bigrading(wf, flag)
+    else:
+        ours = formula(wf, lmhs.flag_levels(flag, wf.weight, wf.ambient))
     theirs = ref.deligne_bigrading(wf, flag)
     assert ours.pieces == theirs.pieces
     assert list(ours.pieces) == list(theirs.pieces)      # same probe order
@@ -81,8 +87,8 @@ def test_bigrading_matches_full_probe_on_direct_sums(sums, dim):
 
 @pytest.mark.parametrize("name", ["dollar-bill", "weight2-tate-degeneration"])
 def test_bigrading_matches_full_probe_off_mhs(name):
-    """Random nested flags (no MHS, Gaussian entries): the formula's pieces,
-    R-splitness and effectivity still agree probe for probe."""
+    """Random nested flags (no MHS, Gaussian entries): the closed formula's
+    pieces, R-splitness and effectivity still agree probe for probe."""
     spec = load_fixture(name).obj
     wf = weight_filtration(spec.n_sum(), spec.weight)
     for seed in range(12):
@@ -91,7 +97,7 @@ def test_bigrading_matches_full_probe_off_mhs(name):
                  for _ in range(spec.dim)] for _ in range(spec.dim)]
         sizes = sorted(rng.randint(1, spec.dim) for _ in range(spec.weight + 1))
         flag = [sub_canonical(Mat.from_rows(rows[:size])) for size in sizes]
-        assert_same_bigrading(wf, flag, require_mhs=False)
+        assert_same_bigrading(wf, flag, lmhs._closed_formula)
 
 
 def test_metric_polynomial_runs_the_bigrading_once_per_call(dollar_bill, monkeypatch):
@@ -422,6 +428,41 @@ def test_eigen_probe_from_zero_matches_ascending_probe():
             assert list(ours.items()) == list(theirs.items()), label
         cases += 1
     assert cases > 20
+
+
+def test_bounded_probe_matches_window_and_fallback():
+    """Inside the window of +-2d the probe from zero outwards finds the same
+    eigenspaces as the windowed probe; outside it, as the characteristic
+    polynomial fallback: weights 3 to 9 at d = 2, and eigenvalues up to +-30
+    at d = 5, each conjugated by a seeded unimodular matrix."""
+    cases = [y for _, y, _ in grading_elements()]
+    n = Mat.from_rows([[0, 1], [0, 0]])
+    for weight in range(3, 10):
+        cases.append(grading_element(n, weight_filtration(n, weight)))
+    rng = random.Random(5)
+    for values in ([30, -30, 17, 0, -29], [30, 30, -1, -1, 7], [-12, 11, 11, 3, -12], [2, -3, 0, 0, 1]):
+        t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                            for j in range(5)] for i in range(5)])
+        u = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i < j else 0)
+                            for j in range(5)] for i in range(5)])
+        cases.append(t @ u @ Mat.diag(values) @ inverse(t @ u))
+    outside = 0
+    for y in cases:
+        ours, theirs = integer_eigen_decomposition(y), ref_weightfilt.windowed_eigen_decomposition(y)
+        assert list(ours.items()) == list(theirs.items())
+        outside += max(map(abs, ours)) > 2 * y.rows
+    assert outside == 9         # weights 4 to 9 at d = 2, the first three at d = 5
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [0, 0]], [[0, -1], [1, 0]], [[Fraction(1, 2), 0], [0, 1]], [[1, 1], [0, 1]],
+], ids=["nilpotent", "rotation", "half", "jordan-block"])
+def test_bounded_probe_fails_where_the_fallback_fails(rows):
+    y = Mat.from_rows(rows)
+    with pytest.raises(NoSolution):
+        ref_weightfilt.windowed_eigen_decomposition(y)
+    with pytest.raises(NoSolution):
+        integer_eigen_decomposition(y)
 
 
 def test_eigen_probe_of_a_centred_regular_grading(monkeypatch):

@@ -1,12 +1,15 @@
-"""Every module of the library uses each name it imports, and imports each
-name from the module that defines it.
+"""Every module of the library uses each name it imports, imports each
+name from the module that defines it, and uses each private function and
+class it defines.
 
 A name counts as used when it appears anywhere in the module's code.  The
 modules use ``from __future__ import annotations``, so annotations are code
 and need no quotes.  ``__init__`` is left out of the first check: its
 imports are the package's public names.  The second check covers every
 module: a ``from .mod import name`` must name a public function, class or
-assigned name of ``mod`` itself, not one that ``mod`` only imports.
+assigned name of ``mod`` itself, not one that ``mod`` only imports.  The
+third check covers every module too: no other module may import a private
+name, so one its own module never uses is dead code.
 """
 
 from __future__ import annotations
@@ -100,3 +103,35 @@ def test_the_check_finds_misplaced_imports():
               "from .rationals import ZERO\n")
     assert misplaced_imports(source, defined) == [(1, "matrices", "ZERO"),
                                                   (2, "matrices", "_cache")]
+
+
+def unused_private_definitions(source: str):
+    """(line, name) of each module-level private function or class that the
+    rest of the module never uses; a use inside its own body does not count."""
+    body = ast.parse(source).body
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name.startswith("_") and not node.name.startswith("__"):
+            used = {n.id for other in body if other is not node
+                    for n in ast.walk(other) if isinstance(n, ast.Name)}
+            if node.name not in used:
+                out.append((node.lineno, node.name))
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_uses_every_private_definition(path):
+    assert unused_private_definitions(path.read_text()) == []
+
+
+def test_the_check_finds_unused_private_definitions():
+    source = ("def _unused(x):\n    return x\n"
+              "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+              "def _used():\n    return _Helper()\n"
+              "class _Helper:\n    pass\n"
+              "class _Dead:\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "def public():\n    return _used()\n")
+    assert unused_private_definitions(source) == [(1, "_unused"), (3, "_recursive"),
+                                                  (9, "_Dead")]
