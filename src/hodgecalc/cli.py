@@ -342,8 +342,8 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         rng = random.Random(seed)
         gm1 = ge.pieces.get(-1)
         if gm1 is None:
-            raise SchemaError("horizontal needs a phs whose horizontal piece "
-                              "g^{-1,1} is nonzero (h20 > 0 for weight 2, genus > 0 for weight 1)")
+            raise SchemaError("horizontal needs a nonzero horizontal piece g^{-1,1} (h20 > 0 "
+                              "and h11 > 0 for weight 2, genus > 0 for weight 1)")
         samples = []
         all_neg = True
         for _ in range(3):

@@ -1025,15 +1025,8 @@ class Splitting:
 
 
 # ---------------------------------------------------------------------------
-# ad and nilpotency
+# Nilpotency
 # ---------------------------------------------------------------------------
-
-def ad_matrix(n: Mat) -> Mat:
-    """Matrix of ad(n) = [n, .] on row-major flattened endomorphisms:
-    n (x) I - I (x) n^T."""
-    one = Mat.identity(n.rows)
-    return n.kron(one) - one.kron(n.transpose())
-
 
 def nilpotency_index(n: Mat) -> int:
     """Smallest m >= 1 with n**m = 0; raises NotNilpotent otherwise."""

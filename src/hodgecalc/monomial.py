@@ -19,8 +19,8 @@ from .cones import nonnegative_extreme_rays, primitive_ray
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, ad_matrix, inverse, kernel_matrix, kernel_space, smith_normal_form,
-    sub_contains_vec, sub_zero,
+    Mat, inverse, kernel_matrix, kernel_space, smith_normal_form, sub_canonical,
+    sub_contains_vec,
 )
 from .weightfilt import weight_filtration_centered
 
@@ -108,15 +108,19 @@ def monomial_map(spec: PolarizedOrbitSpec) -> MonomialMap:
 
 
 def w_minus1_end(n_cone: Mat) -> Mat:
-    """Level -1 of the centered weight filtration of ad(n_cone) on End(V)."""
-    ad = ad_matrix(n_cone)
-    centered = weight_filtration_centered(ad)
-    s = max(centered)
-    if -1 < -s:
-        return sub_zero(ad.rows)
-    if -1 > s:
-        return Mat.identity(ad.rows)
-    return centered[-1]
+    """Level -1 of the centered weight filtration of ad(n_cone) on End(V), as
+    canonical rows of row-major flattened endomorphisms.
+
+    The weight filtration of ad N on End(V) = V (x) V* is the one that the
+    centered W = W(N) on V induces, so level -1 is the space of X with
+    X W_k ⊆ W_(k-1) for all k: the sum over k of W_k (x) Ann(W_k), since X
+    lies in it exactly when it lowers the weight of each vector of a basis
+    adapted to W.  The map v φ flattens to v (x) φ, the Kronecker product of
+    the rows of W_k and of its kernel; levels 0 and V add nothing."""
+    d = n_cone.rows
+    return sub_canonical(Mat.stack([Mat.zeros(0, d * d)] + [
+        w.kron(kernel_matrix(w)) for w in weight_filtration_centered(n_cone).values()
+        if 0 < w.rows < d]))
 
 
 def stratum_relation_rows(spec: PolarizedOrbitSpec, subset):

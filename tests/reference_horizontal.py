@@ -19,10 +19,11 @@ identity and zero blocks and transposes.
 
 from __future__ import annotations
 
+from reference_matrices import ad_matrix
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
 from hodgecalc.matrices import (
-    Mat, ad_matrix, inverse, kernel_basis, rank, solve, sub_canonical, sub_zero,
+    Mat, inverse, kernel_basis, rank, solve, sub_canonical, sub_zero,
 )
 from hodgecalc.rationals import GaussianRational, ONE, ZERO
 

@@ -4,9 +4,10 @@ These are the fraction-full ``GaussianRational`` versions of ``rref``,
 ``det``, ``Mat.__matmul__`` and ``Mat.mat_vec`` that ``hodgecalc.matrices``
 used before its integer kernels, the entry-by-entry ``Mat`` methods it
 used before matrices were stored as integer rows, and the index loops that
-``Mat.kron`` and ``ad_matrix`` replaced.  They are slow and simple
-on purpose; the property tests in ``test_matrix_oracles.py`` assert that the
-library gives exactly the same answers.
+``Mat.kron`` replaced.  They are slow and simple on purpose; the property
+tests in ``test_matrix_oracles.py`` assert that the library gives exactly the
+same answers.  ``ad_matrix``, the d^2 x d^2 matrix of ad(n) on End(V), is
+kept with the index loop it replaced; the library no longer builds it.
 """
 
 from __future__ import annotations
@@ -164,8 +165,16 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 
 def ad_matrix(n: Mat) -> Mat:
-    """Matrix of ad(n) = [n, .] acting on row-major flattened endomorphisms,
-    as ``hodgecalc.monomial`` built it before ``matrices.ad_matrix``."""
+    """Matrix of ad(n) = [n, .] on row-major flattened endomorphisms:
+    n (x) I - I (x) n^T, as ``hodgecalc.matrices`` built it while
+    ``monomial.w_minus1_end`` read W_-1 End(V) off its weight filtration."""
+    one = Mat.identity(n.rows)
+    return n.kron(one) - one.kron(n.transpose())
+
+
+def ad_matrix_loop(n: Mat) -> Mat:
+    """``ad_matrix`` one entry at a time, as ``hodgecalc.monomial`` built it
+    before ``Mat.kron``."""
     d = n.rows
     rows = []
     for i in range(d):

@@ -9,17 +9,37 @@ generator and ``strata_boundary_positivity`` from the canonical span of the
 rows of W_-1 and the residual nilpotents.  The library builds the same
 systems from ``Mat.stack`` of ``N.reshape(1, d*d)`` rows;
 ``test_monomial.py`` asserts that both give equal answers.
+
+``w_minus1_end`` reads W_-1 End(V) off the weight filtration of the
+d^2 x d^2 matrix of ad(N) on End(V), where the library reads it off the
+weight filtration of N on V; the systems here use it, so they share no
+W_-1 with the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from reference_matrices import ad_matrix
 from hodgecalc.cones import primitive_ray
 from hodgecalc.matrices import Mat, kernel_basis, sub_canonical, sub_contains_vec, sub_zero
 from hodgecalc.monomial import (
-    CompatibilityReport, MonomialMap, RelationSpace, nonnegative_generators, w_minus1_end,
+    CompatibilityReport, MonomialMap, RelationSpace, nonnegative_generators,
 )
+from hodgecalc.weightfilt import weight_filtration_centered
+
+
+def w_minus1_end(n_cone: Mat) -> Mat:
+    """Level -1 of the centered weight filtration of ad(n_cone) on End(V),
+    from the d^2 x d^2 matrix of ad(n_cone) and its whole filtration."""
+    ad = ad_matrix(n_cone)
+    centered = weight_filtration_centered(ad)
+    s = max(centered)
+    if -1 < -s:
+        return sub_zero(ad.rows)
+    if -1 > s:
+        return Mat.identity(ad.rows)
+    return centered[-1]
 
 
 def _vec_rows_to_space(vecs, ambient):

@@ -304,6 +304,8 @@ BAD_DOCUMENTS = {
     # no horizontal directions: the (-1) piece of the graded algebra is empty
     "horizontal-h20-zero": ("horizontal", _mutated("weight2-normal-form", h20=0)),
     "horizontal-genus-zero": ("horizontal", _mutated("weight1-genus2", genus=0)),
+    "horizontal-h11-zero": ("horizontal", {"kind": "phs", "payload": {
+        "weight": 2, "h20": 2, "h11": 0}}),
     # an omega of the wrong shape: a weight-1 omega must be square, one of
     # weight 2 must be h20 x h20
     "weight1-omega-3x1": ("validate", {"kind": "phs", "payload": {
@@ -336,3 +338,12 @@ def test_bad_document_field_exits_2(doc, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_horizontal_without_h11_names_h11(tmp_path, capsys):
+    # g^{-1,1} has dimension h20 * h11, so h11 = 0 empties it even at h20 = 2
+    command, payload = BAD_DOCUMENTS["horizontal-h11-zero"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 2 and "h11 > 0" in err

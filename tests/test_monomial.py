@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import reference_monomial as ref
-from conftest import direct_sum
+from conftest import direct_sum, random_nilpotent
 from hodgecalc.cones import primitive_ray
-from hodgecalc.matrices import Mat, rank, smith_normal_form, sub_contains_vec
+from hodgecalc.matrices import Mat, rank, smith_normal_form, sub_contains, sub_contains_vec
 from hodgecalc.monomial import (
     MonomialMap, compatibility_check, connected_refinement, monomial_map,
     relation_space, strata_boundary_positivity, stratum_monomial_map,
     stratum_relation_rows, w_minus1_end,
 )
 from hodgecalc.schemas import fixture_names, load_fixture
+from hodgecalc.weightfilt import weight_filtration_centered
 
 ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
 
@@ -255,6 +257,51 @@ def test_relation_systems_match_entry_lists_with_relations(dollar_bill):
     pairs = [(small, large) for small in subsets(5, (1, 2)) for large in subsets(5, (3, 4))
              if set(small) < set(large)]
     assert_same_relations(spec, subsets(5), pairs)
+
+
+# --- W_-1 End(V) from the weight filtration of N on V --------------------------
+
+def _w_end_cases():
+    """(id, N): every stratum cone of every orbit fixture, the empty one
+    (N = 0) included, the dollar-bill sums at d = 8 and 12, and a seeded
+    nilpotent at d = 6."""
+    cases = []
+    for name in ORBIT_FIXTURES:
+        spec = load_fixture(name).obj
+        cases += [(f"{name}{s}", spec.n_sum(s)) for s in subsets(spec.num_params)]
+    dollar_bill = load_fixture("dollar-bill").obj
+    eight, twelve = direct_sum([dollar_bill] * 2), direct_sum([dollar_bill] * 3)
+    cases += [("sum8", eight.n_sum()), ("sum8[0, 4]", eight.n_sum([0, 4])),
+              ("sum12", twelve.n_sum()), ("sum12[1, 3, 8]", twelve.n_sum([1, 3, 8]))]
+    return cases + [("seeded6", random_nilpotent(random.Random(6), 6))]
+
+
+W_END_CASES = _w_end_cases()
+# the ad(N) oracle takes seconds from d = 8 on, so these are checked only
+# by the identities
+SEEDED_LARGE = [(f"seeded{d}", random_nilpotent(random.Random(d), d)) for d in (8, 10)]
+
+
+@pytest.mark.parametrize("n", [n for _, n in W_END_CASES], ids=[i for i, _ in W_END_CASES])
+def test_w_minus1_end_matches_ad_filtration(n):
+    assert w_minus1_end(n) == ref.w_minus1_end(n)
+
+
+@pytest.mark.parametrize("n", [n for _, n in W_END_CASES + SEEDED_LARGE],
+                         ids=[i for i, _ in W_END_CASES + SEEDED_LARGE])
+def test_w_minus1_end_is_the_lowering_space_of_the_filtration(n):
+    """dim W_-1 End(V) = sum over a < b of g_a g_b for the graded dimensions
+    g of W(N), and every row, read as X, maps each W_k into W_(k-1)."""
+    d = n.rows
+    centered = weight_filtration_centered(n)
+    levels = [Mat.zeros(0, d)] + [centered[k] for k in sorted(centered)]
+    graded = [hi.rows - lo.rows for lo, hi in zip(levels, levels[1:])]
+    w = w_minus1_end(n)
+    assert w.rows == sum(ga * gb for a, ga in enumerate(graded) for gb in graded[a + 1:])
+    for i in range(w.rows):
+        x = w.take([i]).reshape(d, d)
+        for lower, level in zip(levels, levels[1:]):
+            assert sub_contains(lower, level @ x.transpose())
 
 
 @pytest.mark.parametrize("call", [
