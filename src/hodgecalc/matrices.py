@@ -388,6 +388,13 @@ class Mat:
         return cls(n, m, [e for r in rows for e in r])
 
     @classmethod
+    def from_int_rows(cls, rows, den: int) -> "Mat":
+        """The real matrix of int rows over one positive denominator."""
+        form = [_Z.normal(row, den) for row in rows]
+        return cls._make(len(form), len(rows[0]) if rows else 0, _Z,
+                         [r for r, _ in form], [d for _, d in form])
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls._make(n, n, _Z, [_Z.unit_row(n, i, 1) for i in range(n)], [1] * n)
 
@@ -1028,16 +1035,23 @@ class Splitting:
 # Nilpotency
 # ---------------------------------------------------------------------------
 
-def nilpotency_index(n: Mat) -> int:
-    """Smallest m >= 1 with n**m = 0; raises NotNilpotent otherwise."""
+def nilpotent_powers(n: Mat) -> list:
+    """[n, n^2, ..., n^m] for the smallest m >= 1 with n^m = 0; raises
+    NotNilpotent otherwise."""
     if n.rows != n.cols:
         raise ValueError("nilpotency of non-square matrix")
-    p = Mat.identity(n.rows)
-    for m in range(1, n.rows + 1):
+    p, powers = Mat.identity(n.rows), []
+    for _ in range(n.rows):
         p = p @ n
+        powers.append(p)
         if p.is_zero():
-            return m
+            return powers
     raise NotNilpotent(f"matrix is not nilpotent (n^{n.rows} != 0)")
+
+
+def nilpotency_index(n: Mat) -> int:
+    """Smallest m >= 1 with n**m = 0; raises NotNilpotent otherwise."""
+    return len(nilpotent_powers(n))
 
 
 def is_nilpotent(n: Mat) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from itertools import chain
+from math import factorial, lcm, prod
 import random
 
 from .errors import DegenerateDet, NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
@@ -176,24 +177,31 @@ def chern_form_at(p, x) -> ChernSample:
     """G_ij = (dP_i dP_j - P dP_ij) / P^2 evaluated exactly at x.
 
     `p` is a MultiPoly, a MetricPolynomial or the HessianTable of either;
-    pass the table when sampling the same P at several points."""
+    pass the table when sampling the same P at several points.  With every
+    value brought over one common denominator, as V = L P(x), F_i = L dP_i(x)
+    and S_ij = L dP_ij(x), G is the int matrix F F^T - V S over V^2."""
     table = p if isinstance(p, HessianTable) else hessian_table(p)
     xs = [Fraction(v) for v in x]
-    val = table.p.evaluate(xs)
-    if isinstance(val, GaussianRational):
-        val = val.real_or_raise()
+    val = _real(table.p.evaluate(xs))
     if val == 0:
         raise ZeroAtPoint(f"polynomial vanishes at {xs}")
+    fvals = [_real(f.evaluate(xs)) for f in table.firsts]
+    svals = [[_real(s.evaluate(xs)) for s in row] for row in table.seconds]
+    common = lcm(val.denominator, *[v.denominator for v in chain(fvals, *svals)])
+    v = val.numerator * (common // val.denominator)
+    f = [q.numerator * (common // q.denominator) for q in fvals]
     k = table.p.num_vars
-    fvals = [f.evaluate(xs) for f in table.firsts]
-    entries = [[None] * k for _ in range(k)]
-    for i, row in enumerate(table.seconds):
-        for j, second in enumerate(row):
-            entries[i][j] = entries[j][i] = Fraction(
-                fvals[i] * fvals[j] - val * second.evaluate(xs), val * val)
-    g = Mat.from_rows(entries)
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(svals):
+        for j, s in enumerate(row):
+            rows[i][j] = rows[j][i] = f[i] * f[j] - v * s.numerator * (common // s.denominator)
+    g = Mat.from_int_rows(rows, v * v)
     psd, rk, _ = hermitian_psd_status(g)
     return ChernSample(tuple(xs), g, psd, rk)
+
+
+def _real(value) -> Fraction:
+    return value.real_or_raise() if isinstance(value, GaussianRational) else value
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +363,19 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
     complement = [j for j in range(k) if j not in subset]
     if not subset or not complement:
         raise ValueError("subset must be a nonempty proper subset")
-    p = hodge_metric_polynomial(spec)
-    stratum = stratum_metric_polynomial(spec, subset)
     if scales is None:
         scales = tuple(Fraction(10) ** e for e in range(1, 9))
     scales = tuple(Fraction(s) for s in scales)
+    if not scales:
+        raise ValueError("scales must be nonempty")
     if sorted(scales) != list(scales):
         raise ValueError("scales must be increasing")
-    if rays is None:
-        rays = default_rays(subset, 5, seed)
+    rays = default_rays(subset, 5, seed) if rays is None else tuple(rays)
+    if not rays:
+        raise ValueError("rays must be nonempty")
     base = tuple(Fraction(b) for b in (base or [1] * len(complement)))
+    p = hodge_metric_polynomial(spec)
+    stratum = stratum_metric_polynomial(spec, subset)
 
     g_limit = chern_form_at(stratum, base).g
     table = hessian_table(p)
@@ -393,7 +404,7 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
     final_max = max(d[-1] for d in all_devs)
     decreasing = all(_is_eventually_decreasing(list(d)) for d in all_devs)
     passed = decreasing and final_max <= LIMIT_TOLERANCE
-    return LimitReport(tuple(subset), base, scales, tuple(rays), tuple(all_devs),
+    return LimitReport(tuple(subset), base, scales, rays, tuple(all_devs),
                        decreasing, final_max, exact_zero, passed)
 
 

@@ -1,81 +1,191 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients are rational (``Fraction``) whenever possible and Gaussian
-rational otherwise; zero coefficients are never stored.  The canonical term
-order is total degree descending, then exponent tuple lexicographic, which
-fixes printing and the notion of "first monomial" used for normalization.
-Evaluation runs on ints: the point and the coefficients are brought over
-common denominators, the terms are summed over Z (Z[i] when the point or a
-coefficient is non-real), and the sum is divided once.
+A ``MultiPoly`` is stored in cleared integer form, like a ``Mat``: a ring, a
+dict from exponent tuple to int numerator, and one positive int denominator,
+so that the coefficient of x^e is num[e] / den.  A real polynomial is stored
+over Z (`_Z`, a numerator is an int); one with a non-real coefficient over
+Z[i] (`_ZI`, a numerator is an (re, im) pair of ints).  The form is
+canonical: no numerator is zero, the gcd of the numerators and the
+denominator is 1, and the ring is Z[i] only when some imaginary part is
+nonzero.  So equal polynomials have equal forms, and ``==`` and ``hash``
+compare the forms.  Every operation works on the form; ``terms``, the dict
+from exponent tuple to coefficient (a ``Fraction`` when it is real, a
+``GaussianRational`` otherwise), is built the first time it is read.
+
+The canonical term order is total degree descending, then exponent tuple
+lexicographic, which fixes printing and the notion of "first monomial" used
+for normalization.  Evaluation brings the point over one common denominator,
+sums the terms on ints (over Z[i] only when the point or a coefficient is
+non-real), and divides once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm, prod
+import operator
 
-from .rationals import GaussianRational, as_gauss
+from .rationals import GaussianRational
 
 
-def _coeff(c):
-    """Normalize a coefficient: Fraction when real, GaussianRational otherwise."""
+class _Z:
+    """Numerator arithmetic over the integers: a numerator is an int."""
+
+    zero = 0
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    times = staticmethod(operator.mul)          # by an int
+    floordiv = staticmethod(operator.floordiv)  # by an int, exactly
+    nonzero = staticmethod(bool)
+
+    @staticmethod
+    def parts(nums):
+        """The ints of the numerators, for their gcd."""
+        return nums
+
+    @staticmethod
+    def value(c: int, den: int):
+        return Fraction(c) if den == 1 else Fraction(c, den)
+
+
+class _ZI:
+    """Numerator arithmetic over the Gaussian integers: a numerator is an
+    (re, im) pair of ints."""
+
+    zero = (0, 0)
+    nonzero = staticmethod(any)
+    parts = staticmethod(chain.from_iterable)
+
+    @staticmethod
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    @staticmethod
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    @staticmethod
+    def times(a, k: int):
+        return a[0] * k, a[1] * k
+
+    @staticmethod
+    def floordiv(a, k: int):
+        return a[0] // k, a[1] // k
+
+    @staticmethod
+    def value(c, den: int):
+        re, im = c
+        if not im:
+            return _Z.value(re, den)
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _parts(c):
+    """The real and imaginary parts of a coefficient."""
     if isinstance(c, GaussianRational):
-        return c.re if c.im == 0 else c
-    if isinstance(c, (int, str)):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
+        return c.re, c.im
+    if isinstance(c, (int, str, Fraction)):
+        return Fraction(c), 0
     raise TypeError(f"bad coefficient {c!r}")
 
 
-def _cadd(a, b):
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return _coeff(as_gauss(a) + as_gauss(b))
-    return a + b
+def _ring_of(*polys):
+    return _ZI if any(p._ring is _ZI for p in polys) else _Z
 
 
-def _cmul(a, b):
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return _coeff(as_gauss(a) * as_gauss(b))
-    return a * b
+def _nums(p: "MultiPoly", ring):
+    """The numerators of p over ring: a real polynomial's lifted to Z[i]."""
+    if p._ring is ring:
+        return p._num
+    return {e: (c, 0) for e, c in p._num.items()}
 
 
-def _cconj(a):
-    if isinstance(a, GaussianRational):
-        return _coeff(a.conj())
-    return a
+def _nonzero(ring, num):
+    nonzero = ring.nonzero
+    return {e: c for e, c in num.items() if nonzero(c)}
 
 
-def _int(q, b: int) -> int:
-    """q * b for an int or Fraction q whose denominator divides b."""
-    return q.numerator * (b // q.denominator)
+def _order(exp):
+    """Sort key of the canonical term order."""
+    return -sum(exp), tuple(-e for e in exp)
+
+
+def _set(p: "MultiPoly", num_vars: int, ring, num, den: int):
+    put = object.__setattr__
+    put(p, "num_vars", num_vars)
+    put(p, "_ring", ring)
+    put(p, "_num", num)
+    put(p, "_den", den)
+    put(p, "_terms", None)
+
+
+def _new(num_vars: int, ring, num, den: int) -> "MultiPoly":
+    """The MultiPoly of a form that is already canonical."""
+    p = object.__new__(MultiPoly)
+    _set(p, num_vars, ring, num, den)
+    return p
+
+
+def _make(num_vars: int, ring, num, den: int) -> "MultiPoly":
+    """The MultiPoly of nonzero numerators num over a positive den, brought to
+    canonical form: the common factor divided out, and Z[i] dropped to Z when
+    no imaginary part is left."""
+    if ring is _ZI and not any(im for _, im in num.values()):
+        ring, num = _Z, {e: re for e, (re, _) in num.items()}
+    if den != 1:
+        g = gcd(den, *ring.parts(num.values()))
+        if g != 1:
+            floordiv = ring.floordiv
+            num = {e: floordiv(c, g) for e, c in num.items()}
+            den //= g
+    return _new(num_vars, ring, num, den)
 
 
 class MultiPoly:
-    """Sparse polynomial in num_vars variables."""
+    """Sparse polynomial in num_vars variables, stored as cleared ints (see
+    the module docstring)."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "_ring", "_num", "_den", "_terms")
 
     def __init__(self, num_vars: int, terms=None):
-        object.__setattr__(self, "num_vars", num_vars)
-        clean = {}
+        parts = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != num_vars or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != num_vars or not all(isinstance(e, int) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
-            c = _coeff(c)
-            if c:
-                clean[exp] = c
-        object.__setattr__(self, "terms", clean)
+            re, im = _parts(c)
+            if re or im:
+                parts[exp] = re, im
+        # the lcm of the reduced denominators leaves no common factor
+        den = lcm(*[q.denominator for c in parts.values() for q in c])
+        if any(im for _, im in parts.values()):
+            ring = _ZI
+            num = {e: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+                   for e, (re, im) in parts.items()}
+        else:
+            ring = _Z
+            num = {e: re.numerator * (den // re.denominator) for e, (re, _) in parts.items()}
+        _set(self, num_vars, ring, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self):
+        """Dict from exponent tuple to coefficient, built on first read."""
+        t = self._terms
+        if t is None:
+            value, den = self._ring.value, self._den
+            t = {e: value(c, den) for e, c in self._num.items()}
+            object.__setattr__(self, "_terms", t)
+        return t
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, num_vars: int) -> "MultiPoly":
-        return cls(num_vars, {})
+        return _new(num_vars, _Z, {}, 1)
 
     @classmethod
     def const(cls, num_vars: int, c) -> "MultiPoly":
@@ -85,7 +195,7 @@ class MultiPoly:
     def variable(cls, num_vars: int, j: int) -> "MultiPoly":
         exp = [0] * num_vars
         exp[j] = 1
-        return cls(num_vars, {tuple(exp): 1})
+        return _new(num_vars, _Z, {tuple(exp): 1}, 1)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -93,41 +203,50 @@ class MultiPoly:
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other."""
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.num_vars, other)
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = _cadd(t.get(e, Fraction(0)), c)
-        return MultiPoly(self.num_vars, t)
+        ring = _ring_of(self, other)
+        add, times, zero = ring.add, ring.times, ring.zero
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        a = _nums(self, ring)
+        t = dict(a) if fa == 1 else {e: times(c, fa) for e, c in a.items()}
+        for e, c in _nums(other, ring).items():
+            t[e] = add(t.get(e, zero), c if fb == 1 else times(c, fb))
+        return _make(self.num_vars, ring, _nonzero(ring, t), den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.num_vars, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
+        ring = _ring_of(self, other)
+        add, mul, zero, plus = ring.add, ring.mul, ring.zero, operator.add
+        right = list(_nums(other, ring).items())
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = _cadd(t.get(e, Fraction(0)), _cmul(c1, c2))
-        return MultiPoly(self.num_vars, t)
+        for e1, c1 in _nums(self, ring).items():
+            for e2, c2 in right:
+                e = tuple(map(plus, e1, e2))
+                t[e] = add(t.get(e, zero), mul(c1, c2))
+        return _make(self.num_vars, ring, _nonzero(ring, t), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = _coeff(c)
-        return MultiPoly(self.num_vars, {e: _cmul(v, c) for e, v in self.terms.items()})
+        return self * MultiPoly.const(self.num_vars, c)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -138,127 +257,129 @@ class MultiPoly:
         return out
 
     def conj(self) -> "MultiPoly":
-        return MultiPoly(self.num_vars, {e: _cconj(c) for e, c in self.terms.items()})
+        if self._ring is _Z:
+            return self
+        return _new(self.num_vars, _ZI, {e: (re, -im) for e, (re, im) in self._num.items()},
+                    self._den)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
-                and self.terms == other.terms)
+                and self._ring is other._ring and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_real(self) -> bool:
-        return all(not isinstance(c, GaussianRational) for c in self.terms.values())
+        return self._ring is _Z
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self._num))) <= 1
 
     def canonical_terms(self):
         """Terms sorted by total degree descending, then lex on exponents
         (earlier variables first)."""
-        return sorted(self.terms.items(),
-                      key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+        return sorted(self.terms.items(), key=lambda t: _order(t[0]))
 
     def leading_coefficient(self):
         """Coefficient of the first monomial in canonical order."""
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
-        return self.canonical_terms()[0][1]
+        return self.terms[min(self._num, key=_order)]
 
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))
 
     def weighted_degree(self, weights) -> int:
-        if not self.terms:
+        if not self._num:
             return 0
-        return max(sum(w * e for w, e in zip(weights, exp)) for exp in self.terms)
+        return max(sum(w * e for w, e in zip(weights, exp)) for exp in self._num)
 
     # -- calculus -------------------------------------------------------------
 
     def partial_derivative(self, var: int) -> "MultiPoly":
+        times = self._ring.times
         t = {}
-        for e, c in self.terms.items():
-            if e[var]:
-                ne = list(e)
-                ne[var] -= 1
-                t[tuple(ne)] = _cadd(t.get(tuple(ne), Fraction(0)), _cmul(c, Fraction(e[var])))
-        return MultiPoly(self.num_vars, t)
+        for e, c in self._num.items():
+            p = e[var]
+            if p:
+                t[e[:var] + (p - 1,) + e[var + 1:]] = c if p == 1 else times(c, p)
+        return _make(self.num_vars, self._ring, t, self._den)
 
     def evaluate(self, xs):
         """The value at the point xs: a Fraction when it is real, a
         GaussianRational otherwise.
 
         The sum runs on ints, over Z[i] only when the point or a coefficient
-        is non-real.  With the point written as A / b and the coefficients as
-        C_e / d (one common b and d), the value is
+        is non-real.  With the point written as A / b (one common b) and the
+        polynomial as sum_e C_e x^e / d, the value is
         sum_e C_e A^e b^(deg - |e|) / (d b^deg), divided once at the end."""
-        xs = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in xs]
+        xs = list(xs)
         if len(xs) != self.num_vars:
             raise ValueError("evaluation point has wrong length")
-        cs = [(c, 0) if isinstance(c, Fraction) else (c.re, c.im) for c in self.terms.values()]
-        b = lcm(*[q.denominator for x in xs for q in x])
-        d = lcm(*[q.denominator for c in cs for q in c])
-        deg = self.total_degree()
-        if not any(im for _, im in xs) and not any(im for _, im in cs):
-            a = [_int(x, b) for x, _ in xs]
+        degs = list(map(sum, self._num))
+        deg = max(degs, default=0)
+        if self._ring is _Z and GaussianRational not in map(type, xs):
+            b = lcm(*[x.denominator for x in xs])
+            a = [x.numerator * (b // x.denominator) for x in xs]
             s = 0
-            for e, (c, _) in zip(self.terms, cs):
-                t = _int(c, d) * b ** (deg - sum(e))
-                for p, ai in zip(e, a):
-                    if p:
-                        t *= ai ** p
-                s += t
-            return Fraction(s, d * b ** deg)
-        a = [(_int(x, b), _int(y, b)) for x, y in xs]
+            for (e, c), de in zip(self._num.items(), degs):
+                if de < deg:
+                    c *= b ** (deg - de)
+                s += c * prod(map(pow, a, e))
+            return Fraction(s, self._den * b ** deg)
+        xs = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in xs]
+        b = lcm(*[q.denominator for x in xs for q in x])
+        den = self._den * b ** deg
+        a = [(x.numerator * (b // x.denominator), y.numerator * (b // y.denominator))
+             for x, y in xs]
         sr = si = 0
-        for e, (c, ci) in zip(self.terms, cs):
-            k = b ** (deg - sum(e))
-            t = _int(c, d) * k, _int(ci, d) * k
+        for (e, (c, ci)), de in zip(_nums(self, _ZI).items(), degs):
+            k = b ** (deg - de)
+            t = c * k, ci * k
             for p, ai in zip(e, a):
                 for _ in range(p):
                     t = t[0] * ai[0] - t[1] * ai[1], t[0] * ai[1] + t[1] * ai[0]
             sr += t[0]
             si += t[1]
-        den = d * b ** deg
         return GaussianRational(Fraction(sr, den), Fraction(si, den)) if si else Fraction(sr, den)
 
     def leading_part_by_weight(self, weights) -> "MultiPoly":
         """Sum of terms of maximal weighted degree (weights one per variable)."""
-        if not self.terms:
+        if not self._num:
             return self
         w = self.weighted_degree(weights)
-        t = {e: c for e, c in self.terms.items()
+        t = {e: c for e, c in self._num.items()
              if sum(wt * p for wt, p in zip(weights, e)) == w}
-        return MultiPoly(self.num_vars, t)
+        return _make(self.num_vars, self._ring, t, self._den)
 
     def rename_vars(self, new_num_vars: int, mapping) -> "MultiPoly":
         """Reindex variables: mapping[old_index] = new_index.
 
         Every variable actually appearing must be in the mapping.
         """
+        ring = self._ring
+        add, zero = ring.add, ring.zero
         t = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             ne = [0] * new_num_vars
             for j, p in enumerate(e):
                 if p:
                     ne[mapping[j]] += p
             key = tuple(ne)
-            t[key] = _cadd(t.get(key, Fraction(0)), c)
-        return MultiPoly(new_num_vars, t)
+            t[key] = add(t.get(key, zero), c)
+        return _make(new_num_vars, ring, _nonzero(ring, t), self._den)
 
     # -- rendering ------------------------------------------------------------
 
@@ -345,9 +466,8 @@ def poly_mat_det(m) -> MultiPoly:
         for j in sorted(cols):
             entry = m[row][j]
             if entry:
-                sub = expand(row + 1, cols - {j})
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
+                term = entry * expand(row + 1, cols - {j})
+                acc = acc + term if sign > 0 else acc - term
             sign = -sign
         cache[key] = acc
         return acc

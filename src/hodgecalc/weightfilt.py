@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NoSolution, NotCommuting
 from .matrices import (
     Mat, Quotient, Splitting, kernel_space, extend_basis, kernel_matrix,
-    nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim,
+    nilpotent_powers, rref, solve, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from .rationals import GaussianRational, ZERO
@@ -39,12 +39,9 @@ def weight_filtration_centered(n: Mat) -> dict:
     which the test suite keeps as its independent oracle.
     """
     d = n.rows
-    s = nilpotency_index(n) - 1
-    kernels = {}
-    p = Mat.identity(d)
-    for j in range(1, s + 2):
-        p = p @ n
-        kernels[j] = kernel_space(p)
+    powers = nilpotent_powers(n)
+    s = len(powers) - 1
+    kernels = {j: kernel_space(p) for j, p in enumerate(powers, 1)}
     out = {}
     above = sub_full(d)     # W_(k+2)
     prev = sub_full(d)      # W_(k+1)
@@ -114,15 +111,16 @@ def _check_weight_filtration(n: Mat, wf: WeightFiltration):
         img = sub_image(n, wf.level(k))
         if not sub_contains(wf.level(k - 2), img):
             raise NoSolution("internal error: N does not shift the filtration by -2")
+    nk, power = Mat.identity(n.rows), 0      # nk = N^power, raised as needed
     for k in range(1, nw + 1):
         top = Quotient(wf.level(nw + k), wf.level(nw + k - 1))
         bot = Quotient(wf.level(nw - k), wf.level(nw - k - 1))
         if top.dim != bot.dim:
             raise NoSolution("internal error: graded dimensions not symmetric")
         if top.dim:
-            nk = Mat.identity(n.rows)
-            for _ in range(k):
+            for _ in range(power, k):
                 nk = nk @ n
+            power = k
             if rref(bot.project_rows(top.comp @ nk.transpose()))[2] != top.dim:
                 raise NoSolution("internal error: Hard Lefschetz map not bijective")
 
@@ -149,8 +147,8 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
     d = n.rows
     nw = wf.weight
     s = max((abs(k - nw) for k in range(2 * nw + 1) if wf.graded_dims[k]), default=0)
-    powers = [Mat.identity(d)]
-    for _ in range(2 * nw + 2):
+    powers = [Mat.identity(d)]     # N^0 .. N^(s+1): the lifts read no higher
+    for _ in range(s + 1):
         powers.append(powers[-1] @ n)
 
     spaces = {m + nw: [] for m in range(-s, s + 1)}   # Hodge weight -> vectors

@@ -1,9 +1,13 @@
-"""Oracles for the integer paths of the Chern samples and metric blocks.
+"""Oracles for the integer paths of polynomials, Chern samples and metric
+blocks.
 
-``MultiPoly.evaluate`` is checked against the term-by-term evaluation kept
-in ``reference_polynomials``, ``hermitian_psd_status`` against the pivoted
-LDL kept in ``reference_lmhs``, and ``hodge_metric_matrix`` against the
-entry-by-entry loop kept in ``reference_orbit``.  The property tests need
+``MultiPoly`` and ``poly_mat_det`` are checked against the
+``Fraction``-coefficient class kept in ``reference_polynomials`` (and
+``MultiPoly.evaluate`` against its term-by-term evaluation),
+``chern_form_at`` against the Fraction-by-Fraction formula and
+``hodge_metric_matrix`` against the entry-by-entry loop, both kept in
+``reference_orbit``, and ``hermitian_psd_status`` against the pivoted LDL
+kept in ``reference_lmhs``.  The property tests need
 hypothesis and are skipped without it; the seeded and fixture tests always
 run.
 """
@@ -14,6 +18,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -26,8 +31,10 @@ from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_psd_status, hermitian_sign,
 )
 from hodgecalc.matrices import Mat
-from hodgecalc.orbit import hessian_table, hodge_metric_matrix, hodge_metric_polynomial
-from hodgecalc.polynomials import MultiPoly
+from hodgecalc.orbit import (
+    chern_form_at, hessian_table, hodge_metric_matrix, hodge_metric_polynomial,
+)
+from hodgecalc.polynomials import _ZI, MultiPoly, poly_mat_det
 from hodgecalc.rationals import GaussianRational, ZERO, as_gauss
 from hodgecalc.schemas import fixture_names, load_fixture
 
@@ -103,6 +110,116 @@ def test_evaluate_matches_on_hessian_tables(name):
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(table.p.num_vars)]
             for poly in polys:
                 assert_same_value(poly, xs)
+
+
+# --- MultiPoly arithmetic ----------------------------------------------------
+
+def assert_canonical(p):
+    """The stored form is the canonical one of the polynomials module."""
+    ring, num, den = p._ring, p._num, p._den
+    assert den > 0 and all(map(ring.nonzero, num.values()))
+    assert gcd(den, *ring.parts(num.values())) == 1
+    assert (ring is _ZI) == any(isinstance(c, GaussianRational) for c in p.terms.values())
+
+
+def assert_same(ours, theirs):
+    """Same coefficients, of the same types, with the keys in the same order."""
+    assert_canonical(ours)
+    assert ours.num_vars == theirs.num_vars
+    assert list(ours.terms.items()) == list(theirs.terms.items()), (ours, theirs.terms)
+    assert [type(c) for c in ours.terms.values()] == [type(c) for c in theirs.terms.values()]
+
+
+def _terms_strategy(st, k, coeff, max_size):
+    """Term dicts in k variables of total degree at most 4."""
+    exps = st.tuples(*[st.integers(0, 4)] * k).filter(lambda e: sum(e) <= 4)
+    return st.dictionaries(exps, coeff, max_size=max_size)
+
+
+def test_arithmetic_matches_fraction_class():
+    """Every operation on random polynomials over Q and Q(i) in up to 4
+    variables, against the Fraction-coefficient class."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, real, gaussian = _strategies(st)
+    scalar = st.one_of(real, gaussian)
+
+    @st.composite
+    def pair(draw):
+        k = draw(st.integers(0, 4))
+        terms = _terms_strategy(st, k, draw(st.sampled_from([real, scalar])), 5)
+        return k, draw(terms), draw(terms)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pair(), st.data())
+    def check(drawn, data):
+        k, ta, tb = drawn
+        p, q = MultiPoly(k, ta), MultiPoly(k, tb)
+        rp, rq = reference_polynomials.MultiPoly(k, ta), reference_polynomials.MultiPoly(k, tb)
+        assert_same(p, rp)
+        assert_same(-p, -rp)
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(p * q, rp * rq)
+        c = data.draw(scalar)
+        assert_same(p.scale(c), rp.scale(c))
+        assert_same(p.conj(), rp.conj())
+        for j in range(k):
+            assert_same(p.partial_derivative(j), rp.partial_derivative(j))
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        assert_same(p.leading_part_by_weight(weights), rp.leading_part_by_weight(weights))
+        new_k = data.draw(st.integers(1, 4))
+        mapping = data.draw(st.lists(st.integers(0, new_k - 1), min_size=k, max_size=k))
+        assert_same(p.rename_vars(new_k, mapping), rp.rename_vars(new_k, mapping))
+        assert_same_value(p, data.draw(st.lists(scalar, min_size=k, max_size=k)))
+        assert p.to_json() == rp.to_json()
+        assert p.to_string("c") == rp.to_string("c")
+        back = (p + q) - q
+        assert back == p and hash(back) == hash(p)
+    check()
+
+
+def test_poly_mat_det_matches_fraction_class():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, real, gaussian = _strategies(st)
+
+    @st.composite
+    def matrix(draw):
+        n, k = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+        terms = _terms_strategy(st, k, draw(st.sampled_from([real, st.one_of(real, gaussian)])), 3)
+        return k, [[draw(terms) for _ in range(n)] for _ in range(n)]
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(matrix())
+    def check(drawn):
+        k, rows = drawn
+        ours = poly_mat_det([[MultiPoly(k, t) for t in row] for row in rows])
+        theirs = reference_polynomials.poly_mat_det(
+            [[reference_polynomials.MultiPoly(k, t) for t in row] for row in rows])
+        assert_same(ours, theirs)
+    check()
+
+
+# --- chern_form_at -------------------------------------------------------------
+
+def assert_same_chern(spec, rng):
+    p = hodge_metric_polynomial(spec)
+    table = hessian_table(p)
+    points = [[1] * p.num_vars] + [[Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                    for _ in range(p.num_vars)] for _ in range(2)]
+    for x in points:
+        assert chern_form_at(table, x).g == reference_orbit.chern_form_matrix(p.p, x), x
+
+
+@pytest.mark.parametrize("name", ORBIT_FIXTURES)
+def test_chern_form_matches_fraction_formula_on_fixtures(name):
+    assert_same_chern(load_fixture(name).obj, random.Random(name))
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_chern_form_matches_fraction_formula_on_direct_sums(copies, dollar_bill):
+    assert_same_chern(direct_sum([dollar_bill] * copies), random.Random(copies))
 
 
 # --- hermitian_psd_status ----------------------------------------------------

@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
-from hodgecalc.errors import NoSolution
+from hodgecalc.errors import NoSolution, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, Quotient, Splitting, det, kernel_basis, rank, rref, smith_normal_form,
-    sub_complement_in, sub_contains, sub_equal, sub_intersect, sub_sum,
+    Mat, Quotient, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank,
+    rref, smith_normal_form, sub_complement_in, sub_contains, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational
 
@@ -178,3 +178,14 @@ def test_stack_puts_rows_under_each_other():
         Mat.stack([a, Mat.identity(3)])
     with pytest.raises(ValueError, match="no matrices"):
         Mat.stack([])
+
+
+def test_nilpotent_powers_end_at_the_first_zero_power():
+    n = Mat.from_rows([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    powers = nilpotent_powers(n)
+    assert powers == [n, n @ n, Mat.zeros(3, 3)]
+    assert nilpotency_index(n) == 3
+    assert nilpotent_powers(Mat.zeros(2, 2)) == [Mat.zeros(2, 2)]
+    for m in (Mat.identity(2), Mat.from_rows([[0, 1], [1, 0]]), Mat.zeros(0, 0)):
+        with pytest.raises(NotNilpotent):
+            nilpotent_powers(m)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, reverse_grading_candidates
+from hodgecalc import orbit
 from hodgecalc.errors import ZeroAtPoint
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
@@ -203,6 +204,16 @@ def test_limit_deviations_shrink_like_inverse_scale(dollar_bill):
         # fitted constant: dev * scale is bounded by a modest constant
         bounds = [d * s for d, s in zip(devs, rep.scales)]
         assert max(bounds) <= 4
+
+
+@pytest.mark.parametrize("empty", ["scales", "rays"])
+def test_limit_refuses_empty_scales_or_rays(dollar_bill, monkeypatch, empty):
+    """Refused before any work: the metric polynomial is never built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("metric polynomial built before the arguments were checked")
+    monkeypatch.setattr(orbit, "hodge_metric_polynomial", unreachable)
+    with pytest.raises(ValueError, match=empty):
+        restriction_limit_check(dollar_bill, [2], **{empty: ()})
 
 
 def test_default_rays_count():

@@ -112,3 +112,11 @@ def test_power():
 def test_power_needs_a_nonnegative_int(n):
     with pytest.raises(ValueError):
         x(1, 0) ** n
+
+
+@pytest.mark.parametrize("exp", [(1.5, 0), ("2", 0), (1.0, 0), (-1, 0), (1,), (0, 0, 1)])
+def test_bad_exponent_vectors_raise(exp):
+    """Exponents must be non-negative ints, one per variable: 1.5 and "2" are
+    not read as 1 and 2."""
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MultiPoly(2, {exp: 1})
