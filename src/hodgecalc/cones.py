@@ -129,18 +129,22 @@ def nonnegative_extreme_rays(basis_rows, ambient: int):
     return tuple(rays_x)
 
 
-def hull_contains(points, query) -> bool:
-    """Exact membership of `query` in the convex hull of integer `points`.
+def hull_facets(points, dim: int):
+    """The facets of the convex hull of integer `points` in R^dim, for
+    `in_hull`: the rays and lineality of {h : h . (p, 1) >= 0 for all p}."""
+    return dd_extreme_rays([primitive_ray(tuple(p) + (1,)) for p in points], dim + 1)
 
-    Uses cone duality: query is in the hull iff the lifted vector (query, 1)
-    satisfies every facet inequality of the cone over the lifted points and
-    lies in their linear span.
+
+def in_hull(facets, query) -> bool:
+    """Exact membership of `query` in the hull with these `hull_facets`: the
+    cone over the lifted points is the dual of its dual, so (query, 1) lies in
+    it iff h . (query, 1) is >= 0 on each ray h and 0 on each lineality vector.
     """
-    pts = [primitive_ray(tuple(p) + (1,)) for p in points]
+    rays, lineality = facets
     q = primitive_ray(tuple(query) + (1,))
-    span = Mat.from_rows(pts)
-    if rank(Mat.from_rows(pts + [q])) != rank(span):
-        return False
-    # dual cone {h : h . p >= 0 for all p}; its rays/lineality give all facets
-    rays, _ = dd_extreme_rays(pts, len(q))
-    return all(_dot(h, q) >= 0 for h in rays)
+    return all(_dot(h, q) >= 0 for h in rays) and not any(_dot(l, q) for l in lineality)
+
+
+def hull_contains(points, query) -> bool:
+    """Exact membership of `query` in the convex hull of integer `points`."""
+    return in_hull(hull_facets(points, len(query)), query)

@@ -32,7 +32,6 @@ class NormPositivityModel:
     rank_e: int
     rank_g: int
     a: Mat
-    unitary_frame: bool = True
 
     def __post_init__(self):
         if self.a.rows != self.rank_g or self.a.cols != self.rank_e * self.dim_t:

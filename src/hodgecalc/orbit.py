@@ -370,10 +370,19 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
         raise ValueError("scales must be nonempty")
     if sorted(scales) != list(scales):
         raise ValueError("scales must be increasing")
+    if scales[0] <= 0:
+        raise ValueError("scales must be positive")
     rays = default_rays(subset, 5, seed) if rays is None else tuple(rays)
     if not rays:
         raise ValueError("rays must be nonempty")
-    base = tuple(Fraction(b) for b in (base or [1] * len(complement)))
+    for ray in rays:
+        if len(ray) != len(subset) or any(Fraction(c) <= 0 for c in ray):
+            raise ValueError(f"rays: {tuple(ray)} is not {len(subset)} positive numbers, "
+                             "one per variable of the subset")
+    base = tuple(Fraction(b) for b in ([1] * len(complement) if base is None else base))
+    if len(base) != len(complement) or any(b <= 0 for b in base):
+        raise ValueError(f"base: {base} is not {len(complement)} positive numbers, "
+                         "one per variable off the subset")
     p = hodge_metric_polynomial(spec)
     stratum = stratum_metric_polynomial(spec, subset)
 
@@ -447,7 +456,7 @@ def permutation_monomial_check(spec: PolarizedOrbitSpec, permutation) -> Permuta
 
     # convex hull of all chain monomials contains every monomial of P
     from itertools import permutations as _perms
-    from .cones import hull_contains
-    points = [chain_exponents(sigma) for sigma in _perms(range(k))]
-    hull_ok = all(hull_contains(points, exp) for exp in p.p.terms)
+    from .cones import hull_facets, in_hull
+    facets = hull_facets([chain_exponents(sigma) for sigma in _perms(range(k))], k)
+    hull_ok = all(in_hull(facets, exp) for exp in p.p.terms)
     return PermutationMonomialReport(tuple(perm), exps, present, hull_ok)

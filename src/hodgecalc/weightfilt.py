@@ -15,10 +15,9 @@ from fractions import Fraction
 from .errors import NoSolution, NotCommuting
 from .matrices import (
     Mat, Quotient, Splitting, kernel_space, extend_basis, kernel_matrix,
-    nilpotent_powers, rref, solve, sub_canonical, sub_contains, sub_dim,
+    nilpotent_powers, row_coords, rref, sub_canonical, sub_contains, sub_dim,
     sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
-from .rationals import GaussianRational, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -141,48 +140,36 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
 
     Construction: lift the primitive subspace of each graded piece (echelon
     representatives, corrected so the appropriate power of n kills the lift
-    exactly), then propagate down the strings by n; the string vectors are
-    the basis of the splitting.
+    exactly), then walk the lifts down their n-strings (`_strings`); the
+    string vectors are the basis of the splitting.
     """
-    d = n.rows
     nw = wf.weight
-    s = max((abs(k - nw) for k in range(2 * nw + 1) if wf.graded_dims[k]), default=0)
-    powers = [Mat.identity(d)]     # N^0 .. N^(s+1): the lifts read no higher
-    for _ in range(s + 1):
-        powers.append(powers[-1] @ n)
+    powers = nilpotent_powers(n)     # N^1 .. N^(s+1) = 0: the longest string has s+1 vectors
+    s = len(powers) - 1
 
-    spaces = {m + nw: [] for m in range(-s, s + 1)}   # Hodge weight -> vectors
+    tops = {}       # centred weight m -> the corrected primitive lifts
     for m in range(s, -1, -1):
         wk = wf.level(nw + m)
         wk1 = wf.level(nw + m - 1)
         if wk.rows == 0:
             continue
+        pt = powers[m].transpose()
         # primitive candidates: v in W_{n+m} whose class is killed by n^(m+1),
-        # i.e. n^(m+1) v lands in W_{n-m-3}
-        low = wf.level(nw - m - 3)
-        qlow = Quotient(sub_full(d), low)
-        if qlow.dim:
-            images = qlow.project_rows(wk @ powers[m + 1].transpose())
-            coeffs = kernel_matrix(images.transpose())
-        else:
-            coeffs = Mat.identity(wk.rows)
-        prim_cand = sub_canonical(coeffs @ wk)
+        # i.e. n^(m+1) v lands in W_{n-m-3}, the kernel of its annihilator
+        images = wk @ pt @ kernel_matrix(wf.level(nw - m - 3)).transpose()
+        prim_cand = sub_canonical(kernel_matrix(images.transpose()) @ wk)
         lifts = extend_basis(sub_intersect(prim_cand, wk1), prim_cand)
-        for v in lifts.row_list():
-            w = powers[m + 1].mat_vec(v)
-            if any(w):
-                u = _solve_in_subspace(powers[m + 1], wk1, w)
-                v = [a - b for a, b in zip(v, u)]
-                if any(powers[m + 1].mat_vec(v)):
-                    raise NoSolution("internal error: primitive correction failed")
-            spaces[m + nw].append(tuple(v))
-            cur = tuple(v)
-            for j in range(1, m + 1):
-                cur = n.mat_vec(cur)
-                spaces[m + nw - 2 * j].append(cur)
+        # subtract from each lift v the u in W_{n+m-1} with n^(m+1) u = n^(m+1) v
+        # whose coordinates in the rows of W_{n+m-1} have the free ones zero
+        coords = row_coords(wk1 @ pt, lifts @ pt)
+        if coords is not None:
+            lifts = lifts - coords @ wk1
+        if coords is None or not (lifts @ pt).is_zero():
+            raise NoSolution("internal error: primitive correction failed")
+        tops[m] = lifts
 
     try:
-        split = Splitting({k: Mat.from_rows(vs) for k, vs in spaces.items() if vs})
+        split = Splitting({m + nw: v for m, v in _strings(n, tops)[0].items()})
     except NoSolution:
         raise NoSolution("internal error: string basis does not span") from None
     y = split.diagonal(lambda k: k)
@@ -192,14 +179,28 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
     return y, split
 
 
-def _solve_in_subspace(m: Mat, sub: Mat, target):
-    """Some u in the row space `sub` with m @ u = target."""
-    if sub.rows == 0:
-        raise NoSolution("no solution in the zero subspace")
-    c = solve((sub @ m.transpose()).transpose(), target)
-    if c is None:
-        raise NoSolution("primitive-lift correction has no solution")
-    return (Mat.from_rows([c]) @ sub).entries
+def _strings(n: Mat, tops: dict):
+    """The n-strings of primitive vectors, stacked per centred weight.
+
+    The rows of tops[m] are vectors v_0 of centred weight m with
+    n^(m+1) v_0 = 0.  Returns (vectors, raised), both keyed by centred
+    weight: the rows of vectors[m-2j] are the v_j = n^j v_0 of every top, in
+    the order of `tops`, and the rows of raised[m-2j] are their images
+    n+ v_j = j(m-j+1) v_(j-1) under the raising operator n+ of the sl2 triple
+    in which each v_0 is a highest weight vector.
+    """
+    nt = n.transpose()
+    vectors, raised = {}, {}
+    for m, top in tops.items():
+        string = [top]
+        for _ in range(m):
+            string.append(string[-1] @ nt)
+        for j, v in enumerate(string):
+            vectors.setdefault(m - 2 * j, []).append(v)
+            raised.setdefault(m - 2 * j, []).append(
+                string[j - 1].scale(j * (m - j + 1)) if j else Mat.zeros(top.rows, n.rows))
+    return ({k: Mat.stack(vs) for k, vs in vectors.items()},
+            {k: Mat.stack(rs) for k, rs in raised.items()})
 
 
 def _check_grading(y: Mat, wf: WeightFiltration):
@@ -237,55 +238,35 @@ class Sl2Triple:
 
 
 def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
-    """Solve the linear system [y, X] = 2X, [X, n] = y for the unique raising
-    operator.
+    """The sl2 triple (X, y, n) with the unique raising operator X:
+    [y, X] = 2X and [X, n] = y.
 
     `y` may be given in Hodge indexing (pass the weight to recenter) or
-    already centered (weight=0).  The system is solved in the eigenbasis of
-    y, where the first equation just restricts the support of X to the
-    ad-weight-2 block; this changes nothing about which system is solved.
+    already centered (weight=0).  If the triple exists, the vectors of
+    y-eigenvalue m >= 0 that n^(m+1) kills are its highest weight vectors,
+    so their n-strings (`_strings`) are a basis of V on which X is known, and
+    X is read off that basis with one inverse.  If they are not a basis, no
+    raising operator exists.
     """
     d = n.rows
     yc = y - Mat.identity(d).scale(Fraction(weight))
-    split = Splitting(integer_eigen_decomposition(yc))
-    labels = split.labels
-    n_t = split.t_inv @ n @ split.t
-    # sanity: n must lower the weight by exactly 2
-    for i in range(d):
-        for j in range(d):
-            if n_t[i, j] and labels[i] - labels[j] != -2:
-                raise NoSolution("no raising operator: y does not grade n by -2")
-    # unknowns: entries with weight difference +2
-    positions = [(i, j) for i in range(d) for j in range(d)
-                 if labels[i] - labels[j] == 2]
-    index = {pos: c for c, pos in enumerate(positions)}
-    rows, rhs = [], []
-    for i in range(d):
-        for j in range(d):
-            if labels[i] != labels[j]:
-                continue
-            # (X n_t - n_t X)_{ij} = diag(labels)_{ij}
-            row = [ZERO] * len(positions)
-            for k in range(d):
-                if (i, k) in index and n_t[k, j]:
-                    row[index[(i, k)]] = row[index[(i, k)]] + n_t[k, j]
-                if (k, j) in index and n_t[i, k]:
-                    row[index[(k, j)]] = row[index[(k, j)]] - n_t[i, k]
-            rows.append(row)
-            rhs.append(GaussianRational(Fraction(labels[i])) if i == j else ZERO)
-    if positions:
-        sol = solve(Mat.from_rows(rows), rhs)
-        if sol is None:
-            raise NoSolution("no raising operator: y is not a grading element for n")
-    else:
-        if any(labels):
-            raise NoSolution("no raising operator: y is not a grading element for n")
-        sol = []
-    x_t = [[ZERO] * d for _ in range(d)]
-    for (i, j), c in index.items():
-        x_t[i][j] = sol[c]
-    n_plus = split.t @ Mat.from_rows(x_t) @ split.t_inv
-    triple = Sl2Triple(n_plus, yc, n)
+    eigen = integer_eigen_decomposition(yc)
+    if not (yc @ n - n @ yc + n.scale(2)).is_zero():
+        raise NoSolution("no raising operator: y does not grade n by -2")
+    nt = n.transpose()
+    tops = {}
+    for m in sorted((m for m in eigen if m >= 0), reverse=True):
+        image = eigen[m]
+        for _ in range(m + 1):
+            image = image @ nt
+        tops[m] = kernel_matrix(image.transpose()) @ eigen[m]
+    vectors, raised = _strings(n, tops)
+    try:
+        split = Splitting(vectors)
+    except NoSolution:
+        raise NoSolution("no raising operator: y is not a grading element for n") from None
+    images = Mat.stack([Mat.zeros(0, d), *(raised[k] for k in split.spaces)])
+    triple = Sl2Triple(images.transpose() @ split.t_inv, yc, n)
     if not triple.check():
         raise NoSolution("internal error: bracket relations failed")
     return triple

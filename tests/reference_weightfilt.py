@@ -1,5 +1,6 @@
-"""Oracles of ``weightfilt``: two earlier eigenvalue probes and the
-closed-form weight filtration.
+"""Oracles of ``weightfilt``: two earlier eigenvalue probes, the
+closed-form weight filtration, and the earlier grading splitting and sl2
+completion.
 
 ``integer_eigen_decomposition`` is the window that the library probed
 before it went from zero outwards: k = -2d, ..., 2d in ascending order,
@@ -13,19 +14,27 @@ characteristic polynomial (the rational-root bound).
 ``weight_filtration_centered_by_intersections`` is the closed form
 W_k = sum_a im(N^a) ∩ ker(N^(a+k+1)), an independent second route to the
 library's descending recursion ``weight_filtration_centered``.
+
+``grading_splitting`` is the construction the library used before it read
+splittings off n-strings: a ``Quotient`` per level for the primitive
+candidates, each lift corrected by its own ``solve``, and the strings built
+one ``mat_vec`` at a time.  ``complete_sl2`` solves [X, n] = y for X of
+ad-weight 2 entry by entry in the eigenbasis of y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from hodgecalc import weightfilt
 from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
-    Mat, column_space, kernel_space, nilpotency_index, sub_dim, sub_full, sub_intersect,
+    Mat, Quotient, Splitting, column_space, extend_basis, kernel_matrix, kernel_space,
+    nilpotency_index, solve, sub_canonical, sub_dim, sub_full, sub_intersect,
     sub_sum_ambient, sub_zero,
 )
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
-from hodgecalc.rationals import ZERO
+from hodgecalc.rationals import GaussianRational, ZERO
 
 
 def integer_eigen_decomposition(y: Mat) -> dict:
@@ -122,3 +131,103 @@ def weight_filtration_centered_by_intersections(n: Mat) -> dict:
             pieces.append(sub_intersect(images[a], ker(a + k + 1)))
         out[k] = sub_sum_ambient(pieces, d)
     return out
+
+
+def grading_splitting(n: Mat, wf):
+    d = n.rows
+    nw = wf.weight
+    s = max((abs(k - nw) for k in range(2 * nw + 1) if wf.graded_dims[k]), default=0)
+    powers = [Mat.identity(d)]
+    for _ in range(s + 1):
+        powers.append(powers[-1] @ n)
+
+    spaces = {m + nw: [] for m in range(-s, s + 1)}
+    for m in range(s, -1, -1):
+        wk = wf.level(nw + m)
+        wk1 = wf.level(nw + m - 1)
+        if wk.rows == 0:
+            continue
+        low = wf.level(nw - m - 3)
+        qlow = Quotient(sub_full(d), low)
+        if qlow.dim:
+            images = qlow.project_rows(wk @ powers[m + 1].transpose())
+            coeffs = kernel_matrix(images.transpose())
+        else:
+            coeffs = Mat.identity(wk.rows)
+        prim_cand = sub_canonical(coeffs @ wk)
+        lifts = extend_basis(sub_intersect(prim_cand, wk1), prim_cand)
+        for v in lifts.row_list():
+            w = powers[m + 1].mat_vec(v)
+            if any(w):
+                u = _solve_in_subspace(powers[m + 1], wk1, w)
+                v = [a - b for a, b in zip(v, u)]
+                if any(powers[m + 1].mat_vec(v)):
+                    raise NoSolution("internal error: primitive correction failed")
+            spaces[m + nw].append(tuple(v))
+            cur = tuple(v)
+            for j in range(1, m + 1):
+                cur = n.mat_vec(cur)
+                spaces[m + nw - 2 * j].append(cur)
+
+    try:
+        split = Splitting({k: Mat.from_rows(vs) for k, vs in spaces.items() if vs})
+    except NoSolution:
+        raise NoSolution("internal error: string basis does not span") from None
+    y = split.diagonal(lambda k: k)
+    if not (y @ n - n @ y + n.scale(2)).is_zero():
+        raise NoSolution("internal error: [Y,N] != -2N")
+    weightfilt._check_grading(y, wf)
+    return y, split
+
+
+def _solve_in_subspace(m: Mat, sub: Mat, target):
+    if sub.rows == 0:
+        raise NoSolution("no solution in the zero subspace")
+    c = solve((sub @ m.transpose()).transpose(), target)
+    if c is None:
+        raise NoSolution("primitive-lift correction has no solution")
+    return (Mat.from_rows([c]) @ sub).entries
+
+
+def complete_sl2(n: Mat, y: Mat, weight: int = 0):
+    d = n.rows
+    yc = y - Mat.identity(d).scale(Fraction(weight))
+    split = Splitting(weightfilt.integer_eigen_decomposition(yc))
+    labels = split.labels
+    n_t = split.t_inv @ n @ split.t
+    for i in range(d):
+        for j in range(d):
+            if n_t[i, j] and labels[i] - labels[j] != -2:
+                raise NoSolution("no raising operator: y does not grade n by -2")
+    positions = [(i, j) for i in range(d) for j in range(d)
+                 if labels[i] - labels[j] == 2]
+    index = {pos: c for c, pos in enumerate(positions)}
+    rows, rhs = [], []
+    for i in range(d):
+        for j in range(d):
+            if labels[i] != labels[j]:
+                continue
+            row = [ZERO] * len(positions)
+            for k in range(d):
+                if (i, k) in index and n_t[k, j]:
+                    row[index[(i, k)]] = row[index[(i, k)]] + n_t[k, j]
+                if (k, j) in index and n_t[i, k]:
+                    row[index[(k, j)]] = row[index[(k, j)]] - n_t[i, k]
+            rows.append(row)
+            rhs.append(GaussianRational(Fraction(labels[i])) if i == j else ZERO)
+    if positions:
+        sol = solve(Mat.from_rows(rows), rhs)
+        if sol is None:
+            raise NoSolution("no raising operator: y is not a grading element for n")
+    else:
+        if any(labels):
+            raise NoSolution("no raising operator: y is not a grading element for n")
+        sol = []
+    x_t = [[ZERO] * d for _ in range(d)]
+    for (i, j), c in index.items():
+        x_t[i][j] = sol[c]
+    n_plus = split.t @ Mat.from_rows(x_t) @ split.t_inv
+    triple = weightfilt.Sl2Triple(n_plus, yc, n)
+    if not triple.check():
+        raise NoSolution("internal error: bracket relations failed")
+    return triple

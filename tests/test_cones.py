@@ -7,8 +7,10 @@ from itertools import combinations
 import pytest
 
 import reference_cones as ref
+from hodgecalc import cones
 from hodgecalc.cones import (
-    dd_extreme_rays, hull_contains, nonnegative_extreme_rays, primitive_ray,
+    dd_extreme_rays, hull_contains, hull_facets, in_hull, nonnegative_extreme_rays,
+    primitive_ray,
 )
 from hodgecalc.errors import NotSpanned
 from hodgecalc.matrices import Mat, kernel_basis, rank
@@ -198,6 +200,37 @@ def test_nonnegative_rays_and_hulls_match_fraction_implementation():
                   for _ in range(rng.randint(0, 5))]
         query = tuple(rng.randint(-2, 2) for _ in range(dim))
         assert hull_contains(points, query) == ref.hull_contains(points, query), seed
+
+
+def test_facets_computed_once_answer_like_the_fraction_hull():
+    """One `hull_facets` per point set answers every query of a grid as the
+    Fraction implementation does, lower-dimensional hulls included (one or
+    two points, collinear or repeated points)."""
+    lower = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 3)
+        points = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                  for _ in range(rng.randint(1, 6))]
+        lower += rank(Mat.from_rows([p + (1,) for p in points])) <= dim
+        facets = hull_facets(points, dim)
+        for _ in range(30):
+            query = tuple(rng.randint(-3, 3) for _ in range(dim))
+            assert in_hull(facets, query) == ref.hull_contains(points, query), (seed, query)
+    assert lower >= 5
+
+
+def test_permutation_check_runs_double_description_once(dollar_bill, monkeypatch):
+    from hodgecalc.orbit import permutation_monomial_check
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dd_extreme_rays(*args)
+    monkeypatch.setattr(cones, "dd_extreme_rays", counted)
+    rep = permutation_monomial_check(dollar_bill, (2, 0, 1))
+    assert rep.hull_ok
+    assert len(calls) == 1 and len(calls[0][0]) == 6      # the 3! chain points
 
 
 def test_primitive_ray():

@@ -11,6 +11,7 @@ Write the goldens (only on a commit whose reports are known to be right):
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -43,6 +44,30 @@ COMMANDS = [
     (["sl2", "--input", "builtin:dollar-bill"], 0),
     (["weight-filtration", "--input", "builtin:dollar-bill"], 0),
     (["validate", "--input", "builtin:elliptic-degeneration"], 0),
+]
+
+# the orbit fixtures and their number of variables
+ORBIT_FIXTURES = {"commuting-pair": 2, "dollar-bill": 3, "duplicated-pair": 2,
+                  "elliptic-degeneration": 1, "pure-elliptic": 1,
+                  "weight2-tate-degeneration": 1}
+
+
+def _strata(k: int, proper: bool):
+    return [",".join(map(str, c)) for r in range(1, k + (not proper))
+            for c in itertools.combinations(range(1, k + 1), r)]
+
+
+# sl2 on the whole cone and on every nonempty stratum, factorize on every
+# proper stratum, of each orbit fixture (those not listed above); each one
+# exited with 0 at capture time
+COMMANDS += [
+    (argv, 0) for name, k in ORBIT_FIXTURES.items()
+    for argv in ([["sl2", "--input", f"builtin:{name}"]]
+                 + [["sl2", "--input", f"builtin:{name}", "--stratum", s]
+                    for s in _strata(k, proper=False)]
+                 + [["factorize", "--input", f"builtin:{name}", "--stratum", s]
+                    for s in _strata(k, proper=True)])
+    if (argv, 0) not in COMMANDS
 ]
 
 

@@ -216,6 +216,24 @@ def test_limit_refuses_empty_scales_or_rays(dollar_bill, monkeypatch, empty):
         restriction_limit_check(dollar_bill, [2], **{empty: ()})
 
 
+@pytest.mark.parametrize("argument,value", [
+    ("rays", [(-1, 1)]), ("rays", [(0, 1)]), ("rays", [(1, 2, 3)]), ("rays", [(1,)]),
+    ("base", [0]), ("base", [-1]), ("base", [1, 1, 1]), ("base", []),
+    ("scales", [-10, 1]), ("scales", [0, 1]),
+], ids=["ray-negative", "ray-zero", "ray-too-long", "ray-too-short", "base-zero",
+        "base-negative", "base-too-long", "base-empty", "scale-negative", "scale-zero"])
+def test_limit_refuses_points_off_the_positive_orthant(dollar_bill, monkeypatch,
+                                                       argument, value):
+    """Stratum {1, 2} of dollar-bill: rays need two positive entries, the
+    base one, and every scale is positive; refused, naming the argument,
+    before the metric polynomial is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("metric polynomial built before the arguments were checked")
+    monkeypatch.setattr(orbit, "hodge_metric_polynomial", unreachable)
+    with pytest.raises(ValueError, match=f"^{argument}"):
+        restriction_limit_check(dollar_bill, [0, 1], **{argument: value})
+
+
 def test_default_rays_count():
     rays = default_rays([0, 2], 5, seed=1)
     assert len(rays) == 5

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import random_nilpotent
+import reference_weightfilt as ref
+from conftest import direct_sum, random_nilpotent
 from reference_weightfilt import weight_filtration_centered_by_intersections
-from hodgecalc.errors import NotCommuting, NotNilpotent
+from hodgecalc.errors import NoSolution, NotCommuting, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, sub_contains, sub_dim, sub_equal, sub_image,
+    Mat, inverse, sub_contains, sub_dim, sub_equal, sub_image,
 )
+from hodgecalc.schemas import fixture_names, load_fixture
 from hodgecalc.weightfilt import (
-    complete_sl2, grading_element, integer_eigen_decomposition,
+    complete_sl2, grading_element, grading_splitting, integer_eigen_decomposition,
     relative_weight_filtration_check, weight_filtration,
     weight_filtration_centered, y_eigen_decomposition,
 )
@@ -122,6 +126,105 @@ def test_sl2_seeded():
         y = grading_element(n, wf)
         triple = complete_sl2(n, y, weight=d)
         assert triple.check()
+
+
+# --- n-string splittings and raising operators against the earlier oracle ----
+
+def jordan_nilpotent(rng: random.Random, blocks) -> Mat:
+    """Nilpotent Jordan blocks of the given sizes conjugated by a seeded
+    unimodular matrix (lower times upper triangular)."""
+    d = sum(blocks)
+    rows = [[0] * d for _ in range(d)]
+    start = 0
+    for b in blocks:
+        for i in range(start, start + b - 1):
+            rows[i][i + 1] = 1
+        start += b
+    lower = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                            for j in range(d)] for i in range(d)])
+    upper = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i < j else 0)
+                            for j in range(d)] for i in range(d)])
+    t = lower @ upper
+    return t @ Mat.from_rows(rows) @ inverse(t)
+
+
+def _orbit_cases():
+    """(id, N, weight): every stratum cone of every orbit fixture, the empty
+    one (N = 0) included, and the dollar-bill sums at d = 8 and 12."""
+    cases = []
+    for name in fixture_names():
+        spec = load_fixture(name).obj
+        if load_fixture(name).kind == "orbit":
+            cases += [(f"{name}{list(s)}", spec.n_sum(set(s)), spec.weight)
+                      for r in range(spec.num_params + 1)
+                      for s in combinations(range(spec.num_params), r)]
+    dollar_bill = load_fixture("dollar-bill").obj
+    eight, twelve = direct_sum([dollar_bill] * 2), direct_sum([dollar_bill] * 3)
+    return cases + [("sum8", eight.n_sum(), 1), ("sum8[0, 4]", eight.n_sum({0, 4}), 1),
+                    ("sum12", twelve.n_sum(), 1), ("sum12[1, 3, 8]", twelve.n_sum({1, 3, 8}), 1)]
+
+
+ORBIT_CASES = _orbit_cases()
+
+
+def assert_same_as_oracle(n: Mat, weight: int):
+    wf = weight_filtration(n, weight)
+    y, split = grading_splitting(n, wf)
+    y_ref, split_ref = ref.grading_splitting(n, wf)
+    assert y == y_ref
+    assert split.spaces == split_ref.spaces
+    assert complete_sl2(n, y, weight=weight).n_plus == ref.complete_sl2(n, y, weight=weight).n_plus
+
+
+@pytest.mark.parametrize("n,weight", [(n, w) for _, n, w in ORBIT_CASES],
+                         ids=[i for i, _, _ in ORBIT_CASES])
+def test_splitting_and_raising_match_the_oracle_on_orbits(n, weight):
+    assert_same_as_oracle(n, weight)
+
+
+def test_splitting_and_raising_match_the_oracle_on_seeded_nilpotents(monkeypatch):
+    """Regular (one Jordan block) and non-regular seeded nilpotents up to
+    d = 10; some of them need the primitive lifts corrected, which the
+    oracle does one `_solve_in_subspace` at a time."""
+    corrected = []
+    solve_in_subspace = ref._solve_in_subspace
+    monkeypatch.setattr(ref, "_solve_in_subspace",
+                        lambda *args: corrected.append(1) or solve_in_subspace(*args))
+    rng = random.Random(5)
+    cases = 0
+    for trial in range(24):
+        d = rng.randint(2, 10)
+        if trial % 2:
+            n = random_nilpotent(rng, d)
+        else:
+            blocks = []
+            while sum(blocks) < d:
+                blocks.append(rng.randint(1, d - sum(blocks)))
+            n = jordan_nilpotent(rng, blocks)
+        assert_same_as_oracle(n, d)
+        cases += 1
+    assert cases >= 20
+    assert corrected
+
+
+def _jordan3():
+    return Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("n,y", [
+    (_jordan3(), Mat.identity(3)),
+    (_jordan3(), Mat.zeros(3, 3)),
+    (_jordan3(), Mat.diag([0, 1, 2])),
+    (Mat.from_rows([[0, 1], [0, 0]]), Mat.diag([1, 3])),
+    (Mat.zeros(2, 2), Mat.identity(2)),
+    (_jordan3(), _jordan3()),
+], ids=["identity", "zero", "diag-0-1-2", "grades-not-sl2", "n-zero-y-identity",
+        "y-not-semisimple"])
+def test_complete_sl2_errors_match_the_oracle(n, y):
+    with pytest.raises(NoSolution) as expected:
+        ref.complete_sl2(n, y)
+    with pytest.raises(NoSolution, match=f"^{re.escape(str(expected.value))}$"):
+        complete_sl2(n, y)
 
 
 # --- eigencomponent decompositions --------------------------------------------
