@@ -109,6 +109,19 @@ def _expect_kind(doc: ProblemDocument, kind: str, command: str):
         raise SchemaError(f"{command} needs a {kind!r} document, got {doc.kind!r}")
 
 
+def _fitting_sum(spec, indices):
+    """The sum of the nilpotents at `indices`, refused unless its strings fit
+    the weight (N^(weight+1) = 0); the sum can have longer strings than each
+    of its terms."""
+    from .matrices import nilpotent_powers
+    n = spec.n_sum(set(indices))
+    length = len(nilpotent_powers(n)) - 1
+    if length > spec.weight:
+        terms = " + ".join(f"nilpotents[{i}]" for i in sorted(indices))
+        raise SchemaError(f"{terms}: string length {length} does not fit weight {spec.weight}")
+    return n
+
+
 def _poly_entry(poly):
     return {"polynomial": poly.to_string("x"),
             "terms": poly.to_json()["terms"]}
@@ -144,7 +157,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         _expect_kind(doc, "orbit", subcommand)
         from .weightfilt import weight_filtration
         spec = doc.obj
-        n = spec.n_sum(set(stratum) if stratum else None)
+        n = _fitting_sum(spec, stratum or range(spec.num_params))
         wf = weight_filtration(n, spec.weight)
         f["gradedDims"] = list(wf.graded_dims)
         f["levels"] = {str(k): wf.level(k).rows for k in range(2 * spec.weight + 1)}
@@ -155,7 +168,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         _expect_kind(doc, "orbit", subcommand)
         from .weightfilt import complete_sl2, grading_element, weight_filtration
         spec = doc.obj
-        n = spec.n_sum(set(stratum) if stratum else None)
+        n = _fitting_sum(spec, stratum or range(spec.num_params))
         wf = weight_filtration(n, spec.weight)
         y = grading_element(n, wf)
         triple = complete_sl2(n, y, weight=spec.weight)
@@ -166,6 +179,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "bigrading":
         _expect_kind(doc, "orbit", subcommand)
+        _fitting_sum(doc.obj, range(doc.obj.num_params))
         wf, bi = doc.obj.lmhs()
         f["pieces"] = {f"{p},{q}": m.rows for (p, q), m in sorted(bi.pieces.items())}
         g["rSplit"] = bi.r_split
@@ -182,8 +196,9 @@ def dispatch(doc, subcommand: str, flags) -> Report:
             for b in range(spec.num_params):
                 if a == b:
                     continue
-                rep = relative_weight_filtration_check(
-                    spec.nilpotents[a], spec.nilpotents[b], spec.weight)
+                na = _fitting_sum(spec, [a])
+                _fitting_sum(spec, [a, b])
+                rep = relative_weight_filtration_check(na, spec.nilpotents[b], spec.weight)
                 results[f"{a + 1},{b + 1}"] = rep.holds
                 ok = ok and rep.holds
         f["pairs"] = results

@@ -945,44 +945,6 @@ def row_coords(basis: Mat, s: Mat):
     return Mat._make(k, s.rows, ring, rows, dens).transpose()
 
 
-class Quotient:
-    """Quotient space sup/sub with an explicit echelon complement.
-
-    Vectors of the quotient are represented by coordinates in the chosen
-    complement basis.
-    """
-
-    def __init__(self, sup: Mat, sub: Mat):
-        self.sup = sub_canonical(sup)
-        self.sub = sub_canonical(sub)
-        if not sub_contains(self.sup, self.sub):
-            raise ValueError("sub is not contained in sup")
-        self.comp = sub_complement_in(self.sub, self.sup)
-        self.dim = self.comp.rows
-        self.ambient = sup.cols
-        self._basis = Mat.stack([self.comp, self.sub])
-
-    def project_rows(self, s: Mat) -> Mat:
-        """The classes of the rows of s (which must lie in sup) as rows of
-        complement coordinates."""
-        coords = row_coords(self._basis, s)
-        if coords is None:
-            raise ValueError("vector not in the total space")
-        return _cut_columns(coords, 0, self.dim)
-
-    def project_sub(self, s: Mat) -> Mat:
-        """Image in the quotient of a subspace of sup (rows in quotient coords)."""
-        if self.dim == 0 or s.rows == 0:
-            return Mat.zeros(0, self.dim)
-        return sub_canonical(self.project_rows(s))
-
-    def induced_map(self, m: Mat) -> Mat:
-        """Matrix of the endomorphism induced by m (which must preserve sup, sub)."""
-        if self.dim == 0:
-            return Mat.zeros(0, 0)
-        return self.project_rows(self.comp @ m.transpose()).transpose()
-
-
 class Splitting:
     """The ambient space as a direct sum of subspaces V_key, each given by a
     row basis; empty subspaces are dropped.
@@ -1009,6 +971,10 @@ class Splitting:
     def space(self, k) -> Mat:
         """The row basis of V_k."""
         return self.spaces[k]
+
+    def coords(self, s: Mat, k) -> Mat:
+        """Row i holds the V_k coordinates of row i of s."""
+        return s @ self._duals[k].transpose()
 
     def block(self, m: Mat, src, dst) -> Mat:
         """The V_src -> V_dst block of m: column i holds the V_dst coordinates

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Quotient, Splitting, kernel_space, extend_basis, kernel_matrix,
-    nilpotent_powers, row_coords, rref, sub_canonical, sub_contains, sub_dim,
-    sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
+    Mat, Splitting, kernel_space, extend_basis, kernel_matrix, nilpotent_powers, rank,
+    row_coords, sub_canonical, sub_complement_in, sub_contains, sub_dim, sub_equal,
+    sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 
 
@@ -104,23 +104,28 @@ def weight_filtration(n: Mat, weight: int) -> WeightFiltration:
 
 
 def _check_weight_filtration(n: Mat, wf: WeightFiltration):
-    """Postconditions: N W_k ⊆ W_{k-2} and Hard Lefschetz isomorphisms."""
+    """Postconditions: N W_k ⊆ W_{k-2} and Hard Lefschetz isomorphisms.
+
+    Both are rank identities on the level bases: N W_k ⊆ W_{k-2} exactly
+    when stacking the rows N w (w in W_k) under W_{k-2} leaves its rank
+    dim W_{k-2}.  Given that, N^k induces a map Gr_{n+k} -> Gr_{n-k}, which
+    between spaces of equal dimension is bijective exactly when it is onto,
+    i.e. when W_{n-k-1} + N^k W_{n+k} = W_{n-k}.
+    """
     nw = wf.weight
     for k in range(0, 2 * nw + 1):
-        img = sub_image(n, wf.level(k))
-        if not sub_contains(wf.level(k - 2), img):
+        low = wf.level(k - 2)
+        if rank(Mat.stack([low, wf.level(k) @ n.transpose()])) != low.rows:
             raise NoSolution("internal error: N does not shift the filtration by -2")
-    nk, power = Mat.identity(n.rows), 0      # nk = N^power, raised as needed
+    powers = nilpotent_powers(n)     # powers[-1] = 0 stands in for every higher power
     for k in range(1, nw + 1):
-        top = Quotient(wf.level(nw + k), wf.level(nw + k - 1))
-        bot = Quotient(wf.level(nw - k), wf.level(nw - k - 1))
-        if top.dim != bot.dim:
+        dim = wf.graded_dims[nw + k]
+        if dim != wf.graded_dims[nw - k]:
             raise NoSolution("internal error: graded dimensions not symmetric")
-        if top.dim:
-            for _ in range(power, k):
-                nk = nk @ n
-            power = k
-            if rref(bot.project_rows(top.comp @ nk.transpose()))[2] != top.dim:
+        if dim:
+            nk = powers[min(k, len(powers)) - 1]
+            image = Mat.stack([wf.level(nw - k - 1), wf.level(nw + k) @ nk.transpose()])
+            if rank(image) != wf.level(nw - k).rows:
                 raise NoSolution("internal error: Hard Lefschetz map not bijective")
 
 
@@ -175,7 +180,7 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
     y = split.diagonal(lambda k: k)
     if not (y @ n - n @ y + n.scale(2)).is_zero():
         raise NoSolution("internal error: [Y,N] != -2N")
-    _check_grading(y, wf)
+    _check_grading(split, wf)
     return y, split
 
 
@@ -203,19 +208,18 @@ def _strings(n: Mat, tops: dict):
             {k: Mat.stack(rs) for k, rs in raised.items()})
 
 
-def _check_grading(y: Mat, wf: WeightFiltration):
-    nw = wf.weight
-    d = y.rows
-    total = 0
-    for k in range(0, 2 * nw + 1):
-        eig = kernel_space(y - Mat.identity(d).scale(Fraction(k)))
-        total += sub_dim(eig)
-        if not sub_contains(wf.level(k), eig):
-            raise NoSolution("internal error: eigenspace not inside W_k")
-        if sub_dim(eig) != wf.graded_dims[k]:
-            raise NoSolution("internal error: eigenspace dimension mismatch")
-    if total != d:
+def _check_grading(split: Splitting, wf: WeightFiltration):
+    """Postconditions of a grading splitting: each V_k lies in W_k and has
+    the dimension of Gr_k.  The V_k are exactly the eigenspaces of
+    Y = split.diagonal(k -> k), so they need no probing."""
+    if not set(split.spaces) <= set(range(len(wf.graded_dims))):
         raise NoSolution("internal error: Y is not semisimple with the right spectrum")
+    for k, dim in enumerate(wf.graded_dims):
+        space = split.spaces.get(k, sub_zero(wf.ambient))
+        if not sub_contains(wf.level(k), space):
+            raise NoSolution("internal error: eigenspace not inside W_k")
+        if space.rows != dim:
+            raise NoSolution("internal error: eigenspace dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -342,30 +346,34 @@ class RwfpReport:
 def relative_weight_filtration_check(na: Mat, nb: Mat, weight: int) -> RwfpReport:
     """Compare the filtration induced by W(na+nb) on Gr W(na) with the
     weight filtration of the induced endomorphism, both centered at 0 per
-    graded piece."""
+    graded piece.
+
+    Gr_m W(na) is read as the complement V_m of W_(m-1) in W_m: the V_m
+    split V with W_m = V_m + W_(m-1), so the V_m-coordinates of a vector of
+    W_m are those of its class in Gr_m, and nb, which preserves W(na),
+    induces the block of nb on V_m."""
     if not na.commutes_with(nb):
         raise NotCommuting("the two nilpotents do not commute")
     wa = weight_filtration(na, weight)
     wab = weight_filtration(na + nb, weight)
-    d = na.rows
+    split = Splitting({m: sub_complement_in(wa.level(m - 1), wa.level(m))
+                       for m in range(0, 2 * weight + 1)})
     details = []
     holds = True
-    for m in range(0, 2 * weight + 1):
-        q = Quotient(wa.level(m), wa.level(m - 1))
-        if q.dim == 0:
-            continue
-        nbar = q.induced_map(nb)
-        rhs_centered = weight_filtration_centered(nbar) if not nbar.is_zero() else {0: sub_full(q.dim)}
+    for m, space in split.spaces.items():
+        dim = space.rows
+        nbar = split.block(nb, m, m)
+        rhs_centered = weight_filtration_centered(nbar) if not nbar.is_zero() else {0: sub_full(dim)}
         smax = max(abs(k) for k in rhs_centered) if rhs_centered else 0
         span = max(smax, 2 * weight)
         for mp in range(-span, span + 1):
-            lhs = q.project_sub(sub_intersect(wab.level(m + mp), wa.level(m)))
+            lhs = sub_canonical(split.coords(sub_intersect(wab.level(m + mp), wa.level(m)), m))
             if mp < -smax:
-                rhs = sub_zero(q.dim)
+                rhs = sub_zero(dim)
             elif mp > smax:
-                rhs = sub_full(q.dim)
+                rhs = sub_full(dim)
             else:
-                rhs = rhs_centered.get(mp, sub_zero(q.dim) if mp < 0 else sub_full(q.dim))
+                rhs = rhs_centered.get(mp, sub_zero(dim) if mp < 0 else sub_full(dim))
             eq = sub_equal(lhs, rhs)
             holds = holds and eq
             details.append((m, mp, sub_dim(lhs), sub_dim(rhs), eq))

@@ -8,11 +8,14 @@ used before matrices were stored as integer rows, and the index loops that
 tests in ``test_matrix_oracles.py`` assert that the library gives exactly the
 same answers.  ``ad_matrix``, the d^2 x d^2 matrix of ad(n) on End(V), is
 kept with the index loop it replaced; the library no longer builds it.
+``Quotient``, coordinates on sup/sub through an echelon complement, is kept
+for the weight-filtration oracles; the library reads such coordinates off a
+``Splitting`` of complements.
 """
 
 from __future__ import annotations
 
-from hodgecalc.matrices import Mat
+from hodgecalc.matrices import Mat, row_coords, sub_canonical, sub_complement_in, sub_contains
 from hodgecalc.rationals import as_gauss, ZERO, ONE
 
 
@@ -185,3 +188,43 @@ def ad_matrix_loop(n: Mat) -> Mat:
                 row[i * d + k_] = row[i * d + k_] - n[k_, j]
             rows.append(row)
     return Mat.from_rows(rows)
+
+
+# --- quotient spaces -----------------------------------------------------------
+
+class Quotient:
+    """Quotient space sup/sub with an explicit echelon complement.
+
+    Vectors of the quotient are represented by coordinates in the chosen
+    complement basis.
+    """
+
+    def __init__(self, sup: Mat, sub: Mat):
+        self.sup = sub_canonical(sup)
+        self.sub = sub_canonical(sub)
+        if not sub_contains(self.sup, self.sub):
+            raise ValueError("sub is not contained in sup")
+        self.comp = sub_complement_in(self.sub, self.sup)
+        self.dim = self.comp.rows
+        self.ambient = sup.cols
+        self._basis = Mat.stack([self.comp, self.sub])
+
+    def project_rows(self, s: Mat) -> Mat:
+        """The classes of the rows of s (which must lie in sup) as rows of
+        complement coordinates."""
+        coords = row_coords(self._basis, s)
+        if coords is None:
+            raise ValueError("vector not in the total space")
+        return coords.transpose().take(range(self.dim)).transpose()
+
+    def project_sub(self, s: Mat) -> Mat:
+        """Image in the quotient of a subspace of sup (rows in quotient coords)."""
+        if self.dim == 0 or s.rows == 0:
+            return Mat.zeros(0, self.dim)
+        return sub_canonical(self.project_rows(s))
+
+    def induced_map(self, m: Mat) -> Mat:
+        """Matrix of the endomorphism induced by m (which must preserve sup, sub)."""
+        if self.dim == 0:
+            return Mat.zeros(0, 0)
+        return self.project_rows(self.comp @ m.transpose()).transpose()

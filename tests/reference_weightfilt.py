@@ -20,18 +20,26 @@ splittings off n-strings: a ``Quotient`` per level for the primitive
 candidates, each lift corrected by its own ``solve``, and the strings built
 one ``mat_vec`` at a time.  ``complete_sl2`` solves [X, n] = y for X of
 ad-weight 2 entry by entry in the eigenbasis of y.
+
+``check_weight_filtration`` and ``check_grading`` are the postconditions the
+library checked before it used rank identities and the spaces of the
+splitting: Hard Lefschetz through a ``Quotient`` of each graded piece, and
+the eigenspaces of Y found by a kernel probe at every Hodge level.
+``relative_weight_filtration_check`` reads each graded piece through a
+``Quotient`` of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from reference_matrices import Quotient
 from hodgecalc import weightfilt
-from hodgecalc.errors import NoSolution
+from hodgecalc.errors import NoSolution, NotCommuting
 from hodgecalc.matrices import (
-    Mat, Quotient, Splitting, column_space, extend_basis, kernel_matrix, kernel_space,
-    nilpotency_index, solve, sub_canonical, sub_dim, sub_full, sub_intersect,
-    sub_sum_ambient, sub_zero,
+    Mat, Splitting, column_space, extend_basis, kernel_matrix, kernel_space,
+    nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim, sub_equal, sub_full,
+    sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
 from hodgecalc.rationals import GaussianRational, ZERO
@@ -176,7 +184,7 @@ def grading_splitting(n: Mat, wf):
     y = split.diagonal(lambda k: k)
     if not (y @ n - n @ y + n.scale(2)).is_zero():
         raise NoSolution("internal error: [Y,N] != -2N")
-    weightfilt._check_grading(y, wf)
+    check_grading(y, wf)
     return y, split
 
 
@@ -231,3 +239,68 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0):
     if not triple.check():
         raise NoSolution("internal error: bracket relations failed")
     return triple
+
+
+def check_weight_filtration(n: Mat, wf):
+    nw = wf.weight
+    for k in range(0, 2 * nw + 1):
+        img = sub_image(n, wf.level(k))
+        if not sub_contains(wf.level(k - 2), img):
+            raise NoSolution("internal error: N does not shift the filtration by -2")
+    nk, power = Mat.identity(n.rows), 0      # nk = N^power, raised as needed
+    for k in range(1, nw + 1):
+        top = Quotient(wf.level(nw + k), wf.level(nw + k - 1))
+        bot = Quotient(wf.level(nw - k), wf.level(nw - k - 1))
+        if top.dim != bot.dim:
+            raise NoSolution("internal error: graded dimensions not symmetric")
+        if top.dim:
+            for _ in range(power, k):
+                nk = nk @ n
+            power = k
+            if rref(bot.project_rows(top.comp @ nk.transpose()))[2] != top.dim:
+                raise NoSolution("internal error: Hard Lefschetz map not bijective")
+
+
+def check_grading(y: Mat, wf):
+    nw = wf.weight
+    d = y.rows
+    total = 0
+    for k in range(0, 2 * nw + 1):
+        eig = kernel_space(y - Mat.identity(d).scale(Fraction(k)))
+        total += sub_dim(eig)
+        if not sub_contains(wf.level(k), eig):
+            raise NoSolution("internal error: eigenspace not inside W_k")
+        if sub_dim(eig) != wf.graded_dims[k]:
+            raise NoSolution("internal error: eigenspace dimension mismatch")
+    if total != d:
+        raise NoSolution("internal error: Y is not semisimple with the right spectrum")
+
+
+def relative_weight_filtration_check(na: Mat, nb: Mat, weight: int):
+    if not na.commutes_with(nb):
+        raise NotCommuting("the two nilpotents do not commute")
+    wa = weightfilt.weight_filtration(na, weight)
+    wab = weightfilt.weight_filtration(na + nb, weight)
+    details = []
+    holds = True
+    for m in range(0, 2 * weight + 1):
+        q = Quotient(wa.level(m), wa.level(m - 1))
+        if q.dim == 0:
+            continue
+        nbar = q.induced_map(nb)
+        rhs_centered = (weightfilt.weight_filtration_centered(nbar) if not nbar.is_zero()
+                        else {0: sub_full(q.dim)})
+        smax = max(abs(k) for k in rhs_centered) if rhs_centered else 0
+        span = max(smax, 2 * weight)
+        for mp in range(-span, span + 1):
+            lhs = q.project_sub(sub_intersect(wab.level(m + mp), wa.level(m)))
+            if mp < -smax:
+                rhs = sub_zero(q.dim)
+            elif mp > smax:
+                rhs = sub_full(q.dim)
+            else:
+                rhs = rhs_centered.get(mp, sub_zero(q.dim) if mp < 0 else sub_full(q.dim))
+            eq = sub_equal(lhs, rhs)
+            holds = holds and eq
+            details.append((m, mp, sub_dim(lhs), sub_dim(rhs), eq))
+    return weightfilt.RwfpReport(holds, tuple(details))

@@ -7,7 +7,6 @@ tolerance (criterion 3) is 10^-6 at the largest scale 10^8.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from fractions import Fraction

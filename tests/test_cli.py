@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import io
 import json
-import sys
 
 import pytest
 
@@ -284,6 +282,18 @@ def _mutated(name, **changes):
     return doc
 
 
+LONG_STRING = {"kind": "orbit", "payload": {
+    "dim": 3, "weight": 1, "Q": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+    "nilpotents": [[[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+    "F": [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}}
+SUM_TOO_LONG = {"kind": "orbit", "payload": {
+    "dim": 4, "weight": 1, "Q": [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+    "nilpotents": [[[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+                   [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]],
+    "F": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                         [0, 0, 0, 1]]]}}
+
+
 # Each malformed field exits 2 with a one-line message and no traceback:
 # integer fields of every document kind, and the list fields of an orbit.
 BAD_DOCUMENTS = {
@@ -325,6 +335,14 @@ BAD_DOCUMENTS = {
         "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
     "refine-gaussian-basis": ("refine", {"kind": "subspace", "payload": {
         "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
+    # a nilpotent with strings longer than the weight allows: no weight
+    # filtration indexed 0..2n exists for it
+    **{f"{command}-string-longer-than-weight": (command, LONG_STRING)
+       for command in ("weight-filtration", "sl2", "bigrading", "rwfp")},
+    # N1 = J (x) I and N2 = I (x) J commute with N1^2 = N2^2 = 0, but
+    # (N1 + N2)^2 = 2 J (x) J: only the sum is too long for weight 1
+    "bigrading-sum-longer-than-weight": ("bigrading", SUM_TOO_LONG),
+    "rwfp-sum-longer-than-weight": ("rwfp", SUM_TOO_LONG),
 }
 
 

@@ -7,9 +7,10 @@ from math import gcd
 
 import pytest
 
+from reference_matrices import Quotient
 from hodgecalc.errors import NoSolution, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, Quotient, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank,
+    Mat, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank,
     rref, smith_normal_form, sub_complement_in, sub_contains, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational
@@ -156,6 +157,16 @@ def test_splitting_of_a_plane_and_a_line():
     m = Mat.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
     assert split.block(m, "b", "a") == Mat.from_rows([[Fraction(-3, 2)], [Fraction(3, 2)]])
     assert split.block(m, "b", "b") == Mat.from_rows([[Fraction(5, 2)]])
+
+
+def test_splitting_coords_read_off_the_projection():
+    split = Splitting({0: Mat.from_rows([[1, 1, 0], [0, 1, 1]]), 1: Mat.from_rows([[1, 0, 1]])})
+    rng = random.Random(9)
+    s = Mat.from_rows([[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+                       for _ in range(4)])
+    for k in (0, 1):
+        assert split.coords(s, k) @ split.space(k) == s @ split.projector(k).transpose()
+    assert split.coords(Mat.from_rows([[3, 5, 4]]), 0) == Mat.from_rows([[2, 3]])
 
 
 @pytest.mark.parametrize("spaces", [

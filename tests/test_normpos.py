@@ -7,7 +7,7 @@ import pytest
 
 import reference_normpos as ref
 from hodgecalc.errors import NotUnit
-from hodgecalc.matrices import Mat, hermitian_psd_status, rank
+from hodgecalc.matrices import Mat, hermitian_psd_status
 from hodgecalc.multiplier import multiplier_ideal_monomials
 from hodgecalc.normpos import (
     NormPositivityModel, chern_form_norm, curvature_from_model, flat_directions,

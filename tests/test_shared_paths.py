@@ -26,8 +26,8 @@ from hodgecalc.cli import main
 from hodgecalc.errors import NoSolution
 from hodgecalc.cones import hull_contains
 from hodgecalc.lmhs import (
-    PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
-    stratum_hodge_numbers, verify_polarized_lmhs,
+    associated_graded_orbit, deligne_bigrading, stratum_hodge_numbers,
+    verify_polarized_lmhs,
 )
 from hodgecalc.horizontal import (
     graded_end_algebra, phs_weight1, phs_weight2, principal_value_traces, top_block,

@@ -1,11 +1,13 @@
-"""Every module of the library uses each name it imports, imports each
-name from the module that defines it, and uses each private function and
-class it defines.
+"""Every module of the library and of the tests uses each name it imports,
+every library module imports each name from the module that defines it,
+and uses each private function and class it defines.
 
 A name counts as used when it appears anywhere in the module's code.  The
 modules use ``from __future__ import annotations``, so annotations are code
 and need no quotes.  ``__init__`` is left out of the first check: its
-imports are the package's public names.  The second check covers every
+imports are the package's public names.  The test modules and their
+reference implementations are held to the first check too, so an oracle
+moved into the tests brings no dead import with it.  The second check covers every
 module: a ``from .mod import name`` must name a public function, class or
 assigned name of ``mod`` itself, not one that ``mod`` only imports.  The
 third check covers every module too: no other module may import a private
@@ -22,6 +24,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hodgecalc"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -39,7 +42,8 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.stem for p in MODULES] + [f"tests/{p.stem}" for p in TEST_MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

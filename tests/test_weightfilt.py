@@ -10,14 +10,16 @@ import pytest
 import reference_weightfilt as ref
 from conftest import direct_sum, random_nilpotent
 from reference_weightfilt import weight_filtration_centered_by_intersections
+from hodgecalc import weightfilt
 from hodgecalc.errors import NoSolution, NotCommuting, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, inverse, sub_contains, sub_dim, sub_equal, sub_image,
+    Mat, Splitting, inverse, nilpotent_powers, sub_contains, sub_dim, sub_equal, sub_image,
+    sub_zero,
 )
 from hodgecalc.schemas import fixture_names, load_fixture
 from hodgecalc.weightfilt import (
-    complete_sl2, grading_element, grading_splitting, integer_eigen_decomposition,
-    relative_weight_filtration_check, weight_filtration,
+    WeightFiltration, complete_sl2, grading_element, grading_splitting,
+    integer_eigen_decomposition, relative_weight_filtration_check, weight_filtration,
     weight_filtration_centered, y_eigen_decomposition,
 )
 
@@ -71,6 +73,75 @@ def test_uniqueness_against_independent_route():
         assert set(w1) == set(w2)
         for k in w1:
             assert sub_equal(w1[k], w2[k])
+
+
+# --- the postconditions against the earlier Quotient-based checks ------------
+
+def _outcome(check, *args):
+    """The message of the NoSolution that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except NoSolution as exc:
+        return str(exc)
+    return None
+
+
+def test_weight_filtration_check_matches_the_oracle():
+    """W(N) checked against N, 3N, N^2, N + N^2 and an unrelated nilpotent.
+    The first four all lower W by 2 (N^2 by 4), but N^2 fails Hard
+    Lefschetz wherever W has a piece off the middle, and an unrelated
+    nilpotent seldom lowers W at all."""
+    rng = random.Random(3)
+    outcomes = []
+    for trial in range(250):
+        d = rng.randint(2, 5)
+        n = random_nilpotent(rng, d)
+        wf = weight_filtration(n, len(nilpotent_powers(n)) - 1 + rng.randint(0, 1))
+        for m in (n, n.scale(3), n @ n, n + n @ n, random_nilpotent(rng, d)):
+            new = _outcome(weightfilt._check_weight_filtration, m, wf)
+            assert new == _outcome(ref.check_weight_filtration, m, wf)
+            outcomes.append(new)
+    assert len(outcomes) >= 1000
+    assert set(outcomes) == {None, "internal error: N does not shift the filtration by -2",
+                             "internal error: Hard Lefschetz map not bijective"}
+
+
+def _jordan2():
+    return Mat.from_rows([[0, 1], [0, 0]])
+
+
+E1, E2 = Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]])
+
+
+@pytest.mark.parametrize("check,args,message", [
+    (weightfilt._check_weight_filtration, (_jordan2().transpose(), weight_filtration(_jordan2(), 1)),
+     "N does not shift the filtration by -2"),
+    (weightfilt._check_weight_filtration,
+     (Mat.zeros(2, 2), WeightFiltration(1, (sub_zero(2), E1, Mat.identity(2)), (0, 1, 1))),
+     "graded dimensions not symmetric"),
+    (weightfilt._check_weight_filtration, (Mat.zeros(2, 2), weight_filtration(_jordan2(), 1)),
+     "Hard Lefschetz map not bijective"),
+    (weightfilt._check_grading, (Splitting({2: E1, 4: E2}), weight_filtration(_jordan2(), 1)),
+     "Y is not semisimple with the right spectrum"),
+    (weightfilt._check_grading, (Splitting({1: E1, 2: E2}), weight_filtration(_jordan2(), 1)),
+     "eigenspace dimension mismatch"),
+    (weightfilt._check_grading, (Splitting({0: E2, 2: E1}), weight_filtration(_jordan2(), 1)),
+     "eigenspace not inside W_k"),
+], ids=["not-a-shift", "asymmetric", "not-lefschetz", "spectrum", "dimension", "shifted-space"])
+def test_each_postcondition_rejects(check, args, message):
+    with pytest.raises(NoSolution, match=f"^internal error: {re.escape(message)}$"):
+        check(*args)
+
+
+def test_grading_check_probes_no_kernel(monkeypatch):
+    calls = []
+    kernel_space = weightfilt.kernel_space
+    monkeypatch.setattr(weightfilt, "kernel_space", lambda m: calls.append(m) or kernel_space(m))
+    for _, n, weight in ORBIT_CASES:
+        wf = weight_filtration(n, weight)
+        calls.clear()
+        grading_splitting(n, wf)
+        assert calls == []
 
 
 # --- grading elements and triples --------------------------------------------
@@ -312,6 +383,35 @@ def test_rwfp_failure_found_by_search():
             found = True
             break
     assert found
+
+
+def _upper_triangular(rng: random.Random, d: int) -> Mat:
+    return Mat.from_rows([[rng.randint(-1, 1) if j > i else 0 for j in range(d)]
+                          for i in range(d)])
+
+
+def test_rwfp_matches_the_quotient_oracle():
+    """Every ordered pair of every orbit fixture and 400 seeded commuting
+    strictly upper triangular pairs of dimension 3 and 4, some of them
+    failing."""
+    pairs = [(spec.nilpotents[a], spec.nilpotents[b], spec.weight)
+             for spec in (load_fixture(name).obj for name in fixture_names()
+                          if load_fixture(name).kind == "orbit")
+             for a in range(spec.num_params) for b in range(spec.num_params) if a != b]
+    rng = random.Random(43)
+    seeded = 0
+    while seeded < 400:
+        d = rng.choice((3, 3, 4))
+        a, b = _upper_triangular(rng, d), _upper_triangular(rng, d)
+        if a.commutes_with(b):
+            pairs.append((a, b, d - 1))
+            seeded += 1
+    failing = 0
+    for a, b, weight in pairs:
+        rep = relative_weight_filtration_check(a, b, weight)
+        assert rep == ref.relative_weight_filtration_check(a, b, weight)
+        failing += not rep.holds
+    assert failing
 
 
 def test_rwfp_noncommuting_raises():
