@@ -30,10 +30,6 @@ class ChernSymbol:
     def __str__(self):
         return self.poly.to_string("c")
 
-    def __eq__(self, other):
-        return (isinstance(other, ChernSymbol) and self.rank == other.rank
-                and self.poly == other.poly)
-
 
 def chern_generator(rank: int, i: int) -> ChernSymbol:
     """The symbol c_i, with the conventions c_0 = 1 and c_i = 0 outside 0..r."""

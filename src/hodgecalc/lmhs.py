@@ -201,25 +201,6 @@ class PolarizedOrbitSpec:
         bi = deligne_bigrading(wf, self.flag)
         return wf, bi
 
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "weight": self.weight,
-            "Q": self.q.to_json(),
-            "nilpotents": [n.to_json() for n in self.nilpotents],
-            "F": [f.to_json() for f in self.flag],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "PolarizedOrbitSpec":
-        return cls(
-            dim=int(data["dim"]),
-            weight=int(data["weight"]),
-            q=Mat.from_json(data["Q"]),
-            nilpotents=tuple(Mat.from_json(n) for n in data["nilpotents"]),
-            flag=tuple(Mat.from_json(f) if f else Mat.zeros(0, int(data["dim"]))
-                       for f in data["F"]),
-        )
 
 
 def q_gram(q: Mat, left: Mat, right: Mat) -> Mat:

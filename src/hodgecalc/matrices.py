@@ -516,20 +516,6 @@ class Mat:
                 pairs.append(ring.normal(joined, l))
         return _from_pairs(rows, cols, ring, pairs)
 
-    def __pow__(self, n: int) -> "Mat":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        out = Mat.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base if n > 1 else base
-            n >>= 1
-        return out
-
     def transpose(self) -> "Mat":
         ring, den = self._ring, self._den
         if not self.rows:

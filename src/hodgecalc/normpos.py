@@ -41,15 +41,6 @@ class NormPositivityModel:
         """A(e (x) xi) for vectors e in E, xi in T."""
         return (self.a @ Mat(self.rank_e, 1, e).kron(Mat(self.dim_t, 1, xi))).entries
 
-    def to_json(self):
-        return {"dimT": self.dim_t, "rankE": self.rank_e, "rankG": self.rank_g,
-                "A": self.a.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "NormPositivityModel":
-        return cls(int(data["dimT"]), int(data["rankE"]), int(data["rankG"]),
-                   Mat.from_json(data["A"]))
-
 
 @dataclass(frozen=True)
 class CurvatureTensor:

@@ -13,17 +13,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import GaussianRational
-
 SIG_DIGITS = 12
 
 
-def frac_to_decimal(value) -> str:
+def frac_to_decimal(value: Fraction) -> str:
     """Exact rounded decimal rendering of a Fraction to SIG_DIGITS
     significant digits, scientific notation."""
-    if isinstance(value, GaussianRational):
-        value = value.real_or_raise()
-    value = Fraction(value)
     if value == 0:
         return "0"
     sign = "-" if value < 0 else ""
@@ -55,19 +50,9 @@ def frac_to_decimal(value) -> str:
     return f"{sign}{mantissa}e{e:+03d}"
 
 
-def exact_entry(value):
-    """A {'exact': ..., 'decimal': ...} pair for rationals; passthrough else."""
-    if isinstance(value, Fraction):
-        return {"exact": str(value), "decimal": frac_to_decimal(value)}
-    if isinstance(value, GaussianRational):
-        if value.is_real:
-            return {"exact": str(value.re), "decimal": frac_to_decimal(value.re)}
-        return {"exact": value.to_json()}
-    if isinstance(value, (list, tuple)):
-        return [exact_entry(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): exact_entry(v) for k, v in value.items()}
-    return value
+def exact_entry(value: Fraction) -> dict:
+    """The {'exact': ..., 'decimal': ...} pair of a rational."""
+    return {"exact": str(value), "decimal": frac_to_decimal(value)}
 
 
 @dataclass

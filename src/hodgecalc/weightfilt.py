@@ -156,8 +156,6 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
     for m in range(s, -1, -1):
         wk = wf.level(nw + m)
         wk1 = wf.level(nw + m - 1)
-        if wk.rows == 0:
-            continue
         pt = powers[m].transpose()
         # primitive candidates: v in W_{n+m} whose class is killed by n^(m+1),
         # i.e. n^(m+1) v lands in W_{n-m-3}, the kernel of its annihilator
@@ -351,29 +349,28 @@ def relative_weight_filtration_check(na: Mat, nb: Mat, weight: int) -> RwfpRepor
     Gr_m W(na) is read as the complement V_m of W_(m-1) in W_m: the V_m
     split V with W_m = V_m + W_(m-1), so the V_m-coordinates of a vector of
     W_m are those of its class in Gr_m, and nb, which preserves W(na),
-    induces the block of nb on V_m."""
+    induces the block of nb on V_m.  From level 2n up W(na+nb) is all of V,
+    so there the induced filtration is all of Gr_m."""
     if not na.commutes_with(nb):
         raise NotCommuting("the two nilpotents do not commute")
+    top = 2 * weight
     wa = weight_filtration(na, weight)
     wab = weight_filtration(na + nb, weight)
     split = Splitting({m: sub_complement_in(wa.level(m - 1), wa.level(m))
-                       for m in range(0, 2 * weight + 1)})
+                       for m in range(0, top + 1)})
     details = []
     holds = True
     for m, space in split.spaces.items():
         dim = space.rows
-        nbar = split.block(nb, m, m)
-        rhs_centered = weight_filtration_centered(nbar) if not nbar.is_zero() else {0: sub_full(dim)}
-        smax = max(abs(k) for k in rhs_centered) if rhs_centered else 0
-        span = max(smax, 2 * weight)
+        # keys -s..s; outside them the filtration is 0 below and Gr_m above
+        centred = weight_filtration_centered(split.block(nb, m, m))
+        span = max(max(centred), top)
         for mp in range(-span, span + 1):
-            lhs = sub_canonical(split.coords(sub_intersect(wab.level(m + mp), wa.level(m)), m))
-            if mp < -smax:
-                rhs = sub_zero(dim)
-            elif mp > smax:
-                rhs = sub_full(dim)
+            if m + mp >= top:
+                lhs = sub_full(dim)
             else:
-                rhs = rhs_centered.get(mp, sub_zero(dim) if mp < 0 else sub_full(dim))
+                lhs = sub_canonical(split.coords(sub_intersect(wab.level(m + mp), wa.level(m)), m))
+            rhs = centred.get(mp, sub_zero(dim) if mp < 0 else sub_full(dim))
             eq = sub_equal(lhs, rhs)
             holds = holds and eq
             details.append((m, mp, sub_dim(lhs), sub_dim(rhs), eq))

@@ -94,17 +94,63 @@ def test_exit_code_unknown_subcommand(capsys):
     assert code == 2
 
 
-def test_exit_code_failing_check(capsys, tmp_path):
-    # flip the polarization: validation fails with exit code 1
-    doc = load_fixture("dollar-bill")
-    bad = json.loads(render_problem(doc))
+def _flipped_dollar_bill(tmp_path):
+    """The dollar-bill document with its polarization negated, as a file."""
+    bad = json.loads(render_problem(load_fixture("dollar-bill")))
     bad["payload"]["Q"] = [[str(-int(x)) for x in row]
                            for row in [[0, 0, 1, 0], [0, 0, 0, 1],
                                        [-1, 0, 0, 0], [0, -1, 0, 0]]]
     path = tmp_path / "flipped.json"
     path.write_text(json.dumps(bad))
+    return path
+
+
+def test_exit_code_failing_check(capsys, tmp_path):
+    # flip the polarization: validation fails with exit code 1
+    path = _flipped_dollar_bill(tmp_path)
     code, out, err = run_cli(["validate", "--input", str(path)], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["metric-poly"], ["chern"],
+                                  ["factorize", "--stratum", "3"],
+                                  ["limit-check", "--stratum", "3"]],
+                         ids=lambda argv: argv[0])
+def test_exit_code_library_error(argv, capsys, tmp_path):
+    # the flipped polarization again: commands that validate the orbit before
+    # computing stop with a library error, exit 1 and one line
+    path = _flipped_dollar_bill(tmp_path)
+    code, out, err = run_cli(argv[:1] + ["--input", str(path)] + argv[1:], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: orbit fails validation: "
+                   "Hodge-Riemann positivity on primitive (1,1)\n")
+
+
+def _subspace(tmp_path, basis):
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps({"kind": "subspace", "payload": {"basis": basis}}))
+    return str(path)
+
+
+def test_monomial_map_on_subspace(tmp_path, capsys):
+    code, out, _ = run_cli(["monomial-map", "--input",
+                            _subspace(tmp_path, [[1, 1, 0], [0, 1, 1]]),
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)["findings"]
+    assert data["exponents"] == [[1, 1, 0], [0, 1, 1]]
+    assert data["monomials"] == ["t1*t2", "t2*t3"]
+
+
+def test_refine_on_subspace(tmp_path, capsys):
+    # the refined exponents are not pinned: they need not be nonnegative yet
+    code, out, _ = run_cli(["refine", "--input", _subspace(tmp_path, [[2, 0], [0, 3]]),
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["flags"]["saturated"] is True
+    assert data["findings"]["invariantFactors"] == [6]
 
 
 def test_validate_passes(capsys):
@@ -160,6 +206,8 @@ BAD_FLAGS = {
                              "--stratum", "x"],
     "scales-not-a-range": ["limit-check", "--input", "builtin:dollar-bill",
                            "--stratum", "3", "--scales", "abc"],
+    "scales-not-a-decade": ["limit-check", "--input", "builtin:dollar-bill",
+                            "--stratum", "3", "--scales", "20..1000"],
     "partition-not-a-number": ["schur", "--partition", "a,1"],
     "limit-check-stratum-zero": ["limit-check", "--input", "builtin:dollar-bill",
                                  "--stratum", "0"],
@@ -206,6 +254,11 @@ def test_bad_flag_exits_2(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_scales_off_the_decades_are_named(capsys):
+    code, _, err = run_cli(BAD_FLAGS["scales-not-a-decade"], capsys)
+    assert code == 2 and "scales must look like 1e1..1e8" in err
 
 
 def test_budget_messages_name_the_field(tmp_path, capsys):

@@ -21,8 +21,8 @@ from hodgecalc.cli import main
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
-# the 16 criterion-9 commands with --seed 7, then sl2, weight-filtration and
-# one more validate; the exit code each printed at capture time
+# the 16 criterion-9 commands with --seed 7, then sl2, weight-filtration, and
+# more validate and limit-check runs; the exit code each printed at capture time
 COMMANDS = [
     (["validate", "--input", "builtin:dollar-bill"], 0),
     (["metric-poly", "--input", "builtin:dollar-bill"], 0),
@@ -44,6 +44,16 @@ COMMANDS = [
     (["sl2", "--input", "builtin:dollar-bill"], 0),
     (["weight-filtration", "--input", "builtin:dollar-bill"], 0),
     (["validate", "--input", "builtin:elliptic-degeneration"], 0),
+    # validate on the other document kinds: phs (piece dimensions), model, alpha
+    (["validate", "--input", "builtin:weight2-normal-form"], 0),
+    (["validate", "--input", "builtin:grassmannian-g24"], 0),
+    (["validate", "--input", "builtin:alpha-example"], 0),
+    # seeded rays; plain-decade scales, where 1e3 is too small a scale for
+    # the tolerance
+    (["limit-check", "--input", "builtin:dollar-bill", "--stratum", "3",
+      "--rays", "2", "--seed", "7"], 0),
+    (["limit-check", "--input", "builtin:dollar-bill", "--stratum", "3",
+      "--scales", "10..1000", "--seed", "7"], 1),
 ]
 
 # the orbit fixtures and their number of variables

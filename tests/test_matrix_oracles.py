@@ -503,9 +503,3 @@ def test_ad_matrix_is_the_bracket():
         n, x = _matrix(rng, True, rows=d, cols=d), _matrix(rng, True, rows=d, cols=d)
         got = ref.ad_matrix(n).mat_vec(x.vec())
         assert Mat(d, d, got) == n @ x - x @ n
-
-
-@pytest.mark.parametrize("n", [-1, -2, 1.0, 2.5, "2"])
-def test_power_needs_a_nonnegative_int(n):
-    with pytest.raises(ValueError):
-        Mat.identity(2) ** n

@@ -13,8 +13,8 @@ from reference_weightfilt import weight_filtration_centered_by_intersections
 from hodgecalc import weightfilt
 from hodgecalc.errors import NoSolution, NotCommuting, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, Splitting, inverse, nilpotent_powers, sub_contains, sub_dim, sub_equal, sub_image,
-    sub_zero,
+    Mat, Splitting, inverse, nilpotent_powers, sub_contains, sub_dim, sub_equal, sub_full,
+    sub_image, sub_zero,
 )
 from hodgecalc.schemas import fixture_names, load_fixture
 from hodgecalc.weightfilt import (
@@ -412,6 +412,25 @@ def test_rwfp_matches_the_quotient_oracle():
         assert rep == ref.relative_weight_filtration_check(a, b, weight)
         failing += not rep.holds
     assert failing
+
+
+def test_rwfp_intersects_nothing_with_the_whole_space(monkeypatch, dollar_bill):
+    """From level 2n up W(na+nb) is V, and those levels are read off without
+    an intersection: 54 calls over the six ordered dollar-bill pairs, where
+    intersecting at every level made 90, 36 of them with V first."""
+    calls = []
+    sub_intersect = weightfilt.sub_intersect
+    monkeypatch.setattr(weightfilt, "sub_intersect",
+                        lambda a, b: calls.append(a) or sub_intersect(a, b))
+    k = dollar_bill.num_params
+    for a in range(k):
+        for b in range(k):
+            if a != b:
+                relative_weight_filtration_check(dollar_bill.nilpotents[a],
+                                                 dollar_bill.nilpotents[b],
+                                                 dollar_bill.weight)
+    assert len(calls) == 54
+    assert not any(sub_equal(a, sub_full(a.cols)) for a in calls)
 
 
 def test_rwfp_noncommuting_raises():
