@@ -807,8 +807,28 @@ def rank(m: Mat) -> int:
 # Subspaces (row-space representation)
 # ---------------------------------------------------------------------------
 
+def _is_canonical(m: Mat) -> bool:
+    """True iff m is in reduced row echelon form with no zero rows, read off
+    its int rows: every row is nonzero, the leading columns strictly
+    increase, each leading entry equals its row's denominator (so the entry
+    is 1), and each pivot column is zero in every other row.  The rows
+    after a row lead further right, so only the rows above it can be
+    nonzero in its pivot column."""
+    ring, pivots = m._ring, []
+    for row, d in zip(m._num, m._den):
+        lead = next((j for j in range(m.cols) if ring.at(row, j)), None)
+        if (lead is None or (pivots and lead <= pivots[-1])
+                or ring.at(row, lead) != (d if ring is _Z else (d, 0))):
+            return False
+        pivots.append(lead)
+    return not any(ring.at(row, pc) for i, row in enumerate(m._num) for pc in pivots[i + 1:])
+
+
 def sub_canonical(basis: Mat) -> Mat:
-    """Canonical (rref, zero rows dropped) basis matrix of a row space."""
+    """Canonical (rref, zero rows dropped) basis matrix of a row space; a
+    basis already in that form is returned as it is."""
+    if _is_canonical(basis):
+        return basis
     red, pivots, r = rref(basis)
     return red.take(range(r)) if r else Mat.zeros(0, basis.cols)
 
@@ -860,6 +880,11 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
     ambient = a.cols
     if a.rows == 0 or b.rows == 0:
         return sub_zero(ambient)
+    # a square canonical basis is the identity: the whole space
+    if a.rows == ambient and _is_canonical(a):
+        return sub_canonical(b)
+    if b.rows == ambient and _is_canonical(b):
+        return sub_canonical(a)
     # x a = y b exactly when (x, y) is in the left kernel of [a; -b]
     kern = kernel_matrix(Mat.stack([a, -b]).transpose())
     return sub_canonical(_cut_columns(kern, 0, a.rows) @ a)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import factorial, lcm, prod
 import random
 
+from .cones import hull_facets, in_hull
 from .errors import DegenerateDet, NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
 from .lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_sign,
@@ -455,8 +456,6 @@ def permutation_monomial_check(spec: PolarizedOrbitSpec, permutation) -> Permuta
     present = p.p.coefficient(exps) != 0
 
     # convex hull of all chain monomials contains every monomial of P
-    from itertools import permutations as _perms
-    from .cones import hull_facets, in_hull
-    facets = hull_facets([chain_exponents(sigma) for sigma in _perms(range(k))], k)
+    facets = hull_facets([chain_exponents(sigma) for sigma in permutations(range(k))], k)
     hull_ok = all(in_hull(facets, exp) for exp in p.p.terms)
     return PermutationMonomialReport(tuple(perm), exps, present, hull_ok)

@@ -10,12 +10,16 @@ same answers.  ``ad_matrix``, the d^2 x d^2 matrix of ad(n) on End(V), is
 kept with the index loop it replaced; the library no longer builds it.
 ``Quotient``, coordinates on sup/sub through an echelon complement, is kept
 for the weight-filtration oracles; the library reads such coordinates off a
-``Splitting`` of complements.
+``Splitting`` of complements.  ``sub_canonical`` and ``sub_intersect`` are
+the subspace operations as they were before the library learned to return
+a canonical basis without eliminating it and to intersect with the whole
+space without a kernel: every basis is reduced, every intersection goes
+through the left kernel of [a; -b].
 """
 
 from __future__ import annotations
 
-from hodgecalc.matrices import Mat, row_coords, sub_canonical, sub_complement_in, sub_contains
+from hodgecalc.matrices import Mat, kernel_matrix, row_coords, sub_complement_in, sub_contains
 from hodgecalc.rationals import as_gauss, ZERO, ONE
 
 
@@ -188,6 +192,24 @@ def ad_matrix_loop(n: Mat) -> Mat:
                 row[i * d + k_] = row[i * d + k_] - n[k_, j]
             rows.append(row)
     return Mat.from_rows(rows)
+
+
+# --- subspaces -----------------------------------------------------------------
+
+def sub_canonical(basis: Mat) -> Mat:
+    """Canonical (rref, zero rows dropped) basis matrix of a row space, by
+    one elimination whatever the basis."""
+    red, _, r = rref(basis)
+    return red.take(range(r)) if r else Mat.zeros(0, basis.cols)
+
+
+def sub_intersect(a: Mat, b: Mat) -> Mat:
+    """The intersection of two row spaces: x a = y b exactly when (x, y) is
+    in the left kernel of [a; -b]."""
+    if a.rows == 0 or b.rows == 0:
+        return Mat.zeros(0, a.cols)
+    kern = kernel_matrix(Mat.stack([a, -b]).transpose())
+    return sub_canonical(kern.transpose().take(range(a.rows)).transpose() @ a)
 
 
 # --- quotient spaces -----------------------------------------------------------

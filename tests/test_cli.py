@@ -256,6 +256,16 @@ def test_bad_flag_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_2(where, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(["validate", "--input", "builtin:dollar-bill",
+                              "--output", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_scales_off_the_decades_are_named(capsys):
     code, _, err = run_cli(BAD_FLAGS["scales-not-a-decade"], capsys)
     assert code == 2 and "scales must look like 1e1..1e8" in err

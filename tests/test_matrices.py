@@ -8,10 +8,12 @@ from math import gcd
 import pytest
 
 from reference_matrices import Quotient
+from hodgecalc import matrices
 from hodgecalc.errors import NoSolution, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank,
-    rref, smith_normal_form, sub_complement_in, sub_contains, sub_equal, sub_intersect, sub_sum,
+    Mat, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank, rref,
+    smith_normal_form, sub_canonical, sub_complement_in, sub_contains, sub_equal, sub_full,
+    sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational
 
@@ -118,6 +120,20 @@ def test_intersection_and_sum():
     assert inter.rows == 1 and sub_contains(inter, Mat.from_rows([[0, 1, 0]]))
     total = sub_sum(a, b)
     assert total.rows == 3
+
+
+def test_canonical_bases_and_the_whole_space_run_no_elimination(monkeypatch):
+    i = GaussianRational(0, 1)
+    spaces = [sub_canonical(Mat.from_rows(rows)) for rows in (
+        [[2, 4, 0, 6], [1, 2, 1, 0]], [[0, i, 1, 0]], [[1, 0, 0, 0], [0, 0, 0, 1]])]
+    calls = []
+    real = matrices._eliminate
+    monkeypatch.setattr(matrices, "_eliminate", lambda *a: calls.append(a) or real(*a))
+    for w in spaces:
+        assert sub_canonical(w) is w
+        assert sub_intersect(sub_full(4), w) is w and sub_intersect(w, sub_full(4)) is w
+    assert sub_intersect(sub_full(4), sub_full(4)) == sub_full(4)
+    assert calls == []
 
 
 def test_quotient_induced_map():

@@ -2,11 +2,12 @@
 
 The oracle is the fraction-full implementation kept in
 ``reference_matrices``; ``kernel_basis`` and ``solve`` are compared with the
-same functions running on the reference ``rref``.  Where sympy is installed,
-``rref`` and ``det`` are also checked against it over Q(i).  Where hypothesis
-is installed, the entry-wise methods are checked against entry-by-entry
-``GaussianRational`` arithmetic, and every result against the canonical
-form of its entries.
+same functions running on the reference ``rref``, and ``sub_canonical`` and
+``sub_intersect`` with the reference versions that always eliminate.  Where
+sympy is installed, ``rref`` and ``det`` are also checked against it over
+Q(i).  Where hypothesis is installed, the entry-wise methods are checked
+against entry-by-entry ``GaussianRational`` arithmetic, and every result
+against the canonical form of its entries.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hodgecalc import matrices
 from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
     Mat, coords_in_basis, det, extend_basis, inverse, kernel_basis, row_coords, rref, solve,
-    sub_canonical,
+    sub_canonical, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational, ZERO
 
@@ -385,6 +386,95 @@ def test_extend_basis_is_one_elimination(monkeypatch):
         calls.clear()
         extend_basis(sub, candidates)
         assert len(calls) == 1
+
+
+# --- canonical bases and intersections ----------------------------------------
+
+def _subspace_pairs(rng: random.Random, gaussian: bool, big: bool):
+    """Seeded (a, b) pairs of one width: any bases, canonical ones, the
+    identity, a square basis with dependent rows, the zero space, and a
+    basis against itself."""
+    c = rng.randint(1, 6)
+    a = _matrix(rng, gaussian, big, cols=c)
+    b = _matrix(rng, gaussian, big, cols=c)
+    full, zero = Mat.identity(c), Mat.zeros(0, c)
+    top = _matrix(rng, gaussian, big, rows=c - 1, cols=c)
+    square = Mat.stack([top, top.take([0])]) if c > 1 else Mat.zeros(1, 1)
+    canon = ref.sub_canonical(a)
+    return [(a, b), (canon, b), (a, canon), (canon, ref.sub_canonical(b)), (full, a), (b, full),
+            (full, canon), (full, full), (square, a), (a, square), (zero, a), (a, zero),
+            (full, zero), (a, a), (canon, canon), (canon, a)]
+
+
+@RINGS
+def test_sub_canonical_and_sub_intersect_match_reference(gaussian, big):
+    for seed in SEEDS:
+        rng = random.Random(7000 * seed + 10 * gaussian + big)
+        for i, (a, b) in enumerate(_subspace_pairs(rng, gaussian, big)):
+            assert_same(sub_canonical(a), ref.sub_canonical(a))
+            assert_same(sub_intersect(a, b), ref.sub_intersect(a, b))
+            if a.rows or b.rows:
+                assert_same(sub_sum(a, b), ref.sub_canonical(Mat.stack([a, b])))
+            assert sub_equal(a, b) == (ref.sub_canonical(a) == ref.sub_canonical(b)), (seed, i)
+
+
+def test_square_basis_with_dependent_rows_is_not_the_whole_space():
+    square, line = Mat.from_rows([[1, 0], [1, 0]]), Mat.from_rows([[0, 1]])
+    assert sub_intersect(square, line) == Mat.zeros(0, 2)
+    assert sub_intersect(line, square) == Mat.zeros(0, 2)
+
+
+def _canonical_by_rref(m: Mat) -> bool:
+    red, _, r = rref(m)
+    return red == m and r == m.rows
+
+
+I = GaussianRational(0, 1)
+HALF = Fraction(1, 2)
+NEAR_MISSES = {
+    "leading-two": [[2, 0], [0, 1]],
+    "leading-half": [[HALF, 1]],
+    "leading-i": [[I, 1]],
+    "leading-two-over-z-i": [[2, I]],
+    "leading-half-over-z-i": [[1, 0], [0, HALF * (1 + I)]],
+    "above-a-pivot": [[1, 1], [0, 1]],
+    "above-a-pivot-over-z-i": [[1, 0, I], [0, 0, 1]],
+    "zero-row": [[1, 0], [0, 0]],
+    "zero-row-first": [[0, 0, 0], [1, I, 0]],
+    "repeated-pivot": [[1, 0], [1, 0]],
+    "repeated-pivot-column": [[1, 0, 2], [1, 1, 0]],
+    "decreasing-pivots": [[0, 1], [1, 0]],
+    "decreasing-pivots-over-z-i": [[0, 1, I], [1, 0, 0]],
+}
+CANONICAL = {
+    "identity": [[1, 0], [0, 1]],
+    "one-row": [[1, 3, 0]],
+    "free-columns": [[0, 1, HALF, 0, 2], [0, 0, 0, 1, -1]],
+    "over-z-i": [[1, 0, I], [0, 1, HALF * I]],
+    "over-z-i-leading-over-a-denominator": [[1, HALF * I]],
+}
+
+
+@pytest.mark.parametrize("rows", list(NEAR_MISSES.values()) + list(CANONICAL.values()),
+                         ids=list(NEAR_MISSES) + list(CANONICAL))
+def test_canonical_predicate_on_hand_built_bases(rows):
+    m = Mat.from_rows(rows)
+    assert matrices._is_canonical(m) == _canonical_by_rref(m) == (rows in CANONICAL.values())
+
+
+@RINGS
+def test_canonical_predicate_holds_exactly_on_reduced_bases(gaussian, big):
+    seen = set()
+    for seed in SEEDS:
+        rng = random.Random(8000 * seed + 10 * gaussian + big)
+        m = _matrix(rng, gaussian, big)
+        red, _, r = rref(m)
+        # the basis, its rref with and without zero rows, and those rows upside down
+        for x in (m, red, red.take(range(r)), red.take(range(r - 1, -1, -1))):
+            holds = matrices._is_canonical(x)
+            assert holds == _canonical_by_rref(x), seed
+            seen.add(holds)
+    assert seen == {False, True}
 
 
 # --- Kronecker products ------------------------------------------------------
