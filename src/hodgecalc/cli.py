@@ -446,10 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     seed = args.seed

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import NoSolution, NotNilpotent
-from .rationals import GaussianRational, as_gauss, ZERO
+from .rationals import GaussianRational, as_gauss, from_fractions, ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ class _Z:
     @staticmethod
     def value(x, d: int) -> GaussianRational:
         """The Gaussian rational x / d."""
-        return GaussianRational(_fraction(x, d), _FZERO) if x else ZERO
+        return from_fractions(_fraction(x, d), _FZERO) if x else ZERO
 
     @staticmethod
     def entries(row, d: int):
@@ -324,7 +324,7 @@ class _ZI:
 
 def _gauss(a: int, b: int, d: int) -> GaussianRational:
     """The Gaussian rational (a + b i) / d."""
-    return GaussianRational(_fraction(a, d), _fraction(b, d)) if a or b else ZERO
+    return from_fractions(_fraction(a, d), _fraction(b, d)) if a or b else ZERO
 
 
 def _rows_in(m: "Mat", ring):
@@ -534,7 +534,15 @@ class Mat:
         return self.transpose().conj()
 
     def trace(self) -> GaussianRational:
-        return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
+        """The sum of the diagonal entries: the diagonal ints brought to the
+        lcm of their row denominators and summed once."""
+        n = min(self.rows, self.cols)
+        d = lcm(*self._den[:n])
+        k = [d // e for e in self._den[:n]]
+        if self._ring is _Z:
+            return _Z.value(sum(row[i] * c for i, (row, c) in enumerate(zip(self._num, k))), d)
+        return _gauss(sum(re[i] * c for i, ((re, _), c) in enumerate(zip(self._num, k))),
+                      sum(im[i] * c for i, ((_, im), c) in enumerate(zip(self._num, k))), d)
 
     def vec(self):
         """Row-major flattening as a tuple."""
@@ -868,8 +876,11 @@ def sub_contains_vec(s: Mat, v) -> bool:
 
 
 def sub_contains(s: Mat, t: Mat) -> bool:
-    """True iff row space t is contained in row space s."""
-    return t.rows == 0 or rank(Mat.stack([s, t])) == rank(s)
+    """True iff row space t is contained in row space s; the rank of a
+    canonical s is its number of rows."""
+    if t.rows == 0:
+        return True
+    return rank(Mat.stack([s, t])) == (s.rows if _is_canonical(s) else rank(s))
 
 
 def sub_equal(s: Mat, t: Mat) -> bool:

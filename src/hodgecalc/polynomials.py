@@ -26,7 +26,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 import operator
 
-from .rationals import GaussianRational
+from .rationals import GaussianRational, from_fractions
 
 
 class _Z:
@@ -78,7 +78,7 @@ class _ZI:
         re, im = c
         if not im:
             return _Z.value(re, den)
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return from_fractions(Fraction(re, den), Fraction(im, den))
 
 
 def _parts(c):
@@ -353,7 +353,7 @@ class MultiPoly:
                     t = t[0] * ai[0] - t[1] * ai[1], t[0] * ai[1] + t[1] * ai[0]
             sr += t[0]
             si += t[1]
-        return GaussianRational(Fraction(sr, den), Fraction(si, den)) if si else Fraction(sr, den)
+        return from_fractions(Fraction(sr, den), Fraction(si, den)) if si else Fraction(sr, den)
 
     def leading_part_by_weight(self, weights) -> "MultiPoly":
         """Sum of terms of maximal weighted degree (weights one per variable)."""

@@ -3,11 +3,22 @@
 Plain rationals are handled by ``fractions.Fraction`` throughout the
 package; this module supplies the complex extension needed for Hodge
 filtration data, where conjugation must be exact.
+
+Both parts of a ``GaussianRational`` are always ``Fraction`` instances.
+``GaussianRational(re, im)`` coerces each part from an int, a Fraction or a
+decimal string; ``from_fractions(re, im)`` takes two parts that already are
+Fractions as they are, with no coercion and no check, and builds every
+result of the arithmetic.  ``+``, ``-`` and ``*`` skip the work of a zero
+part: adding or subtracting a zero part is no operation, a product with a
+zero operand is ``ZERO``, and a product with a real operand multiplies by
+its real part alone, so two real operands make one ``Fraction`` product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_FZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -35,25 +46,32 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = as_gauss(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else as_gauss(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return from_fractions((a + c if a else c) if c else a,
+                              (b + d if b else d) if d else b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = as_gauss(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else as_gauss(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return from_fractions((a - c if a else -c) if c else a,
+                              (b - d if b else -d) if d else b)
 
     def __rsub__(self, other):
         return as_gauss(other) - self
 
     def __mul__(self, other):
-        o = as_gauss(other)
-        if self.im == 0 and o.im == 0:      # fast real path
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        o = other if type(other) is GaussianRational else as_gauss(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            if not d:                           # two real operands
+                return from_fractions(a * c, b) if a and c else ZERO
+            return from_fractions(a * c, a * d) if a else ZERO
+        if not d:
+            return from_fractions(a * c, b * c) if c else ZERO
+        return from_fractions(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -62,7 +80,7 @@ class GaussianRational:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return from_fractions(
             (self.re * o.re + self.im * o.im) / d,
             (self.im * o.re - self.re * o.im) / d,
         )
@@ -71,7 +89,8 @@ class GaussianRational:
         return as_gauss(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        im = self.im
+        return from_fractions(-self.re, -im if im else im)
 
     def __pos__(self):
         return self
@@ -91,7 +110,8 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        im = self.im
+        return from_fractions(self.re, -im) if im else self
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
@@ -139,11 +159,34 @@ class GaussianRational:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
 
-    @classmethod
-    def from_json(cls, data) -> "GaussianRational":
+    @staticmethod
+    def from_json(data) -> "GaussianRational":
+        """A document scalar: a JSON integer, a decimal string, or an object
+        {"re", "im"} of those (a missing part is 0).  JSON booleans are
+        refused."""
         if isinstance(data, dict):
-            return cls(data.get("re", 0), data.get("im", 0))
-        return cls(data)
+            return from_fractions(_json_part(data.get("re", 0)), _json_part(data.get("im", 0)))
+        return from_fractions(_json_part(data), _FZERO)
+
+
+# The slot setters: they bypass the immutability guard of __setattr__.
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def from_fractions(re: Fraction, im: Fraction) -> GaussianRational:
+    """The Gaussian rational re + im*i of two Fraction instances, taken as
+    they are: the caller guarantees the types, nothing is coerced."""
+    z = object.__new__(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _json_part(x) -> Fraction:
+    if isinstance(x, bool):
+        raise TypeError(f"cannot interpret {str(x).lower()} as an exact rational")
+    return _frac(x)
 
 
 def as_gauss(x) -> GaussianRational:
@@ -151,7 +194,7 @@ def as_gauss(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction, str)):
-        return GaussianRational(x)
+        return from_fractions(_frac(x), _FZERO)
     raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
 

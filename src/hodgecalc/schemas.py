@@ -139,8 +139,11 @@ def _build_subspace(payload) -> Mat:
 def _build_alpha(payload):
     from fractions import Fraction
     _require("alpha" in payload, "alpha payload is missing 'alpha'")
+    weights = payload["alpha"]
     try:
-        alpha = [Fraction(a) for a in payload["alpha"]]
+        if any(isinstance(a, bool) for a in weights):
+            raise TypeError("a weight is a JSON boolean")
+        alpha = [Fraction(a) for a in weights]
     except Exception as exc:
         raise ParseError(f"bad weight vector: {exc}") from exc
     _require(all(a > 0 for a in alpha), "weights must be positive")

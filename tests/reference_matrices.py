@@ -14,12 +14,13 @@ for the weight-filtration oracles; the library reads such coordinates off a
 the subspace operations as they were before the library learned to return
 a canonical basis without eliminating it and to intersect with the whole
 space without a kernel: every basis is reduced, every intersection goes
-through the left kernel of [a; -b].
+through the left kernel of [a; -b].  ``sub_contains`` eliminates s for its
+rank even when s is canonical, and ``trace`` sums the diagonal entries.
 """
 
 from __future__ import annotations
 
-from hodgecalc.matrices import Mat, kernel_matrix, row_coords, sub_complement_in, sub_contains
+from hodgecalc.matrices import Mat, kernel_matrix, rank, row_coords, sub_complement_in
 from hodgecalc.rationals import as_gauss, ZERO, ONE
 
 
@@ -210,6 +211,16 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
         return Mat.zeros(0, a.cols)
     kern = kernel_matrix(Mat.stack([a, -b]).transpose())
     return sub_canonical(kern.transpose().take(range(a.rows)).transpose() @ a)
+
+
+def sub_contains(s: Mat, t: Mat) -> bool:
+    """True iff row space t is contained in row space s, by two ranks."""
+    return t.rows == 0 or rank(Mat.stack([s, t])) == rank(s)
+
+
+def trace(m: Mat):
+    """The sum of the diagonal entries, entry by entry."""
+    return sum((m[i, i] for i in range(min(m.rows, m.cols))), ZERO)
 
 
 # --- quotient spaces -----------------------------------------------------------

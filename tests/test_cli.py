@@ -266,6 +266,21 @@ def test_unwritable_output_exits_2(where, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_the_parser_is_built_once_and_reused(monkeypatch, capsys):
+    import hodgecalc.cli as cli
+
+    def fail():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(cli, "build_parser", fail)
+    monkeypatch.delenv("HODGECALC_SEED", raising=False)
+    chern = ["chern", "--input", "builtin:dollar-bill", "--format", "json"]
+    code, seeded, _ = run_cli(chern + ["--seed", "3"], capsys)
+    assert code == 0 and json.loads(seeded)["seed"] == 3
+    assert run_cli(["sl2", "--input", "builtin:dollar-bill", "--bogus"], capsys)[0] == 2
+    # nothing of one call's arguments reaches the next
+    assert run_cli(chern, capsys)[1] == run_cli(chern + ["--seed", "0"], capsys)[1] != seeded
+
+
 def test_scales_off_the_decades_are_named(capsys):
     code, _, err = run_cli(BAD_FLAGS["scales-not-a-decade"], capsys)
     assert code == 2 and "scales must look like 1e1..1e8" in err
@@ -398,6 +413,16 @@ BAD_DOCUMENTS = {
         "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
     "refine-gaussian-basis": ("refine", {"kind": "subspace", "payload": {
         "basis": [[{"re": "1", "im": "1"}, "1"]]}}),
+    # a JSON boolean is no scalar, although Python reads it as 1 or 0
+    "flag-entry-a-boolean": ("validate", _mutated("dollar-bill", F=[
+        [["0", "0", True, "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]])),
+    "flag-entry-a-boolean-part": ("validate", _mutated("dollar-bill", F=[
+        [["0", "0", {"re": "1", "im": False}, "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]])),
+    "refine-boolean-basis": ("refine", {"kind": "subspace", "payload": {
+        "basis": [[True, False], [False, True]]}}),
+    "alpha-a-boolean": ("multiplier-ideal", _mutated("alpha-example", alpha=[True, "1/2"])),
     # a nilpotent with strings longer than the weight allows: no weight
     # filtration indexed 0..2n exists for it
     **{f"{command}-string-longer-than-weight": (command, LONG_STRING)

@@ -24,7 +24,7 @@ from hodgecalc import matrices
 from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
     Mat, coords_in_basis, det, extend_basis, inverse, kernel_basis, row_coords, rref, solve,
-    sub_canonical, sub_equal, sub_intersect, sub_sum,
+    sub_canonical, sub_contains, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational, ZERO
 
@@ -416,6 +416,50 @@ def test_sub_canonical_and_sub_intersect_match_reference(gaussian, big):
             if a.rows or b.rows:
                 assert_same(sub_sum(a, b), ref.sub_canonical(Mat.stack([a, b])))
             assert sub_equal(a, b) == (ref.sub_canonical(a) == ref.sub_canonical(b)), (seed, i)
+
+
+@RINGS
+def test_sub_contains_matches_reference(gaussian, big):
+    seen = set()
+    for seed in range(6):
+        rng = random.Random(9000 * seed + 10 * gaussian + big)
+        for s, t in _subspace_pairs(rng, gaussian, big):
+            for x in (s, sub_canonical(s)):
+                for y in (t, sub_canonical(Mat.stack([x, t])), x.take(range(x.rows // 2))):
+                    holds = sub_contains(x, y)
+                    assert holds == ref.sub_contains(x, y), seed
+                    seen.add((matrices._is_canonical(x), holds))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sub_contains_of_a_canonical_basis_is_one_elimination(monkeypatch):
+    calls = []
+    real = matrices.rref
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(matrices, "rref", counting)
+    rng = random.Random(37)
+    for gaussian in (False, True):
+        for _ in range(10):
+            s = sub_canonical(_matrix(rng, gaussian, rows=3, cols=5))
+            t = _matrix(rng, gaussian, rows=rng.randint(1, 3), cols=5)
+            calls.clear()
+            sub_contains(s, t)
+            assert len(calls) == 1
+
+
+@RINGS
+def test_trace_matches_the_diagonal_sum(gaussian, big):
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]
+    for seed in SEEDS:
+        rng = random.Random(9500 * seed + 10 * gaussian + big)
+        for rows, cols in shapes:
+            m = _matrix(rng, gaussian, big, rows=rows, cols=cols)
+            ours, theirs = m.trace(), ref.trace(m)
+            assert ours == theirs, (seed, rows, cols)
+            assert type(ours.re) is Fraction and type(ours.im) is Fraction
 
 
 def test_square_basis_with_dependent_rows_is_not_the_whole_space():
