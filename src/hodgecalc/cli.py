@@ -13,13 +13,31 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import time
 from fractions import Fraction
 
+from . import chern, multiplier
 from .errors import HodgecalcError, ParseError, SchemaError, UnknownSubcommand
+from .horizontal import bisectional_curvature, graded_end_algebra, sectional_quartic
+from .lmhs import verify_polarized_lmhs
+from .matrices import Mat, nilpotent_powers
+from .monomial import (
+    MonomialMap, compatibility_checks, connected_refinement, monomial_map,
+    nonnegative_generators, stratum_monomial_map,
+)
+from .normpos import curvature_from_model, flat_directions, strong_semipositivity_check
+from .orbit import (
+    LIMIT_TOLERANCE, chern_form_at, default_rays, hessian_table, hodge_metric_polynomial,
+    restriction_limit_check, stratum_factorization,
+)
+from .rationals import GaussianRational
 from .report import Report, digest_text, exact_entry, frac_to_decimal, render_report
 from .schemas import ProblemDocument, parse_problem
+from .weightfilt import (
+    complete_sl2, grading_element, relative_weight_filtration_check, weight_filtration,
+)
 
 SUBCOMMANDS = (
     "validate", "weight-filtration", "sl2", "bigrading", "rwfp", "metric-poly",
@@ -113,7 +131,6 @@ def _fitting_sum(spec, indices):
     """The sum of the nilpotents at `indices`, refused unless its strings fit
     the weight (N^(weight+1) = 0); the sum can have longer strings than each
     of its terms."""
-    from .matrices import nilpotent_powers
     n = spec.n_sum(set(indices))
     length = len(nilpotent_powers(n)) - 1
     if length > spec.weight:
@@ -139,7 +156,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "validate":
         if doc.kind == "orbit":
-            from .lmhs import verify_polarized_lmhs
             rep = verify_polarized_lmhs(doc.obj)
             f["checks"] = [{"name": c.name, "passed": c.passed,
                             **({"detail": c.detail} if c.detail else {})}
@@ -155,7 +171,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "weight-filtration":
         _expect_kind(doc, "orbit", subcommand)
-        from .weightfilt import weight_filtration
         spec = doc.obj
         n = _fitting_sum(spec, stratum or range(spec.num_params))
         wf = weight_filtration(n, spec.weight)
@@ -166,7 +181,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "sl2":
         _expect_kind(doc, "orbit", subcommand)
-        from .weightfilt import complete_sl2, grading_element, weight_filtration
         spec = doc.obj
         n = _fitting_sum(spec, stratum or range(spec.num_params))
         wf = weight_filtration(n, spec.weight)
@@ -188,7 +202,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "rwfp":
         _expect_kind(doc, "orbit", subcommand)
-        from .weightfilt import relative_weight_filtration_check
         spec = doc.obj
         results = {}
         ok = True
@@ -207,7 +220,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "metric-poly":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import hodge_metric_polynomial
         p = hodge_metric_polynomial(doc.obj)
         f.update(_poly_entry(p.p))
         f["normalization"] = exact_entry(p.normalization)
@@ -217,8 +229,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "chern":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import chern_form_at, hessian_table, hodge_metric_polynomial
-        import random
         p = hodge_metric_polynomial(doc.obj)
         table = hessian_table(p)
         rng = random.Random(seed)
@@ -241,12 +251,10 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "limit-check":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import LIMIT_TOLERANCE, restriction_limit_check
         if not stratum:
             raise SchemaError("limit-check needs --stratum")
         rays = None
         if flags.get("rays"):
-            from .orbit import default_rays
             rays = default_rays(stratum, flags["rays"], seed)
         lr = restriction_limit_check(
             doc.obj, stratum, seed=seed, scales=flags.get("scales"), rays=rays)
@@ -262,7 +270,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "factorize":
         _expect_kind(doc, "orbit", subcommand)
-        from .orbit import hodge_metric_polynomial, stratum_factorization
         if not stratum:
             raise SchemaError("factorize needs --stratum")
         p = hodge_metric_polynomial(doc.obj)
@@ -276,7 +283,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "monomial-map":
-        from .monomial import MonomialMap, monomial_map, nonnegative_generators
         if doc.kind == "orbit":
             mm = monomial_map(doc.obj)
         elif doc.kind == "subspace":
@@ -290,7 +296,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "stratum-map":
         _expect_kind(doc, "orbit", subcommand)
-        from .monomial import stratum_monomial_map
         if stratum is None:
             raise SchemaError("stratum-map needs --stratum")
         mm = stratum_monomial_map(doc.obj, stratum)
@@ -299,7 +304,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "refine":
-        from .monomial import connected_refinement, monomial_map, MonomialMap
         if doc.kind == "orbit":
             mm = monomial_map(doc.obj)
         elif doc.kind == "subspace":
@@ -319,7 +323,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "compat":
         _expect_kind(doc, "orbit", subcommand)
-        from .monomial import compatibility_checks
         results = {}
         for rep in compatibility_checks(doc.obj):
             key = (",".join(str(i + 1) for i in rep.subset_small) + " < "
@@ -331,8 +334,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "curvature":
         _expect_kind(doc, "model", subcommand)
-        from .normpos import (curvature_from_model, flat_directions,
-                              strong_semipositivity_check)
         model = doc.obj
         theta = curvature_from_model(model)
         rep = strong_semipositivity_check([theta], seed=seed)
@@ -348,10 +349,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
 
     if subcommand == "horizontal":
         _expect_kind(doc, "phs", subcommand)
-        from .horizontal import bisectional_curvature, graded_end_algebra, sectional_quartic
-        import random
-        from .matrices import Mat
-        from .rationals import GaussianRational
         ge = graded_end_algebra(doc.obj)
         f["pieceDims"] = {str(p): ge.piece_dim(p) for p in sorted(ge.pieces)}
         rng = random.Random(seed)
@@ -378,10 +375,9 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "schur":
-        from .chern import schur_polynomial
         partition = flags.get("partition") or []
         rank_ = flags.get("rank", max(partition, default=1) or 1)
-        sym = schur_polynomial(partition, rank_)
+        sym = chern.schur_polynomial(partition, rank_)
         f["partition"] = list(partition)
         f["rank"] = rank_
         f["symbol"] = str(sym)
@@ -389,13 +385,12 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "segre":
-        from .chern import MAX_SEGRE_PRODUCTS, segre_polynomial, segre_products
         degree = flags.get("degree", 1)
         rank_ = flags.get("rank", 2)
-        if segre_products(degree, rank_) > MAX_SEGRE_PRODUCTS:
+        if chern.segre_products(degree, rank_) > chern.MAX_SEGRE_PRODUCTS:
             raise SchemaError(f"--degree {degree} with --rank {rank_} takes more than "
-                              f"{MAX_SEGRE_PRODUCTS} monomial products")
-        sym = segre_polynomial(degree, rank_)
+                              f"{chern.MAX_SEGRE_PRODUCTS} monomial products")
+        sym = chern.segre_polynomial(degree, rank_)
         f["degree"] = degree
         f["rank"] = rank_
         f["symbol"] = str(sym)
@@ -403,7 +398,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         return report
 
     if subcommand == "multiplier-ideal":
-        from .multiplier import MAX_SIMPLEX_POINTS, multiplier_ideal_monomials, simplex_points
         if doc is not None and doc.kind == "alpha":
             alpha, bound = doc.obj
             field = f"degreeBound {bound}"
@@ -413,10 +407,10 @@ def dispatch(doc, subcommand: str, flags) -> Report:
             field = f"--degree {bound}" + ("" if "degree" in flags else " (default)")
         else:
             raise SchemaError("multiplier-ideal needs an alpha document or --alpha")
-        if simplex_points(bound, len(alpha)) > MAX_SIMPLEX_POINTS:
+        if multiplier.simplex_points(bound, len(alpha)) > multiplier.MAX_SIMPLEX_POINTS:
             raise SchemaError(f"{field} with {len(alpha)} weights walks more than "
-                              f"{MAX_SIMPLEX_POINTS} points")
-        ideal = multiplier_ideal_monomials(alpha, bound)
+                              f"{multiplier.MAX_SIMPLEX_POINTS} points")
+        ideal = multiplier.multiplier_ideal_monomials(alpha, bound)
         f["alpha"] = [str(a) for a in alpha]
         f["generators"] = [list(b) for b in ideal.generators]
         f["monomials"] = list(ideal.monomial_strings())

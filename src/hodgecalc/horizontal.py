@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NotPolarized, ZeroVector
 from .matrices import (
     Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
-    rref, solve, sub_canonical,
+    row_coords, sub_canonical,
 )
 from .rationals import GaussianRational, i_power
 
@@ -46,7 +46,7 @@ class PolarizedHS:
     def validate(self):
         d = self.dim
         if sum(m.rows for m in self.pieces.values()) != d or \
-                rref(Mat.stack(self.pieces.values()))[2] != d:
+                rank(Mat.stack(self.pieces.values())) != d:
             raise NotPolarized("Hodge pieces do not decompose the space")
         for (p, qq), m in self.pieces.items():
             if p + qq != self.weight:
@@ -254,12 +254,12 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     if (target.rows, target.cols) != shape:
         raise ValueError(f"top block must be {shape[0]}x{shape[1]} "
                          f"(dim V^(n-1,1) x dim V^(n,0)), got {target.rows}x{target.cols}")
-    # column i is the flattened top block of the i-th basis vector of the piece
-    m = ge.splitting.flat_blocks(gm1, (n, 0), (n - 1, 1)).transpose()
-    c = solve(m, target.vec())
+    # row i is the flattened top block of the i-th basis vector of the piece
+    blocks = ge.splitting.flat_blocks(gm1, (n, 0), (n - 1, 1))
+    c = row_coords(blocks, target.reshape(1, target.rows * target.cols))
     if c is None:
         raise ZeroVector("no horizontal direction has the requested block")
-    out = (Mat.from_rows([c]) @ gm1).reshape(phs.dim, phs.dim)
+    out = (c @ gm1).reshape(phs.dim, phs.dim)
     if top_block(ge, out) != target:
         raise ZeroVector("internal error: block solve failed")
     return out

@@ -27,7 +27,9 @@ elimination with the pivot rule above, each pivot row divided once at the
 end.  The reduced row echelon form is unique, so the answer is exactly the
 one of fraction-by-fraction elimination.  The positivity test of a Hermitian
 matrix, `hermitian_psd_status`, is the symmetric form of the same
-elimination, with diagonal pivots.
+elimination, with diagonal pivots.  `solve`, `inverse`, `row_coords` and
+`coords_in_basis` are read off one elimination of [m | b], the unknowns at
+free columns of m zero; `sub_contains_vec` is `sub_contains` of one row.
 """
 
 from __future__ import annotations
@@ -720,28 +722,38 @@ def kernel_basis(m: Mat):
     return [k.row(i) for i in range(k.rows)]
 
 
+def _solution(m: Mat, b: Mat):
+    """The X with m @ X = b whose rows at the free columns of m are zero, or
+    None, read off one elimination of [m | b].  Row i of [m | b] joins rows
+    i of m and b over the lcm of their denominators, canonical with no gcd:
+    each prime of the lcm leaves an entry of one side undivided."""
+    if b.rows != m.rows:
+        raise ValueError("vector length mismatch")
+    n, ring = m.cols, _common_ring(m, b)
+    rows, dens = [], []
+    for x, dx, y, dy in zip(_rows_in(m, ring), m._den, _rows_in(b, ring), b._den):
+        d = dx if dx == dy else lcm(dx, dy)
+        rows.append(ring.join(x if d == dx else ring.mul(x, d // dx),
+                              y if d == dy else ring.mul(y, d // dy)))
+        dens.append(d)
+    red, pivots, r = rref(Mat._make(m.rows, n + b.cols, ring, rows, dens))
+    if r and pivots[-1] >= n:
+        return None
+    ring = red._ring
+    rows, dens = [ring.zero_row(b.cols)] * n, [1] * n
+    for pc, row, d in zip(pivots, red._num, red._den):
+        rows[pc], dens[pc] = ring.normal(ring.cut(row, n, n + b.cols), d)
+    return Mat._make(n, b.cols, ring, rows, dens)
+
+
 def solve(m: Mat, b):
     """One exact solution of m @ x = b, or None if inconsistent.
 
     Free variables are set to zero (deterministic particular solution).
     """
-    b = [as_gauss(x) for x in b]
-    if len(b) != m.rows:
-        raise ValueError("vector length mismatch")
-    ring = _ZI if m._ring is _ZI or any(x.im for x in b) else _Z
-    aug = []                # the canonical rows of [m | b]
-    for i, (row, d) in enumerate(zip(_rows_in(m, ring), m._den)):
-        x, q = ring.clear([b[i]])
-        l = lcm(d, q)
-        aug.append(ring.normal(ring.join(ring.mul(row, l // d), ring.mul(x, l // q)), l))
-    red, pivots, _ = rref(_from_pairs(m.rows, m.cols + 1, ring, aug))
-    if m.cols in pivots:
-        return None
-    ring = red._ring
-    x = [ZERO] * m.cols
-    for pc, row, d in zip(pivots, red._num, red._den):
-        x[pc] = ring.value(ring.at(row, m.cols), d)
-    return tuple(x)
+    b = list(b)
+    x = _solution(m, Mat(len(b), 1, b))
+    return None if x is None else x.entries
 
 
 def det(m: Mat) -> GaussianRational:
@@ -797,14 +809,10 @@ def inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix; NoSolution if it is singular."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    n, ring = m.rows, m._ring
-    # [m | I] row by row: row i of m is m._num[i] / d, so that of I is d e_i / d
-    aug = Mat._make(n, 2 * n, ring, [ring.join(row, ring.unit_row(n, i, d))
-                                      for i, (row, d) in enumerate(zip(m._num, m._den))], m._den)
-    red, pivots, r = rref(aug)
-    if r != n or any(p >= n for p in pivots):
+    x = _solution(m, Mat.identity(m.rows))
+    if x is None:
         raise NoSolution("matrix is singular")
-    return _cut_columns(red, n, 2 * n)
+    return x
 
 
 def rank(m: Mat) -> int:
@@ -868,11 +876,11 @@ def sub_sum_ambient(spaces, ambient: int) -> Mat:
 
 
 def sub_contains_vec(s: Mat, v) -> bool:
-    if not any(as_gauss(x) for x in v):
-        return True
-    if s.rows == 0:
-        return False
-    return solve(s.transpose(), v) is not None
+    """`sub_contains` of the one-row matrix v."""
+    t = Mat.from_rows([v])
+    if t.cols != s.cols:
+        raise ValueError("vector length mismatch")
+    return sub_contains(s, t)
 
 
 def sub_contains(s: Mat, t: Mat) -> bool:
@@ -942,29 +950,14 @@ def sub_complement_in(sub: Mat, sup: Mat) -> Mat:
 
 def coords_in_basis(basis: Mat, v):
     """Coordinates of v in the given row basis, or None."""
-    if basis.rows == 0:
-        return () if not any(as_gauss(x) for x in v) else None
     return solve(basis.transpose(), v)
 
 
 def row_coords(basis: Mat, s: Mat):
     """The matrix whose row i holds `coords_in_basis(basis, row i of s)`, or
     None when some row of s is not in the row space of basis."""
-    k = basis.rows
-    if k == 0:
-        return Mat.zeros(s.rows, 0) if s.is_zero() else None
-    if s.rows == 0:
-        return Mat.zeros(0, k)
-    # one elimination of [basis^T | s^T]: the pivots of the first k columns
-    # do not depend on the columns after them
-    red, pivots, r = rref(Mat.stack([basis, s]).transpose())
-    if r and pivots[-1] >= k:
-        return None
-    ring = red._ring
-    rows, dens = [ring.zero_row(s.rows)] * k, [1] * k     # free coordinates are 0
-    for pc, row, d in zip(pivots, red._num, red._den):
-        rows[pc], dens[pc] = ring.normal(ring.cut(row, k, k + s.rows), d)
-    return Mat._make(k, s.rows, ring, rows, dens).transpose()
+    x = _solution(basis.transpose(), s.transpose())
+    return None if x is None else x.transpose()
 
 
 class Splitting:
@@ -1064,11 +1057,6 @@ class SmithForm:
     invariant_factors: tuple
 
 
-def _int_mat(rows) -> Mat:
-    """The Mat of a list of int rows."""
-    return Mat._make(len(rows), len(rows[0]) if rows else 0, _Z, rows, [1] * len(rows))
-
-
 def smith_normal_form(a: Mat) -> SmithForm:
     nr, nc = a.rows, a.cols
     if a._ring is not _Z or any(d != 1 for d in a._den):
@@ -1147,7 +1135,7 @@ def smith_normal_form(a: Mat) -> SmithForm:
             for r_ in v:
                 r_[i] = -r_[i]
 
-    d, u_m, v_m = _int_mat(m), _int_mat(u), _int_mat(v)
+    d, u_m, v_m = (Mat.from_int_rows(rows, 1) for rows in (m, u, v))
     factors = tuple(int(m[i][i]) for i in range(limit) if m[i][i] != 0)
 
     # exact sanity checks

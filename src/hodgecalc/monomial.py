@@ -20,7 +20,7 @@ from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
     Mat, inverse, kernel_matrix, kernel_space, smith_normal_form, sub_canonical,
-    sub_contains_vec,
+    sub_contains, sub_contains_vec,
 )
 from .weightfilt import weight_filtration_centered
 
@@ -181,7 +181,7 @@ def _compatibility(spec, small, large, relations, w_large: Mat) -> Compatibility
     flat = _flat([spec.nilpotents[j] if j not in large else Mat.zeros(d, d)
                   for j in complement], d)
     totals = Mat(len(gens), len(complement), [c for g in gens for c in g]) @ flat
-    verdicts = tuple(sub_contains_vec(w_large, totals.row(i)) for i in range(totals.rows))
+    verdicts = tuple(sub_contains(w_large, totals.take([i])) for i in range(totals.rows))
     return CompatibilityReport(tuple(small), tuple(large), gens, verdicts, all(verdicts))
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial
 import random
 
 from .errors import DimensionMismatch, NotUnit
@@ -125,7 +126,6 @@ def sym_vector(indices, rank_e: int):
 
     Returns (vector, squared norm); both exact.
     """
-    from itertools import permutations
     k = len(indices)
     dim = rank_e ** k
     v = [ZERO] * dim
@@ -140,7 +140,6 @@ def sym_vector(indices, rank_e: int):
 
 def sym_subspace_basis(rank_e: int, k: int):
     """Rows spanning the symmetric tensors inside the k-th tensor power."""
-    from itertools import combinations_with_replacement
     rows = []
     for combo in combinations_with_replacement(range(rank_e), k):
         v, _ = sym_vector(combo, rank_e)
@@ -252,8 +251,6 @@ def chern_form_norm(model: NormPositivityModel, q: int, subspace_rows) -> Fracti
         cols.append([MultiPoly(model.rank_e, dict(zip(units, forms.row(gamma))))
                      for gamma in range(model.rank_g)])
     total = Fraction(0)
-    from itertools import combinations
-    from math import factorial
     for gammas in combinations(range(model.rank_g), q):
         minor = [[cols[c][gamma] for c in range(q)] for gamma in gammas]
         d = poly_mat_det(minor)

@@ -9,10 +9,13 @@ violated constraint, malformed input raises ParseError.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 from .errors import ParseError, SchemaError
+from .horizontal import phs_weight1, phs_weight2
 from .lmhs import PolarizedOrbitSpec
 from .matrices import Mat, is_nilpotent
 from .normpos import NormPositivityModel
@@ -92,7 +95,6 @@ def _build_orbit(payload) -> PolarizedOrbitSpec:
 
 
 def _build_phs(payload):
-    from .horizontal import phs_weight1, phs_weight2
     _require("weight" in payload, "phs payload is missing 'weight'")
     weight = _int_field(payload, "weight")
     if weight == 1:
@@ -137,7 +139,6 @@ def _build_subspace(payload) -> Mat:
 
 
 def _build_alpha(payload):
-    from fractions import Fraction
     _require("alpha" in payload, "alpha payload is missing 'alpha'")
     weights = payload["alpha"]
     try:
@@ -184,7 +185,6 @@ def parse_problem_text(text: str) -> ProblemDocument:
 
 def parse_problem(path) -> ProblemDocument:
     """Parse a document from a path, 'builtin:NAME', or '-' for stdin."""
-    import sys
     if path == "-":
         return parse_problem_text(sys.stdin.read())
     name = str(path)

@@ -16,11 +16,21 @@ a canonical basis without eliminating it and to intersect with the whole
 space without a kernel: every basis is reduced, every intersection goes
 through the left kernel of [a; -b].  ``sub_contains`` eliminates s for its
 rank even when s is canonical, and ``trace`` sums the diagonal entries.
+``solve``, ``inverse``, ``coords_in_basis``, ``row_coords`` and
+``sub_contains_vec`` are the linear systems as the library solved them
+before it read every solution off one elimination of [m | b]: each builds
+its own augmented matrix, treats empty shapes its own way and reads the
+answer off differently; here they run on the reference ``rref``.
 """
 
 from __future__ import annotations
 
-from hodgecalc.matrices import Mat, kernel_matrix, rank, row_coords, sub_complement_in
+from math import lcm
+
+from hodgecalc.errors import NoSolution
+from hodgecalc.matrices import (
+    _Z, _ZI, _cut_columns, _from_pairs, _rows_in, Mat, kernel_matrix, rank, sub_complement_in,
+)
 from hodgecalc.rationals import as_gauss, ZERO, ONE
 
 
@@ -221,6 +231,78 @@ def sub_contains(s: Mat, t: Mat) -> bool:
 def trace(m: Mat):
     """The sum of the diagonal entries, entry by entry."""
     return sum((m[i, i] for i in range(min(m.rows, m.cols))), ZERO)
+
+
+# --- linear systems --------------------------------------------------------------
+
+def solve(m: Mat, b):
+    """One exact solution of m @ x = b with the free variables zero, or None:
+    [m | b] built entry by entry of b."""
+    b = [as_gauss(x) for x in b]
+    if len(b) != m.rows:
+        raise ValueError("vector length mismatch")
+    ring = _ZI if m._ring is _ZI or any(x.im for x in b) else _Z
+    aug = []                # the canonical rows of [m | b]
+    for i, (row, d) in enumerate(zip(_rows_in(m, ring), m._den)):
+        x, q = ring.clear([b[i]])
+        l = lcm(d, q)
+        aug.append(ring.normal(ring.join(ring.mul(row, l // d), ring.mul(x, l // q)), l))
+    red, pivots, _ = rref(_from_pairs(m.rows, m.cols + 1, ring, aug))
+    if m.cols in pivots:
+        return None
+    ring = red._ring
+    x = [ZERO] * m.cols
+    for pc, row, d in zip(pivots, red._num, red._den):
+        x[pc] = ring.value(ring.at(row, m.cols), d)
+    return tuple(x)
+
+
+def inverse(m: Mat) -> Mat:
+    """The inverse of a square matrix, cut out of the rref of [m | I]."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of non-square matrix")
+    n, ring = m.rows, m._ring
+    # [m | I] row by row: row i of m is m._num[i] / d, so that of I is d e_i / d
+    aug = Mat._make(n, 2 * n, ring, [ring.join(row, ring.unit_row(n, i, d))
+                                      for i, (row, d) in enumerate(zip(m._num, m._den))], m._den)
+    red, pivots, r = rref(aug)
+    if r != n or any(p >= n for p in pivots):
+        raise NoSolution("matrix is singular")
+    return _cut_columns(red, n, 2 * n)
+
+
+def coords_in_basis(basis: Mat, v):
+    """Coordinates of v in the given row basis, or None."""
+    if basis.rows == 0:
+        return () if not any(as_gauss(x) for x in v) else None
+    return solve(basis.transpose(), v)
+
+
+def row_coords(basis: Mat, s: Mat):
+    """Row i holds ``coords_in_basis(basis, row i of s)``, or None: one
+    elimination of [basis^T | s^T]."""
+    k = basis.rows
+    if k == 0:
+        return Mat.zeros(s.rows, 0) if s.is_zero() else None
+    if s.rows == 0:
+        return Mat.zeros(0, k)
+    red, pivots, r = rref(Mat.stack([basis, s]).transpose())
+    if r and pivots[-1] >= k:
+        return None
+    ring = red._ring
+    rows, dens = [ring.zero_row(s.rows)] * k, [1] * k     # free coordinates are 0
+    for pc, row, d in zip(pivots, red._num, red._den):
+        rows[pc], dens[pc] = ring.normal(ring.cut(row, k, k + s.rows), d)
+    return Mat._make(k, s.rows, ring, rows, dens).transpose()
+
+
+def sub_contains_vec(s: Mat, v) -> bool:
+    """True iff v is in the row space s, by a solve against s^T."""
+    if not any(as_gauss(x) for x in v):
+        return True
+    if s.rows == 0:
+        return False
+    return solve(s.transpose(), v) is not None
 
 
 # --- quotient spaces -----------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The oracle is the fraction-full implementation kept in
 ``reference_matrices``; ``kernel_basis`` and ``solve`` are compared with the
-same functions running on the reference ``rref``, and ``sub_canonical`` and
-``sub_intersect`` with the reference versions that always eliminate.  Where
+same functions running on the reference ``rref``, ``sub_canonical`` and
+``sub_intersect`` with the reference versions that always eliminate, and
+``solve``, ``inverse``, ``coords_in_basis``, ``row_coords`` and
+``sub_contains_vec`` with the versions that each built their own augmented
+matrix.  Where
 sympy is installed, ``rref`` and ``det`` are also checked against it over
 Q(i).  Where hypothesis is installed, the entry-wise methods are checked
 against entry-by-entry ``GaussianRational`` arithmetic, and every result
@@ -24,7 +27,7 @@ from hodgecalc import matrices
 from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
     Mat, coords_in_basis, det, extend_basis, inverse, kernel_basis, row_coords, rref, solve,
-    sub_canonical, sub_contains, sub_equal, sub_intersect, sub_sum,
+    sub_canonical, sub_contains, sub_contains_vec, sub_equal, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational, ZERO
 
@@ -87,10 +90,12 @@ def test_det_and_inverse_match_reference(gaussian, big):
         d = ref.det(m)
         assert det(m) == d, seed
         if d:
-            assert ref.matmul(m, inverse(m)) == Mat.identity(n), seed
+            inv = inverse(m)
+            assert inv == ref.inverse(m) and ref.matmul(m, inv) == Mat.identity(n), seed
         else:
-            with pytest.raises(NoSolution, match="matrix is singular"):
-                inverse(m)
+            for invert in (inverse, ref.inverse):
+                with pytest.raises(NoSolution, match="matrix is singular"):
+                    invert(m)
 
 
 @RINGS
@@ -103,6 +108,46 @@ def test_products_match_reference(gaussian, big):
         assert a @ b == ref.matmul(a, b), seed
         v = [_scalar(rng, gaussian, big) for _ in range(k)]
         assert a.mat_vec(v) == ref.mat_vec(a, v), seed
+
+
+def _right_sides(rng: random.Random, m: Mat, gaussian: bool, big: bool):
+    """Seeded matrices b with m.rows rows: b = m @ x (consistent), any b
+    (inconsistent when m has low rank), and zero."""
+    cols = rng.randint(0, 3)
+    x = _matrix(rng, gaussian, rows=m.cols, cols=cols)
+    return [ref.matmul(m, x), _matrix(rng, gaussian, big, rows=m.rows, cols=cols),
+            Mat.zeros(m.rows, cols)]
+
+
+def _linear_systems(rng: random.Random, gaussian: bool, big: bool):
+    """Seeded matrices of every shape, with and without rows and columns."""
+    shapes = [(0, 0), (0, 3), (3, 0), (rng.randint(1, 5), rng.randint(1, 5))]
+    return [_matrix(rng, gaussian, big, rows=r, cols=c) for r, c in shapes]
+
+
+@RINGS
+def test_linear_systems_match_reference(gaussian, big):
+    """solve, coords_in_basis, row_coords and sub_contains_vec against the
+    versions that each built their own augmented matrix: consistent and
+    inconsistent systems, empty bases, zero vectors, shapes without rows or
+    columns."""
+    seen = set()
+    for seed in SEEDS:
+        rng = random.Random(8000 * seed + 10 * gaussian + big)
+        for m in _linear_systems(rng, gaussian, big):
+            for b in _right_sides(rng, m, gaussian, big):
+                for j in range(b.cols):
+                    x = solve(m, b.col(j))
+                    assert x == ref.solve(m, b.col(j)), seed
+                    seen.add(x is None)
+                # the rows of b.T as vectors of the row space of m.T
+                basis, s = m.transpose(), b.transpose()
+                assert row_coords(basis, s) == ref.row_coords(basis, s), seed
+                for i in range(s.rows):
+                    v = s.row(i)
+                    assert coords_in_basis(basis, v) == ref.coords_in_basis(basis, v), seed
+                    assert sub_contains_vec(basis, v) == ref.sub_contains_vec(basis, v), seed
+    assert seen == {False, True}
 
 
 def test_shapes_without_rows_or_columns():
@@ -138,6 +183,14 @@ def test_shape_errors_are_kept():
     for b in ([1, 2, 3], [1], []):      # solve checks b as mat_vec checks v
         with pytest.raises(ValueError, match="vector length mismatch"):
             solve(Mat.identity(2), b)
+    # an empty basis or a zero vector does not skip the check
+    for call in (lambda: sub_contains_vec(Mat.zeros(0, 3), [1, 2]),
+                 lambda: sub_contains_vec(Mat.identity(3), [0, 0]),
+                 lambda: coords_in_basis(Mat.zeros(0, 3), [0, 0, 0, 0]),
+                 lambda: coords_in_basis(Mat.identity(3), [1, 2]),
+                 lambda: row_coords(Mat.identity(3), Mat.zeros(2, 2))):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            call()
 
 
 # --- sympy cross-check over Q(i) -------------------------------------------

@@ -11,7 +11,10 @@ moved into the tests brings no dead import with it.  The second check covers eve
 module: a ``from .mod import name`` must name a public function, class or
 assigned name of ``mod`` itself, not one that ``mod`` only imports.  The
 third check covers every module too: no other module may import a private
-name, so one its own module never uses is dead code.
+name, so one its own module never uses is dead code.  The fourth check
+keeps every import of the library at the top of its module: the package
+imports each module up front, so an import inside a function defers
+nothing.
 """
 
 from __future__ import annotations
@@ -139,3 +142,27 @@ def test_the_check_finds_unused_private_definitions():
               "def public():\n    return _used()\n")
     assert unused_private_definitions(source) == [(1, "_unused"), (3, "_recursive"),
                                                   (9, "_Dead")]
+
+
+def function_imports(source: str):
+    """(line, function) of each import statement inside a function body."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(inner.lineno, node.name) for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_imports_only_at_its_top(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_the_check_finds_imports_in_functions():
+    source = ("import os\n"
+              "def f():\n    import sys\n    return sys\n"
+              "class C:\n    def g(self):\n        def h():\n"
+              "            from .rationals import ZERO\n        return h\n"
+              "if os:\n    from math import gcd\n")
+    assert function_imports(source) == [(3, "f"), (8, "g"), (8, "h")]
