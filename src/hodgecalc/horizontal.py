@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NotPolarized, ZeroVector
 from .matrices import (
     Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
-    row_coords, sub_canonical,
+    row_coords, rref, sub_canonical,
 )
 from .rationals import GaussianRational, i_power
 
@@ -46,7 +46,7 @@ class PolarizedHS:
     def validate(self):
         d = self.dim
         if sum(m.rows for m in self.pieces.values()) != d or \
-                rank(Mat.stack(self.pieces.values())) != d:
+                rref(Mat.stack(self.pieces.values()))[2] != d:
             raise NotPolarized("Hodge pieces do not decompose the space")
         for (p, qq), m in self.pieces.items():
             if p + qq != self.weight:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotMHS
 from .matrices import (
-    Mat, hermitian_psd_status, is_nilpotent, kernel_matrix, rank, row_coords,
+    Mat, hermitian_psd_status, is_nilpotent, kernel_matrix, rank, row_coords, rref,
     sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
@@ -103,7 +103,7 @@ def deligne_bigrading(wf: WeightFiltration, flag) -> DeligneBigrading:
     bi = _closed_formula(wf, levels)
     pieces = bi.pieces
     total = sum(m.rows for m in pieces.values())
-    stacked_rank = rank(Mat.stack(pieces.values())) if pieces else 0
+    stacked_rank = rref(Mat.stack(pieces.values()))[2] if pieces else 0
     if total != d or (pieces and stacked_rank != d):
         raise NotMHS(
             f"Deligne pieces have total dimension {total} with rank "

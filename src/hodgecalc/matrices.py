@@ -877,18 +877,20 @@ def sub_sum_ambient(spaces, ambient: int) -> Mat:
 
 def sub_contains_vec(s: Mat, v) -> bool:
     """`sub_contains` of the one-row matrix v."""
-    t = Mat.from_rows([v])
-    if t.cols != s.cols:
-        raise ValueError("vector length mismatch")
-    return sub_contains(s, t)
+    return sub_contains(s, Mat.from_rows([v]))
 
 
 def sub_contains(s: Mat, t: Mat) -> bool:
-    """True iff row space t is contained in row space s; the rank of a
-    canonical s is its number of rows."""
-    if t.rows == 0:
+    """True iff row space t is contained in row space s, by one elimination:
+    a canonical s has rank s.rows, so t lies in it when [s; t] has that
+    rank; any other s holds t when t^T = s^T X is solvable."""
+    if t.cols != s.cols:
+        raise ValueError("vector length mismatch")
+    if t.is_zero():
         return True
-    return rank(Mat.stack([s, t])) == (s.rows if _is_canonical(s) else rank(s))
+    if _is_canonical(s):
+        return rank(Mat.stack([s, t])) == s.rows
+    return _solution(s.transpose(), t.transpose()) is not None
 
 
 def sub_equal(s: Mat, t: Mat) -> bool:

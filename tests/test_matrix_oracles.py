@@ -188,7 +188,11 @@ def test_shape_errors_are_kept():
                  lambda: sub_contains_vec(Mat.identity(3), [0, 0]),
                  lambda: coords_in_basis(Mat.zeros(0, 3), [0, 0, 0, 0]),
                  lambda: coords_in_basis(Mat.identity(3), [1, 2]),
-                 lambda: row_coords(Mat.identity(3), Mat.zeros(2, 2))):
+                 lambda: row_coords(Mat.identity(3), Mat.zeros(2, 2)),
+                 lambda: sub_contains(Mat.zeros(0, 3), Mat.zeros(1, 2)),
+                 lambda: sub_contains(Mat.identity(3), Mat.zeros(0, 2)),
+                 lambda: sub_contains(Mat.identity(3), Mat.identity(2)),
+                 lambda: sub_contains(Mat.from_rows([[1, 1, 0], [1, 1, 0]]), Mat.identity(2))):
         with pytest.raises(ValueError, match="vector length mismatch"):
             call()
 
@@ -500,7 +504,27 @@ def test_sub_contains_of_a_canonical_basis_is_one_elimination(monkeypatch):
             t = _matrix(rng, gaussian, rows=rng.randint(1, 3), cols=5)
             calls.clear()
             sub_contains(s, t)
-            assert len(calls) == 1
+            assert len(calls) == (0 if t.is_zero() else 1)
+
+
+def test_sub_contains_of_any_other_basis_is_one_elimination(monkeypatch):
+    calls = []
+    real = matrices._eliminate
+
+    def counting(rows, cols, ring):
+        calls.append(rows)
+        return real(rows, cols, ring)
+    monkeypatch.setattr(matrices, "_eliminate", counting)
+    rng = random.Random(41)
+    for gaussian in (False, True):
+        for _ in range(10):
+            s = _matrix(rng, gaussian, rows=4, cols=5)
+            s = Mat.stack([s, s.take([0])])       # a repeated row: never canonical
+            t = _matrix(rng, gaussian, rows=rng.randint(1, 3), cols=5)
+            calls.clear()
+            holds = sub_contains(s, t)
+            assert len(calls) == (0 if t.is_zero() else 1)
+            assert holds == ref.sub_contains(s, t)
 
 
 @RINGS
