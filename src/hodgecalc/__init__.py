@@ -29,9 +29,9 @@ from .lmhs import (
     deligne_bigrading, verify_polarized_lmhs,
 )
 from .orbit import (
-    ChernSample, HessianTable, MetricPolynomial, chern_form_at, hessian_table,
-    hodge_metric_matrix, hodge_metric_polynomial, permutation_monomial_check,
-    restriction_limit_check, stratum_factorization,
+    ChernSample, MetricPolynomial, chern_form_at, hodge_metric_matrix,
+    hodge_metric_polynomial, permutation_monomial_check, restriction_limit_check,
+    stratum_factorization,
 )
 from .monomial import (
     MonomialMap, RelationSpace, SaturationRefinement, compatibility_check,

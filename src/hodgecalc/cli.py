@@ -29,7 +29,7 @@ from .monomial import (
 )
 from .normpos import curvature_from_model, flat_directions, strong_semipositivity_check
 from .orbit import (
-    LIMIT_TOLERANCE, chern_form_at, default_rays, hessian_table, hodge_metric_polynomial,
+    LIMIT_TOLERANCE, chern_form_at, default_rays, hodge_metric_polynomial,
     restriction_limit_check, stratum_factorization,
 )
 from .rationals import GaussianRational
@@ -230,7 +230,6 @@ def dispatch(doc, subcommand: str, flags) -> Report:
     if subcommand == "chern":
         _expect_kind(doc, "orbit", subcommand)
         p = hodge_metric_polynomial(doc.obj)
-        table = hessian_table(p)
         rng = random.Random(seed)
         points = [tuple(Fraction(1) for _ in range(p.num_vars))]
         for _ in range(max(0, flags.get("rays", 3) - 1)):
@@ -239,7 +238,7 @@ def dispatch(doc, subcommand: str, flags) -> Report:
         out = []
         all_psd = True
         for x in points:
-            s = chern_form_at(table, x)
+            s = chern_form_at(p, x)
             out.append({"x": [str(v) for v in x],
                         "G": [[str(s.g[i, j].real_or_raise())
                                for j in range(s.g.cols)] for i in range(s.g.rows)],

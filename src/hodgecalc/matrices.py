@@ -862,6 +862,8 @@ def sub_dim(s: Mat) -> int:
 
 
 def sub_sum(*spaces: Mat) -> Mat:
+    if len({s.cols for s in spaces}) > 1:
+        raise ValueError("vector length mismatch")
     spaces = [s for s in spaces if s.rows]
     if not spaces:
         raise ValueError("sum of no spaces needs an ambient dimension")
@@ -899,6 +901,8 @@ def sub_equal(s: Mat, t: Mat) -> bool:
 
 def sub_intersect(a: Mat, b: Mat) -> Mat:
     ambient = a.cols
+    if b.cols != ambient:
+        raise ValueError("vector length mismatch")
     if a.rows == 0 or b.rows == 0:
         return sub_zero(ambient)
     # a square canonical basis is the identity: the whole space

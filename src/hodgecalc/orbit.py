@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
-from math import factorial, lcm, prod
+from itertools import permutations
+from math import factorial, prod
 import random
 
 from .cones import hull_facets, in_hull
@@ -23,7 +23,7 @@ from .lmhs import (
 )
 from .matrices import Mat, hermitian_psd_status
 from .polynomials import MultiPoly, poly_mat_det
-from .rationals import GaussianRational
+from .rationals import from_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -155,54 +155,49 @@ class ChernSample:
     rank: int
 
 
-@dataclass(frozen=True)
-class HessianTable:
-    """P with its first partials and the lower triangle of its Hessian,
-    derived once and shared by every Chern sample of P."""
-
-    p: MultiPoly
-    firsts: tuple
-    seconds: tuple           # seconds[i][j] = d_i d_j P for j <= i
-
-
-def hessian_table(p) -> HessianTable:
-    """The HessianTable of a MultiPoly or a MetricPolynomial."""
-    poly = p.p if isinstance(p, MetricPolynomial) else p
-    firsts = tuple(poly.partial_derivative(j) for j in range(poly.num_vars))
-    seconds = tuple(tuple(f.partial_derivative(j) for j in range(i + 1))
-                    for i, f in enumerate(firsts))
-    return HessianTable(poly, firsts, seconds)
-
-
 def chern_form_at(p, x) -> ChernSample:
     """G_ij = (dP_i dP_j - P dP_ij) / P^2 evaluated exactly at x.
 
-    `p` is a MultiPoly, a MetricPolynomial or the HessianTable of either;
-    pass the table when sampling the same P at several points.  With every
-    value brought over one common denominator, as V = L P(x), F_i = L dP_i(x)
-    and S_ij = L dP_ij(x), G is the int matrix F F^T - V S over V^2."""
-    table = p if isinstance(p, HessianTable) else hessian_table(p)
+    `p` is a MultiPoly or a MetricPolynomial.  With P(x), its partials and
+    its Hessian read over one common denominator as V, F_i and S_ij (one walk
+    over the terms of P), G is the int matrix F F^T - V S over V^2."""
     xs = [Fraction(v) for v in x]
-    val = _real(table.p.evaluate(xs))
-    if val == 0:
-        raise ZeroAtPoint(f"polynomial vanishes at {xs}")
-    fvals = [_real(f.evaluate(xs)) for f in table.firsts]
-    svals = [[_real(s.evaluate(xs)) for s in row] for row in table.seconds]
-    common = lcm(val.denominator, *[v.denominator for v in chain(fvals, *svals)])
-    v = val.numerator * (common // val.denominator)
-    f = [q.numerator * (common // q.denominator) for q in fvals]
-    k = table.p.num_vars
-    rows = [[0] * k for _ in range(k)]
-    for i, row in enumerate(svals):
-        for j, s in enumerate(row):
-            rows[i][j] = rows[j][i] = f[i] * f[j] - v * s.numerator * (common // s.denominator)
+    v, rows = _chern_rows(p.p if isinstance(p, MetricPolynomial) else p, xs)
     g = Mat.from_int_rows(rows, v * v)
     psd, rk, _ = hermitian_psd_status(g)
     return ChernSample(tuple(xs), g, psd, rk)
 
 
-def _real(value) -> Fraction:
-    return value.real_or_raise() if isinstance(value, GaussianRational) else value
+def _chern_rows(poly: MultiPoly, xs):
+    """(V, rows): the int rows F_i F_j - V S_ij of -Hess(log P) at the
+    Fraction point xs over V^2.  Raises ValueError at the first value that is
+    not real, in the order P, the partials, the Hessian row by row, and
+    ZeroAtPoint where P is zero."""
+    val, grad, hess, den = poly.value_gradient_hessian(xs)
+    real = poly.is_real()
+    if not real:
+        val = _real_numerator(val, den)
+    if val == 0:
+        raise ZeroAtPoint(f"polynomial vanishes at {xs}")
+    if not real:
+        grad = [_real_numerator(c, den) for c in grad]
+        hess = [[_real_numerator(c, den) for c in row] for row in hess]
+    k = len(grad)
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(hess):
+        fi = grad[i]
+        for j, s in enumerate(row):
+            rows[i][j] = rows[j][i] = fi * grad[j] - val * s
+    return val, rows
+
+
+def _real_numerator(c, den: int) -> int:
+    """The real part of the Gaussian numerator c over den; ValueError, naming
+    the value, when its imaginary part is not zero."""
+    re, im = c
+    if im:
+        from_fractions(Fraction(re, den), Fraction(im, den)).real_or_raise()
+    return re
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +379,16 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
     if len(base) != len(complement) or any(b <= 0 for b in base):
         raise ValueError(f"base: {base} is not {len(complement)} positive numbers, "
                          "one per variable off the subset")
-    p = hodge_metric_polynomial(spec)
+    p = hodge_metric_polynomial(spec).p
     stratum = stratum_metric_polynomial(spec, subset)
 
-    g_limit = chern_form_at(stratum, base).g
-    table = hessian_table(p)
+    # the stratum form is y / E on the complement block; a sample entry x / D
+    # deviates by |x/D - y/E| / max(1, |y/E|) = |x E - y D| / (D max(E, |y|)),
+    # so the entries of one sample are compared on ints, over max(E, |y|)
+    w, limit = _chern_rows(stratum, list(base))
+    e = w * w
+    entries = [(ja, jb, limit[a][b], max(e, abs(limit[a][b])))
+               for a, ja in enumerate(complement) for b, jb in enumerate(complement[:a + 1])]
 
     all_devs = []
     exact_zero = True
@@ -400,13 +400,14 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
                 x[j] = base[pos]
             for pos, j in enumerate(subset):
                 x[j] = s * Fraction(ray[pos])
-            sample = chern_form_at(table, x)
-            worst = Fraction(0)
-            for a, ja in enumerate(complement):
-                for b, jb in enumerate(complement):
-                    diff = sample.g[ja, jb].real_or_raise() - g_limit[a, b].real_or_raise()
-                    denom = max(Fraction(1), abs(g_limit[a, b].real_or_raise()))
-                    worst = max(worst, abs(diff) / denom)
+            v, rows = _chern_rows(p, x)
+            d = v * v
+            num, over = 0, 1
+            for ja, jb, y, m in entries:
+                n = abs(rows[ja][jb] * e - y * d)
+                if n * over > num * m:
+                    num, over = n, m
+            worst = Fraction(num, d * over)
             devs.append(worst)
             if worst != 0:
                 exact_zero = False

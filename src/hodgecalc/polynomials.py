@@ -16,7 +16,8 @@ The canonical term order is total degree descending, then exponent tuple
 lexicographic, which fixes printing and the notion of "first monomial" used
 for normalization.  Evaluation brings the point over one common denominator,
 sums the terms on ints (over Z[i] only when the point or a coefficient is
-non-real), and divides once.
+non-real), and divides once; ``value_gradient_hessian`` reads the value, the
+partials and the Hessian off one such walk, and leaves them as ints.
 """
 
 from __future__ import annotations
@@ -355,6 +356,34 @@ class MultiPoly:
             si += t[1]
         return from_fractions(Fraction(sr, den), Fraction(si, den)) if si else Fraction(sr, den)
 
+    def value_gradient_hessian(self, xs):
+        """P(x), its partials d_i P(x) and the lower triangle of its Hessian,
+        hessian[i][j] = d_i d_j P(x) for j <= i, at the real point xs, in one
+        walk over the terms: (value, gradient, hessian, den), each an int
+        numerator (an (re, im) pair of ints when P is not real) over the one
+        positive int den, which need not be the least.
+
+        With the point written as A / b, as in `evaluate`, and P as
+        sum_e C_e x^e / d, den is d b^deg; the term of x^e adds
+        C_e A^e b^(deg - |e|) to the value, and the first and second
+        derivatives of A^e times C_e b^(deg - |e| + 1) and C_e b^(deg - |e| + 2)
+        to the partials."""
+        xs = list(xs)
+        if len(xs) != self.num_vars:
+            raise ValueError("evaluation point has wrong length")
+        if GaussianRational in map(type, xs):
+            raise TypeError("value_gradient_hessian needs a real point")
+        b = lcm(*[x.denominator for x in xs])
+        a = [x.numerator * (b // x.denominator) for x in xs]
+        deg = max(map(sum, self._num), default=0)
+        den = self._den * b ** deg
+        if self._ring is _Z:
+            return (*_jet(self._num.items(), a, b, deg), den)
+        re = _jet([(e, c) for e, (c, _) in self._num.items() if c], a, b, deg)
+        im = _jet([(e, c) for e, (_, c) in self._num.items() if c], a, b, deg)
+        return ((re[0], im[0]), list(zip(re[1], im[1])),
+                [list(zip(r, i)) for r, i in zip(re[2], im[2])], den)
+
     def leading_part_by_weight(self, weights) -> "MultiPoly":
         """Sum of terms of maximal weighted degree (weights one per variable)."""
         if not self._num:
@@ -439,6 +468,49 @@ class MultiPoly:
             c = GaussianRational.from_json(coef) if isinstance(coef, dict) else Fraction(coef)
             terms[tuple(t["exp"])] = c
         return cls(data["vars"], terms)
+
+
+def _jet(terms, a, b: int, deg: int):
+    """The int value, gradient and lower Hessian triangle of
+    sum_e c_e A^e b^(deg - |e|) at the int point A, each derivative of a term
+    carrying one more factor b than the one before it (see
+    `MultiPoly.value_gradient_hessian`); terms are (e, int c) pairs.
+
+    A term is walked over the variables it contains: with f_t = A_j^e_j for
+    the t-th of them and g_t = e_j A_j^(e_j - 1) its derivative, prefix and
+    suffix products of the f_t give each product of all factors but one, and
+    a running product between two positions each product of all but two."""
+    k = len(a)
+    value = 0
+    grad = [0] * k
+    hess = [[0] * (i + 1) for i in range(k)]
+    for e, c in terms:
+        w = c * b ** (deg - sum(e))
+        support = [j for j, p in enumerate(e) if p]
+        f = [a[j] ** e[j] for j in support]
+        pre = [1]
+        for v in f:
+            pre.append(pre[-1] * v)
+        value += w * pre[-1]
+        n = len(support)
+        suf = [1] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            suf[t] = suf[t + 1] * f[t]
+        w1 = w * b
+        w2 = w1 * b
+        g = [e[j] * a[j] ** (e[j] - 1) for j in support]
+        for t, j in enumerate(support):
+            rest = pre[t] * suf[t + 1]
+            grad[j] += w1 * g[t] * rest
+            p = e[j]
+            if p > 1:
+                hess[j][j] += w2 * p * (p - 1) * a[j] ** (p - 2) * rest
+            # d_i d_j for the later variables i: all factors but t and u
+            run = w2 * g[t] * pre[t]
+            for u in range(t + 1, n):
+                hess[support[u]][j] += run * g[u] * suf[u + 1]
+                run *= f[u]
+    return value, grad, hess
 
 
 def poly_mat_det(m) -> MultiPoly:

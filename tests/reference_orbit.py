@@ -1,24 +1,37 @@
 """The entry-by-entry metric matrix, kept as the oracle of
-``orbit.hodge_metric_matrix``, and the Fraction-by-Fraction Chern form, kept
-as the oracle of ``orbit.chern_form_at``.
+``orbit.hodge_metric_matrix``; the Fraction-by-Fraction Chern form and the
+Hessian-table Chern samples, kept as oracles of ``orbit.chern_form_at``; and
+the restriction-limit loop over ``Mat`` entries, kept as the oracle of
+``orbit.restriction_limit_check``.
 
 The metric matrix is the loop the library ran before it built one matrix
 product per monomial: for each frame vector u_a, the polynomial vector
 (sum_j x_j N_j)^i u_a is built one nilpotent at a time, and each entry of
 block i is sign(i) * Q(that vector, conj u_b), summed as ``MultiPoly``.
+
+The Chern samples and the limit loop are the code the library ran before it
+read P, its partials and its Hessian off one walk over the terms of P: every
+partial derived once into a ``HessianTable`` and evaluated on its own, and
+each deviation read off the entries of a sampled ``Mat``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import reference_polynomials
-from hodgecalc.errors import NotEffective, NotPolarized
-from hodgecalc.lmhs import hermitian_sign
+from hodgecalc.errors import NotEffective, NotPolarized, ZeroAtPoint
+from hodgecalc.lmhs import hermitian_psd_status, hermitian_sign
 from hodgecalc.matrices import Mat
-from hodgecalc.orbit import MetricMatrix, _require_valid
+from hodgecalc.orbit import (
+    LIMIT_TOLERANCE, ChernSample, LimitReport, MetricMatrix, MetricPolynomial,
+    _is_eventually_decreasing, _require_valid, default_rays, hodge_metric_polynomial,
+    stratum_metric_polynomial,
+)
 from hodgecalc.polynomials import MultiPoly
-from hodgecalc.rationals import ZERO
+from hodgecalc.rationals import ZERO, GaussianRational
 
 
 def hodge_metric_matrix(spec, *, validate: bool = True) -> MetricMatrix:
@@ -87,3 +100,116 @@ def chern_form_matrix(poly, x) -> Mat:
     fvals = [f.evaluate(xs) for f in firsts]
     return Mat.from_rows([[(fvals[i] * fvals[j] - val * firsts[i].partial_derivative(j).evaluate(xs))
                            / (val * val) for j in range(k)] for i in range(k)])
+
+
+@dataclass(frozen=True)
+class HessianTable:
+    """P with its first partials and the lower triangle of its Hessian,
+    derived once and shared by every Chern sample of P."""
+
+    p: MultiPoly
+    firsts: tuple
+    seconds: tuple           # seconds[i][j] = d_i d_j P for j <= i
+
+
+def hessian_table(p) -> HessianTable:
+    """The HessianTable of a MultiPoly or a MetricPolynomial."""
+    poly = p.p if isinstance(p, MetricPolynomial) else p
+    firsts = tuple(poly.partial_derivative(j) for j in range(poly.num_vars))
+    seconds = tuple(tuple(f.partial_derivative(j) for j in range(i + 1))
+                    for i, f in enumerate(firsts))
+    return HessianTable(poly, firsts, seconds)
+
+
+def chern_form_at(p, x) -> ChernSample:
+    """G_ij = (dP_i dP_j - P dP_ij) / P^2 at x, each partial evaluated on
+    its own: `p` is a MultiPoly, a MetricPolynomial or the HessianTable of
+    either.  With every value brought over one common denominator, as
+    V = L P(x), F_i = L dP_i(x) and S_ij = L dP_ij(x), G is the int matrix
+    F F^T - V S over V^2."""
+    table = p if isinstance(p, HessianTable) else hessian_table(p)
+    xs = [Fraction(v) for v in x]
+    val = _real(table.p.evaluate(xs))
+    if val == 0:
+        raise ZeroAtPoint(f"polynomial vanishes at {xs}")
+    fvals = [_real(f.evaluate(xs)) for f in table.firsts]
+    svals = [[_real(s.evaluate(xs)) for s in row] for row in table.seconds]
+    common = lcm(val.denominator, *[v.denominator for v in fvals],
+                 *[v.denominator for row in svals for v in row])
+    v = val.numerator * (common // val.denominator)
+    f = [q.numerator * (common // q.denominator) for q in fvals]
+    k = table.p.num_vars
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(svals):
+        for j, s in enumerate(row):
+            rows[i][j] = rows[j][i] = f[i] * f[j] - v * s.numerator * (common // s.denominator)
+    g = Mat.from_int_rows(rows, v * v)
+    psd, rk, _ = hermitian_psd_status(g)
+    return ChernSample(tuple(xs), g, psd, rk)
+
+
+def _real(value) -> Fraction:
+    return value.real_or_raise() if isinstance(value, GaussianRational) else value
+
+
+def restriction_limit_check(spec, subset, *, rays=None, scales=None, base=None,
+                            seed: int = 0) -> LimitReport:
+    """The complement block of a Chern sample of P's table against the
+    stratum form, entry by entry over ``Mat`` entries, along each ray."""
+    subset = sorted(set(subset))
+    k = spec.num_params
+    complement = [j for j in range(k) if j not in subset]
+    if not subset or not complement:
+        raise ValueError("subset must be a nonempty proper subset")
+    if scales is None:
+        scales = tuple(Fraction(10) ** e for e in range(1, 9))
+    scales = tuple(Fraction(s) for s in scales)
+    if not scales:
+        raise ValueError("scales must be nonempty")
+    if sorted(scales) != list(scales):
+        raise ValueError("scales must be increasing")
+    if scales[0] <= 0:
+        raise ValueError("scales must be positive")
+    rays = default_rays(subset, 5, seed) if rays is None else tuple(rays)
+    if not rays:
+        raise ValueError("rays must be nonempty")
+    for ray in rays:
+        if len(ray) != len(subset) or any(Fraction(c) <= 0 for c in ray):
+            raise ValueError(f"rays: {tuple(ray)} is not {len(subset)} positive numbers, "
+                             "one per variable of the subset")
+    base = tuple(Fraction(b) for b in ([1] * len(complement) if base is None else base))
+    if len(base) != len(complement) or any(b <= 0 for b in base):
+        raise ValueError(f"base: {base} is not {len(complement)} positive numbers, "
+                         "one per variable off the subset")
+    p = hodge_metric_polynomial(spec)
+    stratum = stratum_metric_polynomial(spec, subset)
+
+    g_limit = chern_form_at(stratum, base).g
+    table = hessian_table(p)
+
+    all_devs = []
+    exact_zero = True
+    for ray in rays:
+        devs = []
+        for s in scales:
+            x = [Fraction(0)] * k
+            for pos, j in enumerate(complement):
+                x[j] = base[pos]
+            for pos, j in enumerate(subset):
+                x[j] = s * Fraction(ray[pos])
+            sample = chern_form_at(table, x)
+            worst = Fraction(0)
+            for a, ja in enumerate(complement):
+                for b, jb in enumerate(complement):
+                    diff = sample.g[ja, jb].real_or_raise() - g_limit[a, b].real_or_raise()
+                    denom = max(Fraction(1), abs(g_limit[a, b].real_or_raise()))
+                    worst = max(worst, abs(diff) / denom)
+            devs.append(worst)
+            if worst != 0:
+                exact_zero = False
+        all_devs.append(tuple(devs))
+    final_max = max(d[-1] for d in all_devs)
+    decreasing = all(_is_eventually_decreasing(list(d)) for d in all_devs)
+    passed = decreasing and final_max <= LIMIT_TOLERANCE
+    return LimitReport(tuple(subset), base, scales, rays, tuple(all_devs),
+                       decreasing, final_max, exact_zero, passed)

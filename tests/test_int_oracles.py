@@ -4,10 +4,12 @@ blocks.
 ``MultiPoly`` and ``poly_mat_det`` are checked against the
 ``Fraction``-coefficient class kept in ``reference_polynomials`` (and
 ``MultiPoly.evaluate`` against its term-by-term evaluation),
-``chern_form_at`` against the Fraction-by-Fraction formula and
-``hodge_metric_matrix`` against the entry-by-entry loop, both kept in
-``reference_orbit``, and ``hermitian_psd_status`` against the pivoted LDL
-kept in ``reference_lmhs``.  The property tests need
+``MultiPoly.value_gradient_hessian`` against ``partial_derivative`` and
+``evaluate``, ``chern_form_at`` against the Fraction-by-Fraction formula and
+the Hessian-table samples, ``restriction_limit_check`` against the loop over
+``Mat`` entries and ``hodge_metric_matrix`` against the entry-by-entry loop,
+all kept in ``reference_orbit``, and ``hermitian_psd_status`` against the
+pivoted LDL kept in ``reference_lmhs``.  The property tests need
 hypothesis and are skipped without it; the seeded and fixture tests always
 run.
 """
@@ -26,13 +28,13 @@ import reference_lmhs
 import reference_orbit
 import reference_polynomials
 from conftest import direct_sum
-from hodgecalc.errors import NotPolarized
+from hodgecalc.errors import NotPolarized, ZeroAtPoint
 from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_psd_status, hermitian_sign,
 )
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
-    chern_form_at, hessian_table, hodge_metric_matrix, hodge_metric_polynomial,
+    chern_form_at, hodge_metric_matrix, hodge_metric_polynomial, restriction_limit_check,
 )
 from hodgecalc.polynomials import _ZI, MultiPoly, poly_mat_det
 from hodgecalc.rationals import GaussianRational, ZERO, as_gauss
@@ -104,12 +106,96 @@ def test_evaluate_matches_on_hessian_tables(name):
     spec = load_fixture(name).obj
     rng = random.Random(name)
     for orbit in (spec, direct_sum([spec, spec])):
-        table = hessian_table(hodge_metric_polynomial(orbit))
+        table = reference_orbit.hessian_table(hodge_metric_polynomial(orbit))
         polys = [table.p, *table.firsts, *[s for row in table.seconds for s in row]]
         for _ in range(3):
             xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(table.p.num_vars)]
             for poly in polys:
                 assert_same_value(poly, xs)
+
+
+# --- MultiPoly.value_gradient_hessian ----------------------------------------
+
+def _over(num, den):
+    """The value of an int (or (re, im) int pair) numerator over den, typed as
+    `evaluate` types it."""
+    if isinstance(num, tuple):
+        re, im = num
+        return GaussianRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
+    return Fraction(num, den)
+
+
+def assert_same_jet(poly, xs):
+    """One walk against `partial_derivative` and `evaluate`, value by value."""
+    value, grad, hess, den = poly.value_gradient_hessian(xs)
+    k = poly.num_vars
+    assert isinstance(den, int) and den > 0
+    assert len(grad) == k and [len(row) for row in hess] == list(range(1, k + 1))
+    numerator = int if poly.is_real() else tuple
+    assert all(type(c) is numerator for c in [value, *grad, *[c for row in hess for c in row]])
+    expected = poly.evaluate(xs)
+    assert type(_over(value, den)) is type(expected) and _over(value, den) == expected, (poly, xs)
+    for i in range(k):
+        di = poly.partial_derivative(i)
+        assert _over(grad[i], den) == di.evaluate(xs), (poly, xs, i)
+        for j in range(i + 1):
+            dij = di.partial_derivative(j)
+            assert _over(hess[i][j], den) == dij.evaluate(xs), (poly, xs, i, j)
+            assert type(_over(hess[i][j], den)) is type(dij.evaluate(xs))
+
+
+def test_value_gradient_hessian_matches_partials():
+    """Real and Gaussian coefficients; zero, constant, one-variable and
+    non-homogeneous polynomials; zero and negative coordinates; 2^70
+    numerators and denominators in the coefficients and the point."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part, real, gaussian = _strategies(st)
+
+    @st.composite
+    def polys(draw):
+        k = draw(st.integers(0, 4))
+        coeff = draw(st.sampled_from([real, st.one_of(real, gaussian)]))
+        exps = st.tuples(*[st.integers(0, 4)] * k)
+        return MultiPoly(k, draw(st.dictionaries(exps, coeff, max_size=6)))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(polys(), st.data())
+    def check(poly, data):
+        point = st.one_of(part, st.integers(-3, 3))
+        assert_same_jet(poly, data.draw(st.lists(point, min_size=poly.num_vars,
+                                                 max_size=poly.num_vars)))
+    check()
+
+
+def test_value_gradient_hessian_edge_cases():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = x * x * y - x.scale(Fraction(BIG + 1, 3)) + MultiPoly.const(2, I)
+    t = MultiPoly.variable(1, 0)
+    rng = random.Random(19)
+    seeded = MultiPoly(3, {tuple(rng.randint(0, 4) for _ in range(3)):
+                           Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(8)})
+    for poly in (MultiPoly.zero(2), MultiPoly.const(2, Fraction(-7, 2)), MultiPoly.const(2, I),
+                 p, p.conj() * p, x * x + y, x ** 5 * y.scale(BIG) + y ** 3,
+                 x.scale(I) * y - y * y):
+        for xs in ([0, 0], [-1, Fraction(1, BIG)], [Fraction(-BIG, 3), 2], [1, 0], [BIG, BIG]):
+            assert_same_jet(poly, xs)
+    for poly in (t, t ** 4 - t.scale(3) + 1, t.scale(I) + t * t, MultiPoly.const(1, 2)):
+        for xs in ([0], [Fraction(-5, 7)], [Fraction(BIG, BIG - 1)]):
+            assert_same_jet(poly, xs)
+    for poly in (MultiPoly.zero(0), MultiPoly.const(0, 5), MultiPoly.const(0, I)):
+        assert_same_jet(poly, [])
+    for _ in range(20):
+        assert_same_jet(seeded, [Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+                                 if rng.random() < 0.8 else 0 for _ in range(3)])
+    for bad in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="wrong length") as ours:
+            p.value_gradient_hessian(bad)
+        with pytest.raises(ValueError) as theirs:
+            p.evaluate(bad)
+        assert str(ours.value) == str(theirs.value)
+    with pytest.raises(TypeError, match="real point"):
+        p.value_gradient_hessian([I, 1])
 
 
 # --- MultiPoly arithmetic ----------------------------------------------------
@@ -205,11 +291,11 @@ def test_poly_mat_det_matches_fraction_class():
 
 def assert_same_chern(spec, rng):
     p = hodge_metric_polynomial(spec)
-    table = hessian_table(p)
     points = [[1] * p.num_vars] + [[Fraction(rng.randint(1, 9), rng.randint(1, 9))
                                     for _ in range(p.num_vars)] for _ in range(2)]
     for x in points:
-        assert chern_form_at(table, x).g == reference_orbit.chern_form_matrix(p.p, x), x
+        assert chern_form_at(p, x).g == reference_orbit.chern_form_matrix(p.p, x), x
+        assert chern_form_at(p, x) == reference_orbit.chern_form_at(p, x), x
 
 
 @pytest.mark.parametrize("name", ORBIT_FIXTURES)
@@ -220,6 +306,119 @@ def test_chern_form_matches_fraction_formula_on_fixtures(name):
 @pytest.mark.parametrize("copies", [2, 3])
 def test_chern_form_matches_fraction_formula_on_direct_sums(copies, dollar_bill):
     assert_same_chern(direct_sum([dollar_bill] * copies), random.Random(copies))
+
+
+def assert_same_outcome(ours, theirs):
+    """Equal results, or exceptions of the same type with the same message."""
+    try:
+        expected = theirs()
+    except (ValueError, ZeroAtPoint) as exc:
+        with pytest.raises(Exception) as info:
+            ours()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    assert ours() == expected
+
+
+def test_chern_form_matches_hessian_table_at_edge_points():
+    """Where P vanishes, where a value is not real, and where a non-real P
+    has only real values; a point of the wrong length."""
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    mixed = x * x + (y * y * y).scale(I)
+    cases = [(x * y, [0, 1]), (x * x - y * y, [3, 3]), (MultiPoly.zero(2), [1, 1]),
+             (mixed, [1, 1]), (mixed, [1, 0]), (mixed, [0, 0]), (x.scale(I) * y + y, [0, 2]),
+             (x * y * (x + y), [1, 2]), (x ** 3 + y ** 3, [1, 1]), (x * y, [1]),
+             (MultiPoly.const(0, 3), [])]
+    for poly, xs in cases:
+        assert_same_outcome(lambda: chern_form_at(poly, xs),
+                            lambda: reference_orbit.chern_form_at(poly, xs))
+    with pytest.raises(ValueError, match=r"^1\+1i is not real$"):
+        chern_form_at(mixed, [1, 1])
+    with pytest.raises(ZeroAtPoint):
+        chern_form_at(x * y, [0, 1])
+    assert chern_form_at(mixed, [1, 0]).g == Mat.from_rows([[Fraction(2), 0], [0, 0]])
+
+
+def test_chern_form_matches_hessian_table_on_random_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part, real, gaussian = _strategies(st)
+
+    @st.composite
+    def polys(draw):
+        k = draw(st.integers(0, 3))
+        coeff = draw(st.sampled_from([real, st.one_of(real, gaussian)]))
+        return MultiPoly(k, draw(_terms_strategy(st, k, coeff, 5)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys(), st.data())
+    def check(poly, data):
+        point = st.one_of(st.integers(-3, 3), part)
+        xs = data.draw(st.lists(point, min_size=poly.num_vars, max_size=poly.num_vars))
+        assert_same_outcome(lambda: chern_form_at(poly, xs),
+                            lambda: reference_orbit.chern_form_at(poly, xs))
+    check()
+
+
+# --- restriction_limit_check --------------------------------------------------
+
+def _strata(spec):
+    k = spec.num_params
+    return [list(c) for r in range(1, k) for c in combinations(range(k), r)]
+
+
+LIMIT_SPECS = [name for name in ORBIT_FIXTURES if load_fixture(name).obj.num_params > 1]
+
+
+@pytest.fixture(scope="module")
+def dim8_sums():
+    db, cp = load_fixture("dollar-bill").obj, load_fixture("commuting-pair").obj
+    return {"dollar-bill+dollar-bill": direct_sum([db, db]),
+            "dollar-bill+commuting-pair": direct_sum([db, cp])}
+
+
+@pytest.mark.parametrize("name", LIMIT_SPECS)
+def test_restriction_limit_matches_reference_on_every_stratum(name):
+    spec = load_fixture(name).obj
+    for subset in _strata(spec):
+        assert restriction_limit_check(spec, subset) == \
+            reference_orbit.restriction_limit_check(spec, subset), subset
+
+
+@pytest.mark.parametrize("name", ["dollar-bill+dollar-bill", "dollar-bill+commuting-pair"])
+def test_restriction_limit_matches_reference_on_dim8_sums(name, dim8_sums):
+    spec = dim8_sums[name]
+    for subset in _strata(spec):
+        assert restriction_limit_check(spec, subset) == \
+            reference_orbit.restriction_limit_check(spec, subset), subset
+
+
+@pytest.mark.parametrize("name", LIMIT_SPECS + ["dollar-bill+dollar-bill"])
+def test_restriction_limit_matches_reference_off_defaults(name, dim8_sums):
+    """Seeded rays and bases, default rays of other seeds, and scales off the
+    decades."""
+    spec = dim8_sums[name] if name in dim8_sums else load_fixture(name).obj
+    rng = random.Random(name)
+    k = spec.num_params
+    for subset in rng.sample(_strata(spec), min(4, len(_strata(spec)))):
+        m = len(subset)
+        rays = [tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m))
+                for _ in range(2)]
+        base = [Fraction(rng.randint(1, 19), rng.randint(1, 7)) for _ in range(k - m)]
+        scales = sorted({Fraction(rng.randint(2, 9), rng.randint(1, 3)) * 7 ** e
+                         for e in range(1, 7)})
+        for kwargs in ({"rays": rays, "base": base, "scales": scales},
+                       {"seed": rng.randint(1, 99), "scales": [3, Fraction(7, 2), 50, 333]},
+                       {"rays": rays, "base": base}):
+            assert restriction_limit_check(spec, subset, **kwargs) == \
+                reference_orbit.restriction_limit_check(spec, subset, **kwargs), (subset, kwargs)
+
+
+def test_restriction_limit_matches_reference_on_the_exact_zero_case(commuting_pair):
+    scales = [Fraction(10) ** e for e in range(1, 5)]
+    ours = restriction_limit_check(commuting_pair, [1], scales=scales)
+    assert ours == reference_orbit.restriction_limit_check(commuting_pair, [1], scales=scales)
+    assert ours.exact_zero and ours.passed and ours.final_max_deviation == 0
 
 
 # --- hermitian_psd_status ----------------------------------------------------

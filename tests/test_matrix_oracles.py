@@ -192,7 +192,11 @@ def test_shape_errors_are_kept():
                  lambda: sub_contains(Mat.zeros(0, 3), Mat.zeros(1, 2)),
                  lambda: sub_contains(Mat.identity(3), Mat.zeros(0, 2)),
                  lambda: sub_contains(Mat.identity(3), Mat.identity(2)),
-                 lambda: sub_contains(Mat.from_rows([[1, 1, 0], [1, 1, 0]]), Mat.identity(2))):
+                 lambda: sub_contains(Mat.from_rows([[1, 1, 0], [1, 1, 0]]), Mat.identity(2)),
+                 lambda: sub_intersect(Mat.identity(3), Mat.identity(2)),
+                 lambda: sub_intersect(Mat.zeros(0, 3), Mat.identity(2)),
+                 lambda: sub_sum(Mat.zeros(0, 3), Mat.identity(2)),
+                 lambda: sub_sum(Mat.identity(2), Mat.zeros(0, 3))):
         with pytest.raises(ValueError, match="vector length mismatch"):
             call()
 
