@@ -368,36 +368,30 @@ def _strata(spec):
 
 
 LIMIT_SPECS = [name for name in ORBIT_FIXTURES if load_fixture(name).obj.num_params > 1]
+DIM8_SUMS = {"dollar-bill+dollar-bill": ["dollar-bill", "dollar-bill"],
+             "dollar-bill+commuting-pair": ["dollar-bill", "commuting-pair"]}
 
 
-@pytest.fixture(scope="module")
-def dim8_sums():
-    db, cp = load_fixture("dollar-bill").obj, load_fixture("commuting-pair").obj
-    return {"dollar-bill+dollar-bill": direct_sum([db, db]),
-            "dollar-bill+commuting-pair": direct_sum([db, cp])}
+def _limit_spec(name):
+    """An orbit fixture, or the direct sum of two named in DIM8_SUMS."""
+    if name in DIM8_SUMS:
+        return direct_sum([load_fixture(n).obj for n in DIM8_SUMS[name]])
+    return load_fixture(name).obj
 
 
-@pytest.mark.parametrize("name", LIMIT_SPECS)
+@pytest.mark.parametrize("name", LIMIT_SPECS + list(DIM8_SUMS))
 def test_restriction_limit_matches_reference_on_every_stratum(name):
-    spec = load_fixture(name).obj
-    for subset in _strata(spec):
-        assert restriction_limit_check(spec, subset) == \
-            reference_orbit.restriction_limit_check(spec, subset), subset
-
-
-@pytest.mark.parametrize("name", ["dollar-bill+dollar-bill", "dollar-bill+commuting-pair"])
-def test_restriction_limit_matches_reference_on_dim8_sums(name, dim8_sums):
-    spec = dim8_sums[name]
+    spec = _limit_spec(name)
     for subset in _strata(spec):
         assert restriction_limit_check(spec, subset) == \
             reference_orbit.restriction_limit_check(spec, subset), subset
 
 
 @pytest.mark.parametrize("name", LIMIT_SPECS + ["dollar-bill+dollar-bill"])
-def test_restriction_limit_matches_reference_off_defaults(name, dim8_sums):
+def test_restriction_limit_matches_reference_off_defaults(name):
     """Seeded rays and bases, default rays of other seeds, and scales off the
     decades."""
-    spec = dim8_sums[name] if name in dim8_sums else load_fixture(name).obj
+    spec = _limit_spec(name)
     rng = random.Random(name)
     k = spec.num_params
     for subset in rng.sample(_strata(spec), min(4, len(_strata(spec)))):
