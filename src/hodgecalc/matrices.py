@@ -19,7 +19,8 @@ compare the forms.  A Mat built from entries computes its form once; one
 returned by an operation is built in the form directly, and its
 ``entries`` (a tuple of ``GaussianRational``, row-major) are built the
 first time they are read.  Int rows are shared between matrices and are
-never changed in place.
+never changed in place.  Other modules read the form through ``int_rows``,
+one (re, im, d) triple of int lists and denominator per row.
 
 Every operation of this module works on the form: products, the entry-wise
 operations, and elimination, which is fraction-free (Bareiss) Gauss-Jordan
@@ -441,6 +442,12 @@ class Mat:
 
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def int_rows(self):
+        """The canonical form, one (re, im, d) per row: row i is (re + i im) / d
+        for int lists re and im (im zero when the matrix is real) and a
+        positive int d.  The lists are shared; do not change them."""
+        return [(re, im, d) for (re, im), d in zip(_rows_in(self, _ZI), self._den)]
 
     # -- algebra --------------------------------------------------------------
 
@@ -871,6 +878,8 @@ def sub_sum(*spaces: Mat) -> Mat:
 
 
 def sub_sum_ambient(spaces, ambient: int) -> Mat:
+    if any(s.cols != ambient for s in spaces):
+        raise ValueError("vector length mismatch")
     spaces = [s for s in spaces if s.rows]
     if not spaces:
         return sub_zero(ambient)
@@ -921,6 +930,8 @@ def sub_conj(s: Mat) -> Mat:
 
 def sub_image(m: Mat, s: Mat) -> Mat:
     """Image of the row space s under the linear map m (column convention)."""
+    if s.cols != m.cols:
+        raise ValueError("vector length mismatch")
     if s.rows == 0:
         return sub_zero(m.rows)
     return sub_canonical(_product(s, m.transpose()))
@@ -941,6 +952,8 @@ def extend_basis(sub: Mat, candidates: Mat) -> Mat:
     One elimination of [sub^T | candidates^T]: a column is a pivot exactly
     when it is outside the span of the columns before it, so the pivots
     after the first sub.rows columns mark the rows to take."""
+    if sub.cols != candidates.cols:
+        raise ValueError("vector length mismatch")
     _, pivots, _ = rref(Mat.stack([sub, candidates]).transpose())
     return candidates.take([p - sub.rows for p in pivots if p >= sub.rows])
 

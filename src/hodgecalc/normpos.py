@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 import random
 
 from .errors import DimensionMismatch, NotUnit
 from .matrices import Mat, hermitian_psd_status, kernel_basis, kernel_matrix, rank
-from .polynomials import MultiPoly, poly_mat_det
+from .polynomials import poly_mat_det, poly_matrix
 from .rationals import GaussianRational, ZERO, as_gauss
 
 
@@ -190,10 +190,7 @@ def projectivized_chern_form(model: NormPositivityModel, e, *,
     vertical = basis @ fubini_study @ basis.conj_transpose()
 
     hpsd, hrank, hpd = hermitian_psd_status(horizontal)
-    if vertical.rows:
-        vpsd, vrank, vpd = hermitian_psd_status(vertical)
-    else:
-        vpsd, vrank, vpd = True, 0, True
+    vpsd, _, vpd = hermitian_psd_status(vertical)
     psd = hpsd and vpsd
     pd = hpd and vpd
     return ProjectivizedForm(horizontal, vertical, psd, pd,
@@ -242,26 +239,17 @@ def chern_form_norm(model: NormPositivityModel, q: int, subspace_rows) -> Fracti
         raise DimensionMismatch(f"need {q} spanning vectors, got {len(rows)}")
     if q == 0:
         return Fraction(1)
-    # E-valued matrix: entry (gamma, column c) is a linear polynomial in the
-    # fiber coordinates, whose coefficients are row gamma of A (I_E (x) xi_c)
-    units = [tuple(int(j == alpha) for j in range(model.rank_e)) for alpha in range(model.rank_e)]
-    cols = []
-    for r in rows:
-        forms = model.a @ Mat.identity(model.rank_e).kron(Mat(model.dim_t, 1, r))
-        cols.append([MultiPoly(model.rank_e, dict(zip(units, forms.row(gamma))))
-                     for gamma in range(model.rank_g)])
+    # E-valued matrix: entry (gamma, c) is linear in the fiber coordinates, with
+    # coefficient of e_alpha entry (gamma, c) of A (e_alpha (x) Xi), Xi = [xi_1 ... xi_q]
+    xi = Mat.from_rows(rows).transpose()
+    forms = poly_matrix(model.rank_e, {tuple(u): model.a @ Mat(model.rank_e, 1, u).kron(xi)
+                                       for u, _, _ in Mat.identity(model.rank_e).int_rows()})
     total = Fraction(0)
     for gammas in combinations(range(model.rank_g), q):
-        minor = [[cols[c][gamma] for c in range(q)] for gamma in gammas]
-        d = poly_mat_det(minor)
-        for exp, coef in d.terms.items():
-            weight = Fraction(1)
-            for e_ in exp:
-                weight *= factorial(e_)
-            weight /= factorial(q)
+        for exp, coef in poly_mat_det([forms[gamma] for gamma in gammas]).terms.items():
             c2 = coef.abs2() if isinstance(coef, GaussianRational) else coef * coef
-            total += c2 * weight
-    return total
+            total += c2 * prod(map(factorial, exp))
+    return total / factorial(q)
 
 
 def trace_form_power_vanishes(model: NormPositivityModel, q: int) -> bool:

@@ -22,7 +22,7 @@ from .lmhs import (
     piece_hodge_numbers, stratum_hodge_numbers, verify_polarized_lmhs,
 )
 from .matrices import Mat, hermitian_psd_status
-from .polynomials import MultiPoly, poly_mat_det
+from .polynomials import MultiPoly, poly_mat_det, poly_matrix
 from .rationals import from_fractions
 
 
@@ -104,15 +104,13 @@ def hodge_metric_matrix(spec: PolarizedOrbitSpec, *, validate: bool = True) -> M
                       for alpha, lo, fn in powers for j in range(lo, k)]
             powers = [t for t in powers if not t[2].is_zero()]
         right = spec.q @ frame.conj_transpose()
-        coeffs = []
+        coeffs = {}
         for alpha, _, fn in powers:
             c = (fn @ right).scale(unit * (factorial(i) // prod(map(factorial, alpha))))
             if c.conj_transpose() != c:
                 raise NotPolarized("metric block is not Hermitian")
-            coeffs.append((alpha, c))
-        mat = [[MultiPoly(k, {alpha: c[a, b] for alpha, c in coeffs}) for b in range(frame.rows)]
-               for a in range(frame.rows)]
-        blocks.append((i, frame, mat))
+            coeffs[alpha] = c
+        blocks.append((i, frame, poly_matrix(k, coeffs)))
     if sum(b[1].rows for b in blocks) != spec.flag[0].rows:
         raise NotEffective("frame does not exhaust the top flag level")
     return MetricMatrix(tuple(blocks), k)

@@ -15,18 +15,23 @@ from exponent tuple to coefficient (a ``Fraction`` when it is real, a
 The canonical term order is total degree descending, then exponent tuple
 lexicographic, which fixes printing and the notion of "first monomial" used
 for normalization.  Evaluation brings the point over one common denominator,
-sums the terms on ints (over Z[i] only when the point or a coefficient is
-non-real), and divides once; ``value_gradient_hessian`` reads the value, the
-partials and the Hessian off one such walk, and leaves them as ints.
+sums the terms on Gaussian ints, and divides once; ``value_gradient_hessian``
+reads the value, the partials and the Hessian off one such walk at a real
+point, over Z when the polynomial is real, and leaves them as ints.
+
+``poly_matrix`` builds the matrix sum_e x^e c_e of MultiPoly from Mats c_e: one
+transpose puts the coefficients of each entry in one canonical int row, which
+is already the entry's cleared form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 import operator
 
+from .matrices import Mat
 from .rationals import GaussianRational, from_fractions
 
 
@@ -322,24 +327,14 @@ class MultiPoly:
         """The value at the point xs: a Fraction when it is real, a
         GaussianRational otherwise.
 
-        The sum runs on ints, over Z[i] only when the point or a coefficient
-        is non-real.  With the point written as A / b (one common b) and the
-        polynomial as sum_e C_e x^e / d, the value is
+        The sum runs on Gaussian ints.  With the point written as A / b (one
+        common b) and the polynomial as sum_e C_e x^e / d, the value is
         sum_e C_e A^e b^(deg - |e|) / (d b^deg), divided once at the end."""
         xs = list(xs)
         if len(xs) != self.num_vars:
             raise ValueError("evaluation point has wrong length")
         degs = list(map(sum, self._num))
         deg = max(degs, default=0)
-        if self._ring is _Z and GaussianRational not in map(type, xs):
-            b = lcm(*[x.denominator for x in xs])
-            a = [x.numerator * (b // x.denominator) for x in xs]
-            s = 0
-            for (e, c), de in zip(self._num.items(), degs):
-                if de < deg:
-                    c *= b ** (deg - de)
-                s += c * prod(map(pow, a, e))
-            return Fraction(s, self._den * b ** deg)
         xs = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in xs]
         b = lcm(*[q.denominator for x in xs for q in x])
         den = self._den * b ** deg
@@ -511,6 +506,22 @@ def _jet(terms, a, b: int, deg: int):
                 hess[support[u]][j] += run * g[u] * suf[u + 1]
                 run *= f[u]
     return value, grad, hess
+
+
+def poly_matrix(num_vars: int, coeffs) -> list:
+    """The rows of the MultiPoly matrix sum_e x^e c_e, for coeffs a nonempty
+    dict from exponent tuple e to Mat c_e, all of one shape.  Row a * cols + b
+    of the stacked row-major flattenings, transposed, holds entry (a, b) of
+    every c_e as ints over one positive denominator with gcd 1: the cleared
+    form of that entry."""
+    shapes = {(m.rows, m.cols) for m in coeffs.values()}
+    if len(shapes) != 1:
+        raise ValueError("coefficient matrices must be given and of one shape")
+    (rows, cols), = shapes
+    flat = Mat.stack([m.reshape(1, rows * cols) for m in coeffs.values()]).transpose()
+    entries = [_make(num_vars, _ZI, _nonzero(_ZI, dict(zip(coeffs, zip(re, im)))), d)
+               for re, im, d in flat.int_rows()]
+    return [entries[a * cols:(a + 1) * cols] for a in range(rows)]
 
 
 def poly_mat_det(m) -> MultiPoly:

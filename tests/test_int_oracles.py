@@ -36,7 +36,7 @@ from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
     chern_form_at, hodge_metric_matrix, hodge_metric_polynomial, restriction_limit_check,
 )
-from hodgecalc.polynomials import _ZI, MultiPoly, poly_mat_det
+from hodgecalc.polynomials import _ZI, MultiPoly, poly_mat_det, poly_matrix
 from hodgecalc.rationals import GaussianRational, ZERO, as_gauss
 from hodgecalc.schemas import fixture_names, load_fixture
 
@@ -486,6 +486,69 @@ def test_psd_status_rejects_a_non_real_diagonal():
         for status in (hermitian_psd_status, reference_lmhs.hermitian_psd_status):
             with pytest.raises(ValueError, match="not Hermitian"):
                 status(h)
+
+
+# --- poly_matrix --------------------------------------------------------------
+
+def assert_same_poly_matrix(k, coeffs):
+    """poly_matrix against MultiPoly(k, {e: c[a, b]}), entry by entry."""
+    shape = next(iter(coeffs.values()))
+    ours = poly_matrix(k, coeffs)
+    theirs = [[MultiPoly(k, {e: c[a, b] for e, c in coeffs.items()}) for b in range(shape.cols)]
+              for a in range(shape.rows)]
+    assert ours == theirs
+    assert [list(map(hash, row)) for row in ours] == [list(map(hash, row)) for row in theirs]
+    for row in ours:
+        for p in row:
+            assert_canonical(p)
+
+
+def _coefficient_matrix(rng, rows, cols, gaussian):
+    """A seeded matrix with zero entries, entries of 2^70 and its own
+    denominator in each row; non-real entries only when gaussian."""
+    out = []
+    for _ in range(rows):
+        den = rng.choice([1, 2, 3, 7, BIG + 1])
+        row = []
+        for _ in range(cols):
+            re = Fraction(rng.choice([0, 0, 1, -3, BIG, -BIG, rng.randint(-9, 9)]), den)
+            im = rng.choice([0, 1, -2, BIG, Fraction(1, den)]) if gaussian else 0
+            row.append(GaussianRational(re, im))
+        out.append(row)
+    return Mat.from_rows(out)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 3), (4, 4)])
+def test_poly_matrix_matches_entry_loop(shape):
+    """Real stacks, Gaussian stacks, and Z[i] stacks in which only the first
+    matrix is Gaussian, so that some entries of the stack are real."""
+    rng = random.Random(31 * shape[0] + shape[1])
+    for k in (1, 2, 3):
+        for trial in range(6):
+            exps = {tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(1, 4))}
+            kind = trial % 3            # 0 real, 1 Gaussian, 2 only the first Gaussian
+            coeffs = {e: _coefficient_matrix(rng, *shape, kind == 1 or (kind == 2 and not i))
+                      for i, e in enumerate(exps)}
+            assert_same_poly_matrix(k, coeffs)
+
+
+def test_poly_matrix_on_a_hand_built_stack():
+    """A Z[i] stack whose entry (0, 1) is real and whose entry (1, 0) is zero
+    in every matrix, with a zero coefficient matrix among them."""
+    coeffs = {(1, 0): Mat.from_rows([[I, Fraction(1, 2)], [0, BIG]]),
+              (0, 1): Mat.from_rows([[Fraction(1, 3), 3], [0, Fraction(1, BIG)]]),
+              (1, 1): Mat.zeros(2, 2)}
+    assert_same_poly_matrix(2, coeffs)
+    mat = poly_matrix(2, coeffs)
+    assert not mat[0][0].is_real() and mat[0][1].is_real() and mat[1][0].is_zero()
+    assert str(mat[0][1]) == "1/2*x1 + 3*x2"
+
+
+@pytest.mark.parametrize("shapes", [[], [(2, 3), (3, 2)], [(2, 3), (2, 2)], [(1, 0), (0, 1)]])
+def test_poly_matrix_needs_matrices_of_one_shape(shapes):
+    coeffs = {(j,): Mat.zeros(*shape) for j, shape in enumerate(shapes)}
+    with pytest.raises(ValueError, match="one shape"):
+        poly_matrix(1, coeffs)
 
 
 # --- hodge_metric_matrix ------------------------------------------------------

@@ -27,7 +27,8 @@ from hodgecalc import matrices
 from hodgecalc.errors import NoSolution
 from hodgecalc.matrices import (
     Mat, coords_in_basis, det, extend_basis, inverse, kernel_basis, row_coords, rref, solve,
-    sub_canonical, sub_contains, sub_contains_vec, sub_equal, sub_intersect, sub_sum,
+    sub_canonical, sub_complement_in, sub_contains, sub_contains_vec, sub_equal, sub_image,
+    sub_intersect, sub_sum, sub_sum_ambient,
 )
 from hodgecalc.rationals import GaussianRational, ZERO
 
@@ -196,7 +197,14 @@ def test_shape_errors_are_kept():
                  lambda: sub_intersect(Mat.identity(3), Mat.identity(2)),
                  lambda: sub_intersect(Mat.zeros(0, 3), Mat.identity(2)),
                  lambda: sub_sum(Mat.zeros(0, 3), Mat.identity(2)),
-                 lambda: sub_sum(Mat.identity(2), Mat.zeros(0, 3))):
+                 lambda: sub_sum(Mat.identity(2), Mat.zeros(0, 3)),
+                 lambda: sub_image(Mat.identity(3), Mat.identity(2)),
+                 lambda: sub_image(Mat.identity(3), Mat.zeros(0, 2)),
+                 lambda: sub_sum_ambient([Mat.identity(2)], 3),
+                 lambda: sub_sum_ambient([Mat.zeros(0, 2)], 3),
+                 lambda: sub_complement_in(Mat.zeros(0, 2), Mat.identity(3)),
+                 lambda: sub_complement_in(Mat.identity(2), Mat.zeros(0, 3)),
+                 lambda: extend_basis(Mat.zeros(0, 2), Mat.identity(3))):
         with pytest.raises(ValueError, match="vector length mismatch"):
             call()
 

@@ -156,6 +156,22 @@ def test_projectivized_g24_s2_positive_definite(g24_model):
     assert vpd
 
 
+def test_projectivized_with_no_vertical_directions(g24_model):
+    """A line bundle, and a one-dimensional fiber subspace: the vertical
+    block is 0 x 0, so it is positive definite and the whole form is as
+    definite as the horizontal block."""
+    line = NormPositivityModel(2, 1, 2, Mat.from_rows([[1, GaussianRational(0, 1)], [0, 2]]))
+    form = projectivized_chern_form(line, [GaussianRational(Fraction(3, 5), Fraction(4, 5))])
+    assert form.horizontal == Mat.from_rows([[1, GaussianRational(0, 1)],
+                                             [GaussianRational(0, -1), 5]])
+    assert form.vertical == Mat.zeros(0, 0)
+    assert (form.psd, form.positive_definite, form.horizontal_kernel_dim) == (True, True, 0)
+    form = projectivized_chern_form(g24_model, [0, 1], fiber_subspace=Mat.from_rows([[0, 1]]))
+    assert form.horizontal == Mat.diag([0, 1, 0, 1])
+    assert form.vertical == Mat.zeros(0, 0)
+    assert (form.psd, form.positive_definite, form.horizontal_kernel_dim) == (True, False, 2)
+
+
 def test_theorem_positive_definite_witness_seeded():
     """Strongly semi-positive seeded models: once the tangent-to-homs map is
     injective, the symmetric-power form is positive definite at the full
@@ -221,6 +237,12 @@ def test_chern_norm_positive_line(g24_model):
 def test_chern_norm_g24_generic_plane(g24_model):
     val = chern_form_norm(g24_model, 2, [[1, 0, 0, 1], [0, 1, -1, 0]])
     assert val > 0
+
+
+def test_chern_norm_rejects_spanning_vectors_of_the_wrong_length(g24_model):
+    for rows in ([[1, 0, 0]], [[1, 0, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            chern_form_norm(g24_model, len(rows), rows)
 
 
 def test_trace_power_vanishing_equivalence_seeded():

@@ -14,7 +14,12 @@ third check covers every module too: no other module may import a private
 name, so one its own module never uses is dead code.  The fourth check
 keeps every import of the library at the top of its module: the package
 imports each module up front, so an import inside a function defers
-nothing.
+nothing.  The last two checks keep the stored forms of ``Mat`` and
+``MultiPoly`` inside their modules: no library module imports a private
+name of the package in any spelling, relative or absolute, and no code but
+``matrices`` and ``polynomials`` reads the private slots of the two
+classes (the demos and the benchmark included); the other modules go
+through ``Mat.int_rows`` and ``poly_matrix``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hodgecalc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hodgecalc"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+FORM_OWNERS = {"matrices.py", "polynomials.py"}
+FORM_READERS = ([p for p in ALL_MODULES if p.name not in FORM_OWNERS]
+                + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str):
@@ -166,3 +175,62 @@ def test_the_check_finds_imports_in_functions():
               "            from .rationals import ZERO\n        return h\n"
               "if os:\n    from math import gcd\n")
     assert function_imports(source) == [(3, "f"), (8, "g"), (8, "h")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str):
+    """(line, name) of each private name imported from the package:
+    ``from .mod import _x``, ``from . import _x``, ``from hodgecalc.mod
+    import _x`` or ``import hodgecalc._x``; dunder names are not private."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hodgecalc"):
+            out += [(node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name.split(".")[0] == "hodgecalc"
+                    and any(map(_private, alias.name.split(".")[1:]))]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_imports_no_private_name_of_the_package(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_check_finds_private_imports():
+    source = ("from .matrices import Mat, _ZI\n"
+              "from . import _helpers\n"
+              "from hodgecalc.polynomials import _make\n"
+              "import hodgecalc._version, hodgecalc.rationals\n"
+              "from fractions import _gcd\n"
+              "from hodgecalc import __version__\n")
+    assert private_imports(source) == [(1, "_ZI"), (2, "_helpers"), (3, "_make"),
+                                       (4, "hodgecalc._version")]
+
+
+PRIVATE_SLOTS = {"_num", "_den", "_ring", "_entries", "_terms"}
+
+
+def private_slot_reads(source: str):
+    """(line, attribute) of each access to a private slot of Mat or MultiPoly."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SLOTS)
+
+
+@pytest.mark.parametrize("path", FORM_READERS, ids=[str(p.relative_to(ROOT)) for p in FORM_READERS])
+def test_only_the_owners_read_the_stored_forms(path):
+    assert private_slot_reads(path.read_text()) == []
+
+
+def test_the_check_finds_private_slot_reads():
+    source = ("def f(m, p):\n"
+              "    rows = m._num\n"
+              "    return rows, m._den, p._terms.items(), m.rows, m.int_rows()\n"
+              "def g(m):\n    return m._ring, m._entries, m._other\n")
+    assert private_slot_reads(source) == [(2, "_num"), (3, "_den"), (3, "_terms"),
+                                          (5, "_entries"), (5, "_ring")]
