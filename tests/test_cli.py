@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from hodgecalc.cli import main
+from hodgecalc import cli
+from hodgecalc.cli import MAX_RAYS, MAX_SCALE_EXPONENT, SUBCOMMANDS, main
 from hodgecalc.errors import ParseError, SchemaError
 from hodgecalc.schemas import (
     fixture_names, load_fixture, parse_problem_text, render_problem,
@@ -244,6 +247,19 @@ BAD_FLAGS = {
     "schur-rank-negative": ["schur", "--partition", "1,1", "--rank", "-2"],
     "schur-partition-negative-part": ["schur", "--partition", "2,-1"],
     "schur-part-above-rank": ["schur", "--partition", "3,1", "--rank", "2"],
+    "chern-rays-over-budget": ["chern", "--input", "builtin:dollar-bill",
+                               "--rays", str(MAX_RAYS + 1)],
+    "limit-check-rays-over-budget": ["limit-check", "--input", "builtin:dollar-bill",
+                                     "--stratum", "3", "--rays", str(MAX_RAYS + 1)],
+    "limit-check-scales-over-budget": ["limit-check", "--input", "builtin:dollar-bill",
+                                       "--stratum", "3",
+                                       "--scales", f"1e1..1e{MAX_SCALE_EXPONENT + 1}"],
+    "limit-check-scales-under-budget": ["limit-check", "--input", "builtin:dollar-bill",
+                                        "--stratum", "3",
+                                        "--scales", f"1e-{MAX_SCALE_EXPONENT + 1}..1e1"],
+    # scales of 3000 digits: a traceback at print time before the budget
+    "limit-check-scales-1e3000": ["limit-check", "--input", "builtin:dollar-bill",
+                                  "--stratum", "3", "--scales", "1e1..1e3000"],
 }
 
 
@@ -453,3 +469,110 @@ def test_horizontal_without_h11_names_h11(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli([command, "--input", str(path)], capsys)
     assert code == 2 and "h11 > 0" in err
+
+
+def test_size_budgets_name_the_flag(capsys):
+    for name in ("chern-rays-over-budget", "limit-check-rays-over-budget"):
+        code, _, err = run_cli(BAD_FLAGS[name], capsys)
+        assert code == 2 and err == f"error: --rays {MAX_RAYS + 1}: must be at most {MAX_RAYS}\n"
+    for name in ("limit-check-scales-over-budget", "limit-check-scales-under-budget",
+                 "limit-check-scales-1e3000"):
+        code, _, err = run_cli(BAD_FLAGS[name], capsys)
+        assert code == 2 and err.startswith("error: bad --scales value ")
+        assert err.endswith(f"scales must lie in 1e-{MAX_SCALE_EXPONENT}..1e{MAX_SCALE_EXPONENT}\n")
+
+
+def test_a_number_too_long_to_print_exits_2(tmp_path, capsys):
+    # every entry of Q has 2501 digits: the document parses and validates,
+    # but the normalization of P is too long for str()
+    doc = json.loads(render_problem(load_fixture("dollar-bill")))
+    doc["payload"]["Q"] = [[str(int(x) * 10 ** 2500) for x in row] for row in doc["payload"]["Q"]]
+    path = tmp_path / "big-q.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", "--input", str(path)], capsys)[0] == 0
+    code, out, err = run_cli(["metric-poly", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sys.get_int_max_str_digits()" in err and str(sys.get_int_max_str_digits()) in err
+
+
+def test_other_value_errors_are_not_input_errors(monkeypatch, capsys):
+    def broken(spec):
+        raise ValueError("a fault of the library")
+    monkeypatch.setattr(cli, "hodge_metric_polynomial", broken)
+    with pytest.raises(ValueError, match="a fault of the library"):
+        main(["metric-poly", "--input", "builtin:dollar-bill"])
+
+
+# The document kinds each subcommand takes; None stands for no document.
+ALL_KINDS = (None, "orbit", "phs", "model", "subspace", "alpha")
+TAKES = {
+    "validate": {"orbit", "phs", "model", "subspace", "alpha"},
+    **{name: {"orbit"} for name in ("weight-filtration", "sl2", "bigrading", "rwfp",
+                                     "metric-poly", "chern", "limit-check", "factorize",
+                                     "stratum-map", "compat")},
+    "monomial-map": {"orbit", "subspace"},
+    "refine": {"orbit", "subspace"},
+    "curvature": {"model"},
+    "horizontal": {"phs"},
+    "schur": {None},
+    "segre": {None},
+    "multiplier-ideal": {"alpha", None},
+}
+FIXTURE_OF_KIND = {"orbit": "builtin:dollar-bill", "phs": "builtin:weight2-normal-form",
+                   "model": "builtin:grassmannian-g24", "alpha": "builtin:alpha-example"}
+# the flags each subcommand needs besides its document, so that only the
+# document is wrong
+OTHER_FLAGS = {"schur": ["--partition", "1"], "multiplier-ideal": ["--alpha", "2,2"],
+               **{name: ["--stratum", "1"] for name in ("limit-check", "factorize",
+                                                         "stratum-map")}}
+REFUSED = [(name, kind) for name in SUBCOMMANDS for kind in ALL_KINDS
+           if kind not in TAKES[name]]
+
+
+def test_every_subcommand_says_what_it_takes():
+    assert sorted(TAKES) == sorted(SUBCOMMANDS)
+    assert len(REFUSED) == 83
+
+
+@pytest.mark.parametrize("name,kind", REFUSED, ids=[f"{n}-{k}" for n, k in REFUSED])
+def test_a_document_of_a_refused_kind_exits_2(name, kind, tmp_path, capsys):
+    argv = [name] + OTHER_FLAGS.get(name, [])
+    if kind == "subspace":
+        argv += ["--input", _subspace(tmp_path, [[1, 1, 0], [0, 1, 1]])]
+    elif kind is not None:
+        argv += ["--input", FIXTURE_OF_KIND[kind]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if kind is None:
+        assert err == f"error: {name} needs --input\n"
+    else:
+        assert err.startswith(f"error: {name} takes ") and err.endswith(f", got {kind!r}\n")
+
+
+@pytest.mark.parametrize("name", ["limit-check", "factorize", "stratum-map"])
+def test_stratum_is_required(name, capsys):
+    code, out, err = run_cli([name, "--input", "builtin:dollar-bill"], capsys)
+    assert code == 2 and out == "" and err == f"error: {name} needs --stratum\n"
+
+
+@pytest.mark.parametrize("name", ["limit-check", "factorize"])
+def test_a_proper_stratum_is_not_empty(name, capsys):
+    code, out, err = run_cli([name, "--input", "builtin:dollar-bill", "--stratum", ","],
+                             capsys)
+    assert code == 2 and out == "" and err == f"error: {name} needs --stratum\n"
+
+
+def test_the_empty_stratum_maps_like_the_whole_cone(capsys):
+    def findings(argv):
+        code, out, _ = run_cli(argv + ["--input", "builtin:dollar-bill", "--format", "json"],
+                               capsys)
+        assert code == 0
+        return json.loads(out)["findings"]
+    assert findings(["stratum-map", "--stratum", ","]) == findings(["monomial-map"])
+
+
+def test_the_readme_names_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    assert [name for name in SUBCOMMANDS if f"`{name}`" not in section] == []
