@@ -34,7 +34,7 @@ from .orbit import (
     restriction_limit_check, stratum_factorization,
 )
 from .rationals import GaussianRational
-from .report import Report, digest_text, exact_entry, frac_to_decimal, render_report
+from .report import Report, digest_text, exact_entry, render_report
 from .schemas import KINDS, parse_problem
 from .weightfilt import (
     complete_sl2, grading_element, relative_weight_filtration_check, weight_filtration,
@@ -221,8 +221,7 @@ def _limit_check(doc, flags, f, g):
         doc.obj, stratum, seed=seed, scales=flags.get("scales"), rays=rays)
     f["scales"] = [str(s) for s in lr.scales]
     f["rays"] = [[str(c) for c in ray] for ray in lr.rays]
-    f["deviations"] = [[{"exact": str(d), "decimal": frac_to_decimal(d)}
-                        for d in per_ray] for per_ray in lr.deviations]
+    f["deviations"] = [[exact_entry(d) for d in per_ray] for per_ray in lr.deviations]
     f["finalMaxDeviation"] = exact_entry(lr.final_max_deviation)
     f["exactZero"] = lr.exact_zero
     g["eventuallyDecreasing"] = lr.eventually_decreasing
@@ -437,10 +436,14 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("HODGECALC_SEED", "0"))
     try:
+        seed = args.seed
+        if seed is None:
+            env = os.environ.get("HODGECALC_SEED", "0")
+            try:
+                seed = int(env)
+            except ValueError as exc:
+                raise SchemaError(f"HODGECALC_SEED must be an integer, got {env!r}") from exc
         if args.subcommand not in SUBCOMMANDS:
             raise UnknownSubcommand(
                 f"unknown subcommand {args.subcommand!r}; expected one of "

@@ -230,12 +230,18 @@ class LmhsReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _kernel_within(space: Mat, op: Mat) -> Mat:
-    """{v in the row space of `space` : op v = 0}, as a canonical basis."""
-    if not space.rows:
-        return space
-    coeffs = kernel_matrix((space @ op.transpose()).transpose())
-    return sub_canonical(coeffs @ space)
+def _primitive_parts(space, n: Mat, weight: int):
+    """(i, P_i, N^i) for i = 0..weight and each nonzero primitive part
+    P_i = ker N^(i+1) ∩ space(weight + i), as a canonical basis; `space`
+    maps a weight to the row basis of a subspace that N^(i+1) respects."""
+    power = Mat.identity(n.rows)
+    for i in range(weight + 1):
+        higher = power @ n
+        s = space(weight + i)
+        prim = sub_canonical(kernel_matrix((s @ higher.transpose()).transpose()) @ s)
+        if prim.rows:
+            yield i, prim, power
+        power = higher
 
 
 def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
@@ -288,17 +294,10 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
     if not (bi.r_split and bi.effective):
         return LmhsReport(tuple(checks), (wf, bi))
 
-    n_total = spec.n_sum()
-    powers = [Mat.identity(d)]
-    for _ in range(n + 1):
-        powers.append(powers[-1] @ n_total)
-    for i in range(0, n + 1):
-        # primitive part of the graded piece of weight n+i, inside the
-        # canonical grading subspace V_{n+i} (N respects the grading)
-        prim = _kernel_within(bi.grading_subspace(n + i), powers[i + 1])
-        if prim.rows == 0:
-            continue
-        gram = q_gram(spec.q, prim @ powers[i].transpose(), prim)
+    # primitive part of the graded piece of weight n+i, inside the canonical
+    # grading subspace V_{n+i} (N respects the grading)
+    for i, prim, power in _primitive_parts(bi.grading_subspace, spec.n_sum(), n):
+        gram = q_gram(spec.q, prim @ power.transpose(), prim)
         nd = rank(gram) == prim.rows
         checks.append(CheckResult(f"Q_{i} nondegenerate on primitive weight {n + i}", nd))
         # positivity piece by piece
@@ -309,7 +308,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
             if pm.rows == 0:
                 continue
             unit = hermitian_sign(p, q_, i)
-            block = q_gram(spec.q, pm @ powers[i].transpose(), pm.conj()).scale(unit)
+            block = q_gram(spec.q, pm @ power.transpose(), pm.conj()).scale(unit)
             try:
                 psd, rk, pd = hermitian_psd_status(block)
             except ValueError:
@@ -359,19 +358,9 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset):
     complement = [j for j in range(k) if j not in subset]
     levels = flag_levels(spec.flag, n, d)
     pieces = []
-    powers = [Mat.identity(d)]
-    for _ in range(n + 2):
-        powers.append(powers[-1] @ n_i)
-
-    for i in range(0, n + 1):
-        kk = n + i
-        if kk not in split.spaces:
-            continue
-        # primitive part: kernel of N_I^(i+1) inside V_k
-        prim = _kernel_within(split.space(kk), powers[i + 1])
-        pd = prim.rows
-        if not pd:
-            continue
+    # primitive part: kernel of N_I^(i+1) inside V_k
+    for i, prim, power in _primitive_parts(lambda w: split.spaces.get(w, sub_zero(d)), n_i, n):
+        kk, pd = n + i, prim.rows
 
         def coords(s: Mat) -> Mat:
             c = row_coords(prim, s)
@@ -387,7 +376,7 @@ def associated_graded_orbit(spec: PolarizedOrbitSpec, subset):
             induced.append(coords(prim @ nj0.transpose()).transpose())
         # twisted pairing
         sign = Fraction(-1) ** i
-        gram = q_gram(spec.q, prim @ powers[i].transpose(), prim).scale(sign)
+        gram = q_gram(spec.q, prim @ power.transpose(), prim).scale(sign)
         # induced filtration, untwisted by i
         piece_weight = n - i
         flag_rows = []

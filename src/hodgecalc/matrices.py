@@ -1002,10 +1002,6 @@ class Splitting:
         self._duals = {k: self.t_inv.take([j for j, key in enumerate(self.labels) if key == k])
                        for k in self.spaces}
 
-    def space(self, k) -> Mat:
-        """The row basis of V_k."""
-        return self.spaces[k]
-
     def coords(self, s: Mat, k) -> Mat:
         """Row i holds the V_k coordinates of row i of s."""
         return s @ self._duals[k].transpose()

@@ -22,6 +22,7 @@ from .matrices import (
     Mat, inverse, kernel_matrix, kernel_space, smith_normal_form, sub_canonical,
     sub_contains, sub_contains_vec,
 )
+from .polynomials import monomial_string
 from .weightfilt import weight_filtration_centered
 
 
@@ -72,16 +73,7 @@ class MonomialMap:
         return len(self.exponents)
 
     def monomial_strings(self):
-        out = []
-        for row in self.exponents:
-            factors = []
-            for e, j in zip(row, self.variables):
-                if e == 1:
-                    factors.append(f"t{j + 1}")
-                elif e:
-                    factors.append(f"t{j + 1}^{e}")
-            out.append("*".join(factors) if factors else "1")
-        return tuple(out)
+        return tuple(monomial_string(row, "t", self.variables) or "1" for row in self.exponents)
 
     @classmethod
     def from_rays(cls, rays, variables) -> "MonomialMap":

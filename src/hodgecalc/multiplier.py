@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
+from .polynomials import monomial_string
+
 # The most simplex points that `multiplier_ideal_monomials` may be asked to
 # walk through the command line: 3-4 us a point on a 2-vCPU Xeon with
 # Python 3.11 (2 to 8 weights), so at most about 1 s.  The default bound 24
@@ -27,16 +29,7 @@ class MonomialIdeal:
     truncated: bool
 
     def monomial_strings(self):
-        out = []
-        for beta in self.generators:
-            factors = []
-            for j, e in enumerate(beta):
-                if e == 1:
-                    factors.append(f"z{j + 1}")
-                elif e:
-                    factors.append(f"z{j + 1}^{e}")
-            out.append("*".join(factors) if factors else "1")
-        return tuple(out)
+        return tuple(monomial_string(beta, "z") or "1" for beta in self.generators)
 
 
 def multiplier_ideal_monomials(alpha, degree_bound: int = 24) -> MonomialIdeal:

@@ -252,26 +252,18 @@ def stratum_factorization(p: MetricPolynomial, subset, spec: PolarizedOrbitSpec)
     if remainder and remainder.weighted_degree(weights) >= deg_i:
         raise NoFactorization("remainder is not lower order in the subset degree")
 
-    # group by subset-exponent pattern, check one common complement factor
+    # group by subset-exponent pattern: P_{I^c} is the first group and P_I holds
+    # each group's coefficient at P_{I^c}'s leading exponent, so P_I * P_{I^c}
+    # is the leading part exactly when every group is a multiple of the first
     groups = {}
     for exp, c in leading.terms.items():
         ei, ec = _split_exponent(exp, set(subset))
         groups.setdefault(ei, {})[ec] = c
-    patterns = sorted(groups)
-    ref = MultiPoly(k, groups[patterns[0]])
-    ref_lead = ref.leading_coefficient()
-    p_i_terms = {}
-    for ei in patterns:
-        g = MultiPoly(k, groups[ei])
-        lam = g.leading_coefficient() / ref_lead
-        if g != ref.scale(lam):
-            raise NoFactorization(
-                "leading part does not factor into subset and complement parts")
-        p_i_terms[ei] = lam
-    p_i = MultiPoly(k, p_i_terms)
-    p_ic = ref
+    p_ic = MultiPoly(k, groups[min(groups)])
+    top, top_c = p_ic.canonical_terms()[0]
+    p_i = MultiPoly(k, {ei: g.get(top, 0) / top_c for ei, g in groups.items()})
     if p_i * p_ic != leading:
-        raise NoFactorization("internal error: factor product mismatch")
+        raise NoFactorization("leading part does not factor into subset and complement parts")
 
     # degree bound from the stratum Hodge numbers
     pieces = associated_graded_orbit(spec, subset)

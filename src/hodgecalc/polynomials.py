@@ -35,6 +35,14 @@ from .matrices import Mat
 from .rationals import GaussianRational, from_fractions
 
 
+def monomial_string(exp, prefix: str, variables=None) -> str:
+    """x1^2*x3 for the exponents (2, 0, 1) and prefix "x", "" when every
+    exponent is zero; `variables` gives the 0-based index of the variable of
+    each exponent (by default 0, 1, ...)."""
+    return "*".join(f"{prefix}{j + 1}" + (f"^{e}" if e != 1 else "")
+                    for e, j in zip(exp, variables or range(len(exp))) if e)
+
+
 class _Z:
     """Numerator arithmetic over the integers: a numerator is an int."""
 
@@ -412,13 +420,7 @@ class MultiPoly:
             return "0"
         parts = []
         for e, c in self.canonical_terms():
-            factors = []
-            for j, p in enumerate(e):
-                if p == 1:
-                    factors.append(f"{prefix}{j + 1}")
-                elif p > 1:
-                    factors.append(f"{prefix}{j + 1}^{p}")
-            mono = "*".join(factors)
+            mono = monomial_string(e, prefix)
             if isinstance(c, GaussianRational):
                 cs = f"({c})"
                 parts.append((f"{cs}*{mono}" if mono else cs, False))

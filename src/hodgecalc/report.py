@@ -1,7 +1,7 @@
 """Structured reports with exact values and decimal renderings.
 
 Findings hold exact rationals serialized as strings next to 12-significant-
-digit decimal renderings computed by integer arithmetic; JSON output is
+digit decimal renderings, each the exact quotient rounded once; JSON output is
 stable-key-ordered and deterministic for a fixed seed.  Wall-clock timings
 appear only in the text rendering so the JSON contract stays byte-stable.
 """
@@ -11,9 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 SIG_DIGITS = 12
+
+# Rounds an exact quotient once, half away from zero, at any exponent.
+_CONTEXT = Context(prec=SIG_DIGITS, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def frac_to_decimal(value: Fraction) -> str:
@@ -21,33 +25,12 @@ def frac_to_decimal(value: Fraction) -> str:
     significant digits, scientific notation."""
     if value == 0:
         return "0"
-    sign = "-" if value < 0 else ""
-    n, d = abs(value.numerator), value.denominator
-    # exponent e with 10^e <= n/d < 10^(e+1)
-    e = len(str(n)) - len(str(d))
-    scaled = n * 10 ** max(0, -e) if e < 0 else n
-    dscaled = d * 10 ** max(0, e) if e > 0 else d
-    if scaled < dscaled:
-        e -= 1
-    # digits = round(n/d * 10^(SIG_DIGITS-1-e)), half away from zero
-    shift = SIG_DIGITS - 1 - e
-    if shift >= 0:
-        num = n * 10 ** shift
-        den = d
-    else:
-        num = n
-        den = d * 10 ** (-shift)
-    digits, rem = divmod(num, den)
-    if 2 * rem >= den:
-        digits += 1
-    if len(str(digits)) > SIG_DIGITS:   # rounding rolled over a power of ten
-        digits //= 10
-        e += 1
-    s = str(digits).rstrip("0") or "0"
+    sign, digits, exp = _CONTEXT.divide(Decimal(value.numerator),
+                                        Decimal(value.denominator)).as_tuple()
+    s = "".join(map(str, digits)).rstrip("0")
     mantissa = s[0] + ("." + s[1:] if len(s) > 1 else "")
-    if e == 0:
-        return f"{sign}{mantissa}"
-    return f"{sign}{mantissa}e{e:+03d}"
+    e = exp + len(digits) - 1
+    return ("-" if sign else "") + mantissa + (f"e{e:+03d}" if e else "")
 
 
 def exact_entry(value: Fraction) -> dict:

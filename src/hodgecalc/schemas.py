@@ -54,6 +54,8 @@ def _int_field(payload, key: str, default=None) -> int:
 
 
 def _parse_matrix(data, what: str) -> Mat:
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ParseError(f"bad matrix for {what}: expected a list of rows, each a list")
     try:
         return Mat.from_json(data)
     except Exception as exc:
@@ -141,6 +143,7 @@ def _build_subspace(payload) -> Mat:
 def _build_alpha(payload):
     _require("alpha" in payload, "alpha payload is missing 'alpha'")
     weights = payload["alpha"]
+    _require(isinstance(weights, list), "'alpha' must be a list of weights")
     try:
         if any(isinstance(a, bool) for a in weights):
             raise TypeError("a weight is a JSON boolean")

@@ -10,13 +10,19 @@ pieces and the same R-split and effectivity flags.
 ``hermitian_psd_status`` is the pivoted LDL in ``GaussianRational``
 arithmetic that the library ran before its fraction-free elimination;
 ``test_int_oracles.py`` asserts the same (psd, rank, pd).
+
+``primitive_parts`` is the loop that ``verify_polarized_lmhs`` and
+``associated_graded_orbit`` each ran before ``lmhs._primitive_parts``: all
+powers of N built first, then ``kernel_within`` of N^(i+1) on each graded
+subspace; ``test_lmhs.py`` asserts the same (i, P_i, N^i) triples.
 """
 
 from __future__ import annotations
 
 from hodgecalc.lmhs import DeligneBigrading, flag_level, flag_levels
 from hodgecalc.matrices import (
-    Mat, sub_conj, sub_dim, sub_equal, sub_intersect, sub_sum_ambient, sub_zero,
+    Mat, kernel_matrix, sub_canonical, sub_conj, sub_dim, sub_equal, sub_intersect,
+    sub_sum_ambient, sub_zero,
 )
 
 
@@ -85,3 +91,24 @@ def hermitian_psd_status(h: Mat):
                 a[i][j] = a[i][j] - a[i][pivot] * a[pivot][j] / p
         active = rest
     return True, rk, rk == n
+
+
+def kernel_within(space: Mat, op: Mat) -> Mat:
+    """{v in the row space of `space` : op v = 0}, as a canonical basis."""
+    if not space.rows:
+        return space
+    coeffs = kernel_matrix((space @ op.transpose()).transpose())
+    return sub_canonical(coeffs @ space)
+
+
+def primitive_parts(space, n: Mat, weight: int):
+    powers = [Mat.identity(n.rows)]
+    for _ in range(weight + 1):
+        powers.append(powers[-1] @ n)
+    out = []
+    for i in range(0, weight + 1):
+        prim = kernel_within(space(weight + i), powers[i + 1])
+        if prim.rows == 0:
+            continue
+        out.append((i, prim, powers[i]))
+    return out

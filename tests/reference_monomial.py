@@ -14,6 +14,11 @@ systems from ``Mat.stack`` of ``N.reshape(1, d*d)`` rows;
 d^2 x d^2 matrix of ad(N) on End(V), where the library reads it off the
 weight filtration of N on V; the systems here use it, so they share no
 W_-1 with the library.
+
+``monomial_strings`` is the loop that ``MonomialMap.monomial_strings`` (prefix
+"t", its own variables) and ``MonomialIdeal.monomial_strings`` (prefix "z",
+variables 0, 1, ...) each ran before both called
+``polynomials.monomial_string``.
 """
 
 from __future__ import annotations
@@ -133,3 +138,16 @@ def strata_boundary_positivity(spec, index: int, subset=None) -> bool:
         return any(target)
     space = sub_canonical(Mat.from_rows(rows))
     return not sub_contains_vec(space, target)
+
+
+def monomial_strings(rows, variables, prefix: str):
+    out = []
+    for row in rows:
+        factors = []
+        for e, j in zip(row, variables):
+            if e == 1:
+                factors.append(f"{prefix}{j + 1}")
+            elif e:
+                factors.append(f"{prefix}{j + 1}^{e}")
+        out.append("*".join(factors) if factors else "1")
+    return tuple(out)

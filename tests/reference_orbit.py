@@ -13,6 +13,11 @@ The Chern samples and the limit loop are the code the library ran before it
 read P, its partials and its Hessian off one walk over the terms of P: every
 partial derived once into a ``HessianTable`` and evaluated on its own, and
 each deviation read off the entries of a sampled ``Mat``.
+
+``stratum_factorization`` is ``orbit.stratum_factorization`` as it was
+before it read P_I off the coefficients at P_{I^c}'s leading exponent: it
+checks every subset-exponent pattern against a scalar multiple of the first
+one, then multiplies the factors out again.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ from fractions import Fraction
 from math import lcm
 
 import reference_polynomials
-from hodgecalc.errors import NotEffective, NotPolarized, ZeroAtPoint
-from hodgecalc.lmhs import hermitian_psd_status, hermitian_sign
+from hodgecalc.errors import NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
+from hodgecalc.lmhs import (
+    associated_graded_orbit, hermitian_psd_status, hermitian_sign, piece_hodge_numbers,
+)
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
     LIMIT_TOLERANCE, ChernSample, LimitReport, MetricMatrix, MetricPolynomial,
-    _is_eventually_decreasing, _require_valid, default_rays, hodge_metric_polynomial,
-    stratum_metric_polynomial,
+    StratumFactorization, _is_eventually_decreasing, _pieces_polynomial, _require_valid,
+    _split_exponent, default_rays, hodge_metric_polynomial, stratum_metric_polynomial,
 )
 from hodgecalc.polynomials import MultiPoly
 from hodgecalc.rationals import ZERO, GaussianRational
@@ -213,3 +220,60 @@ def restriction_limit_check(spec, subset, *, rays=None, scales=None, base=None,
     passed = decreasing and final_max <= LIMIT_TOLERANCE
     return LimitReport(tuple(subset), base, scales, rays, tuple(all_devs),
                        decreasing, final_max, exact_zero, passed)
+
+
+def stratum_factorization(p, subset, spec) -> StratumFactorization:
+    subset = sorted(set(subset))
+    k = p.num_vars
+    if not subset or len(subset) >= k:
+        raise ValueError("subset must be a nonempty proper subset of the variables")
+    weights = [1 if j in subset else 0 for j in range(k)]
+    leading = p.p.leading_part_by_weight(weights)
+    remainder = p.p - leading
+    deg_i = leading.weighted_degree(weights)
+    if remainder and remainder.weighted_degree(weights) >= deg_i:
+        raise NoFactorization("remainder is not lower order in the subset degree")
+
+    # group by subset-exponent pattern, check one common complement factor
+    groups = {}
+    for exp, c in leading.terms.items():
+        ei, ec = _split_exponent(exp, set(subset))
+        groups.setdefault(ei, {})[ec] = c
+    patterns = sorted(groups)
+    ref = MultiPoly(k, groups[patterns[0]])
+    ref_lead = ref.leading_coefficient()
+    p_i_terms = {}
+    for ei in patterns:
+        g = MultiPoly(k, groups[ei])
+        lam = g.leading_coefficient() / ref_lead
+        if g != ref.scale(lam):
+            raise NoFactorization(
+                "leading part does not factor into subset and complement parts")
+        p_i_terms[ei] = lam
+    p_i = MultiPoly(k, p_i_terms)
+    p_ic = ref
+    if p_i * p_ic != leading:
+        raise NoFactorization("internal error: factor product mismatch")
+
+    # degree bound from the stratum Hodge numbers
+    pieces = associated_graded_orbit(spec, subset)
+    hs = piece_hodge_numbers(pieces)
+    bound = sum(j * h for j, h in hs.items())
+    if deg_i != bound:
+        raise NoFactorization(
+            f"subset degree {deg_i} does not match stratum Hodge numbers ({bound})")
+
+    # the complement factor is the stratum metric polynomial, up to a
+    # positive constant
+    complement = [j for j in range(k) if j not in set(subset)]
+    mapping = {j: complement.index(j) for j in complement}
+    p_ic_small = p_ic.rename_vars(len(complement), mapping)
+    stratum = _pieces_polynomial(pieces, len(complement))
+    lead_small = p_ic_small.leading_coefficient()
+    if lead_small <= 0:
+        raise NoFactorization("complement factor has non-positive leading coefficient")
+    if p_ic_small.scale(1 / lead_small) != stratum:
+        raise NoFactorization(
+            "complement factor does not match the stratum metric polynomial")
+    return StratumFactorization(tuple(subset), leading, p_i, p_ic, remainder,
+                                stratum, bound)

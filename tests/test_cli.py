@@ -203,6 +203,14 @@ def test_env_seed(monkeypatch, capsys):
     assert json.loads(out)["seed"] == 11
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_a_non_integer_env_seed_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("HODGECALC_SEED", value)
+    code, out, err = run_cli(["chern", "--input", "builtin:dollar-bill"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: HODGECALC_SEED must be an integer, got {value!r}\n"
+
+
 # Each bad flag value exits 2 with a one-line message and no traceback.
 BAD_FLAGS = {
     "stratum-not-a-number": ["weight-filtration", "--input", "builtin:dollar-bill",
@@ -439,6 +447,14 @@ BAD_DOCUMENTS = {
     "refine-boolean-basis": ("refine", {"kind": "subspace", "payload": {
         "basis": [[True, False], [False, True]]}}),
     "alpha-a-boolean": ("multiplier-ideal", _mutated("alpha-example", alpha=[True, "1/2"])),
+    # a JSON string or object where the schema needs an array: read element
+    # by element, "44" would be the weights (4, 4) and a matrix row "12" the
+    # entries 1 and 2
+    "alpha-a-string": ("multiplier-ideal", _mutated("alpha-example", alpha="44")),
+    "alpha-an-object": ("multiplier-ideal", _mutated("alpha-example", alpha={"4": 1, "5": 2})),
+    "basis-rows-strings": ("validate", {"kind": "subspace", "payload": {"basis": ["12", "30"]}}),
+    "basis-an-object": ("validate", {"kind": "subspace", "payload": {"basis": {"12": "30"}}}),
+    "Q-rows-strings": ("validate", _mutated("dollar-bill", Q=["0001", "0010", "0100", "1000"])),
     # a nilpotent with strings longer than the weight allows: no weight
     # filtration indexed 0..2n exists for it
     **{f"{command}-string-longer-than-weight": (command, LONG_STRING)

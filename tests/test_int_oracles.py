@@ -7,7 +7,8 @@ blocks.
 ``MultiPoly.value_gradient_hessian`` against ``partial_derivative`` and
 ``evaluate``, ``chern_form_at`` against the Fraction-by-Fraction formula and
 the Hessian-table samples, ``restriction_limit_check`` against the loop over
-``Mat`` entries and ``hodge_metric_matrix`` against the entry-by-entry loop,
+``Mat`` entries, ``hodge_metric_matrix`` against the entry-by-entry loop and
+``stratum_factorization`` against its check of every subset-exponent pattern,
 all kept in ``reference_orbit``, and ``hermitian_psd_status`` against the
 pivoted LDL kept in ``reference_lmhs``.  The property tests need
 hypothesis and are skipped without it; the seeded and fixture tests always
@@ -28,13 +29,14 @@ import reference_lmhs
 import reference_orbit
 import reference_polynomials
 from conftest import direct_sum
-from hodgecalc.errors import NotPolarized, ZeroAtPoint
+from hodgecalc.errors import NoFactorization, NotPolarized, ZeroAtPoint
 from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_psd_status, hermitian_sign,
 )
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
-    chern_form_at, hodge_metric_matrix, hodge_metric_polynomial, restriction_limit_check,
+    MetricPolynomial, chern_form_at, hodge_metric_matrix, hodge_metric_polynomial,
+    restriction_limit_check, stratum_factorization,
 )
 from hodgecalc.polynomials import _ZI, MultiPoly, poly_mat_det, poly_matrix
 from hodgecalc.rationals import GaussianRational, ZERO, as_gauss
@@ -413,6 +415,53 @@ def test_restriction_limit_matches_reference_on_the_exact_zero_case(commuting_pa
     ours = restriction_limit_check(commuting_pair, [1], scales=scales)
     assert ours == reference_orbit.restriction_limit_check(commuting_pair, [1], scales=scales)
     assert ours.exact_zero and ours.passed and ours.final_max_deviation == 0
+
+
+# --- stratum_factorization ---------------------------------------------------
+
+def _factorization_outcome(factorize, p, subset, spec):
+    try:
+        return factorize(p, subset, spec)
+    except NoFactorization as exc:
+        return NoFactorization, str(exc)
+
+
+@pytest.mark.parametrize("name", LIMIT_SPECS + list(DIM8_SUMS))
+def test_stratum_factorization_matches_pattern_loop_on_every_stratum(name):
+    spec = _limit_spec(name)
+    p = hodge_metric_polynomial(spec)
+    for subset in _strata(spec):
+        ours = _factorization_outcome(stratum_factorization, p, subset, spec)
+        assert ours == _factorization_outcome(
+            reference_orbit.stratum_factorization, p, subset, spec), subset
+
+
+def _poly(k, *terms):
+    return MultiPoly(k, {exp: Fraction(c) for exp, c in terms})
+
+
+# Leading parts in the subset {x1, x2} that do not factor: two patterns with
+# complement parts of different supports, of one support but not
+# proportional, and one pattern missing the first one's leading monomial
+# (its coefficient there is 0); the last P also has a lower-order remainder.
+UNFACTORED = {
+    "supports-differ": _poly(3, ((1, 0, 1), 1), ((0, 1, 2), 1)),
+    "not-proportional": _poly(4, ((1, 0, 1, 0), 1), ((1, 0, 0, 1), 1),
+                              ((0, 1, 1, 0), 1), ((0, 1, 0, 1), 2)),
+    "leading-monomial-missing": _poly(4, ((1, 0, 1, 0), 1), ((0, 1, 0, 1), 3),
+                                      ((0, 0, 1, 1), 5)),
+}
+
+
+@pytest.mark.parametrize("p", UNFACTORED.values(), ids=UNFACTORED.keys())
+def test_stratum_factorization_refuses_like_the_pattern_loop(p):
+    metric = MetricPolynomial(p, Fraction(1), p.num_vars, p.total_degree())
+    with pytest.raises(NoFactorization) as ours:
+        stratum_factorization(metric, [0, 1], None)
+    with pytest.raises(NoFactorization) as theirs:
+        reference_orbit.stratum_factorization(metric, [0, 1], None)
+    assert str(ours.value) == str(theirs.value) == \
+        "leading part does not factor into subset and complement parts"
 
 
 # --- hermitian_psd_status ----------------------------------------------------

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import reference_lmhs
+from hodgecalc import lmhs
 from hodgecalc.errors import NotMHS
 from hodgecalc.lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
     hermitian_psd_status, stratum_hodge_numbers, verify_polarized_lmhs,
 )
-from hodgecalc.matrices import Mat, sub_conj, sub_equal
+from hodgecalc.matrices import Mat, sub_conj, sub_equal, sub_zero
 from hodgecalc.rationals import GaussianRational
-from hodgecalc.weightfilt import weight_filtration
+from hodgecalc.schemas import fixture_names, load_fixture
+from hodgecalc.weightfilt import grading_splitting, weight_filtration
+
+ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind == "orbit"]
 
 
 I = GaussianRational(0, 1)
@@ -246,3 +252,21 @@ def test_pure_weight2_normal_form_verifies():
     assert rep.all_passed, [c.name for c in rep.failed()]
     from hodgecalc.orbit import hodge_metric_polynomial
     assert hodge_metric_polynomial(spec).degree == 0
+
+
+@pytest.mark.parametrize("name", ORBIT_FIXTURES)
+def test_primitive_parts_match_the_powers_loop(name):
+    """On the bigrading of the whole cone, as `verify_polarized_lmhs` reads
+    it, and on the grading splitting of every nonempty stratum, as
+    `associated_graded_orbit` reads it."""
+    spec = load_fixture(name).obj
+    n, k = spec.weight, spec.num_params
+    _, bi = spec.lmhs()
+    cases = [(bi.grading_subspace, spec.n_sum())]
+    for subset in (s for r in range(1, k + 1) for s in combinations(range(k), r)):
+        n_i = spec.n_sum(subset)
+        _, split = grading_splitting(n_i, weight_filtration(n_i, n))
+        cases.append((lambda w, split=split: split.spaces.get(w, sub_zero(spec.dim)), n_i))
+    for space, nilpotent in cases:
+        ours = list(lmhs._primitive_parts(space, nilpotent, n))
+        assert ours == reference_lmhs.primitive_parts(space, nilpotent, n)

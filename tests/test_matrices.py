@@ -181,7 +181,7 @@ def test_splitting_coords_read_off_the_projection():
     s = Mat.from_rows([[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
                        for _ in range(4)])
     for k in (0, 1):
-        assert split.coords(s, k) @ split.space(k) == s @ split.projector(k).transpose()
+        assert split.coords(s, k) @ split.spaces[k] == s @ split.projector(k).transpose()
     assert split.coords(Mat.from_rows([[3, 5, 4]]), 0) == Mat.from_rows([[2, 3]])
 
 

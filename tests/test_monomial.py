@@ -7,14 +7,18 @@ from itertools import combinations
 import pytest
 
 import reference_monomial as ref
+import reference_polynomials
 from conftest import direct_sum, random_nilpotent
 from hodgecalc.cones import primitive_ray
 from hodgecalc.matrices import Mat, rank, smith_normal_form, sub_contains, sub_contains_vec
+from hodgecalc.multiplier import MonomialIdeal, multiplier_ideal_monomials
 from hodgecalc.monomial import (
     MonomialMap, compatibility_check, connected_refinement, monomial_map,
     relation_space, strata_boundary_positivity, stratum_monomial_map,
     stratum_relation_rows, w_minus1_end,
 )
+from hodgecalc.polynomials import MultiPoly
+from hodgecalc.rationals import GaussianRational
 from hodgecalc.schemas import fixture_names, load_fixture
 from hodgecalc.weightfilt import weight_filtration_centered
 
@@ -316,3 +320,34 @@ def test_w_minus1_end_is_the_lowering_space_of_the_filtration(n):
 def test_stratum_index_out_of_range(dollar_bill, call):
     with pytest.raises(ValueError, match="stratum index out of range"):
         call(dollar_bill)
+
+
+# zero exponents, one variable, exponents above 1 and negative ones (a
+# refined map can have them), in up to five variables
+EXPONENT_ROWS = [(), (0,), (1,), (7,), (0, 0, 0), (1, 0, 2), (0, 3, 1), (2, -1),
+                 (-1, 1, 0), (12, 1, 0, 7, 1)]
+
+
+@pytest.mark.parametrize("row", EXPONENT_ROWS, ids=str)
+def test_monomial_strings_match_the_row_loops(row):
+    k = len(row)
+    for variables in (tuple(range(k)), (4, 0, 9, 2, 6)[:k]):    # local and global indices
+        assert (MonomialMap((row,), variables).monomial_strings()
+                == ref.monomial_strings((row,), variables, "t"))
+    assert (MonomialIdeal((row,), 4, False).monomial_strings()
+            == ref.monomial_strings((row,), range(k), "z"))
+    if min(row, default=0) >= 0:
+        for c in (Fraction(1), Fraction(-3, 2), GaussianRational(1, -2)):
+            terms = {row: c, tuple([0] * k): 5}
+            assert (MultiPoly(k, terms).to_string("x")
+                    == reference_polynomials.MultiPoly(k, terms).to_string("x"))
+
+
+def test_monomial_strings_match_on_fixtures_and_ideals():
+    for name in ORBIT_FIXTURES:
+        mm = monomial_map(load_fixture(name).obj)
+        assert mm.monomial_strings() == ref.monomial_strings(mm.exponents, mm.variables, "t")
+    for alpha in ([4, 4], [5, "7/2", 6], [5, 5, 5, 5]):
+        ideal = multiplier_ideal_monomials(alpha, 12)
+        assert ideal.monomial_strings() == ref.monomial_strings(
+            ideal.generators, range(len(alpha)), "z")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_report
 from hodgecalc.rationals import GaussianRational, I, ONE, as_gauss, i_power
 from hodgecalc.report import frac_to_decimal
 
@@ -55,6 +56,37 @@ def test_decimal_rendering():
     assert frac_to_decimal(Fraction(1, 10 ** 6)) == "1e-06"
     assert frac_to_decimal(Fraction(999999999999999, 10 ** 15)) == "1"
     assert frac_to_decimal(Fraction(123456, 1)) == "1.23456e+05"
+
+
+def _decimal_family(rng):
+    """Seeded fractions that stress the rounding: exact ties at the 13th
+    digit, 9.999999999995-style roll-overs past a power of ten, values just
+    below and above those, and numerators and denominators of 1 to 400
+    digits, each with both signs."""
+    for _ in range(300):
+        mantissa = rng.randrange(10 ** 11, 10 ** 12) * 10 + 5      # a tie
+        k = rng.randint(-30, 30)
+        yield Fraction(mantissa) * Fraction(10) ** k
+        yield Fraction(10 ** 13 - 5) * Fraction(10) ** k            # rolls over
+        yield Fraction(10 ** 13 - 5 + rng.choice((-1, 1)), 10 ** 13) * Fraction(10) ** k
+    for _ in range(1500):
+        n = rng.randrange(1, 10 ** rng.randint(1, 400))
+        d = rng.randrange(1, 10 ** rng.randint(1, 400))
+        yield Fraction(n, d)
+    for digits in range(1, 401):
+        yield Fraction(10 ** digits - 1, 10 ** rng.randint(0, 400))
+        yield Fraction(10 ** rng.randint(0, 400), 10 ** digits - 1)
+        yield Fraction(2 * 10 ** digits - 1, 2 * 10 ** rng.randint(0, 20))
+
+
+def test_decimal_rendering_matches_the_integer_routine():
+    rng = random.Random(22)
+    count = 0
+    for f in _decimal_family(rng):
+        for v in (f, -f):
+            assert frac_to_decimal(v) == reference_report.frac_to_decimal(v), v
+            count += 1
+    assert count > 6000
 
 
 def test_decimal_rendering_agrees_with_float_approx():
