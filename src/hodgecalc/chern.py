@@ -6,14 +6,12 @@ vanishes outside 0..r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidPartition
 from .polynomials import MultiPoly, poly_mat_det
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ChernSymbol:
+class ChernSymbol(Record):
     """Polynomial in the Chern classes of a rank-r bundle."""
 
     rank: int

@@ -9,7 +9,6 @@ exact Hodge metric Tr(X Y*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
@@ -18,10 +17,10 @@ from .matrices import (
     row_coords, rref, sub_canonical,
 )
 from .rationals import GaussianRational, i_power
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PolarizedHS:
+class PolarizedHS(Record):
     """A pure polarized structure: bases of the (p, q) pieces plus the form."""
 
     dim: int
@@ -91,15 +90,15 @@ def phs_weight2(h20: int, h11: int, omega: Mat | None = None) -> PolarizedHS:
 # The graded endomorphism algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedEnd:
+class GradedEnd(Record):
     """Graded pieces of the form-preserving endomorphisms, with metric data."""
 
     phs: PolarizedHS
     pieces: dict          # p -> basis Mat (rows are flattened endomorphisms)
     metric: Mat           # Hodge metric Gram on V (for adjoints)
-    # V as the direct sum of the (p, q) pieces of phs
-    splitting: Splitting = field(compare=False, repr=False)
+    # V as the direct sum of the (p, q) pieces of phs; never compared
+    splitting: Splitting
+    _hidden = ("splitting",)
 
     def piece_dim(self, p: int) -> int:
         m = self.pieces.get(p)
@@ -187,8 +186,7 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     return dim_m1 - rank(left.reshape(r, d * d) - (stacked @ xi).reshape(r, d * d))
 
 
-@dataclass(frozen=True)
-class QuarticReport:
+class QuarticReport(Record):
     value: Fraction              # |ad*_xi(xi)|^2 / |xi|^4
     norm2: Fraction              # |xi|^2
     raw: Fraction                # |ad*_xi(xi)|^2

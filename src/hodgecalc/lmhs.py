@@ -9,7 +9,6 @@ fraction-free symmetric eliminations (``matrices.hermitian_psd_status``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotMHS
@@ -19,6 +18,7 @@ from .matrices import (
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from .rationals import GaussianRational, i_power
+from .records import Record
 from .weightfilt import WeightFiltration, grading_splitting, weight_filtration
 
 # Global orientation of the positivity convention for polarizing forms: the
@@ -65,8 +65,7 @@ def flag_level(levels: dict, p: int, weight: int, ambient: int) -> Mat:
 # Deligne bigrading
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeligneBigrading:
+class DeligneBigrading(Record):
     """The canonical (p, q)-decomposition of an R-splittable MHS.
 
     pieces maps (p, q) to a canonical basis matrix of I^{p,q}; the range of
@@ -166,8 +165,7 @@ def _closed_formula(wf: WeightFiltration, levels: dict) -> DeligneBigrading:
 # Polarized orbit specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolarizedOrbitSpec:
+class PolarizedOrbitSpec(Record):
     """A several-parameter degeneration: (dim, weight, Q, N_1..N_k, F)."""
 
     dim: int
@@ -208,19 +206,18 @@ def q_gram(q: Mat, left: Mat, right: Mat) -> Mat:
     return left @ q @ right.transpose()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LmhsReport:
+class LmhsReport(Record):
     checks: tuple
     # (weight filtration, bigrading) when validation got that far, for
     # callers that go on to use them; never rendered and never compared
-    lmhs: tuple = field(default=None, compare=False, repr=False)
+    lmhs: tuple = None
+    _hidden = ("lmhs",)
 
     @property
     def all_passed(self) -> bool:
@@ -324,8 +321,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
 # Associated graded orbits along a stratum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StratumPiece:
+class StratumPiece(Record):
     """One primitive graded piece of a stratum degeneration, as its own orbit.
 
     `level` is the shift i (the piece sits in graded weight n+i before the

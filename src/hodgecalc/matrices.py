@@ -35,12 +35,12 @@ free columns of m zero; `sub_contains_vec` is `sub_contains` of one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import NoSolution, NotNilpotent
 from .rationals import GaussianRational, as_gauss, from_fractions, ZERO
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -1062,8 +1062,7 @@ def is_nilpotent(n: Mat) -> bool:
 # Smith normal form (integer matrices)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """U @ A @ V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
 
     u: Mat

@@ -11,7 +11,6 @@ so that its fibers become connected at the lattice level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +22,7 @@ from .matrices import (
     sub_contains, sub_contains_vec,
 )
 from .polynomials import monomial_string
+from .records import Record
 from .weightfilt import weight_filtration_centered
 
 
@@ -30,8 +30,7 @@ from .weightfilt import weight_filtration_centered
 # Relation spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationSpace:
+class RelationSpace(Record):
     """Kernel and cokernel data of a -> sum a_i N_i."""
 
     basis: tuple        # rows spanning {a : sum a_i N_i = 0}
@@ -60,8 +59,7 @@ def relation_space(nilpotents) -> RelationSpace:
 # Monomial maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Record):
     """Rows of `exponents` are the defining monomials in variables
     t_{j+1} for j in `variables` (global indices)."""
 
@@ -140,8 +138,7 @@ def stratum_monomial_map(spec: PolarizedOrbitSpec, subset) -> MonomialMap:
                                  complement)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(Record):
     subset_small: tuple
     subset_large: tuple
     generators: tuple      # integer relation vectors over the small complement
@@ -207,8 +204,7 @@ def compatibility_checks(spec: PolarizedOrbitSpec):
 # Saturation refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SaturationRefinement:
+class SaturationRefinement(Record):
     eta: Mat                 # k x k exponent matrix of the covering
     refined: MonomialMap     # exponents of the connected-fiber map
     invariant_factors: tuple

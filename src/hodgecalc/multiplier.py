@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
 from .polynomials import monomial_string
+from .records import Record
 
 # The most simplex points that `multiplier_ideal_monomials` may be asked to
 # walk through the command line: 3-4 us a point on a 2-vCPU Xeon with
@@ -22,8 +22,7 @@ def simplex_points(degree_bound: int, n: int) -> int:
     return comb(degree_bound + n, n)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     generators: tuple     # exponent tuples, a divisibility antichain
     degree_bound: int
     truncated: bool

@@ -9,7 +9,6 @@ tensor power (an isometric embedding), keeping every norm rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
@@ -19,10 +18,10 @@ from .errors import DimensionMismatch, NotUnit
 from .matrices import Mat, hermitian_psd_status, kernel_basis, kernel_matrix, rank
 from .polynomials import poly_mat_det, poly_matrix
 from .rationals import GaussianRational, ZERO, as_gauss
+from .records import Record
 
 
-@dataclass(frozen=True)
-class NormPositivityModel:
+class NormPositivityModel(Record):
     """A : E (x) T -> G as a (rank_g) x (rank_e * dim_t) matrix.
 
     Column index convention: (alpha, i) -> alpha * dim_t + i with alpha the
@@ -43,8 +42,7 @@ class NormPositivityModel:
         return (self.a @ Mat(self.rank_e, 1, e).kron(Mat(self.dim_t, 1, xi))).entries
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(Record):
     """Theta^alpha_{beta-bar i j-bar} stored as the Nakano matrix on E (x) T."""
 
     rank_e: int
@@ -151,8 +149,7 @@ def sym_subspace_basis(rank_e: int, k: int):
 # Projectivized Chern form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectivizedForm:
+class ProjectivizedForm(Record):
     horizontal: Mat
     vertical: Mat
     psd: bool
@@ -277,8 +274,7 @@ def tangent_to_hom_rank(model: NormPositivityModel) -> int:
 WITNESS_DRAWS = 25
 
 
-@dataclass(frozen=True)
-class SemipositivityReport:
+class SemipositivityReport(Record):
     semi_positive: tuple      # bool per sample (Nakano matrix PSD)
     sampled_minima: tuple     # Fraction per sample over seeded decomposables
     trace_positive: tuple     # bool per sample (trace form positive definite)

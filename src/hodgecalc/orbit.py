@@ -9,7 +9,6 @@ corresponding boundary stratum.  All evaluation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -24,14 +23,14 @@ from .lmhs import (
 from .matrices import Mat, hermitian_psd_status
 from .polynomials import MultiPoly, poly_mat_det, poly_matrix
 from .rationals import from_fractions
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # Metric matrix and metric polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricMatrix:
+class MetricMatrix(Record):
     """Hermitian-matrix-valued polynomial of the Hodge metric on a frame of
     the top filtration level, block-diagonal over the string levels."""
 
@@ -52,8 +51,7 @@ class MetricMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class MetricPolynomial:
+class MetricPolynomial(Record):
     """Normalized metric polynomial with its scaling record."""
 
     p: MultiPoly
@@ -143,8 +141,7 @@ def hodge_metric_polynomial(spec: PolarizedOrbitSpec, *, validate: bool = True) 
 # Chern form samples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChernSample:
+class ChernSample(Record):
     """Exact value of -Hess(log P) at a positive rational point."""
 
     x: tuple
@@ -202,8 +199,7 @@ def _real_numerator(c, den: int) -> int:
 # Stratum factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StratumFactorization:
+class StratumFactorization(Record):
     subset: tuple
     leading: MultiPoly
     p_i: MultiPoly          # variables in the subset only
@@ -297,8 +293,7 @@ def stratum_factorization(p: MetricPolynomial, subset, spec: PolarizedOrbitSpec)
 LIMIT_TOLERANCE = Fraction(1, 10 ** 6)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     subset: tuple
     base: tuple
     scales: tuple
@@ -413,8 +408,7 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
 # Extreme monomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermutationMonomialReport:
+class PermutationMonomialReport(Record):
     permutation: tuple
     exponents: tuple
     present: bool

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
@@ -38,14 +37,16 @@ def exact_entry(value: Fraction) -> dict:
     return {"exact": str(value), "decimal": frac_to_decimal(value)}
 
 
-@dataclass
 class Report:
-    command: str
-    inputs_digest: str
-    seed: int
-    findings: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    """What one subcommand found, filled in as it runs."""
+
+    def __init__(self, command: str, inputs_digest: str, seed: int):
+        self.command = command
+        self.inputs_digest = inputs_digest
+        self.seed = seed
+        self.findings = {}
+        self.flags = {}
+        self.timings = {}
 
     @property
     def passed(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -19,12 +18,12 @@ from .horizontal import phs_weight1, phs_weight2
 from .lmhs import PolarizedOrbitSpec
 from .matrices import Mat, is_nilpotent
 from .normpos import NormPositivityModel
+from .records import Record
 
 KINDS = ("orbit", "phs", "model", "subspace", "alpha")
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
+class ProblemDocument(Record):
     kind: str
     payload: dict          # raw JSON payload (already validated)
     meta: dict
@@ -87,11 +86,11 @@ def _build_orbit(payload) -> PolarizedOrbitSpec:
     fdata = payload["F"]
     _require(len(fdata) == weight + 1, f"F must list F^{weight}..F^0")
     for i, fd in enumerate(fdata):
-        if fd:
+        if fd == []:
+            f = Mat.zeros(0, dim)
+        else:
             f = _parse_matrix(fd, f"F[{i}]")
             _require(f.cols == dim, "flag vectors must have length dim")
-        else:
-            f = Mat.zeros(0, dim)
         flag.append(f)
     return PolarizedOrbitSpec(dim, weight, q, tuple(nilpotents), tuple(flag))
 

@@ -9,7 +9,6 @@ checked in the centered normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
@@ -18,6 +17,7 @@ from .matrices import (
     row_coords, sub_canonical, sub_complement_in, sub_contains, sub_dim, sub_equal,
     sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,7 @@ def weight_filtration_centered(n: Mat) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class WeightFiltration:
+class WeightFiltration(Record):
     """Increasing filtration W_0 ⊆ ... ⊆ W_{2n} with its graded dimensions."""
 
     weight: int
@@ -220,8 +219,7 @@ def _check_grading(split: Splitting, wf: WeightFiltration):
             raise NoSolution("internal error: eigenspace dimension mismatch")
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(Record):
     """Raising/grading/lowering matrices in the centered normalization.
 
     Brackets: [y, n_minus] = -2 n_minus, [y, n_plus] = 2 n_plus,
@@ -333,8 +331,7 @@ def y_eigen_decomposition(n2: Mat, y: Mat) -> dict:
     return comps
 
 
-@dataclass(frozen=True)
-class RwfpReport:
+class RwfpReport(Record):
     """Comparison of the two natural filtrations on each graded piece."""
 
     holds: bool

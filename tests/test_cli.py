@@ -447,6 +447,11 @@ BAD_DOCUMENTS = {
     "refine-boolean-basis": ("refine", {"kind": "subspace", "payload": {
         "basis": [[True, False], [False, True]]}}),
     "alpha-a-boolean": ("multiplier-ideal", _mutated("alpha-example", alpha=[True, "1/2"])),
+    # only [] is an empty flag level: any other falsy JSON value is no matrix
+    **{f"flag-level-{name}": ("validate", _mutated("dollar-bill", F=[level, [
+        ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]]))
+       for name, level in (("zero", 0), ("empty-string", ""), ("empty-object", {}),
+                           ("false", False), ("null", None))},
     # a JSON string or object where the schema needs an array: read element
     # by element, "44" would be the weights (4, 4) and a matrix row "12" the
     # entries 1 and 2

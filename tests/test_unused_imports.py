@@ -19,7 +19,9 @@ nothing.  The last two checks keep the stored forms of ``Mat`` and
 name of the package in any spelling, relative or absolute, and no code but
 ``matrices`` and ``polynomials`` reads the private slots of the two
 classes (the demos and the benchmark included); the other modules go
-through ``Mat.int_rows`` and ``poly_matrix``.
+through ``Mat.int_rows`` and ``poly_matrix``.  The final check keeps
+``dataclasses`` out of the library: its records build on
+``hodgecalc.records`` and generate no code at import.
 """
 
 from __future__ import annotations
@@ -234,3 +236,38 @@ def test_the_check_finds_private_slot_reads():
               "def g(m):\n    return m._ring, m._entries, m._other\n")
     assert private_slot_reads(source) == [(2, "_num"), (3, "_den"), (3, "_terms"),
                                           (5, "_entries"), (5, "_ring")]
+
+
+BANNED_IMPORTS = {"dataclasses"}
+
+
+def banned_imports(source: str):
+    """(line, module) of each import of a module the library does without:
+    the records of ``hodgecalc.records`` replace ``dataclasses``, whose
+    decorator compiles new methods for every class at import."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names if name.split(".")[0] in BANNED_IMPORTS]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_imports_no_dataclasses(path):
+    assert banned_imports(path.read_text()) == []
+
+
+def test_the_check_finds_dataclasses_imports():
+    source = ("import os, dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "import dataclasses as dc\n"
+              "from .records import Record\n"
+              "def f():\n    from dataclasses import fields\n    return fields\n"
+              "from .dataclasses import helper\n")
+    assert banned_imports(source) == [(1, "dataclasses"), (2, "dataclasses"),
+                                      (3, "dataclasses"), (6, "dataclasses")]
