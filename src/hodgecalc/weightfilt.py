@@ -245,31 +245,57 @@ def complete_sl2(n: Mat, y: Mat, weight: int = 0) -> Sl2Triple:
     already centered (weight=0).  If the triple exists, the vectors of
     y-eigenvalue m >= 0 that n^(m+1) kills are its highest weight vectors,
     so their n-strings (`_strings`) are a basis of V on which X is known, and
-    X is read off that basis with one inverse.  If they are not a basis, no
-    raising operator exists.
+    X is read off that basis with one inverse.  The highest weights are the
+    eigenvalues of y on V/im n (`_highest_weight_vectors`), so y is probed
+    only there.  If the strings are not a basis, no raising operator exists;
+    y's own spectrum is probed then, so that a y which is not semisimple
+    with integer eigenvalues is reported as such.
     """
     d = n.rows
     yc = y - Mat.identity(d).scale(Fraction(weight))
-    eigen = integer_eigen_decomposition(yc)
-    if not (yc @ n - n @ yc + n.scale(2)).is_zero():
-        raise NoSolution("no raising operator: y does not grade n by -2")
-    nt = n.transpose()
-    tops = {}
-    for m in sorted((m for m in eigen if m >= 0), reverse=True):
-        image = eigen[m]
-        for _ in range(m + 1):
-            image = image @ nt
-        tops[m] = kernel_matrix(image.transpose()) @ eigen[m]
-    vectors, raised = _strings(n, tops)
     try:
-        split = Splitting(vectors)
+        vectors, raised = _strings(n, _highest_weight_vectors(n, yc))
+        try:
+            if sum(v.rows for v in vectors.values()) != d:     # Splitting({}) splits only 0
+                raise NoSolution
+            split = Splitting(vectors)
+        except NoSolution:
+            raise NoSolution("no raising operator: y is not a grading element for n") from None
     except NoSolution:
-        raise NoSolution("no raising operator: y is not a grading element for n") from None
+        integer_eigen_decomposition(yc)     # raises first if y is not semisimple
+        raise
     images = Mat.stack([Mat.zeros(0, d), *(raised[k] for k in split.spaces)])
     triple = Sl2Triple(images.transpose() @ split.t_inv, yc, n)
     if not triple.check():
         raise NoSolution("internal error: bracket relations failed")
     return triple
+
+
+def _highest_weight_vectors(n: Mat, yc: Mat) -> dict:
+    """m -> the vectors of yc-eigenvalue m that n^(m+1) kills, for each
+    eigenvalue m >= 0 of yc on V/im n, highest first: when the triple
+    exists, these are its highest weights.
+
+    [yc, n] = -2n makes yc map im n into itself, so yc acts on the
+    annihilator of im n, the rows L of `kernel_matrix(n^T)`, by the k x k
+    matrix B with L yc = B L (k the number of Jordan blocks of n).  Row i of
+    L is 1 at the i-th free column of n^T, 0 at the other free columns and
+    right of its own, so B is read off the free columns of L yc.
+    """
+    if not (yc @ n - n @ yc + n.scale(2)).is_zero():
+        raise NoSolution("no raising operator: y does not grade n by -2")
+    d, nt = n.rows, n.transpose()
+    ann = kernel_matrix(nt)
+    free = [max(j for j in range(d) if re[j] or im[j]) for re, im, _ in ann.int_rows()]
+    quotient = (ann @ yc).transpose().take(free)        # B^T, with the spectrum of B
+    tops = {}
+    for m in sorted((m for m in integer_eigen_decomposition(quotient) if m >= 0), reverse=True):
+        eigen = kernel_space(yc - Mat.identity(d).scale(m))
+        image = eigen
+        for _ in range(m + 1):
+            image = image @ nt
+        tops[m] = kernel_matrix(image.transpose()) @ eigen
+    return tops
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +310,37 @@ def integer_eigen_decomposition(y: Mat) -> dict:
     outwards (0, -1, 1, -2, 2, ...): the eigenvalues of a grading lie near
     zero, those of a centred one closest to it.  The eigenvalues, counted
     with multiplicity, have squares summing to tr(y^2), so the probe stops
-    once k^2 exceeds tr(y^2) less the squares of those already found.
+    once k^2 exceeds tr(y^2) less the squares of those already found.  They
+    sum to tr(y), and r of them with sum t have squares summing to t^2 / r
+    exactly when all r equal t / r: then that value is the only one probed.
     """
     d = y.rows
-    squares = (y @ y).trace()
-    if squares.im or squares.re.denominator != 1 or squares.re < 0:
+    squares, trace = (y @ y).trace(), y.trace()
+    if (squares.im or squares.re.denominator != 1 or squares.re < 0
+            or trace.im or trace.re.denominator != 1):
         raise NoSolution("matrix is not semisimple with integer eigenvalues")
     rest = int(squares.re)      # sum of the squares of the eigenvalues not found yet
+    left = int(trace.re)        # and their sum
     spaces, total, k = {}, 0, 0
-    while k * k <= rest:
+    while total < d and k * k <= rest:
+        count = d - total
+        last = left * left == count * rest
+        if last:
+            if left % count:
+                break
+            k = left // count
         eig = kernel_space(y - Mat.identity(d).scale(k))
         if eig.rows:
             spaces[k] = eig
             total += eig.rows
             rest -= eig.rows * k * k
-        if total == d:
-            return dict(sorted(spaces.items()))
+            left -= eig.rows * k
+        if last:
+            break
         k = -k if k < 0 else -k - 1
-    raise NoSolution("matrix is not semisimple with integer eigenvalues")
+    if total < d:
+        raise NoSolution("matrix is not semisimple with integer eigenvalues")
+    return dict(sorted(spaces.items()))
 
 
 def y_eigen_decomposition(n2: Mat, y: Mat) -> dict:

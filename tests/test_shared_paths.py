@@ -482,3 +482,51 @@ def test_eigen_probe_of_a_centred_regular_grading(monkeypatch):
         module.integer_eigen_decomposition(y)
         monkeypatch.undo()
         assert len(calls) == (15 if module is weightfilt else 24)
+
+
+@pytest.mark.parametrize("values,probes", [
+    ([7], 1), ([-3, -3, -3], 1), ([2, 2, 0, 0], 2), ([4, 2, 2], 6), ([0, 0, 0, 0], 1),
+], ids=["one", "scalar", "two-pairs", "a-pair-then-one", "zero"])
+def test_eigen_probe_stops_at_equal_eigenvalues(monkeypatch, values, probes):
+    """Once the eigenvalues left all equal their mean (the sum of their
+    squares is the square of their sum over their number), the mean is the
+    only value probed: [2, 2, 0, 0] probes 0 and then 2, where probing
+    outwards from zero took 0, -1, 1, -2, 2."""
+    d = len(values)
+    rng = random.Random(d)
+    t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                        for j in range(d)] for i in range(d)])
+    y = t @ Mat.diag(values) @ inverse(t)
+    calls = []
+    monkeypatch.setattr(weightfilt, "kernel_space", lambda m: calls.append(m) or kernel_space(m))
+    assert {k: v.rows for k, v in integer_eigen_decomposition(y).items()} == {
+        k: values.count(k) for k in sorted(set(values))}
+    assert len(calls) == probes
+
+
+def test_eigen_probe_matches_the_fallback_on_repeated_eigenvalues():
+    """Seeded conjugates of diagonal matrices with repeated eigenvalues, half
+    of them with a nilpotent part inside one eigenvalue (not semisimple):
+    the eigenspaces, or the failure, are the fallback's."""
+    rng = random.Random(29)
+    failures = 0
+    for trial in range(60):
+        d = rng.randint(1, 5)
+        values = sorted(rng.choice((-2, 0, 1, 3)) for _ in range(d))
+        rows = [[values[i] if i == j else 0 for j in range(d)] for i in range(d)]
+        if trial % 2:
+            for i in range(d - 1):
+                if values[i] == values[i + 1]:
+                    rows[i][i + 1] = 1
+        t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                            for j in range(d)] for i in range(d)])
+        y = t @ Mat.from_rows(rows) @ inverse(t)
+        try:
+            expected = list(ref_weightfilt.windowed_eigen_decomposition(y).items())
+        except NoSolution:
+            with pytest.raises(NoSolution, match="^matrix is not semisimple with integer eigenvalues$"):
+                integer_eigen_decomposition(y)
+            failures += 1
+            continue
+        assert list(integer_eigen_decomposition(y).items()) == expected
+    assert 10 < failures < 50

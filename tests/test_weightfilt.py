@@ -282,20 +282,106 @@ def _jordan3():
     return Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
-@pytest.mark.parametrize("n,y", [
-    (_jordan3(), Mat.identity(3)),
-    (_jordan3(), Mat.zeros(3, 3)),
-    (_jordan3(), Mat.diag([0, 1, 2])),
-    (Mat.from_rows([[0, 1], [0, 0]]), Mat.diag([1, 3])),
-    (Mat.zeros(2, 2), Mat.identity(2)),
-    (_jordan3(), _jordan3()),
+@pytest.mark.parametrize("n,y,weight", [
+    (_jordan3(), Mat.identity(3), 0),
+    (_jordan3(), Mat.zeros(3, 3), 0),
+    (_jordan3(), Mat.diag([0, 1, 2]), 0),
+    (Mat.from_rows([[0, 1], [0, 0]]), Mat.diag([1, 3]), 0),
+    (Mat.zeros(2, 2), Mat.identity(2), 0),
+    (_jordan3(), _jordan3(), 0),
+    # no string vectors at all: every eigenvalue of the centred y is negative
+    (_jordan3(), grading_element(_jordan3(), weight_filtration(_jordan3(), 3)), 4),
+    (Mat.zeros(2, 2), Mat.identity(2).scale(-1), 0),
+    (_jordan2(), Mat.diag([-3, -1]), 0),
 ], ids=["identity", "zero", "diag-0-1-2", "grades-not-sl2", "n-zero-y-identity",
-        "y-not-semisimple"])
-def test_complete_sl2_errors_match_the_oracle(n, y):
+        "y-not-semisimple", "wrong-weight", "n-zero-y-negative", "all-weights-negative"])
+def test_complete_sl2_errors_match_the_oracle(n, y, weight):
     with pytest.raises(NoSolution) as expected:
-        ref.complete_sl2(n, y)
+        ref.complete_sl2(n, y, weight=weight)
     with pytest.raises(NoSolution, match=f"^{re.escape(str(expected.value))}$"):
-        complete_sl2(n, y)
+        complete_sl2(n, y, weight=weight)
+
+
+JORDAN_TYPES = ([3, 3, 1, 1], [2, 2, 2], [4, 2, 2], [5, 3, 1], [8], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("blocks", JORDAN_TYPES, ids=[str(b) for b in JORDAN_TYPES])
+def test_raising_operator_matches_the_oracle_on_jordan_types(blocks):
+    """Repeated block sizes give the action of y on V/im n repeated
+    eigenvalues, and more than one of them where the sizes differ."""
+    n = jordan_nilpotent(random.Random(sum(blocks)), blocks)
+    for weight in (max(blocks) - 1, max(blocks)):
+        assert_same_as_oracle(n, weight)
+
+
+def _seeded_y(rng: random.Random, n: Mat, kind: int):
+    """(y, weight) of one of four kinds: a grading element of n, with its
+    own weight or one off; one shifted by a scalar; a diagonal; any integer
+    matrix."""
+    d = n.rows
+    top = len(nilpotent_powers(n)) - 1
+    if kind == 0:
+        w = top + rng.randint(0, 1)
+        return grading_element(n, weight_filtration(n, w)), w + rng.choice((0, 0, 1, -1))
+    if kind == 1:
+        y = grading_element(n, weight_filtration(n, top))
+        return y - Mat.identity(d).scale(rng.randint(-3, 3)), 0
+    if kind == 2:
+        return Mat.diag([rng.randint(-4, 4) for _ in range(d)]), 0
+    return Mat.from_rows([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]), 0
+
+
+def _sl2_outcome(complete, n, y, weight):
+    try:
+        return complete(n, y, weight=weight).n_plus
+    except NoSolution as exc:
+        return str(exc)
+
+
+def test_complete_sl2_matches_the_oracle_on_seeded_pairs():
+    """Seeded Jordan types up to d = 6 against the four kinds of y: the
+    raising operator or the message of the failure is the oracle's."""
+    rng = random.Random(11)
+    outcomes = []
+    for trial in range(200):
+        d = rng.randint(1, 6)
+        blocks = []
+        while sum(blocks) < d:
+            blocks.append(rng.randint(1, d - sum(blocks)))
+        n = jordan_nilpotent(rng, blocks)
+        y, weight = _seeded_y(rng, n, trial % 4)
+        new = _sl2_outcome(complete_sl2, n, y, weight)
+        assert new == _sl2_outcome(ref.complete_sl2, n, y, weight), (blocks, y, weight)
+        outcomes.append(new if isinstance(new, str) else "ok")
+    assert set(outcomes) == {"ok", "matrix is not semisimple with integer eigenvalues",
+                             "no raising operator: y does not grade n by -2",
+                             "no raising operator: y is not a grading element for n"}
+
+
+def test_complete_sl2_probes_y_only_at_highest_weights(monkeypatch):
+    """On the success path the spectrum is found once, on the k x k action
+    of y on V/im n (k Jordan blocks), and y - m is probed only at the
+    highest weights m, one per distinct block size.  N = 0 is left out:
+    there k = d, so the probes of the spectrum are d x d too."""
+    eigen_args, kernel_args = [], []
+    eigen, kernel_space = weightfilt.integer_eigen_decomposition, weightfilt.kernel_space
+    monkeypatch.setattr(weightfilt, "integer_eigen_decomposition",
+                        lambda m: eigen_args.append(m) or eigen(m))
+    monkeypatch.setattr(weightfilt, "kernel_space",
+                        lambda m: kernel_args.append(m) or kernel_space(m))
+    cases = [(jordan_nilpotent(random.Random(3), b), b) for b in JORDAN_TYPES[:-1]]
+    for n, blocks in cases:
+        d, weight = n.rows, max(blocks) - 1
+        y = grading_element(n, weight_filtration(n, weight))
+        eigen_args.clear()
+        kernel_args.clear()
+        complete_sl2(n, y, weight=weight)
+        yc = y - Mat.identity(d).scale(weight)
+        assert [(m.rows, m.cols) for m in eigen_args] == [(len(blocks), len(blocks))]
+        probed = [m for m in kernel_args if m.rows == d]
+        shifts = [(yc - m)[0, 0] for m in probed]
+        assert [yc - m for m in probed] == [Mat.identity(d).scale(s) for s in shifts]
+        assert shifts == sorted({b - 1 for b in blocks}, reverse=True)
 
 
 # --- eigencomponent decompositions --------------------------------------------
