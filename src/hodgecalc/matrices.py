@@ -706,9 +706,17 @@ def rref(m: Mat):
 
 def kernel_matrix(m: Mat) -> Mat:
     """The vectors of `kernel_basis` as the rows of a Mat."""
+    return kernel_with_free_columns(m)[0]
+
+
+def kernel_with_free_columns(m: Mat):
+    """(kernel_matrix(m), free): free lists the non-pivot columns of m in
+    increasing order, one per kernel row.  Row i is 1 at free[i] and 0 at
+    the other free columns, so the coordinates in these rows of a vector of
+    their span are its entries at the free columns."""
     red, pivots, _ = rref(m)
     ring = red._ring
-    pairs = []
+    pairs, free = [], []
     for fc in range(m.cols):
         if fc in pivots:
             continue
@@ -716,7 +724,8 @@ def kernel_matrix(m: Mat) -> Mat:
                 if ring.at(row, fc)]
         d = lcm(*[q for _, _, q in used])
         pairs.append(ring.normal(ring.kernel_row(m.cols, fc, d, used), d))
-    return _from_pairs(len(pairs), m.cols, ring, pairs)
+        free.append(fc)
+    return _from_pairs(len(pairs), m.cols, ring, pairs), free
 
 
 def kernel_basis(m: Mat):

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotCommuting
 from .matrices import (
-    Mat, Splitting, kernel_space, extend_basis, kernel_matrix, nilpotent_powers, rank,
-    row_coords, sub_canonical, sub_complement_in, sub_contains, sub_dim, sub_equal,
-    sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
+    Mat, Splitting, kernel_space, extend_basis, kernel_matrix, kernel_with_free_columns,
+    nilpotent_powers, rank, row_coords, sub_canonical, sub_complement_in, sub_contains,
+    sub_dim, sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from .records import Record
 
@@ -278,15 +278,13 @@ def _highest_weight_vectors(n: Mat, yc: Mat) -> dict:
 
     [yc, n] = -2n makes yc map im n into itself, so yc acts on the
     annihilator of im n, the rows L of `kernel_matrix(n^T)`, by the k x k
-    matrix B with L yc = B L (k the number of Jordan blocks of n).  Row i of
-    L is 1 at the i-th free column of n^T, 0 at the other free columns and
-    right of its own, so B is read off the free columns of L yc.
+    matrix B with L yc = B L (k the number of Jordan blocks of n), read off
+    the free columns of L yc (`kernel_with_free_columns`).
     """
     if not (yc @ n - n @ yc + n.scale(2)).is_zero():
         raise NoSolution("no raising operator: y does not grade n by -2")
     d, nt = n.rows, n.transpose()
-    ann = kernel_matrix(nt)
-    free = [max(j for j in range(d) if re[j] or im[j]) for re, im, _ in ann.int_rows()]
+    ann, free = kernel_with_free_columns(nt)
     quotient = (ann @ yc).transpose().take(free)        # B^T, with the spectrum of B
     tops = {}
     for m in sorted((m for m in integer_eigen_decomposition(quotient) if m >= 0), reverse=True):
@@ -326,8 +324,8 @@ def integer_eigen_decomposition(y: Mat) -> dict:
         count = d - total
         last = left * left == count * rest
         if last:
-            if left % count:
-                break
+            if left % count or left // count in spaces:
+                break       # not an integer, or probed already: y is not semisimple
             k = left // count
         eig = kernel_space(y - Mat.identity(d).scale(k))
         if eig.rows:

@@ -11,9 +11,9 @@ from reference_matrices import Quotient
 from hodgecalc import matrices
 from hodgecalc.errors import NoSolution, NotNilpotent
 from hodgecalc.matrices import (
-    Mat, Splitting, det, kernel_basis, nilpotency_index, nilpotent_powers, rank, rref,
-    smith_normal_form, sub_canonical, sub_complement_in, sub_contains, sub_equal, sub_full,
-    sub_intersect, sub_sum,
+    Mat, Splitting, det, kernel_basis, kernel_matrix, kernel_with_free_columns, nilpotency_index,
+    nilpotent_powers, rank, rref, smith_normal_form, sub_canonical, sub_complement_in,
+    sub_contains, sub_equal, sub_full, sub_intersect, sub_sum,
 )
 from hodgecalc.rationals import GaussianRational
 
@@ -64,6 +64,21 @@ def test_kernel_rank_nullity_seeded():
         assert rank(m) + len(ker) == c
         for v in ker:
             assert all(not x for x in m.mat_vec(v))
+
+
+def test_kernel_rows_are_unit_vectors_at_the_free_columns():
+    """Row i of the kernel is 1 at the i-th non-pivot column and 0 at the
+    other non-pivot columns, on seeded integer and Gaussian matrices."""
+    rng = random.Random(17)
+    for trial in range(40):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        m = Mat.from_rows([[GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1) if trial % 2 else 0)
+                            if rng.random() < 0.6 else 0 for _ in range(c)] for _ in range(r)])
+        ker, free = kernel_with_free_columns(m)
+        assert ker == kernel_matrix(m)
+        assert free == [j for j in range(c) if j not in rref(m)[1]]
+        assert [[ker[i, j] for j in free] for i in range(ker.rows)] == \
+            [[int(i == k) for k in range(len(free))] for i in range(len(free))]
 
 
 # --- Smith normal form ------------------------------------------------------

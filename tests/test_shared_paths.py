@@ -504,23 +504,31 @@ def test_eigen_probe_stops_at_equal_eigenvalues(monkeypatch, values, probes):
     assert len(calls) == probes
 
 
+def _conjugate(rng: random.Random, rows) -> Mat:
+    """A seeded lower unitriangular conjugate of the matrix with these rows."""
+    d = len(rows)
+    t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
+                        for j in range(d)] for i in range(d)])
+    return t @ Mat.from_rows(rows) @ inverse(t)
+
+
 def test_eigen_probe_matches_the_fallback_on_repeated_eigenvalues():
-    """Seeded conjugates of diagonal matrices with repeated eigenvalues, half
-    of them with a nilpotent part inside one eigenvalue (not semisimple):
-    the eigenspaces, or the failure, are the fallback's."""
+    """Seeded conjugates of diagonal matrices with repeated eigenvalues, two
+    thirds of them with a nilpotent part inside each repeated eigenvalue (not
+    semisimple): one Jordan block per eigenvalue, or blocks of size 2, so
+    that the eigenspace can hold half the multiplicity or more.  The
+    eigenspaces, or the failure, are the fallback's."""
     rng = random.Random(29)
     failures = 0
-    for trial in range(60):
-        d = rng.randint(1, 5)
-        values = sorted(rng.choice((-2, 0, 1, 3)) for _ in range(d))
+    for trial in range(90):
+        d = rng.randint(1, 6)
+        values = sorted(rng.choice((-3, -2, 0, 1, 3)) for _ in range(d))
         rows = [[values[i] if i == j else 0 for j in range(d)] for i in range(d)]
-        if trial % 2:
-            for i in range(d - 1):
-                if values[i] == values[i + 1]:
-                    rows[i][i + 1] = 1
-        t = Mat.from_rows([[1 if i == j else (rng.randint(-1, 1) if i > j else 0)
-                            for j in range(d)] for i in range(d)])
-        y = t @ Mat.from_rows(rows) @ inverse(t)
+        for i in range(d - 1):
+            if values[i] == values[i + 1] and (trial % 3 == 1 or trial % 3 == 2 and not (
+                    i and rows[i - 1][i])):
+                rows[i][i + 1] = 1
+        y = _conjugate(rng, rows)
         try:
             expected = list(ref_weightfilt.windowed_eigen_decomposition(y).items())
         except NoSolution:
@@ -529,4 +537,30 @@ def test_eigen_probe_matches_the_fallback_on_repeated_eigenvalues():
             failures += 1
             continue
         assert list(integer_eigen_decomposition(y).items()) == expected
-    assert 10 < failures < 50
+    assert 20 < failures < 60
+
+
+@pytest.mark.parametrize("blocks", [
+    [(-3, 2), (-3, 2), (3, 1)], [(-3, 2), (-3, 2), (-3, 2), (3, 1)],
+    [(0, 2), (0, 2), (4, 1), (-4, 1)], [(2, 2), (2, 2), (-2, 1)], [(1, 2), (1, 2), (1, 2)],
+], ids=["two-pairs-then-one", "three-pairs-then-one", "zero-pairs", "one-then-pairs", "pairs-only"])
+def test_eigen_probe_refuses_repeated_jordan_blocks(blocks):
+    """Sums of Jordan blocks (value, size) with several blocks of size 2 at
+    one eigenvalue: the eigenvalues left after the others are probed can
+    all equal one already probed, whose eigenspace must not count twice."""
+    d = sum(size for _, size in blocks)
+    rows, i = [[0] * d for _ in range(d)], 0
+    for value, size in blocks:
+        for j in range(i, i + size):
+            rows[j][j] = value
+            if j + 1 < i + size:
+                rows[j][j + 1] = 1
+        i += size
+    y = _conjugate(random.Random(d), rows)
+    message = "^matrix is not semisimple with integer eigenvalues$"
+    with pytest.raises(NoSolution, match=message):
+        ref_weightfilt.windowed_eigen_decomposition(y)
+    with pytest.raises(NoSolution, match=message):
+        integer_eigen_decomposition(y)
+    with pytest.raises(NoSolution, match=message):
+        weightfilt.y_eigen_decomposition(Mat.zeros(d, d), y)

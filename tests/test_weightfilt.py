@@ -278,6 +278,16 @@ def test_splitting_and_raising_match_the_oracle_on_seeded_nilpotents(monkeypatch
     assert corrected
 
 
+def _repeated_blocks():
+    """A conjugate of J2(-3) + J2(-3) + [3]: not semisimple, and its
+    eigenvalues left after -3 and 3 are probed all equal -3 again."""
+    t = Mat.from_rows([[1 if i == j else (1 if i == j + 1 else 0) for j in range(5)]
+                       for i in range(5)])
+    y = Mat.from_rows([[-3, 1, 0, 0, 0], [0, -3, 0, 0, 0], [0, 0, -3, 1, 0],
+                       [0, 0, 0, -3, 0], [0, 0, 0, 0, 3]])
+    return t @ y @ inverse(t)
+
+
 def _jordan3():
     return Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -293,13 +303,25 @@ def _jordan3():
     (_jordan3(), grading_element(_jordan3(), weight_filtration(_jordan3(), 3)), 4),
     (Mat.zeros(2, 2), Mat.identity(2).scale(-1), 0),
     (_jordan2(), Mat.diag([-3, -1]), 0),
+    (Mat.zeros(5, 5), _repeated_blocks(), 0),
 ], ids=["identity", "zero", "diag-0-1-2", "grades-not-sl2", "n-zero-y-identity",
-        "y-not-semisimple", "wrong-weight", "n-zero-y-negative", "all-weights-negative"])
+        "y-not-semisimple", "wrong-weight", "n-zero-y-negative", "all-weights-negative",
+        "n-zero-y-repeated-blocks"])
 def test_complete_sl2_errors_match_the_oracle(n, y, weight):
     with pytest.raises(NoSolution) as expected:
         ref.complete_sl2(n, y, weight=weight)
     with pytest.raises(NoSolution, match=f"^{re.escape(str(expected.value))}$"):
         complete_sl2(n, y, weight=weight)
+
+
+@pytest.mark.parametrize("n", [
+    Mat.zeros(5, 5), Mat.from_rows([[1 if (i, j) == (0, 1) else 0 for j in range(5)] for i in range(5)]),
+], ids=["n-zero", "n-one-block"])
+def test_complete_sl2_refuses_a_y_with_repeated_jordan_blocks(n):
+    """The oracle probes y with the same eigenvalue routine, so the message
+    is written out here: a y that is not semisimple is reported as such."""
+    with pytest.raises(NoSolution, match="^matrix is not semisimple with integer eigenvalues$"):
+        complete_sl2(n, _repeated_blocks())
 
 
 JORDAN_TYPES = ([3, 3, 1, 1], [2, 2, 2], [4, 2, 2], [5, 3, 1], [8], [1, 1, 1, 1])
