@@ -302,13 +302,13 @@ def _horizontal(doc, flags, f, g):
                           "and h11 > 0 for weight 2, genus > 0 for weight 1)")
     samples = []
     all_neg = True
-    for _ in range(3):
+    while len(samples) < 3:
         coeffs = [GaussianRational(Fraction(rng.randint(-3, 3)),
                                    Fraction(rng.randint(-3, 3)))
                   for _ in range(gm1.rows)]
-        xi = (Mat.from_rows([coeffs]) @ gm1).reshape(ge.phs.dim, ge.phs.dim)
-        if xi.is_zero():
+        if not any(coeffs):     # the zero direction: draw again
             continue
+        xi = (Mat.from_rows([coeffs]) @ gm1).reshape(ge.phs.dim, ge.phs.dim)
         val = bisectional_curvature(ge, xi, xi)
         q = sectional_quartic(ge, xi)
         samples.append({"selfBisectional": exact_entry(val),

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import NotPolarized, ZeroVector
 from .matrices import (
-    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, kernel_space, rank,
-    row_coords, rref, sub_canonical,
+    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, rank, row_coords, rref,
+    sub_canonical, sub_zero,
 )
 from .rationals import GaussianRational, i_power
 from .records import Record
@@ -131,27 +131,31 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     # of (Q^T (x) I) vec(X)
     one = Mat.identity(d)
     swap = [j * d + i for i in range(d) for j in range(d)]
-    lie_space = kernel_space(phs.q.transpose().kron(one).take(swap) + phs.q.kron(one))
+    system = phs.q.transpose().kron(one).take(swap) + phs.q.kron(one)
 
-    # graded condition: X maps each (r, s) piece into (r+p, s-p), so entry
-    # (i, j) of X in the basis of the pieces vanishes unless the key of row i
-    # is the key of column j shifted by (p, -p); column m of `adapted` is
-    # vec(t^-1 X_m t) for the m-th basis vector X_m of the Lie algebra
+    # the maps of type p, sending each (r, s) piece into (r+p, s-p), are
+    # spanned by the elementary maps between such pairs of pieces; the
+    # form-preserving ones are the combinations c of them with
+    # c @ span @ system^T = 0, and all types share one product
     split = Splitting(phs.pieces)
-    labels = split.labels
-    adapted = split.t_inv.kron(split.t.transpose()) @ lie_space.transpose()
-    pieces = {}
+    spans = {}
     for p in range(-n, n + 1):
-        off = [i * d + j for i, a in enumerate(labels) for j, b in enumerate(labels)
-               if a != (b[0] + p, b[1] - p)]
-        # solve within the Lie algebra coordinates
-        coeffs = kernel_matrix(adapted.take(off))
+        maps = [split.elementary_maps(b, (b[0] + p, b[1] - p)) for b in split.spaces
+                if (b[0] + p, b[1] - p) in split.spaces]
+        if maps:
+            spans[p] = Mat.stack(maps)
+    # (the 0 x d^2 block keeps the stack defined when d = 0)
+    images = Mat.stack([sub_zero(d * d), *spans.values()]) @ system.transpose()
+    pieces, start = {}, 0
+    for p, span in spans.items():
+        coeffs = kernel_matrix(images.take(range(start, start + span.rows)).transpose())
+        start += span.rows
         if coeffs.rows:
-            pieces[p] = sub_canonical(coeffs @ lie_space)
+            pieces[p] = sub_canonical(coeffs @ span)
     total = sum(m.rows for m in pieces.values())
-    if total != lie_space.rows:
-        raise NotPolarized(
-            f"graded pieces have dimension {total}, algebra has {lie_space.rows}")
+    lie_dim = d * d - rank(system)
+    if total != lie_dim:
+        raise NotPolarized(f"graded pieces have dimension {total}, algebra has {lie_dim}")
     return GradedEnd(phs, pieces, phs.metric_matrix(), split)
 
 

@@ -1027,6 +1027,13 @@ class Splitting:
         D X S^T of X."""
         return flat @ self._duals[dst].kron(self.spaces[src]).transpose()
 
+    def elementary_maps(self, src, dst) -> Mat:
+        """The row-major flattenings of the maps that send one basis vector
+        of V_src to one basis vector of V_dst and the other subspaces to 0:
+        row i * dim V_src + j is the i-th basis vector of V_dst times the
+        j-th coordinate row of V_src, flattened."""
+        return self.spaces[dst].kron(self._duals[src])
+
     def projector(self, k) -> Mat:
         """The projection onto V_k along the other subspaces."""
         return self.spaces[k].transpose() @ self._duals[k]
@@ -1045,11 +1052,10 @@ def nilpotent_powers(n: Mat) -> list:
     NotNilpotent otherwise."""
     if n.rows != n.cols:
         raise ValueError("nilpotency of non-square matrix")
-    p, powers = Mat.identity(n.rows), []
+    powers = []
     for _ in range(n.rows):
-        p = p @ n
-        powers.append(p)
-        if p.is_zero():
+        powers.append(powers[-1] @ n if powers else n)
+        if powers[-1].is_zero():
             return powers
     raise NotNilpotent(f"matrix is not nilpotent (n^{n.rows} != 0)")
 

@@ -1,12 +1,17 @@
-"""The graded endomorphism algebra as it was first written, kept as a test oracle.
+"""The graded endomorphism algebra as it was written before, kept as test oracles.
 
-This is ``hodgecalc.horizontal.graded_end_algebra`` before it built the
-splitting of V into Hodge pieces once: for every grade and every piece it
-stacks the target piece and the other pieces and inverts that basis to read
-off coefficients, and it solves one system in the d^2 entries of X per
-grade.  It returns the graded pieces only.  ``test_shared_paths.py`` asserts
-that the library finds the same pieces; a block-pair solve of the graded
-algebra can be checked against it the same way.
+``graded_end_pieces`` is ``hodgecalc.horizontal.graded_end_algebra`` before
+it built the splitting of V into Hodge pieces once: for every grade and
+every piece it stacks the target piece and the other pieces and inverts that
+basis to read off coefficients, and it solves one system in the d^2 entries
+of X per grade.  ``lie_first_pieces`` is the library's solve before it
+solved each grade in its own Hodge-type blocks: it first solves the whole
+form-preserving system for the Lie algebra g, maps a basis of g into the
+basis of the pieces through the d^2 x d^2 Kronecker product t^-1 (x) t^T,
+and then takes, for each grade, the kernel of the rows of the entries of the
+wrong type.  Both return the graded pieces only, and
+``test_shared_paths.py`` asserts that the library's block-pair solve finds
+the same pieces.
 
 ``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the
@@ -23,7 +28,8 @@ from reference_matrices import ad_matrix
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
 from hodgecalc.matrices import (
-    Mat, inverse, kernel_basis, rank, solve, sub_canonical, sub_zero,
+    Mat, Splitting, inverse, kernel_basis, kernel_matrix, kernel_space, rank, solve,
+    sub_canonical, sub_zero,
 )
 from hodgecalc.rationals import GaussianRational, ONE, ZERO
 
@@ -131,6 +137,40 @@ def graded_end_pieces(phs: PolarizedHS) -> dict:
                 piece_rows.append(v)
         if piece_rows:
             pieces[p] = sub_canonical(Mat.from_rows(piece_rows))
+    total = sum(m.rows for m in pieces.values())
+    if total != lie_space.rows:
+        raise NotPolarized(
+            f"graded pieces have dimension {total}, algebra has {lie_space.rows}")
+    return pieces
+
+
+def lie_first_pieces(phs: PolarizedHS) -> dict:
+    """The graded pieces of {X : Q(Xu, v) + Q(u, Xv) = 0}, read off the
+    whole Lie algebra."""
+    d = phs.dim
+    n = phs.weight
+    # form-preserving condition: X^T Q + Q X = 0.  On row-major vec(X),
+    # vec(Q X) = (Q (x) I) vec(X), and (X^T Q)_ij = (Q^T X)_ji is row (j, i)
+    # of (Q^T (x) I) vec(X)
+    one = Mat.identity(d)
+    swap = [j * d + i for i in range(d) for j in range(d)]
+    lie_space = kernel_space(phs.q.transpose().kron(one).take(swap) + phs.q.kron(one))
+
+    # graded condition: X maps each (r, s) piece into (r+p, s-p), so entry
+    # (i, j) of X in the basis of the pieces vanishes unless the key of row i
+    # is the key of column j shifted by (p, -p); column m of `adapted` is
+    # vec(t^-1 X_m t) for the m-th basis vector X_m of the Lie algebra
+    split = Splitting(phs.pieces)
+    labels = split.labels
+    adapted = split.t_inv.kron(split.t.transpose()) @ lie_space.transpose()
+    pieces = {}
+    for p in range(-n, n + 1):
+        off = [i * d + j for i, a in enumerate(labels) for j, b in enumerate(labels)
+               if a != (b[0] + p, b[1] - p)]
+        # solve within the Lie algebra coordinates
+        coeffs = kernel_matrix(adapted.take(off))
+        if coeffs.rows:
+            pieces[p] = sub_canonical(coeffs @ lie_space)
     total = sum(m.rows for m in pieces.values())
     if total != lie_space.rows:
         raise NotPolarized(

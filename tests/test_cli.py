@@ -10,7 +10,7 @@ from hodgecalc import cli
 from hodgecalc.cli import MAX_RAYS, MAX_SCALE_EXPONENT, SUBCOMMANDS, main
 from hodgecalc.errors import ParseError, SchemaError
 from hodgecalc.schemas import (
-    fixture_names, load_fixture, parse_problem_text, render_problem,
+    MAX_PHS_DIM, fixture_names, load_fixture, parse_problem_text, render_problem,
 )
 
 
@@ -418,6 +418,12 @@ BAD_DOCUMENTS = {
     "horizontal-genus-zero": ("horizontal", _mutated("weight1-genus2", genus=0)),
     "horizontal-h11-zero": ("horizontal", {"kind": "phs", "payload": {
         "weight": 2, "h20": 2, "h11": 0}}),
+    # structures over the dimension budget: rejected before any work starts
+    "h11-over-budget": ("horizontal", {"kind": "phs", "payload": {
+        "weight": 2, "h20": 1, "h11": 400}}),
+    "genus-over-budget": ("horizontal", _mutated("weight1-genus2", genus=MAX_PHS_DIM // 2 + 1)),
+    "weight1-omega-over-budget": ("validate", {"kind": "phs", "payload": {
+        "weight": 1, "omega": [["1"] * (MAX_PHS_DIM // 2 + 1)] * (MAX_PHS_DIM // 2 + 1)}}),
     # an omega of the wrong shape: a weight-1 omega must be square, one of
     # weight 2 must be h20 x h20
     "weight1-omega-3x1": ("validate", {"kind": "phs", "payload": {
@@ -490,6 +496,34 @@ def test_horizontal_without_h11_names_h11(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli([command, "--input", str(path)], capsys)
     assert code == 2 and "h11 > 0" in err
+
+
+def test_phs_budget_names_the_field(tmp_path, capsys, monkeypatch):
+    from hodgecalc import schemas
+    monkeypatch.setattr(schemas, "phs_weight1", None)
+    monkeypatch.setattr(schemas, "phs_weight2", None)
+    half = MAX_PHS_DIM // 2 + 1
+    path = tmp_path / "doc.json"
+    for name, field in (("h11-over-budget", "h20 1 with h11 400 gives a phs of dimension 402,"),
+                        ("genus-over-budget", f"genus {half} gives a phs of dimension {2 * half},"),
+                        ("weight1-omega-over-budget", f"omega {half}x{half} gives ")):
+        command, payload = BAD_DOCUMENTS[name]
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli([command, "--input", str(path)], capsys)
+        assert code == 2 and err.startswith(f"error: {field}"), err
+
+
+def test_horizontal_draws_again_on_a_zero_direction(tmp_path, capsys):
+    # genus 1 has a one-dimensional g^{-1,1}, and seed 195165 draws the zero
+    # coefficient three times before any other
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "phs", "payload": {"weight": 1, "genus": 1}}))
+    code, out, _ = run_cli(["horizontal", "--input", str(path), "--seed", "195165",
+                            "--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["flags"]["negativeSelfCurvature"]
+    assert [s["selfBisectional"]["exact"] for s in report["findings"]["samples"]] == [
+        "-128", "-32", "-2048"]
 
 
 def test_size_budgets_name_the_flag(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import reference_horizontal as ref
-from hodgecalc import horizontal
+from hodgecalc import horizontal, matrices
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import (
     PolarizedHS, bisectional_curvature, bracket, direction_with_block, graded_end_algebra,
@@ -41,6 +41,20 @@ def test_frames_match_the_row_loops():
               (phs_weight2, ref.phs_weight2, (3, 0, skewed2))]
     for ours, theirs, args in cases:
         assert_same_structure(ours(*args), theirs(*args))
+
+
+def test_graded_pieces_are_solved_in_their_own_unknowns(monkeypatch):
+    """At d = 10 the type-0 maps have the most unknowns, 3^2 + 4^2 + 3^2 =
+    34, where a solve in the Lie algebra has its 45 coordinates.  The only
+    wider eliminations over Z[i] are the canonical forms of the pieces, one
+    row per basis vector."""
+    phs = phs_weight2(3, 4)
+    shapes, rref = [], matrices.rref
+    monkeypatch.setattr(matrices, "rref", lambda m: shapes.append((m.rows, m.cols, m.is_real()))
+                        or rref(m))
+    ge = graded_end_algebra(phs)
+    wide = [r for r, c, real in shapes if not real and c > 34]
+    assert wide and max(wide) <= max(m.rows for m in ge.pieces.values())
 
 
 @pytest.fixture(scope="module")

@@ -188,6 +188,13 @@ def test_splitting_of_a_plane_and_a_line():
     m = Mat.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
     assert split.block(m, "b", "a") == Mat.from_rows([[Fraction(-3, 2)], [Fraction(3, 2)]])
     assert split.block(m, "b", "b") == Mat.from_rows([[Fraction(5, 2)]])
+    # elementary map i sends the basis vector of V_b to basis vector i of V_a
+    # and kills V_a
+    maps = split.elementary_maps("b", "a")
+    for i in range(2):
+        x = maps.take([i]).reshape(3, 3)
+        assert x @ split.t == Mat.stack([Mat.zeros(2, 3), plane.take([i])]).transpose()
+    assert split.flat_blocks(maps, "b", "a") == Mat.identity(2)
 
 
 def test_splitting_coords_read_off_the_projection():
@@ -231,3 +238,14 @@ def test_nilpotent_powers_end_at_the_first_zero_power():
     for m in (Mat.identity(2), Mat.from_rows([[0, 1], [1, 0]]), Mat.zeros(0, 0)):
         with pytest.raises(NotNilpotent):
             nilpotent_powers(m)
+
+
+def test_nilpotent_powers_take_one_product_per_power(monkeypatch):
+    calls, product = [], matrices._product
+    monkeypatch.setattr(matrices, "_product", lambda a, b: calls.append(a) or product(a, b))
+    n = Mat.from_rows([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    assert len(nilpotent_powers(n)) == 3 and len(calls) == 2
+    calls.clear()
+    with pytest.raises(NotNilpotent, match=r"^matrix is not nilpotent \(n\^3 != 0\)$"):
+        nilpotent_powers(Mat.identity(3))
+    assert len(calls) == 2

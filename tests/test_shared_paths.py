@@ -313,6 +313,23 @@ def test_graded_end_algebra_matches_reference(case):
         assert principal_value_traces(ge, xi) == expected
 
 
+# PHS_CASES, a larger and a skewed weight-2 structure, and one with no
+# horizontal piece
+LIE_FIRST_CASES = {**PHS_CASES, "weight2-3-8": (phs_weight2, 3, 8),
+                   "weight2-2-0": (phs_weight2, 2, 0),
+                   "weight2-3-2-skewed": (phs_weight2, 3, 2, Mat.from_rows(
+                       [[2, 1, 0], [-1, 3, 1], [0, Fraction(1, 3), 1]]))}
+
+
+@pytest.mark.parametrize("case", LIE_FIRST_CASES.values(), ids=LIE_FIRST_CASES.keys())
+def test_graded_end_algebra_matches_the_lie_first_solve(case):
+    make, *args = case
+    phs = make(*args)
+    ours = graded_end_algebra(phs).pieces
+    theirs = ref_horizontal.lie_first_pieces(phs)
+    assert ours == theirs and list(ours) == list(theirs)
+
+
 def solve_left(a, b):
     """The matrix x with a @ x = b, column by column."""
     return Mat.from_rows([solve(a, b.col(j)) for j in range(b.cols)]).transpose()
