@@ -94,11 +94,14 @@ class GradedEnd(Record):
     """Graded pieces of the form-preserving endomorphisms, with metric data."""
 
     phs: PolarizedHS
-    pieces: dict          # p -> basis Mat (rows are flattened endomorphisms)
+    # p -> basis Mat of g^{p,-p} as solved (rows are flattened endomorphisms);
+    # only g^{-1,1}, whose coordinates are read, is in canonical form
+    pieces: dict
     metric: Mat           # Hodge metric Gram on V (for adjoints)
-    # V as the direct sum of the (p, q) pieces of phs; never compared
+    # derived once and never compared: V split into the pieces of phs, and (metric^T)^-1
     splitting: Splitting
-    _hidden = ("splitting",)
+    metric_t_inv: Mat
+    _hidden = ("splitting", "metric_t_inv")
 
     def piece_dim(self, p: int) -> int:
         m = self.pieces.get(p)
@@ -110,9 +113,7 @@ class GradedEnd(Record):
 
     def adjoint(self, x: Mat) -> Mat:
         """Metric adjoint on V: h(Xu, v) = h(u, X* v)."""
-        h = self.metric
-        ht = h.transpose()
-        return inverse(ht) @ x.conj_transpose() @ ht
+        return self.metric_t_inv @ x.conj_transpose() @ self.metric.transpose()
 
     def inner(self, x: Mat, y: Mat) -> GaussianRational:
         """Hodge inner product Tr(X Y*) on endomorphisms."""
@@ -151,12 +152,13 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
         coeffs = kernel_matrix(images.take(range(start, start + span.rows)).transpose())
         start += span.rows
         if coeffs.rows:
-            pieces[p] = sub_canonical(coeffs @ span)
+            pieces[p] = sub_canonical(coeffs @ span) if p == -1 else coeffs @ span
     total = sum(m.rows for m in pieces.values())
     lie_dim = d * d - rank(system)
     if total != lie_dim:
         raise NotPolarized(f"graded pieces have dimension {total}, algebra has {lie_dim}")
-    return GradedEnd(phs, pieces, phs.metric_matrix(), split)
+    h = phs.metric_matrix()
+    return GradedEnd(phs, pieces, h, split, inverse(h.transpose()))
 
 
 def bracket(x: Mat, y: Mat) -> Mat:
@@ -165,9 +167,7 @@ def bracket(x: Mat, y: Mat) -> Mat:
 
 def bisectional_curvature(ge: GradedEnd, eta: Mat, xi: Mat) -> Fraction:
     """|[xi, eta]|^2 - |[xi*, eta]|^2 in the Hodge metric."""
-    plus = ge.norm2(bracket(xi, eta))
-    minus = ge.norm2(bracket(ge.adjoint(xi), eta))
-    return plus - minus
+    return ge.norm2(bracket(xi, eta)) - ge.norm2(bracket(ge.adjoint(xi), eta))
 
 
 def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
@@ -177,9 +177,8 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     gm1 = ge.pieces.get(-1)
     if gm1 is None:
         return 0
-    dim_m1 = gm1.rows
-    if g0 is None or g0.rows == 0:
-        return dim_m1
+    if g0 is None:
+        return gm1.rows
     # row i is vec([xi, X_i]) = vec(xi X_i) - vec(X_i xi) for the i-th basis
     # vector X_i of the 0 piece.  Stacked, the X_i give the rows vec(X_i xi);
     # side by side, [X_1 | ... | X_r], they give the row blocks of xi X_i
@@ -187,7 +186,7 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     stacked = g0.reshape(r * d, d)
     side = stacked.take([i * d + a for a in range(d) for i in range(r)]).reshape(d, r * d)
     left = (xi @ side).reshape(d * r, d).take([a * r + i for i in range(r) for a in range(d)])
-    return dim_m1 - rank(left.reshape(r, d * d) - (stacked @ xi).reshape(r, d * d))
+    return gm1.rows - rank(left.reshape(r, d * d) - (stacked @ xi).reshape(r, d * d))
 
 
 class QuarticReport(Record):
@@ -203,25 +202,17 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
     Levels p run over the independent upper range ceil((n+1)/2) .. n where
     the block maps the (p, q) piece to (p-1, q+1).
     """
-    phs = ge.phs
-    n = phs.weight
-    h = ge.metric
+    n = ge.phs.weight
+    xi_star = ge.adjoint(xi)
     out = {}
     for p in range((n + 2) // 2, n + 1):
-        src = phs.pieces.get((p, n - p))
-        dst = phs.pieces.get((p - 1, n - p + 1))
-        if src is None or dst is None:
+        src, dst = (p, n - p), (p - 1, n - p + 1)
+        if src not in ge.phs.pieces or dst not in ge.phs.pieces:
             continue
-        # matrix of xi restricted: coordinates of xi(src_i) in dst basis
-        a = ge.splitting.block(xi, (p, n - p), (p - 1, n - p + 1))
-        # metric Grams on source and target: sum_rc h[r, c] b_i[r] conj(b_j[c])
-        g_src = src @ h @ src.conj_transpose()
-        g_dst = dst @ h @ dst.conj_transpose()
-        a_star = inverse(g_src.transpose()) @ a.conj_transpose() @ g_dst.transpose()
-        m1 = a_star @ a
-        sum_l2 = m1.trace().real_or_raise()
-        sum_l4 = (m1 @ m1).trace().real_or_raise()
-        out[p] = (sum_l2, sum_l4)
+        # A* A for the src -> dst block A of xi: the Hodge decomposition is
+        # orthogonal for the metric, so A* is the dst -> src block of xi*
+        m1 = ge.splitting.block(xi_star, dst, src) @ ge.splitting.block(xi, src, dst)
+        out[p] = (m1.trace().real_or_raise(), (m1 @ m1).trace().real_or_raise())
     return out
 
 

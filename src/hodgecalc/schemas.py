@@ -117,12 +117,15 @@ def _build_phs(payload):
             _require_phs_dim(f"omega {omega.rows}x{omega.cols}", 2 * omega.rows)
             return phs_weight1(omega.rows, omega)
         genus = _int_field(payload, "genus")
+        _require(genus >= 0, f"genus must be non-negative, got {genus}")
         _require_phs_dim(f"genus {genus}", 2 * genus)
         return phs_weight1(genus)
     if weight == 2:
         for key in ("h20", "h11"):
             _require(key in payload, f"weight-2 phs needs '{key}'")
         h20, h11 = _int_field(payload, "h20"), _int_field(payload, "h11")
+        for key, value in (("h20", h20), ("h11", h11)):
+            _require(value >= 0, f"{key} must be non-negative, got {value}")
         _require_phs_dim(f"h20 {h20} with h11 {h11}", 2 * h20 + h11)
         omega = None
         if "omega" in payload:
@@ -137,6 +140,8 @@ def _build_model(payload) -> NormPositivityModel:
         _require(key in payload, f"model payload is missing '{key}'")
     a = _parse_matrix(payload["A"], "A")
     dims = [_int_field(payload, key) for key in ("dimT", "rankE", "rankG")]
+    for key, value, least in zip(("dimT", "rankE", "rankG"), dims, (0, 1, 0)):
+        _require(value >= least, f"{key} must be at least {least}, got {value}")
     try:
         return NormPositivityModel(*dims, a)
     except Exception as exc:

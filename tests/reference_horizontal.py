@@ -17,6 +17,11 @@ the same pieces.
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the
 d^2 x d^2 matrix of ad(xi^T).
 
+``principal_value_traces`` is ``hodgecalc.horizontal.principal_value_traces``
+as it built the adjoint A* of each block A of xi from the Gram matrices of
+the metric on the source and target pieces, where the library reads A* off
+the adjoint of xi.
+
 ``phs_weight1`` and ``phs_weight2`` build the frames of the Hodge pieces
 row by row from the entries of omega, where the library stacks omega with
 identity and zero blocks and transposes.
@@ -214,3 +219,28 @@ def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     if ge.piece_dim(0) == 0:
         return gm1.rows
     return gm1.rows - rank(bracket_matrix(ge, xi))
+
+
+def principal_value_traces(ge: GradedEnd, xi: Mat) -> dict:
+    """Per-level traces of (A* A) and (A* A)^2 for the blocks A of xi, with
+    A* from the metric Grams of the source and target pieces."""
+    phs = ge.phs
+    n = phs.weight
+    h = ge.metric
+    out = {}
+    for p in range((n + 2) // 2, n + 1):
+        src = phs.pieces.get((p, n - p))
+        dst = phs.pieces.get((p - 1, n - p + 1))
+        if src is None or dst is None:
+            continue
+        # matrix of xi restricted: coordinates of xi(src_i) in dst basis
+        a = ge.splitting.block(xi, (p, n - p), (p - 1, n - p + 1))
+        # metric Grams on source and target: sum_rc h[r, c] b_i[r] conj(b_j[c])
+        g_src = src @ h @ src.conj_transpose()
+        g_dst = dst @ h @ dst.conj_transpose()
+        a_star = inverse(g_src.transpose()) @ a.conj_transpose() @ g_dst.transpose()
+        m1 = a_star @ a
+        sum_l2 = m1.trace().real_or_raise()
+        sum_l4 = (m1 @ m1).trace().real_or_raise()
+        out[p] = (sum_l2, sum_l4)
+    return out

@@ -398,6 +398,12 @@ SUM_TOO_LONG = {"kind": "orbit", "payload": {
 
 # Each malformed field exits 2 with a one-line message and no traceback:
 # integer fields of every document kind, and the list fields of an orbit.
+NEGATIVE_PHS = {"h20-negative": {"weight": 2, "h20": -1, "h11": 3},
+                "h11-negative": {"weight": 2, "h20": 2, "h11": -1},
+                "genus-negative": {"weight": 1, "genus": -2}}
+BAD_MODEL_DIMS = {"rankE-and-dimT-negative": {"dimT": -1, "rankE": -1, "rankG": 1, "A": [["1"]]},
+                  "rankE-zero": {"dimT": 2, "rankE": 0, "rankG": 0, "A": []}}
+
 BAD_DOCUMENTS = {
     "dim-not-an-integer": ("validate", _mutated("dollar-bill", dim="x")),
     "weight-a-fraction": ("validate", _mutated("dollar-bill", weight=1.5)),
@@ -474,6 +480,12 @@ BAD_DOCUMENTS = {
     # (N1 + N2)^2 = 2 J (x) J: only the sum is too long for weight 1
     "bigrading-sum-longer-than-weight": ("bigrading", SUM_TOO_LONG),
     "rwfp-sum-longer-than-weight": ("rwfp", SUM_TOO_LONG),
+    # negative phs fields, and model dimensions whose product still matches
+    # the shape of A: refused by the schema, before anything is built
+    **{f"{command}-{name}": (command, {"kind": "phs", "payload": payload})
+       for command in ("validate", "horizontal") for name, payload in NEGATIVE_PHS.items()},
+    **{f"{command}-{name}": (command, {"kind": "model", "payload": payload})
+       for command in ("validate", "curvature") for name, payload in BAD_MODEL_DIMS.items()},
 }
 
 
@@ -511,6 +523,28 @@ def test_phs_budget_names_the_field(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(payload))
         code, _, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 2 and err.startswith(f"error: {field}"), err
+
+
+def test_bad_dimensions_name_the_field(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for name, field in (("h20-negative", "h20 must be non-negative, got -1"),
+                        ("h11-negative", "h11 must be non-negative, got -1"),
+                        ("genus-negative", "genus must be non-negative, got -2"),
+                        ("rankE-and-dimT-negative", "dimT must be at least 0, got -1"),
+                        ("rankE-zero", "rankE must be at least 1, got 0")):
+        for command in ("validate", "horizontal", "curvature"):
+            if f"{command}-{name}" in BAD_DOCUMENTS:
+                path.write_text(json.dumps(BAD_DOCUMENTS[f"{command}-{name}"][1]))
+                code, _, err = run_cli([command, "--input", str(path)], capsys)
+                assert code == 2 and err == f"error: {field}\n", err
+
+
+def test_curvature_of_a_model_with_no_tangent_directions(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "model", "payload": {
+        "dimT": 0, "rankE": 1, "rankG": 0, "A": []}}))
+    code, _, err = run_cli(["curvature", "--input", str(path)], capsys)
+    assert code == 0 and err == ""
 
 
 def test_horizontal_draws_again_on_a_zero_direction(tmp_path, capsys):

@@ -81,9 +81,17 @@ COMMANDS += [
 ]
 
 
+# horizontal on a seeded dense weight-1 omega of genus 4 and on a skewed
+# weight-2 omega, documents kept in goldens/inputs: their graded pieces have
+# long canonical forms, where the fixtures' pieces are sparse
+INPUTS = GOLDENS / "inputs"
+COMMANDS += [(["horizontal", "--input", str(INPUTS / f"{name}.json"), "--seed", "7"], 0)
+             for name in ("dense-weight1-genus4", "skewed-weight2")]
+
+
 def golden_path(argv) -> Path:
-    name = "_".join(a.replace("builtin:", "").replace("--", "")
-                    .replace(",", "-").replace(".", "")
+    name = "_".join(Path(a).stem if a.endswith(".json") else
+                    a.replace("builtin:", "").replace("--", "").replace(",", "-").replace(".", "")
                     for a in argv)
     return GOLDENS / f"{name}.json"
 

@@ -12,8 +12,10 @@ from hodgecalc.horizontal import (
     PolarizedHS, bisectional_curvature, bracket, direction_with_block, graded_end_algebra,
     kernel_dimension, phs_weight1, phs_weight2, sectional_quartic, top_block,
 )
-from hodgecalc.matrices import Mat, rank, sub_contains_vec
+from hodgecalc.cli import main
+from hodgecalc.matrices import Mat, rank, sub_contains_vec, sub_equal
 from hodgecalc.rationals import GaussianRational, ZERO
+from hodgecalc.schemas import load_fixture
 
 
 def assert_same_structure(ours, theirs):
@@ -46,15 +48,32 @@ def test_frames_match_the_row_loops():
 def test_graded_pieces_are_solved_in_their_own_unknowns(monkeypatch):
     """At d = 10 the type-0 maps have the most unknowns, 3^2 + 4^2 + 3^2 =
     34, where a solve in the Lie algebra has its 45 coordinates.  The only
-    wider eliminations over Z[i] are the canonical forms of the pieces, one
-    row per basis vector."""
+    wider elimination over Z[i] is the canonical form of g^{-1,1}, one row
+    per basis vector; the other pieces keep the basis they were solved in."""
     phs = phs_weight2(3, 4)
     shapes, rref = [], matrices.rref
     monkeypatch.setattr(matrices, "rref", lambda m: shapes.append((m.rows, m.cols, m.is_real()))
                         or rref(m))
     ge = graded_end_algebra(phs)
-    wide = [r for r, c, real in shapes if not real and c > 34]
-    assert wide and max(wide) <= max(m.rows for m in ge.pieces.values())
+    wide = [(r, c) for r, c, real in shapes if not real and c > 34]
+    assert wide == [(ge.pieces[-1].rows, 100)] == [(12, 100)]
+
+
+def test_horizontal_derives_each_object_once(monkeypatch, capsys):
+    """One `horizontal` call on weight2-normal-form runs at most 12
+    eliminations, and none of them is a canonical form of g^{0,0}."""
+    g0 = graded_end_algebra(load_fixture("weight2-normal-form").obj).pieces[0]
+    eliminated, canonical = [], []
+    rref, sub_canonical = matrices.rref, matrices.sub_canonical
+    for module in (matrices, horizontal):
+        monkeypatch.setattr(module, "rref", lambda m: eliminated.append(m) or rref(m))
+    monkeypatch.setattr(horizontal, "sub_canonical", lambda b: canonical.append(b)
+                        or sub_canonical(b))
+    assert main(["horizontal", "--input", "builtin:weight2-normal-form", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert len(eliminated) <= 12
+    monkeypatch.undo()
+    assert canonical and not any(b.cols == g0.cols and sub_equal(b, g0) for b in canonical)
 
 
 @pytest.fixture(scope="module")

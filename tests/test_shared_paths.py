@@ -284,8 +284,7 @@ def test_graded_end_algebra_matches_reference(case):
     make, *args = case
     phs = make(*args)
     ge = graded_end_algebra(phs)
-    theirs = ref_horizontal.graded_end_pieces(phs)
-    assert ge.pieces == theirs and list(ge.pieces) == list(theirs)
+    assert_same_pieces(ge.pieces, ref_horizontal.graded_end_pieces(phs))
 
     n = phs.weight
     gm1 = ge.pieces[-1]
@@ -325,9 +324,33 @@ LIE_FIRST_CASES = {**PHS_CASES, "weight2-3-8": (phs_weight2, 3, 8),
 def test_graded_end_algebra_matches_the_lie_first_solve(case):
     make, *args = case
     phs = make(*args)
-    ours = graded_end_algebra(phs).pieces
-    theirs = ref_horizontal.lie_first_pieces(phs)
-    assert ours == theirs and list(ours) == list(theirs)
+    assert_same_pieces(graded_end_algebra(phs).pieces, ref_horizontal.lie_first_pieces(phs))
+
+
+@pytest.mark.parametrize("case", PHS_CASES.values(), ids=PHS_CASES.keys())
+def test_principal_value_traces_match_the_gram_matrices(case):
+    make, *args = case
+    ge = graded_end_algebra(make(*args))
+    gm1, d = ge.pieces[-1], ge.phs.dim
+    rng = random.Random(d)
+
+    def gaussian(rows, cols):
+        return Mat.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                               for _ in range(cols)] for _ in range(rows)])
+    # directions in g^{-1,1}, and endomorphisms of V of every Hodge type
+    directions = gm1.row_list() + (gaussian(2, gm1.rows) @ gm1).row_list()
+    directions += gaussian(3, d * d).row_list()
+    for vec in directions:
+        xi = ge.unflatten(vec)
+        assert principal_value_traces(ge, xi) == ref_horizontal.principal_value_traces(ge, xi)
+
+
+def assert_same_pieces(ours, theirs):
+    """The same grades in the same order; the canonical g^{-1,1} entry for
+    entry, every other piece as a span."""
+    assert list(ours) == list(theirs)
+    assert ours.get(-1) == theirs.get(-1)
+    assert all(sub_canonical(m) == theirs[p] for p, m in ours.items())
 
 
 def solve_left(a, b):
