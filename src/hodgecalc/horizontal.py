@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotPolarized, ZeroVector
+from .errors import NoSolution, NotPolarized, ZeroVector
 from .matrices import (
-    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, rank, row_coords, rref,
-    sub_canonical, sub_zero,
+    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, pivot_columns, rank,
+    row_coords, sub_canonical, sub_zero,
 )
 from .rationals import GaussianRational, i_power
 from .records import Record
@@ -31,29 +31,34 @@ class PolarizedHS(Record):
     def __post_init__(self):
         self.validate()
 
-    def weil_matrix(self) -> Mat:
-        """The operator acting by i^(p-q) on each piece."""
-        return Splitting(self.pieces).diagonal(lambda key: i_power(key[0] - key[1]))
+    def weil_matrix(self, split: Splitting) -> Mat:
+        """The operator acting by i^(p-q) on each piece; `split` is the
+        `Splitting` of V into the pieces, which every caller has at hand."""
+        return split.diagonal(lambda key: i_power(key[0] - key[1]))
 
-    def metric_matrix(self) -> Mat:
+    def metric_matrix(self, split: Splitting) -> Mat:
         """Gram H of the Hodge metric h(u, v) = -Q(Cu, conj v), so that
         h(u, v) = sum_{ab} H[a, b] u_a conj(v_b); positive definite by the
-        second bilinear relation in the package orientation."""
-        c = self.weil_matrix()
+        second bilinear relation in the package orientation.  `split` as
+        for `weil_matrix`."""
+        c = self.weil_matrix(split)
         return (c.transpose() @ self.q).scale(GaussianRational(-1))
 
     def validate(self):
-        d = self.dim
-        if sum(m.rows for m in self.pieces.values()) != d or \
-                rref(Mat.stack(self.pieces.values()))[2] != d:
+        # the splitting exists exactly when the pieces are a basis of V
+        if sum(m.rows for m in self.pieces.values()) != self.dim:
             raise NotPolarized("Hodge pieces do not decompose the space")
+        try:
+            split = Splitting(self.pieces)
+        except NoSolution:
+            raise NotPolarized("Hodge pieces do not decompose the space") from None
         for (p, qq), m in self.pieces.items():
             if p + qq != self.weight:
                 raise NotPolarized("piece of wrong total weight")
             other = self.pieces.get((qq, p))
             if other is None or sub_canonical(m.conj()) != sub_canonical(other):
                 raise NotPolarized("conjugation symmetry fails")
-        h = self.metric_matrix()
+        h = self.metric_matrix(split)
         if h.conj_transpose() != h:
             raise NotPolarized("metric is not Hermitian")
         _, _, pd = hermitian_psd_status(h)
@@ -157,7 +162,7 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     lie_dim = d * d - rank(system)
     if total != lie_dim:
         raise NotPolarized(f"graded pieces have dimension {total}, algebra has {lie_dim}")
-    h = phs.metric_matrix()
+    h = phs.metric_matrix(split)
     return GradedEnd(phs, pieces, h, split, inverse(h.transpose()))
 
 
@@ -171,22 +176,26 @@ def bisectional_curvature(ge: GradedEnd, eta: Mat, xi: Mat) -> Fraction:
 
 
 def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
-    """dim ker of the lowering adjoint on the (-1) piece, computed as the
-    corank of bracketing with xi from the 0 piece into the (-1) piece."""
+    """dim ker of the lowering adjoint on the (-1) piece: the corank of
+    bracketing with xi (ValueError unless xi lies in that piece) from the 0
+    piece into it.  A vector of the (-1) piece is its coordinate vector read
+    at the pivot columns of the piece's canonical basis, so the rank of the
+    brackets is taken on those columns alone."""
+    d = ge.phs.dim
+    gm1 = ge.pieces.get(-1, sub_zero(d * d))
+    pivots = pivot_columns(gm1)
+    flat = xi.reshape(1, d * d)
+    if flat.reshape(d * d, 1).take(pivots).transpose() @ gm1 != flat:
+        raise ValueError("xi is not in g^{-1,1}")
     g0 = ge.pieces.get(0)
-    gm1 = ge.pieces.get(-1)
-    if gm1 is None:
-        return 0
     if g0 is None:
         return gm1.rows
-    # row i is vec([xi, X_i]) = vec(xi X_i) - vec(X_i xi) for the i-th basis
-    # vector X_i of the 0 piece.  Stacked, the X_i give the rows vec(X_i xi);
-    # side by side, [X_1 | ... | X_r], they give the row blocks of xi X_i
-    r, d = g0.rows, ge.phs.dim
-    stacked = g0.reshape(r * d, d)
-    side = stacked.take([i * d + a for a in range(d) for i in range(r)]).reshape(d, r * d)
-    left = (xi @ side).reshape(d * r, d).take([a * r + i for i in range(r) for a in range(d)])
-    return gm1.rows - rank(left.reshape(r, d * d) - (stacked @ xi).reshape(r, d * d))
+    # row k of w is row p = a d + b of ad(xi) = xi (x) I - I (x) xi^T, that is
+    # (e_a xi) (x) e_b - e_a (x) (e_b xi^T), for the k-th pivot p; so row i of
+    # g0 @ w^T is vec([xi, X_i]) at the pivots, X_i the i-th basis vector of g0
+    a, b, one = [p // d for p in pivots], [p % d for p in pivots], Mat.identity(d)
+    w = xi.take(a).face_split(one.take(b)) - one.take(a).face_split(xi.transpose().take(b))
+    return gm1.rows - rank(g0 @ w.transpose())
 
 
 class QuarticReport(Record):
@@ -202,8 +211,12 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
     Levels p run over the independent upper range ceil((n+1)/2) .. n where
     the block maps the (p, q) piece to (p-1, q+1).
     """
-    n = ge.phs.weight
-    xi_star = ge.adjoint(xi)
+    return _principal_value_traces(ge, xi, ge.adjoint(xi))
+
+
+def _principal_value_traces(ge: GradedEnd, xi: Mat, xi_star: Mat):
+    """`principal_value_traces` with the adjoint xi* of xi given."""
+    n, split = ge.phs.weight, ge.splitting
     out = {}
     for p in range((n + 2) // 2, n + 1):
         src, dst = (p, n - p), (p - 1, n - p + 1)
@@ -211,17 +224,19 @@ def principal_value_traces(ge: GradedEnd, xi: Mat):
             continue
         # A* A for the src -> dst block A of xi: the Hodge decomposition is
         # orthogonal for the metric, so A* is the dst -> src block of xi*
-        m1 = ge.splitting.block(xi_star, dst, src) @ ge.splitting.block(xi, src, dst)
+        m1 = split.block(xi_star, dst, src) @ split.block(xi, src, dst)
         out[p] = (m1.trace().real_or_raise(), (m1 @ m1).trace().real_or_raise())
     return out
 
 
 def sectional_quartic(ge: GradedEnd, xi: Mat) -> QuarticReport:
-    norm2 = ge.norm2(xi)
+    # xi* is taken once: |xi|^2 = Tr(xi xi*), the bracket, the block traces
+    xi_star = ge.adjoint(xi)
+    norm2 = (xi @ xi_star).trace().real_or_raise()
     if norm2 == 0:
         raise ZeroVector("sectional curvature of the zero direction")
-    raw = ge.norm2(bracket(ge.adjoint(xi), xi))
-    traces = principal_value_traces(ge, xi)
+    raw = ge.norm2(bracket(xi_star, xi))
+    traces = _principal_value_traces(ge, xi, xi_star)
     return QuarticReport(raw / (norm2 * norm2), norm2, raw, traces)
 
 

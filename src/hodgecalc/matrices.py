@@ -495,6 +495,16 @@ class Mat:
                             for x, dx in zip(_rows_in(self, ring), self._den)
                             for y, dy in zip(_rows_in(other, ring), other._den)])
 
+    def face_split(self, other: "Mat") -> "Mat":
+        """The row-wise Kronecker product: row i is row i of self (x) row i
+        of other, so entry (i, j * other.cols + l) is self[i, j] * other[i, l]."""
+        if self.rows != other.rows:
+            raise ValueError("face-splitting product of unequal row counts")
+        ring = _common_ring(self, other)
+        return _from_pairs(self.rows, self.cols * other.cols, ring,
+                           [ring.normal(ring.outer(x, y), dx * dy) for x, dx, y, dy in
+                            zip(_rows_in(self, ring), self._den, _rows_in(other, ring), other._den)])
+
     def take(self, indices) -> "Mat":
         """The rows at the given indices, in that order."""
         return Mat._make(len(indices), self.cols, self._ring,
@@ -839,27 +849,31 @@ def rank(m: Mat) -> int:
 # Subspaces (row-space representation)
 # ---------------------------------------------------------------------------
 
-def _is_canonical(m: Mat) -> bool:
-    """True iff m is in reduced row echelon form with no zero rows, read off
-    its int rows: every row is nonzero, the leading columns strictly
-    increase, each leading entry equals its row's denominator (so the entry
-    is 1), and each pivot column is zero in every other row.  The rows
-    after a row lead further right, so only the rows above it can be
-    nonzero in its pivot column."""
+def pivot_columns(m: Mat):
+    """The pivot columns of m when m is a canonical basis (reduced row
+    echelon form, no zero rows; see `sub_canonical`), else None.  The
+    coordinates of a vector of the row space are its entries at these
+    columns.  Read off the int rows: every row is nonzero, the leading
+    columns strictly increase, each leading entry equals its row's
+    denominator (so the entry is 1), and each pivot column is zero in every
+    other row.  The rows after a row lead further right, so only the rows
+    above it can be nonzero in its pivot column."""
     ring, pivots = m._ring, []
     for row, d in zip(m._num, m._den):
         lead = next((j for j in range(m.cols) if ring.at(row, j)), None)
         if (lead is None or (pivots and lead <= pivots[-1])
                 or ring.at(row, lead) != (d if ring is _Z else (d, 0))):
-            return False
+            return None
         pivots.append(lead)
-    return not any(ring.at(row, pc) for i, row in enumerate(m._num) for pc in pivots[i + 1:])
+    if any(ring.at(row, pc) for i, row in enumerate(m._num) for pc in pivots[i + 1:]):
+        return None
+    return tuple(pivots)
 
 
 def sub_canonical(basis: Mat) -> Mat:
     """Canonical (rref, zero rows dropped) basis matrix of a row space; a
     basis already in that form is returned as it is."""
-    if _is_canonical(basis):
+    if pivot_columns(basis) is not None:
         return basis
     red, pivots, r = rref(basis)
     return red.take(range(r)) if r else Mat.zeros(0, basis.cols)
@@ -908,7 +922,7 @@ def sub_contains(s: Mat, t: Mat) -> bool:
         raise ValueError("vector length mismatch")
     if t.is_zero():
         return True
-    if _is_canonical(s):
+    if pivot_columns(s) is not None:
         return rank(Mat.stack([s, t])) == s.rows
     return _solution(s.transpose(), t.transpose()) is not None
 
@@ -924,9 +938,9 @@ def sub_intersect(a: Mat, b: Mat) -> Mat:
     if a.rows == 0 or b.rows == 0:
         return sub_zero(ambient)
     # a square canonical basis is the identity: the whole space
-    if a.rows == ambient and _is_canonical(a):
+    if a.rows == ambient and pivot_columns(a) is not None:
         return sub_canonical(b)
-    if b.rows == ambient and _is_canonical(b):
+    if b.rows == ambient and pivot_columns(b) is not None:
         return sub_canonical(a)
     # x a = y b exactly when (x, y) is in the left kernel of [a; -b]
     kern = kernel_matrix(Mat.stack([a, -b]).transpose())

@@ -15,7 +15,8 @@ the same pieces.
 
 ``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the
-d^2 x d^2 matrix of ad(xi^T).
+d^2 x d^2 matrix of ad(xi^T), on all d^2 columns, where the library takes
+its rank on the columns at the pivots of the canonical basis of g^{-1,1}.
 
 ``principal_value_traces`` is ``hodgecalc.horizontal.principal_value_traces``
 as it built the adjoint A* of each block A of xi from the Gram matrices of

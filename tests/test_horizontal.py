@@ -13,7 +13,7 @@ from hodgecalc.horizontal import (
     kernel_dimension, phs_weight1, phs_weight2, sectional_quartic, top_block,
 )
 from hodgecalc.cli import main
-from hodgecalc.matrices import Mat, rank, sub_contains_vec, sub_equal
+from hodgecalc.matrices import Mat, rank, rref, sub_contains_vec, sub_equal
 from hodgecalc.rationals import GaussianRational, ZERO
 from hodgecalc.schemas import load_fixture
 
@@ -60,18 +60,20 @@ def test_graded_pieces_are_solved_in_their_own_unknowns(monkeypatch):
 
 
 def test_horizontal_derives_each_object_once(monkeypatch, capsys):
-    """One `horizontal` call on weight2-normal-form runs at most 12
-    eliminations, and none of them is a canonical form of g^{0,0}."""
+    """One `horizontal` call on weight2-normal-form runs at most 10
+    eliminations, and none of them is a canonical form of g^{0,0}: the
+    structure keeps the one splitting of V it builds while validating."""
     g0 = graded_end_algebra(load_fixture("weight2-normal-form").obj).pieces[0]
     eliminated, canonical = [], []
     rref, sub_canonical = matrices.rref, matrices.sub_canonical
-    for module in (matrices, horizontal):
-        monkeypatch.setattr(module, "rref", lambda m: eliminated.append(m) or rref(m))
+    # horizontal itself binds no rref: every elimination goes through matrices
+    assert not hasattr(horizontal, "rref")
+    monkeypatch.setattr(matrices, "rref", lambda m: eliminated.append(m) or rref(m))
     monkeypatch.setattr(horizontal, "sub_canonical", lambda b: canonical.append(b)
                         or sub_canonical(b))
     assert main(["horizontal", "--input", "builtin:weight2-normal-form", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert len(eliminated) <= 12
+    assert len(eliminated) <= 10
     monkeypatch.undo()
     assert canonical and not any(b.cols == g0.cols and sub_equal(b, g0) for b in canonical)
 
@@ -237,8 +239,9 @@ def _seeded_directions(ge, rng):
 
 
 def test_kernel_dimension_matches_ad_matrix_form(algebras_w1, algebras_w2, monkeypatch):
-    # the bracket rows are the matrix g0 @ ad(xi^T), so the elimination runs
-    # on the same matrix and the rank is the same
+    # the bracket rows are the matrix g0 @ ad(xi^T); they lie in g^{-1,1},
+    # so the elimination runs on their columns at the pivots of its
+    # canonical basis, and the rank is the same
     seen = []
     real_rank = horizontal.rank
     monkeypatch.setattr(horizontal, "rank", lambda m: seen.append(m) or real_rank(m))
@@ -249,7 +252,27 @@ def test_kernel_dimension_matches_ad_matrix_form(algebras_w1, algebras_w2, monke
         for xi in _seeded_directions(ge, rng):
             seen.clear()
             assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi)
-            assert seen == [ref.bracket_matrix(ge, xi)]
+            pivots = rref(ge.pieces[-1])[1]
+            assert seen == [ref.bracket_matrix(ge, xi).transpose().take(pivots).transpose()]
+
+
+def test_kernel_dimension_refuses_a_direction_outside_the_piece(algebras_w1, algebras_w2):
+    """xi + X with X a nonzero element of g^{0,0}, and the identity, are not
+    in g^{-1,1}: the call raises where it used to return a meaningless corank."""
+    rng = random.Random(67)
+    for ge in [algebras_w1[2], algebras_w2[(2, 3)], algebras_w2[(3, 4)], _skewed_algebra()]:
+        d, g0, gm1 = ge.phs.dim, ge.pieces[0], ge.pieces[-1]
+        for k in range(3):
+            xi = (Mat.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) * k
+                                  for _ in range(gm1.rows)]]) @ gm1).reshape(d, d)
+            assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi)
+            coeffs = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                      for _ in range(g0.rows)]
+            coeffs[rng.randrange(g0.rows)] = GaussianRational(1, rng.randint(-2, 2))
+            x = (Mat.from_rows([coeffs]) @ g0).reshape(d, d)
+            for bad in (xi + x, Mat.identity(d)):
+                with pytest.raises(ValueError, match=r"xi is not in g\^\{-1,1\}"):
+                    kernel_dimension(ge, bad)
 
 
 def test_maximal_rank_iff_trivial_kernel(algebras_w2):
@@ -397,8 +420,10 @@ def test_bad_structure_raises_on_construction():
     good = phs_weight1(1)
     with pytest.raises(NotPolarized):       # Q of the wrong sign
         PolarizedHS(2, 1, good.q.scale(-1), good.pieces)
-    with pytest.raises(NotPolarized):       # the pieces do not span V
+    with pytest.raises(NotPolarized, match="do not decompose"):    # too few rows to span V
         PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})
+    with pytest.raises(NotPolarized, match="do not decompose"):    # enough rows, dependent
+        PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)], (0, 1): good.pieces[(1, 0)]})
 
 
 def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2):

@@ -497,7 +497,7 @@ def test_sub_contains_matches_reference(gaussian, big):
                 for y in (t, sub_canonical(Mat.stack([x, t])), x.take(range(x.rows // 2))):
                     holds = sub_contains(x, y)
                     assert holds == ref.sub_contains(x, y), seed
-                    seen.add((matrices._is_canonical(x), holds))
+                    seen.add(((matrices.pivot_columns(x) is not None), holds))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -592,7 +592,7 @@ CANONICAL = {
                          ids=list(NEAR_MISSES) + list(CANONICAL))
 def test_canonical_predicate_on_hand_built_bases(rows):
     m = Mat.from_rows(rows)
-    assert matrices._is_canonical(m) == _canonical_by_rref(m) == (rows in CANONICAL.values())
+    assert (matrices.pivot_columns(m) is not None) == _canonical_by_rref(m) == (rows in CANONICAL.values())
 
 
 @RINGS
@@ -604,13 +604,67 @@ def test_canonical_predicate_holds_exactly_on_reduced_bases(gaussian, big):
         red, _, r = rref(m)
         # the basis, its rref with and without zero rows, and those rows upside down
         for x in (m, red, red.take(range(r)), red.take(range(r - 1, -1, -1))):
-            holds = matrices._is_canonical(x)
+            holds = (matrices.pivot_columns(x) is not None)
             assert holds == _canonical_by_rref(x), seed
             seen.add(holds)
     assert seen == {False, True}
 
 
+@pytest.mark.parametrize("rows", list(NEAR_MISSES.values()) + list(CANONICAL.values()),
+                         ids=list(NEAR_MISSES) + list(CANONICAL))
+def test_pivot_columns_of_hand_built_bases(rows):
+    m = Mat.from_rows(rows)
+    assert matrices.pivot_columns(m) == (rref(m)[1] if rows in CANONICAL.values() else None)
+
+
+@RINGS
+def test_pivot_columns_are_the_rref_pivots(gaussian, big):
+    """On the canonical basis of a seeded row space the helper returns the
+    pivots of its elimination, and the entries of each vector of the space
+    at those columns are its coordinates in the basis."""
+    for seed in SEEDS:
+        rng = random.Random(8100 * seed + 10 * gaussian + big)
+        m = _matrix(rng, gaussian, big)
+        red, pivots, r = rref(m)
+        basis = red.take(range(r))
+        assert matrices.pivot_columns(basis) == pivots, seed
+        for v in m.row_list():
+            coords = [v[p] for p in pivots]
+            assert coords_in_basis(basis, v) == tuple(coords), seed
+    assert matrices.pivot_columns(Mat.zeros(0, 3)) == ()
+
+
 # --- Kronecker products ------------------------------------------------------
+
+def _face_split_by_rows(a: Mat, b: Mat) -> Mat:
+    """Row i is the entry-by-entry Kronecker product of row i of a and row i of b."""
+    rows = [ref.kron(Mat.from_rows([a.row(i)]), Mat.from_rows([b.row(i)])).row(0)
+            for i in range(a.rows)]
+    return Mat.from_rows(rows) if rows else Mat.zeros(0, a.cols * b.cols)
+
+
+@RINGS
+def test_face_split_matches_row_by_row_kron(gaussian, big):
+    for seed in SEEDS:
+        rng = random.Random(8200 * seed + 10 * gaussian + big)
+        rows = rng.randint(0, 5)
+        a = _matrix(rng, gaussian, big, rows=rows)
+        b = _matrix(rng, gaussian and seed % 2 == 0, big, rows=rows)
+        assert_same(a.face_split(b), _face_split_by_rows(a, b))
+        assert_same(b.face_split(a), _face_split_by_rows(b, a))
+
+
+def test_face_split_of_no_rows_and_of_unequal_row_counts():
+    b = Mat.from_rows([[I, 1], [Fraction(1, 3), 0]])
+    for cols in (0, 2):
+        z = Mat.zeros(0, cols)
+        assert_same(z.face_split(Mat.zeros(0, 3)), Mat.zeros(0, 3 * cols))
+    assert_same(Mat.zeros(2, 0).face_split(b), Mat.zeros(2, 0))
+    assert_same(b.face_split(Mat.zeros(2, 3)), Mat.zeros(2, 6))
+    for x, y in ((b, b.take([0])), (b.take([0]), b), (Mat.zeros(0, 2), b)):
+        with pytest.raises(ValueError, match="unequal row counts"):
+            x.face_split(y)
+
 
 def test_kron_and_take_match_entrywise_products():
     hypothesis = pytest.importorskip("hypothesis")

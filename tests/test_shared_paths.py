@@ -31,7 +31,8 @@ from hodgecalc.lmhs import (
     verify_polarized_lmhs,
 )
 from hodgecalc.horizontal import (
-    graded_end_algebra, phs_weight1, phs_weight2, principal_value_traces, top_block,
+    bracket, graded_end_algebra, kernel_dimension, phs_weight1, phs_weight2,
+    principal_value_traces, sectional_quartic, top_block,
 )
 from hodgecalc.matrices import Mat, inverse, kernel_space, solve, sub_canonical
 from hodgecalc.monomial import compatibility_check, compatibility_checks
@@ -343,6 +344,27 @@ def test_principal_value_traces_match_the_gram_matrices(case):
     for vec in directions:
         xi = ge.unflatten(vec)
         assert principal_value_traces(ge, xi) == ref_horizontal.principal_value_traces(ge, xi)
+
+
+@pytest.mark.parametrize("case", PHS_CASES.values(), ids=PHS_CASES.keys())
+def test_kernel_dimension_and_quartic_match_separate_calls(case):
+    """kernel_dimension, which takes its rank at the pivots of g^{-1,1},
+    equals the corank of the full ad-matrix bracket system; sectional_quartic,
+    which takes xi* once, equals its parts computed by the public calls."""
+    make, *args = case
+    ge = graded_end_algebra(make(*args))
+    gm1, d = ge.pieces[-1], ge.phs.dim
+    rng = random.Random(10 * d + 1)
+    coeffs = Mat.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                             for _ in range(gm1.rows)] for _ in range(3)])
+    for vec in gm1.row_list() + (coeffs @ gm1).row_list():
+        xi = ge.unflatten(vec)
+        assert kernel_dimension(ge, xi) == ref_horizontal.kernel_dimension(ge, xi)
+        q = sectional_quartic(ge, xi)
+        raw = ge.norm2(bracket(ge.adjoint(xi), xi))
+        assert (q.norm2, q.raw, q.block_traces) == (
+            ge.norm2(xi), raw, principal_value_traces(ge, xi))
+        assert q.value == raw / ge.norm2(xi) ** 2
 
 
 def assert_same_pieces(ours, theirs):
