@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, NotPolarized, ZeroVector
 from .matrices import (
-    Mat, Splitting, hermitian_psd_status, inverse, kernel_matrix, pivot_columns, rank,
+    Mat, Splitting, hermitian_psd_status, inverse, pivot_columns, rank,
     row_coords, sub_canonical, sub_zero,
 )
 from .rationals import GaussianRational, i_power
@@ -45,6 +45,8 @@ class PolarizedHS(Record):
         return (c.transpose() @ self.q).scale(GaussianRational(-1))
 
     def validate(self):
+        if self.q.transpose() != self.q.scale(-1 if self.weight % 2 else 1):
+            raise NotPolarized("form is not (-1)^weight-symmetric")
         # the splitting exists exactly when the pieces are a basis of V
         if sum(m.rows for m in self.pieces.values()) != self.dim:
             raise NotPolarized("Hodge pieces do not decompose the space")
@@ -64,6 +66,11 @@ class PolarizedHS(Record):
         _, _, pd = hermitian_psd_status(h)
         if not pd:
             raise NotPolarized("metric is not positive definite")
+        # Q pairs (p, q) with (q, p) alone: its Gram on the Hodge basis vanishes elsewhere
+        gram, keys = split.t.transpose() @ self.q @ split.t, split.labels
+        if any(gram[a, b] for a, ka in enumerate(keys) for b, kb in enumerate(keys)
+               if ka[0] + kb[0] != self.weight):
+            raise NotPolarized("first bilinear relation fails")
 
 
 def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:
@@ -99,7 +106,7 @@ class GradedEnd(Record):
     """Graded pieces of the form-preserving endomorphisms, with metric data."""
 
     phs: PolarizedHS
-    # p -> basis Mat of g^{p,-p} as solved (rows are flattened endomorphisms);
+    # p -> basis Mat of g^{p,-p} as built (rows are flattened endomorphisms);
     # only g^{-1,1}, whose coordinates are read, is in canonical form
     pieces: dict
     metric: Mat           # Hodge metric Gram on V (for adjoints)
@@ -129,39 +136,29 @@ class GradedEnd(Record):
 
 
 def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
-    """Compute the graded pieces of {X : Q(Xu, v) + Q(u, Xv) = 0}."""
-    d = phs.dim
-    n = phs.weight
-    # form-preserving condition: X^T Q + Q X = 0.  On row-major vec(X),
-    # vec(Q X) = (Q (x) I) vec(X), and (X^T Q)_ij = (Q^T X)_ji is row (j, i)
-    # of (Q^T (x) I) vec(X)
-    one = Mat.identity(d)
-    swap = [j * d + i for i in range(d) for j in range(d)]
-    system = phs.q.transpose().kron(one).take(swap) + phs.q.kron(one)
+    """The graded pieces of {X : X^T Q + Q X = 0}, in closed form.
 
-    # the maps of type p, sending each (r, s) piece into (r+p, s-p), are
-    # spanned by the elementary maps between such pairs of pieces; the
-    # form-preserving ones are the combinations c of them with
-    # c @ span @ system^T = 0, and all types share one product
-    split = Splitting(phs.pieces)
-    spans = {}
-    for p in range(-n, n + 1):
-        maps = [split.elementary_maps(b, (b[0] + p, b[1] - p)) for b in split.spaces
-                if (b[0] + p, b[1] - p) in split.spaces]
-        if maps:
-            spans[p] = Mat.stack(maps)
-    # (the 0 x d^2 block keeps the stack defined when d = 0)
-    images = Mat.stack([sub_zero(d * d), *spans.values()]) @ system.transpose()
-    pieces, start = {}, 0
-    for p, span in spans.items():
-        coeffs = kernel_matrix(images.take(range(start, start + span.rows)).transpose())
-        start += span.rows
-        if coeffs.rows:
-            pieces[p] = sub_canonical(coeffs @ span) if p == -1 else coeffs @ span
-    total = sum(m.rows for m in pieces.values())
-    lie_dim = d * d - rank(system)
-    if total != lie_dim:
-        raise NotPolarized(f"graded pieces have dimension {total}, algebra has {lie_dim}")
+    With e = (-1)^weight, Q^T = e Q, so X preserves Q exactly when M = Q X
+    has M^T = -e M; over the dual Hodge basis phi those M have the basis
+    phi_a (x) phi_b - e phi_b (x) phi_a (a < b, or a <= b when e = -1), so
+    its image u_a (x) phi_b - e u_b (x) phi_a under Q^-1 (u = phi Q^-T) is a
+    basis of the algebra.  Q(v, u_a) = phi_a(v), and Q pairs (r, s) with
+    (s, r) alone, so u_a lies in (n - r_a, r_a): both terms have type
+    n - r_a - r_b."""
+    n, split = phs.weight, Splitting(phs.pieces)
+    phi = split.t_inv
+    u = phi @ inverse(phs.q).transpose()
+    r = [key[0] for key in split.labels]
+    pairs = {}
+    for a in range(phs.dim):
+        for b in range(a + 1 - n % 2, phs.dim):
+            pairs.setdefault(n - r[a] - r[b], []).append((a, b))
+    pieces = {}
+    for p in sorted(pairs):
+        a, b = zip(*pairs[p])
+        x, y = u.take(a).face_split(phi.take(b)), u.take(b).face_split(phi.take(a))
+        span = x + y if n % 2 else x - y
+        pieces[p] = sub_canonical(span) if p == -1 else span
     h = phs.metric_matrix(split)
     return GradedEnd(phs, pieces, h, split, inverse(h.transpose()))
 

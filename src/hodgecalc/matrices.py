@@ -1041,13 +1041,6 @@ class Splitting:
         D X S^T of X."""
         return flat @ self._duals[dst].kron(self.spaces[src]).transpose()
 
-    def elementary_maps(self, src, dst) -> Mat:
-        """The row-major flattenings of the maps that send one basis vector
-        of V_src to one basis vector of V_dst and the other subspaces to 0:
-        row i * dim V_src + j is the i-th basis vector of V_dst times the
-        j-th coordinate row of V_src, flattened."""
-        return self.spaces[dst].kron(self._duals[src])
-
     def projector(self, k) -> Mat:
         """The projection onto V_k along the other subspaces."""
         return self.spaces[k].transpose() @ self._duals[k]

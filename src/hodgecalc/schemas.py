@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .errors import ParseError, SchemaError
+from .errors import NotPolarized, ParseError, SchemaError
 from .horizontal import phs_weight1, phs_weight2
 from .lmhs import PolarizedOrbitSpec
 from .matrices import Mat, is_nilpotent
@@ -22,8 +22,8 @@ from .records import Record
 
 KINDS = ("orbit", "phs", "model", "subspace", "alpha")
 
-# The largest dimension of a phs document.  The graded algebra solves systems
-# in d^2 unknowns; `horizontal` on the normal forms at d = 24 takes under 1 s
+# The largest dimension of a phs document.  The graded algebra has about d^2/2
+# basis vectors of d^2 entries; `horizontal` on the normal forms at d = 24 takes under 1 s
 # on a 2.1 GHz Xeon vCPU, where weight 2 with h11 = 400 ran out of memory.
 MAX_PHS_DIM = 24
 
@@ -105,6 +105,13 @@ def _require_phs_dim(field: str, dim: int):
              f"{field} gives a phs of dimension {dim}, more than {MAX_PHS_DIM}")
 
 
+def _polarized(make, *args):
+    try:
+        return make(*args)
+    except NotPolarized as exc:     # omega is the one field that can fail validation
+        raise SchemaError(f"omega gives no polarized structure: {exc}") from exc
+
+
 def _build_phs(payload):
     _require("weight" in payload, "phs payload is missing 'weight'")
     weight = _int_field(payload, "weight")
@@ -115,7 +122,7 @@ def _build_phs(payload):
             omega = _parse_matrix(payload["omega"], "omega")
             _require(omega.rows == omega.cols, "weight-1 omega must be square")
             _require_phs_dim(f"omega {omega.rows}x{omega.cols}", 2 * omega.rows)
-            return phs_weight1(omega.rows, omega)
+            return _polarized(phs_weight1, omega.rows, omega)
         genus = _int_field(payload, "genus")
         _require(genus >= 0, f"genus must be non-negative, got {genus}")
         _require_phs_dim(f"genus {genus}", 2 * genus)
@@ -131,7 +138,7 @@ def _build_phs(payload):
         if "omega" in payload:
             omega = _parse_matrix(payload["omega"], "omega")
             _require(omega.rows == h20 and omega.cols == h20, "weight-2 omega must be h20 x h20")
-        return phs_weight2(h20, h11, omega)
+        return _polarized(phs_weight2, h20, h11, omega)
     raise SchemaError("phs constructors cover weights 1 and 2")
 
 

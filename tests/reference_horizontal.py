@@ -10,8 +10,8 @@ form-preserving system for the Lie algebra g, maps a basis of g into the
 basis of the pieces through the d^2 x d^2 Kronecker product t^-1 (x) t^T,
 and then takes, for each grade, the kernel of the rows of the entries of the
 wrong type.  Both return the graded pieces only, and
-``test_shared_paths.py`` asserts that the library's block-pair solve finds
-the same pieces.
+``test_shared_paths.py`` asserts that the library's closed form, which
+solves nothing, finds the same pieces.
 
 ``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the

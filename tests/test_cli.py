@@ -404,6 +404,20 @@ NEGATIVE_PHS = {"h20-negative": {"weight": 2, "h20": -1, "h11": 3},
 BAD_MODEL_DIMS = {"rankE-and-dimT-negative": {"dimT": -1, "rankE": -1, "rankG": 1, "A": [["1"]]},
                   "rankE-zero": {"dimT": 2, "rankE": 0, "rankG": 0, "A": []}}
 
+I = {"re": "0", "im": "1"}
+# documents whose omega fails validation, with the subcommand run on each
+# and the reason the message keeps
+UNPOLARIZED_OMEGA = {
+    "weight1-omega-real": ("refine", {"weight": 1, "omega": [["1"]]},
+                           "Hodge pieces do not decompose the space"),
+    "weight1-omega-minus-i": ("validate", {"weight": 1, "omega": [[{"re": "0", "im": "-1"}]]},
+                              "metric is not positive definite"),
+    "weight1-omega-not-symmetric": ("horizontal", {"weight": 1, "omega": [[I, "1"], ["0", I]]},
+                                    "metric is not Hermitian"),
+    "weight2-omega-zero": ("refine", {"weight": 2, "h20": 1, "h11": 1, "omega": [["0"]]},
+                           "Hodge pieces do not decompose the space"),
+}
+
 BAD_DOCUMENTS = {
     "dim-not-an-integer": ("validate", _mutated("dollar-bill", dim="x")),
     "weight-a-fraction": ("validate", _mutated("dollar-bill", weight=1.5)),
@@ -486,6 +500,10 @@ BAD_DOCUMENTS = {
        for command in ("validate", "horizontal") for name, payload in NEGATIVE_PHS.items()},
     **{f"{command}-{name}": (command, {"kind": "model", "payload": payload})
        for command in ("validate", "curvature") for name, payload in BAD_MODEL_DIMS.items()},
+    # an omega that gives no polarized structure: refused while the document
+    # is read, whatever the subcommand
+    **{name: (command, {"kind": "phs", "payload": payload})
+       for name, (command, payload, _) in UNPOLARIZED_OMEGA.items()},
 }
 
 
@@ -537,6 +555,14 @@ def test_bad_dimensions_name_the_field(tmp_path, capsys):
                 path.write_text(json.dumps(BAD_DOCUMENTS[f"{command}-{name}"][1]))
                 code, _, err = run_cli([command, "--input", str(path)], capsys)
                 assert code == 2 and err == f"error: {field}\n", err
+
+
+def test_unpolarized_omega_names_the_field(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for name, (command, _, reason) in UNPOLARIZED_OMEGA.items():
+        path.write_text(json.dumps(BAD_DOCUMENTS[name][1]))
+        code, _, err = run_cli([command, "--input", str(path)], capsys)
+        assert code == 2 and err == f"error: omega gives no polarized structure: {reason}\n", err
 
 
 def test_curvature_of_a_model_with_no_tangent_directions(tmp_path, capsys):

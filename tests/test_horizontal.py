@@ -45,24 +45,26 @@ def test_frames_match_the_row_loops():
         assert_same_structure(ours(*args), theirs(*args))
 
 
-def test_graded_pieces_are_solved_in_their_own_unknowns(monkeypatch):
-    """At d = 10 the type-0 maps have the most unknowns, 3^2 + 4^2 + 3^2 =
-    34, where a solve in the Lie algebra has its 45 coordinates.  The only
-    wider elimination over Z[i] is the canonical form of g^{-1,1}, one row
-    per basis vector; the other pieces keep the basis they were solved in."""
+def test_graded_pieces_are_built_without_a_solve(monkeypatch):
+    """The pieces are read off Q^-1 and the dual Hodge basis: at d = 10 the
+    algebra takes no Kronecker product, and its only elimination wider than
+    2d columns is the canonical form of g^{-1,1}, one row per basis vector.
+    The others are the splitting, Q^-1 and the inverse of the metric's
+    transpose; every other piece keeps the basis it was built in."""
     phs = phs_weight2(3, 4)
-    shapes, rref = [], matrices.rref
-    monkeypatch.setattr(matrices, "rref", lambda m: shapes.append((m.rows, m.cols, m.is_real()))
-                        or rref(m))
+    shapes, krons, rref, kron = [], [], matrices.rref, Mat.kron
+    monkeypatch.setattr(matrices, "rref", lambda m: shapes.append((m.rows, m.cols)) or rref(m))
+    monkeypatch.setattr(Mat, "kron", lambda a, b: krons.append((a, b)) or kron(a, b))
     ge = graded_end_algebra(phs)
-    wide = [(r, c) for r, c, real in shapes if not real and c > 34]
-    assert wide == [(ge.pieces[-1].rows, 100)] == [(12, 100)]
+    assert krons == [] and ge.pieces[-1].rows == 12
+    assert shapes == [(10, 20), (10, 20), (12, 100), (10, 20)]
 
 
 def test_horizontal_derives_each_object_once(monkeypatch, capsys):
-    """One `horizontal` call on weight2-normal-form runs at most 10
-    eliminations, and none of them is a canonical form of g^{0,0}: the
-    structure keeps the one splitting of V it builds while validating."""
+    """One `horizontal` call on weight2-normal-form runs at most 5
+    eliminations (the splittings of validation and of the algebra, Q^-1,
+    the canonical g^{-1,1} and the inverse of the metric's transpose), and
+    none of them is a canonical form of g^{0,0}."""
     g0 = graded_end_algebra(load_fixture("weight2-normal-form").obj).pieces[0]
     eliminated, canonical = [], []
     rref, sub_canonical = matrices.rref, matrices.sub_canonical
@@ -73,7 +75,7 @@ def test_horizontal_derives_each_object_once(monkeypatch, capsys):
                         or sub_canonical(b))
     assert main(["horizontal", "--input", "builtin:weight2-normal-form", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert len(eliminated) <= 10
+    assert len(eliminated) <= 5
     monkeypatch.undo()
     assert canonical and not any(b.cols == g0.cols and sub_equal(b, g0) for b in canonical)
 
@@ -424,6 +426,14 @@ def test_bad_structure_raises_on_construction():
         PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})
     with pytest.raises(NotPolarized, match="do not decompose"):    # enough rows, dependent
         PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)], (0, 1): good.pieces[(1, 0)]})
+    with pytest.raises(NotPolarized, match="symmetric"):    # Q^T != (-1)^weight Q
+        PolarizedHS(2, 1, Mat.from_rows([[0, Fraction(7, 4)], [-1, 0]]), good.pieces)
+    # a positive definite metric, but Q pairs V^{2,0} with itself
+    i = GaussianRational(0, 1)
+    with pytest.raises(NotPolarized, match="first bilinear relation"):
+        PolarizedHS(3, 2, Mat.diag([1, -1, 1]), {(2, 0): Mat.from_rows([[1, 0, 2 * i]]),
+                                                 (1, 1): Mat.from_rows([[0, 1, 0]]),
+                                                 (0, 2): Mat.from_rows([[1, 0, -2 * i]])})
 
 
 def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2):

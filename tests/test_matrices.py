@@ -188,13 +188,12 @@ def test_splitting_of_a_plane_and_a_line():
     m = Mat.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
     assert split.block(m, "b", "a") == Mat.from_rows([[Fraction(-3, 2)], [Fraction(3, 2)]])
     assert split.block(m, "b", "b") == Mat.from_rows([[Fraction(5, 2)]])
-    # elementary map i sends the basis vector of V_b to basis vector i of V_a
-    # and kills V_a
-    maps = split.elementary_maps("b", "a")
-    for i in range(2):
-        x = maps.take([i]).reshape(3, 3)
-        assert x @ split.t == Mat.stack([Mat.zeros(2, 3), plane.take([i])]).transpose()
-    assert split.flat_blocks(maps, "b", "a") == Mat.identity(2)
+    # the blocks of m and of the projector onto V_a, from their flattenings:
+    # pa is the identity on V_a and kills V_b
+    flat = Mat.stack([m.reshape(1, 9), pa.reshape(1, 9)])
+    assert split.flat_blocks(flat, "b", "a") == Mat.from_rows([[Fraction(-3, 2), Fraction(3, 2)],
+                                                                [0, 0]])
+    assert split.flat_blocks(flat, "a", "a").take([1]) == Mat.identity(2).reshape(1, 4)
 
 
 def test_splitting_coords_read_off_the_projection():

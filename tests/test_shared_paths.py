@@ -34,7 +34,9 @@ from hodgecalc.horizontal import (
     bracket, graded_end_algebra, kernel_dimension, phs_weight1, phs_weight2,
     principal_value_traces, sectional_quartic, top_block,
 )
-from hodgecalc.matrices import Mat, inverse, kernel_space, solve, sub_canonical
+from hodgecalc.matrices import (
+    Mat, inverse, kernel_space, rank, solve, sub_canonical, sub_contains, sub_zero,
+)
 from hodgecalc.monomial import compatibility_check, compatibility_checks
 from hodgecalc.orbit import (
     chern_form_at, default_rays, hodge_metric_polynomial,
@@ -326,6 +328,26 @@ def test_graded_end_algebra_matches_the_lie_first_solve(case):
     make, *args = case
     phs = make(*args)
     assert_same_pieces(graded_end_algebra(phs).pieces, ref_horizontal.lie_first_pieces(phs))
+
+
+@pytest.mark.parametrize("case", LIE_FIRST_CASES.values(), ids=LIE_FIRST_CASES.keys())
+def test_graded_pieces_preserve_the_form_and_shift_the_hodge_type(case):
+    """Every basis vector X of g^{p,-p} has X^T Q + Q X = 0 and maps each
+    (r, s) piece into (r+p, s-p); the pieces are independent and add up to
+    the orthogonal algebra (even weight) or the symplectic one (odd)."""
+    make, *args = case
+    phs = make(*args)
+    d, q = phs.dim, phs.q
+    ge = graded_end_algebra(phs)
+    for p, piece in ge.pieces.items():
+        xs = [ge.unflatten(piece.row(k)) for k in range(piece.rows)]
+        assert all((x.transpose() @ q + q @ x).is_zero() for x in xs), p
+        assert rank(piece) == piece.rows
+        for (r, s), src in phs.pieces.items():
+            images = Mat.stack([src @ x.transpose() for x in xs])
+            assert sub_contains(phs.pieces.get((r + p, s - p), sub_zero(d)), images), (p, r)
+    expected = d * (d + 1) // 2 if phs.weight % 2 else d * (d - 1) // 2
+    assert sum(m.rows for m in ge.pieces.values()) == expected
 
 
 @pytest.mark.parametrize("case", PHS_CASES.values(), ids=PHS_CASES.keys())
