@@ -15,7 +15,7 @@ from .errors import NoSolution, NotCommuting
 from .matrices import (
     Mat, Splitting, kernel_space, extend_basis, kernel_matrix, kernel_with_free_columns,
     nilpotent_powers, rank, row_coords, sub_canonical, sub_complement_in, sub_contains,
-    sub_dim, sub_equal, sub_full, sub_image, sub_intersect, sub_sum_ambient, sub_zero,
+    sub_dim, sub_equal, sub_full, sub_intersect, sub_zero,
 )
 from .records import Record
 
@@ -35,24 +35,18 @@ def weight_filtration_centered(n: Mat) -> dict:
         W_k = N W_(k+2)                 (k < 0),
 
     equivalent to the closed form  W_k = sum_a im(N^a) ∩ ker(N^(a+k+1)),
-    which the test suite keeps as its independent oracle.
+    which the test suite keeps as its independent oracle.  Each level is
+    one canonical form of ker N^(k+1) stacked on N W_(k+2); the top level
+    is W_s = ker N^(s+1) = V.
     """
     d = n.rows
     powers = nilpotent_powers(n)
     s = len(powers) - 1
-    kernels = {j: kernel_space(p) for j, p in enumerate(powers, 1)}
-    out = {}
-    above = sub_full(d)     # W_(k+2)
-    prev = sub_full(d)      # W_(k+1)
-    for k in range(s, -s - 1, -1):
-        image = sub_image(n, above)
-        if k >= 0:
-            ker_part = kernels.get(k + 1, sub_full(d)) if k + 1 <= s + 1 else sub_full(d)
-            out[k] = sub_sum_ambient([ker_part, image], d)
-        else:
-            out[k] = image
-        above = prev
-        prev = out[k]
+    nt = n.transpose()
+    out = {s: sub_full(d)}
+    for k in range(s - 1, -s - 1, -1):
+        kernel = [kernel_matrix(powers[k])] if k >= 0 else []
+        out[k] = sub_canonical(Mat.stack([*kernel, out.get(k + 2, out[s]) @ nt]))
     return out
 
 
@@ -145,14 +139,19 @@ def grading_splitting(n: Mat, wf: WeightFiltration):
     Construction: lift the primitive subspace of each graded piece (echelon
     representatives, corrected so the appropriate power of n kills the lift
     exactly), then walk the lifts down their n-strings (`_strings`); the
-    string vectors are the basis of the splitting.
+    string vectors are the basis of the splitting.  By the Lefschetz
+    decomposition the primitive part of Gr_m has dimension
+    dim Gr_m - dim Gr_(m+2), so a level where that is 0 is skipped.
     """
     nw = wf.weight
     powers = nilpotent_powers(n)     # N^1 .. N^(s+1) = 0: the longest string has s+1 vectors
     s = len(powers) - 1
 
     tops = {}       # centred weight m -> the corrected primitive lifts
+    dims = (*wf.graded_dims, 0, 0)
     for m in range(s, -1, -1):
+        if dims[nw + m] == dims[nw + m + 2]:
+            continue        # no primitive vectors at centred weight m
         wk = wf.level(nw + m)
         wk1 = wf.level(nw + m - 1)
         pt = powers[m].transpose()

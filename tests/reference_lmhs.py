@@ -15,14 +15,19 @@ arithmetic that the library ran before its fraction-free elimination;
 ``associated_graded_orbit`` each ran before ``lmhs._primitive_parts``: all
 powers of N built first, then ``kernel_within`` of N^(i+1) on each graded
 subspace; ``test_lmhs.py`` asserts the same (i, P_i, N^i) triples.
+
+``flag_is_stable`` is the loop that ``verify_polarized_lmhs`` ran before it
+stacked the images of every nilpotent: for each N_j and each p, the
+canonical image N_j F^p and its own containment in F^(p-1);
+``test_lmhs.py`` asserts the same "N F^p inside F^(p-1)" outcome.
 """
 
 from __future__ import annotations
 
 from hodgecalc.lmhs import DeligneBigrading, flag_level, flag_levels
 from hodgecalc.matrices import (
-    Mat, kernel_matrix, sub_canonical, sub_conj, sub_dim, sub_equal, sub_intersect,
-    sub_sum_ambient, sub_zero,
+    Mat, kernel_matrix, sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_image,
+    sub_intersect, sub_sum_ambient, sub_zero,
 )
 
 
@@ -112,3 +117,14 @@ def primitive_parts(space, n: Mat, weight: int):
             continue
         out.append((i, prim, powers[i]))
     return out
+
+
+def flag_is_stable(spec) -> bool:
+    """N_j F^p ⊆ F^(p-1) for every nilpotent N_j and every p = 1..weight."""
+    levels = flag_levels(spec.flag, spec.weight, spec.dim)
+    stable = True
+    for nmat in spec.nilpotents:
+        for p in range(1, spec.weight + 1):
+            if not sub_contains(levels[p - 1], sub_image(nmat, levels[p])):
+                stable = False
+    return stable

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import reference_lmhs
+from conftest import direct_sum
 from hodgecalc import lmhs
 from hodgecalc.errors import NotMHS
 from hodgecalc.lmhs import (
@@ -118,6 +120,59 @@ def test_verify_rejects_unstable_flag(dollar_bill):
     rep = verify_polarized_lmhs(spec)
     stability = [c for c in rep.checks if c.name == "N F^p inside F^(p-1)"]
     assert stability and not stability[0].passed
+
+
+def _unit(i: int, j: int) -> Mat:
+    """The 4 x 4 matrix unit sending e_(j+1) to e_(i+1)."""
+    return Mat.from_rows([[1 if (r, c) == (i, j) else 0 for c in range(4)] for r in range(4)])
+
+
+def _weight2_flag_spec(nilpotents) -> PolarizedOrbitSpec:
+    """The weight-2 flag F^2 = <e3>, F^1 = <e2, e3>, F^0 = V of
+    `test_verify_rejects_unstable_flag` under the given nilpotents: a
+    strictly upper triangular N keeps it stable exactly when N e3 has no
+    e1 component."""
+    q = Mat.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    flag = (Mat.from_rows([[0, 0, 1, 0]]), Mat.from_rows([[0, 1, 0, 0], [0, 0, 1, 0]]),
+            Mat.identity(4))
+    return PolarizedOrbitSpec(4, 2, q, tuple(nilpotents), flag)
+
+
+def _stable(spec) -> bool:
+    return next(c.passed for c in verify_polarized_lmhs(spec).checks
+                if c.name == "N F^p inside F^(p-1)")
+
+
+@pytest.mark.parametrize("nilpotents,stable", [
+    ((_unit(1, 2), _unit(0, 1), Mat.zeros(4, 4)), True),
+    ((_unit(1, 2), _unit(0, 1), _unit(0, 2)), False),
+    ((_unit(0, 2), _unit(1, 2)), False),
+    ((), True),
+], ids=["all-hold", "only-last-breaks", "first-breaks", "no-nilpotents"])
+def test_stability_check_matches_the_per_nilpotent_loop(nilpotents, stable):
+    """One containment per p of the images under every N_j stacked; each
+    prefix of the nilpotents gives the outcome of the oracle's loop over
+    them one at a time, so the last one alone decides `only-last-breaks`."""
+    for k in range(len(nilpotents) + 1):
+        spec = _weight2_flag_spec(nilpotents[:k])
+        assert _stable(spec) == reference_lmhs.flag_is_stable(spec)
+    assert _stable(_weight2_flag_spec(nilpotents)) is stable
+
+
+def test_stability_check_matches_the_per_nilpotent_loop_on_seeded_triples(dollar_bill):
+    """Every orbit fixture and the dim-12 direct sum, which hold, and
+    seeded triples of strictly upper triangular nilpotents on the flag of
+    `_weight2_flag_spec`, of which some hold and most do not."""
+    rng = random.Random(29)
+    specs = [load_fixture(name).obj for name in ORBIT_FIXTURES] + [direct_sum([dollar_bill] * 3)]
+    for _ in range(60):
+        specs.append(_weight2_flag_spec(
+            Mat.from_rows([[rng.randint(-1, 1) if c > r else 0 for c in range(4)]
+                           for r in range(4)]) for _ in range(3)))
+    outcomes = [_stable(spec) for spec in specs]
+    assert outcomes == [reference_lmhs.flag_is_stable(spec) for spec in specs]
+    held, seeded = outcomes[:len(ORBIT_FIXTURES) + 1], outcomes[len(ORBIT_FIXTURES) + 1:]
+    assert all(held) and any(seeded) and not all(seeded)
 
 
 def test_verify_rejects_flipped_form(dollar_bill):

@@ -10,7 +10,7 @@ import pytest
 import reference_weightfilt as ref
 from conftest import direct_sum, random_nilpotent
 from reference_weightfilt import weight_filtration_centered_by_intersections
-from hodgecalc import weightfilt
+from hodgecalc import matrices, weightfilt
 from hodgecalc.errors import NoSolution, NotCommuting, NotNilpotent
 from hodgecalc.matrices import (
     Mat, Splitting, inverse, nilpotent_powers, sub_contains, sub_dim, sub_equal, sub_full,
@@ -334,6 +334,70 @@ def test_raising_operator_matches_the_oracle_on_jordan_types(blocks):
     n = jordan_nilpotent(random.Random(sum(blocks)), blocks)
     for weight in (max(blocks) - 1, max(blocks)):
         assert_same_as_oracle(n, weight)
+
+
+# Primitive weights b - 1 with empty centred weights between them: (5, 1) has
+# primitive vectors at 4 and 0 only, (6, 2, 2) at 5 and 1; the last two have
+# several zero blocks, and N = 0 in the last.
+GAP_TYPES = ([5, 1], [5, 3, 1], [7, 3], [4, 4, 1], [6, 2, 2], [3, 1, 1], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("blocks", GAP_TYPES, ids=[str(b) for b in GAP_TYPES])
+def test_splitting_matches_the_oracle_on_jordan_types_with_gaps(blocks):
+    """Each type conjugated by three seeded unimodular matrices, at the
+    smallest weight it fits and two above it: the levels skipped for want
+    of primitive vectors leave y, the splitting and the raising operator
+    as the oracle, which lifts every level, has them."""
+    for seed in range(3):
+        n = jordan_nilpotent(random.Random(100 * seed + len(blocks)), blocks)
+        for weight in range(max(blocks) - 1, max(blocks) + 2):
+            assert_same_as_oracle(n, weight)
+
+
+def test_grading_builds_kernels_only_at_primitive_weights(monkeypatch):
+    """Two kernels at each centred weight m = b - 1 of a Jordan block of
+    size b, the first of them the annihilator of W_(n-m-3), and none at a
+    weight with no primitive vectors."""
+    calls = []
+    kernel_matrix = weightfilt.kernel_matrix
+    monkeypatch.setattr(weightfilt, "kernel_matrix",
+                        lambda m: calls.append(m) or kernel_matrix(m))
+    for blocks in GAP_TYPES + JORDAN_TYPES:
+        n = jordan_nilpotent(random.Random(7), blocks)
+        for weight in (max(blocks) - 1, max(blocks)):
+            wf = weight_filtration(n, weight)
+            calls.clear()
+            grading_splitting(n, wf)
+            primitive = sorted({b - 1 for b in blocks}, reverse=True)
+            assert len(calls) == 2 * len(primitive), (blocks, weight)
+            assert calls[::2] == [wf.level(weight - m - 3) for m in primitive]
+
+
+def test_nilpotent_chain_elimination_counts(monkeypatch):
+    """Eliminations per call on a regular nilpotent of dimension 8 (one
+    block: the three nilpotents of orbit-scaled have this shape) at weight
+    8: 42 for the weight filtration, where canonicalizing each kernel, image
+    and sum on its own took 58; 13 for the grading splitting, where lifting
+    all 8 centred weights took 51; 5 for the sl2 triple."""
+    n = random_nilpotent(random.Random(5), 8)
+    assert len(nilpotent_powers(n)) == 8
+    eliminated = []
+    rref = matrices.rref
+    # weightfilt binds no rref: every elimination goes through matrices
+    assert not hasattr(weightfilt, "rref")
+    monkeypatch.setattr(matrices, "rref", lambda m: eliminated.append(m) or rref(m))
+    counts = []
+
+    def counted(step, *args, **kwargs):
+        eliminated.clear()
+        out = step(*args, **kwargs)
+        counts.append(len(eliminated))
+        return out
+
+    wf = counted(weight_filtration, n, 8)
+    y = counted(grading_element, n, wf)
+    counted(complete_sl2, n, y, weight=8)
+    assert counts == [42, 13, 5]
 
 
 def _seeded_y(rng: random.Random, n: Mat, kind: int):
