@@ -243,8 +243,7 @@ def _monomial_map(doc, flags, f, g):
     if doc.kind == "orbit":
         mm = monomial_map(doc.obj)
     else:
-        mm = MonomialMap.from_rays(nonnegative_generators(doc.obj.row_list(), doc.obj.cols),
-                                   range(doc.obj.cols))
+        mm = MonomialMap.from_rays(nonnegative_generators(doc.obj), range(doc.obj.cols))
     f.update(mm.to_json())
     g["computed"] = True
 
@@ -258,11 +257,10 @@ def _refine(doc, flags, f, g):
     if doc.kind == "orbit":
         mm = monomial_map(doc.obj)
     else:
-        exps = [[x.re for x in row] for row in doc.obj.row_list()]
-        if any(x.denominator != 1 for row in exps for x in row):
+        rows = doc.obj.int_rows()
+        if any(d != 1 for _, _, d in rows):
             raise SchemaError("refine needs a basis of integer exponent vectors")
-        mm = MonomialMap(tuple(tuple(map(int, row)) for row in exps),
-                         tuple(range(doc.obj.cols)))
+        mm = MonomialMap(tuple(tuple(re) for re, _, _ in rows), tuple(range(doc.obj.cols)))
     ref = connected_refinement(mm)
     f["invariantFactors"] = list(ref.invariant_factors)
     f["covering"] = ref.eta.to_json()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import NotSpanned
-from .matrices import Mat, rank, rref
+from .matrices import Mat, rank, rref, sub_canonical
 from .rationals import as_gauss
 
 
@@ -42,6 +42,14 @@ def primitive_ray(v):
     return _primitive([p * (d // q) for p, q in ratios])
 
 
+def primitive_rows(m: Mat):
+    """Each row of the real Mat m as the primitive integer vector on its ray,
+    read off its integer rows; ValueError on a non-real entry."""
+    if not m.is_real():
+        raise ValueError("non-real entry where a real number is needed")
+    return [_primitive(re) for re, _, _ in m.int_rows()]
+
+
 def dd_extreme_rays(inequalities, dim: int):
     """Extreme rays and final lineality of {y in R^dim : a . y >= 0}.
 
@@ -66,8 +74,8 @@ def dd_extreme_rays(inequalities, dim: int):
             lineality = [w for w in (_project(l, a, p, d) for l in lineality) if any(w)]
             # keep an independent basis
             if lineality:
-                red, _, rk = rref(Mat.from_rows(lineality))
-                lineality = [primitive_ray(red.row(i)) for i in range(rk)]
+                red, _, rk = rref(Mat.from_int_rows(lineality, 1))
+                lineality = primitive_rows(red.take(range(rk)))
             rays = [(_primitive(_project(v, a, p, d)), z | {idx}) for v, z in rays]
             # the lineality lies in every earlier hyperplane, and so does p
             rays.append((p, frozenset(range(idx))))
@@ -100,18 +108,19 @@ def dd_extreme_rays(inequalities, dim: int):
     return tuple(sorted({v for v, _ in rays})), tuple(lineality)
 
 
-def nonnegative_extreme_rays(basis_rows, ambient: int):
-    """Extreme rays of span(basis) ∩ {x >= 0}, as primitive integer vectors.
+def nonnegative_extreme_rays(basis: Mat):
+    """Extreme rays of rowspace(basis) ∩ {x >= 0} in R^basis.cols, as
+    primitive integer vectors.
 
     Raises NotSpanned if the rays fail to span the subspace.
     """
-    # parametrize the subspace by its canonical rref basis
-    red, _, rk = rref(Mat.from_rows(basis_rows))
+    # parametrize the subspace by its canonical basis
+    param = primitive_rows(sub_canonical(basis))
+    rk = len(param)
     if not rk:
         return tuple()
-    param = [primitive_ray(red.row(i)) for i in range(rk)]
     # y in R^rk, x = sum y_i param_i; inequality rows: coordinates of x
-    ineqs = [tuple(p[coord] for p in param) for coord in range(ambient)]
+    ineqs = list(zip(*param))
     rays_y, lin = dd_extreme_rays(ineqs, rk)
     if lin:
         raise NotSpanned("internal error: nonnegative cone contains a line")
@@ -122,7 +131,7 @@ def nonnegative_extreme_rays(basis_rows, ambient: int):
             raise NotSpanned("internal error: ray escapes the orthant")
         rays_x.append(_primitive(x))
     rays_x = sorted(set(rays_x))
-    span_rank = rank(Mat.from_rows(rays_x))
+    span_rank = rank(Mat.from_int_rows(rays_x, 1))
     if span_rank != rk:
         raise NotSpanned(
             f"non-negative rays span rank {span_rank} < subspace rank {rk}")

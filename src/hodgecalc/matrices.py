@@ -392,8 +392,8 @@ class Mat:
 
     @classmethod
     def from_int_rows(cls, rows, den: int) -> "Mat":
-        """The real matrix of int rows over one positive denominator."""
-        form = [_Z.normal(row, den) for row in rows]
+        """The real matrix of int sequences (copied) over one positive denominator."""
+        form = [_Z.normal(list(row), den) for row in rows]
         return cls._make(len(form), len(rows[0]) if rows else 0, _Z,
                          [r for r, _ in form], [d for _, d in form])
 

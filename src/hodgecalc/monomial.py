@@ -11,15 +11,13 @@ so that its fibers become connected at the lattice level.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .cones import nonnegative_extreme_rays, primitive_ray
+from .cones import nonnegative_extreme_rays, primitive_rows
 from .errors import NoSolution
 from .lmhs import PolarizedOrbitSpec
 from .matrices import (
-    Mat, inverse, kernel_matrix, kernel_space, smith_normal_form, sub_canonical,
-    sub_contains, sub_contains_vec,
+    Mat, inverse, kernel_matrix, kernel_space, smith_normal_form, sub_canonical, sub_contains,
 )
 from .polynomials import monomial_string
 from .records import Record
@@ -33,12 +31,12 @@ from .weightfilt import weight_filtration_centered
 class RelationSpace(Record):
     """Kernel and cokernel data of a -> sum a_i N_i."""
 
-    basis: tuple        # rows spanning {a : sum a_i N_i = 0}
-    orth_basis: tuple   # rows spanning the orthogonal complement
+    basis: Mat          # canonical basis of {a : sum a_i N_i = 0}
+    orth_basis: Mat     # canonical basis of its orthogonal complement
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
 
 def _flat(nilpotents, d: int) -> Mat:
@@ -49,10 +47,9 @@ def _flat(nilpotents, d: int) -> Mat:
 def relation_space(nilpotents) -> RelationSpace:
     """Exact kernel of the flattening map a -> sum a_i N_i."""
     if not nilpotents:
-        return RelationSpace((), ())
+        return RelationSpace(Mat.zeros(0, 0), Mat.zeros(0, 0))
     basis = kernel_space(_flat(nilpotents, nilpotents[0].rows).transpose())
-    orth = kernel_space(basis)
-    return RelationSpace(tuple(basis.row_list()), tuple(orth.row_list()))
+    return RelationSpace(basis, kernel_space(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +82,15 @@ class MonomialMap(Record):
                 "monomials": list(self.monomial_strings())}
 
 
-def nonnegative_generators(orth_rows, ambient: int):
-    """Primitive non-negative integer generators of span(orth) ∩ orthant."""
-    return nonnegative_extreme_rays(orth_rows, ambient)
+def nonnegative_generators(orth: Mat):
+    """Primitive non-negative integer generators of rowspace(orth) ∩ orthant."""
+    return nonnegative_extreme_rays(orth)
 
 
 def monomial_map(spec: PolarizedOrbitSpec) -> MonomialMap:
     """Monomials separating the fibers of the full orbit."""
-    rs = relation_space(spec.nilpotents)
-    k = spec.num_params
-    return MonomialMap.from_rays(nonnegative_generators(rs.orth_basis, k), range(k))
+    rays = nonnegative_generators(relation_space(spec.nilpotents).orth_basis)
+    return MonomialMap.from_rays(rays, range(spec.num_params))
 
 
 def w_minus1_end(n_cone: Mat) -> Mat:
@@ -114,10 +110,10 @@ def w_minus1_end(n_cone: Mat) -> Mat:
 
 
 def stratum_relation_rows(spec: PolarizedOrbitSpec, subset):
-    """Basis of {b over the complement : sum b_j N_j in W_-1(N_subset) End(V)}."""
+    """(canonical basis of {b over the complement : sum b_j N_j in
+    W_-1(N_subset) End(V)}, complement)."""
     subset = spec.stratum(subset)
-    space, complement = _relation_space(spec, subset, w_minus1_end(spec.n_sum(subset)))
-    return space.row_list(), complement
+    return _relation_space(spec, subset, w_minus1_end(spec.n_sum(subset)))
 
 
 def _relation_space(spec: PolarizedOrbitSpec, subset, w: Mat):
@@ -133,9 +129,7 @@ def stratum_monomial_map(spec: PolarizedOrbitSpec, subset) -> MonomialMap:
     """Monomials in the complement variables separating stratum fibers."""
     subset = spec.stratum(subset)
     space, complement = _relation_space(spec, subset, w_minus1_end(spec.n_sum(subset)))
-    orth = kernel_space(space)
-    return MonomialMap.from_rays(nonnegative_generators(orth.row_list(), len(complement)),
-                                 complement)
+    return MonomialMap.from_rays(nonnegative_generators(kernel_space(space)), complement)
 
 
 class CompatibilityReport(Record):
@@ -164,7 +158,7 @@ def compatibility_check(spec: PolarizedOrbitSpec, small, large) -> Compatibility
 def _compatibility(spec, small, large, relations, w_large: Mat) -> CompatibilityReport:
     """compatibility_check from the relations of `small` and W_-1 of `large`."""
     space, complement = relations
-    gens = tuple(primitive_ray(row) for row in space.row_list())
+    gens = tuple(primitive_rows(space))
     # row i is sum_j g_ij vec(N_j) over the complement of `large`
     d = spec.dim
     flat = _flat([spec.nilpotents[j] if j not in large else Mat.zeros(d, d)
@@ -222,39 +216,29 @@ def connected_refinement(m: MonomialMap) -> SaturationRefinement:
     if not m.exponents:
         k = len(m.variables)
         return SaturationRefinement(Mat.identity(k), m, tuple())
-    e = Mat.from_rows([[Fraction(x) for x in row] for row in m.exponents])
+    e = Mat.from_int_rows(m.exponents, 1)
     snf = smith_normal_form(e)
     u_inv = inverse(snf.u)
     v_inv = inverse(snf.v)
     nr, nc = e.rows, e.cols
-    d_hat = Mat.from_rows([[Fraction(1) if (i == j and snf.d[i, i]) else Fraction(0)
-                            for j in range(nc)] for i in range(nr)])
+    # the nonzero diagonal entries of D come first: they are the invariant factors
+    factors = snf.invariant_factors
+    r = len(factors)
+    d_hat = Mat.from_int_rows([[int(i == j < r) for j in range(nc)] for i in range(nr)], 1)
     a_tilde = u_inv @ d_hat @ v_inv
-    diag = [snf.d[i, i] if i < min(nr, nc) and snf.d[i, i] else Fraction(1)
-            for i in range(nc)]
-    b = snf.v @ Mat.diag(diag) @ v_inv
+    b = snf.v @ Mat.diag(list(factors) + [1] * (nc - r)) @ v_inv
     if a_tilde @ b != e:
         raise NoSolution("internal error: refinement diagram does not commute")
-    refined_rows = []
-    for i in range(nr):
-        row = []
-        for j in range(nc):
-            val = a_tilde[i, j].real_or_raise()
-            if val.denominator != 1:
-                raise NoSolution("internal error: refined exponents not integral")
-            row.append(int(val))
-        refined_rows.append(tuple(row))
-    eta_ok = all(b[i, j].real_or_raise().denominator == 1
-                 for i in range(nc) for j in range(nc))
-    if not eta_ok:
+    refined = a_tilde.int_rows()
+    if any(d != 1 for _, _, d in refined):
+        raise NoSolution("internal error: refined exponents not integral")
+    if any(d != 1 for _, _, d in b.int_rows()):
         raise NoSolution("internal error: covering exponents not integral")
-    factors = tuple(int(f) for f in snf.invariant_factors if f > 1)
     # saturation check: the refined lattice has trivial elementary divisors
-    snf2 = smith_normal_form(a_tilde)
-    if any(f != 1 for f in snf2.invariant_factors):
+    if any(f != 1 for f in smith_normal_form(a_tilde).invariant_factors):
         raise NoSolution("internal error: refined lattice is not saturated")
-    return SaturationRefinement(b, MonomialMap(tuple(refined_rows), m.variables),
-                                factors)
+    refined_map = MonomialMap(tuple(tuple(re) for re, _, _ in refined), m.variables)
+    return SaturationRefinement(b, refined_map, tuple(f for f in factors if f > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,4 +260,4 @@ def strata_boundary_positivity(spec: PolarizedOrbitSpec, index: int, subset=None
     rest = [j for j in subset if j != index]
     flat = _flat([spec.nilpotents[j] for j in rest], spec.dim)
     space = Mat.stack([w_minus1_end(spec.n_sum(rest)), flat])
-    return not sub_contains_vec(space, spec.nilpotents[index].vec())
+    return not sub_contains(space, spec.nilpotents[index].reshape(1, spec.dim ** 2))

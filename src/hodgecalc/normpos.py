@@ -225,7 +225,9 @@ def quotient_curvature_at(theta_e: CurvatureTensor, inclusion: Mat, beta_mats,
 # ---------------------------------------------------------------------------
 
 def chern_form_norm(model: NormPositivityModel, q: int, subspace_rows) -> Fraction:
-    """The q-th Chern form evaluated on a q-dimensional subspace of T.
+    """(1/q!) s_q(Theta), the signed q-th Segre form, on a q-dimensional
+    subspace of T (for q = 1, c_1: the trace form); a norm, hence >= 0.  The
+    name predates this reading; the rename waits (ROADMAP item 7).
 
     Computed as the norm of the q x q minors of the E-valued matrix of A
     restricted to the subspace; entries multiply as polynomials in the fiber

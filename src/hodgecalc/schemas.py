@@ -160,8 +160,11 @@ def _build_subspace(payload) -> Mat:
     basis = _parse_matrix(payload["basis"], "basis")
     _require(basis.is_real(), "subspace basis must be real")
     if "ambient" in payload:
-        _require(basis.cols == _int_field(payload, "ambient"),
-                 "basis vectors must match the ambient dimension")
+        ambient = _int_field(payload, "ambient")
+        _require(ambient >= 0, f"'ambient' must be non-negative, got {ambient}")
+        if not basis.rows:
+            basis = Mat.zeros(0, ambient)
+        _require(basis.cols == ambient, "basis vectors must match the ambient dimension")
     return basis
 
 

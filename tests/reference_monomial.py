@@ -63,14 +63,13 @@ def _orth_complement(space: Mat, ambient: int) -> Mat:
 def relation_space(nilpotents) -> RelationSpace:
     k = len(nilpotents)
     if k == 0:
-        return RelationSpace((), ())
+        return RelationSpace(sub_zero(0), sub_zero(0))
     d = nilpotents[0].rows
     cols = Mat.from_rows([[n.vec()[i] for n in nilpotents]
                           for i in range(d * d)])
     kern = kernel_basis(cols)
     basis = _vec_rows_to_space(kern, k)
-    orth = _orth_complement(basis, k)
-    return RelationSpace(tuple(basis.row_list()), tuple(orth.row_list()))
+    return RelationSpace(basis, _orth_complement(basis, k))
 
 
 def stratum_relation_rows(spec, subset):
@@ -85,20 +84,17 @@ def stratum_relation_rows(spec, subset):
     for r in range(w.rows):
         cols.append([-x for x in w.row(r)])
     if not cols:
-        return [], complement
+        return sub_zero(0), complement
     m = Mat.from_rows(cols).transpose()
     kern = kernel_basis(m)
     b_rows = [list(v[:len(complement)]) for v in kern]
-    space = _vec_rows_to_space([r for r in b_rows if any(r)], len(complement))
-    return space.row_list(), complement
+    return _vec_rows_to_space([r for r in b_rows if any(r)], len(complement)), complement
 
 
 def stratum_monomial_map(spec, subset) -> MonomialMap:
-    rel_rows, complement = stratum_relation_rows(spec, subset)
-    space = _vec_rows_to_space(rel_rows, len(complement))
+    space, complement = stratum_relation_rows(spec, subset)
     orth = _orth_complement(space, len(complement))
-    return MonomialMap.from_rays(nonnegative_generators(orth.row_list(), len(complement)),
-                                 complement)
+    return MonomialMap.from_rays(nonnegative_generators(orth), complement)
 
 
 def compatibility_check(spec, small, large) -> CompatibilityReport:
@@ -106,9 +102,9 @@ def compatibility_check(spec, small, large) -> CompatibilityReport:
     large = sorted(set(large))
     if not set(small) < set(large):
         raise ValueError("need a strictly nested pair of strata")
-    rel_rows, complement = stratum_relation_rows(spec, small)
+    space, complement = stratum_relation_rows(spec, small)
     w_large = w_minus1_end(spec.n_sum(large))
-    gens = tuple(primitive_ray(row) for row in rel_rows)
+    gens = tuple(primitive_ray(row) for row in space.row_list())
     d = spec.dim
     verdicts = []
     for g in gens:

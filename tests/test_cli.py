@@ -130,9 +130,9 @@ def test_exit_code_library_error(argv, capsys, tmp_path):
                    "Hodge-Riemann positivity on primitive (1,1)\n")
 
 
-def _subspace(tmp_path, basis):
+def _subspace(tmp_path, basis, **fields):
     path = tmp_path / "subspace.json"
-    path.write_text(json.dumps({"kind": "subspace", "payload": {"basis": basis}}))
+    path.write_text(json.dumps({"kind": "subspace", "payload": {"basis": basis, **fields}}))
     return str(path)
 
 
@@ -154,6 +154,26 @@ def test_refine_on_subspace(tmp_path, capsys):
     data = json.loads(out)
     assert data["flags"]["saturated"] is True
     assert data["findings"]["invariantFactors"] == [6]
+
+
+def test_zero_subspace_takes_its_width_from_ambient(tmp_path, capsys):
+    # an empty basis has no rows to read a width from
+    path = _subspace(tmp_path, [], ambient=3)
+    code, out, _ = run_cli(["monomial-map", "--input", path, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["findings"] == {"exponents": [], "monomials": [],
+                                           "variables": [1, 2, 3]}
+    code, out, _ = run_cli(["refine", "--input", path, "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["flags"]["saturated"] is True
+    assert data["findings"]["invariantFactors"] == []
+    assert data["findings"]["covering"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert data["findings"]["refined"]["exponents"] == []
+    assert data["findings"]["refined"]["variables"] == [1, 2, 3]
+    code, out, _ = run_cli(["validate", "--input", path, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["flags"]["valid"] is True
 
 
 def test_validate_passes(capsys):
@@ -433,6 +453,12 @@ BAD_DOCUMENTS = {
                                 _mutated("alpha-example", degreeBound=100000)),
     "ambient-not-an-integer": ("validate", {"kind": "subspace",
                                             "payload": {"basis": [["1", "0"]], "ambient": None}}),
+    "ambient-negative": ("validate", {"kind": "subspace",
+                                      "payload": {"basis": [], "ambient": -1}}),
+    "ambient-negative-with-rows": ("monomial-map", {"kind": "subspace",
+                                                    "payload": {"basis": [["1"]], "ambient": -1}}),
+    "ambient-not-the-width": ("monomial-map", {"kind": "subspace",
+                                               "payload": {"basis": [[1, 1, 1]], "ambient": 2}}),
     # no horizontal directions: the (-1) piece of the graded algebra is empty
     "horizontal-h20-zero": ("horizontal", _mutated("weight2-normal-form", h20=0)),
     "horizontal-genus-zero": ("horizontal", _mutated("weight1-genus2", genus=0)),
@@ -526,6 +552,16 @@ def test_horizontal_without_h11_names_h11(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli([command, "--input", str(path)], capsys)
     assert code == 2 and "h11 > 0" in err
+
+
+def test_negative_ambient_names_the_field(tmp_path, capsys):
+    # refused before an empty basis takes its width from it
+    for name in ("ambient-negative", "ambient-negative-with-rows"):
+        command, payload = BAD_DOCUMENTS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli([command, "--input", str(path)], capsys)
+        assert (code, err) == (2, "error: 'ambient' must be non-negative, got -1\n"), name
 
 
 def test_phs_budget_names_the_field(tmp_path, capsys, monkeypatch):

@@ -7,13 +7,13 @@ from itertools import combinations
 import pytest
 
 import reference_cones as ref
-from hodgecalc import cones
+from hodgecalc import cones, matrices
 from hodgecalc.cones import (
     dd_extreme_rays, hull_contains, hull_facets, in_hull, nonnegative_extreme_rays,
-    primitive_ray,
+    primitive_ray, primitive_rows,
 )
 from hodgecalc.errors import NotSpanned
-from hodgecalc.matrices import Mat, kernel_basis, rank
+from hodgecalc.matrices import Mat, kernel_basis, rank, rref
 from hodgecalc.rationals import GaussianRational
 
 
@@ -67,25 +67,56 @@ def _brute_force_rays(basis_rows, ambient):
     return tuple(sorted(out))
 
 
+def _basis(rows, ambient):
+    """The Mat of the row list `rows` in R^ambient, a 0 x ambient one when
+    there are no rows."""
+    return Mat.from_rows(rows) if rows else Mat.zeros(0, ambient)
+
+
 def test_single_ray():
-    assert nonnegative_extreme_rays([[1, 1]], 2) == ((1, 1),)
+    assert nonnegative_extreme_rays(Mat.from_rows([[1, 1]])) == ((1, 1),)
+
+
+def test_width_is_read_off_the_basis():
+    # no separate ambient dimension can cut the rays short
+    assert nonnegative_extreme_rays(Mat.from_rows([[1, 1, 1]])) == ((1, 1, 1),)
+    assert nonnegative_extreme_rays(Mat.zeros(0, 3)) == ()
 
 
 def test_full_space_gives_basis():
-    rays = nonnegative_extreme_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    rays = nonnegative_extreme_rays(Mat.identity(3))
     assert rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_not_spanned():
     with pytest.raises(NotSpanned):
-        nonnegative_extreme_rays([[1, -1]], 2)
+        nonnegative_extreme_rays(Mat.from_rows([[1, -1]]))
 
 
 def test_halfplane():
     # span{(1,0,-1), (0,1,1)} meets the orthant in a 2-dim cone
-    rays = nonnegative_extreme_rays([[1, 0, -1], [0, 1, 1]], 3)
+    rays = nonnegative_extreme_rays(Mat.from_rows([[1, 0, -1], [0, 1, 1]]))
     assert rays == _brute_force_rays([[1, 0, -1], [0, 1, 1]], 3)
     assert len(rays) == 2
+
+
+def test_canonical_basis_is_not_eliminated_again(monkeypatch):
+    """A basis already in canonical form is parametrized as it is: the rays
+    take exactly the eliminations of the double description on its rows."""
+    basis = Mat.from_rows([[1, 0, -1, 2], [0, 1, 1, 1]])
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rref(m)
+    monkeypatch.setattr(cones, "rref", counted)
+    monkeypatch.setattr(matrices, "rref", counted)
+    rays = nonnegative_extreme_rays(basis)
+    in_rays = len(calls)
+    calls.clear()
+    dd_extreme_rays(list(zip(*primitive_rows(basis))), 2)
+    assert len(calls) == in_rays - 1        # only the rank of the rays remains
+    assert rays == _brute_force_rays([[1, 0, -1, 2], [0, 1, 1, 1]], 4)
 
 
 def test_seeded_against_brute_force():
@@ -100,7 +131,7 @@ def test_seeded_against_brute_force():
         expected = _brute_force_rays(rows, ambient)
         span_rank = rank(Mat.from_rows([list(r) for r in expected])) if expected else 0
         try:
-            rays = nonnegative_extreme_rays(rows, ambient)
+            rays = nonnegative_extreme_rays(Mat.from_rows(rows))
         except NotSpanned:
             assert span_rank < rank(Mat.from_rows(rows))
             continue
@@ -193,7 +224,7 @@ def test_nonnegative_rays_and_hulls_match_fraction_implementation():
         rng = random.Random(seed)
         ambient = rng.randint(1, 5)
         rows = [[_entry(rng) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
-        assert (outcome(nonnegative_extreme_rays, rows, ambient)
+        assert (outcome(nonnegative_extreme_rays, _basis(rows, ambient))
                 == outcome(ref.nonnegative_extreme_rays, rows, ambient)), seed
         dim = rng.randint(1, 3)
         points = [tuple(rng.randint(-2, 2) for _ in range(dim))
@@ -240,3 +271,16 @@ def test_primitive_ray():
     assert primitive_ray([]) == ()
     with pytest.raises(ValueError):
         primitive_ray([GaussianRational(1, 1)])
+
+
+def test_primitive_rows_are_the_primitive_rays_of_the_rows():
+    for seed in range(200):
+        rng = random.Random(seed)
+        cols = rng.randint(0, 5)
+        rows = [[_entry(rng) for _ in range(cols)] for _ in range(rng.randint(0, 4))]
+        m = _basis(rows, cols)
+        assert primitive_rows(m) == [primitive_ray(row) for row in rows], seed
+    assert primitive_rows(Mat.from_rows([[Fraction(2, 3), 0, -4], [0, 0, 0]])) == [
+        (1, 0, -6), (0, 0, 0)]
+    with pytest.raises(ValueError):
+        primitive_rows(Mat.from_rows([[1, 0], [GaussianRational(1, 1), 2]]))

@@ -228,6 +228,15 @@ def test_stack_puts_rows_under_each_other():
         Mat.stack([])
 
 
+def test_from_int_rows_takes_any_int_sequences():
+    rows = [(2, 4, -6), [0, 0, 0], range(3)]
+    m = Mat.from_int_rows(rows, 4)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert m == Mat.from_rows([[half, 1, -3 * half], [0, 0, 0], [0, quarter, half]])
+    assert Mat.from_int_rows([(1, 2)], 1) == Mat.from_int_rows([[1, 2]], 1)
+    assert [re for re, _, _ in m.int_rows()] == [[1, 2, -3], [0, 0, 0], [0, 1, 2]]
+
+
 def test_nilpotent_powers_end_at_the_first_zero_power():
     n = Mat.from_rows([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
     powers = nilpotent_powers(n)

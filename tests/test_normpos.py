@@ -239,6 +239,24 @@ def test_chern_norm_g24_generic_plane(g24_model):
     assert val > 0
 
 
+def test_chern_norm_on_a_line_is_the_trace_form(g24_model):
+    """For q = 1 the norm is c_1 = s_1 on the line of xi: conj(xi) . T . xi^T
+    for the trace form T.  The other order, xi . T . conj(xi)^T, is not it."""
+    rng = random.Random(8)
+    models = [g24_model] + [_random_model(rng, rng.randint(1, 3), rng.randint(1, 4),
+                                          rng.randint(1, 3)) for _ in range(12)]
+    other_order = 0
+    for model in models:
+        trace = curvature_from_model(model).trace_form()
+        for _ in range(3):
+            xi = _gauss_vector(rng, model.dim_t)
+            row = Mat.from_rows([xi])
+            value = chern_form_norm(model, 1, [xi])
+            assert value == (row.conj() @ trace @ row.transpose())[0, 0]
+            other_order += value != (row @ trace @ row.conj_transpose())[0, 0]
+    assert other_order
+
+
 def test_chern_norm_rejects_spanning_vectors_of_the_wrong_length(g24_model):
     for rows in ([[1, 0, 0]], [[1, 0, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0]]):
         with pytest.raises(ValueError):

@@ -19,9 +19,11 @@ nothing.  The last two checks keep the stored forms of ``Mat`` and
 name of the package in any spelling, relative or absolute, and no code but
 ``matrices`` and ``polynomials`` reads the private slots of the two
 classes (the demos and the benchmark included); the other modules go
-through ``Mat.int_rows`` and ``poly_matrix``.  The final check keeps
+through ``Mat.int_rows`` and ``poly_matrix``.  The next check keeps
 ``dataclasses`` out of the library: its records build on
-``hodgecalc.records`` and generate no code at import.
+``hodgecalc.records`` and generate no code at import.  The last one keeps
+the lattice layer, ``cones`` and ``monomial``, on integer rows: they read
+no ``GaussianRational`` view of a ``Mat``.
 """
 
 from __future__ import annotations
@@ -271,3 +273,39 @@ def test_the_check_finds_dataclasses_imports():
               "from .dataclasses import helper\n")
     assert banned_imports(source) == [(1, "dataclasses"), (2, "dataclasses"),
                                       (3, "dataclasses"), (6, "dataclasses")]
+
+
+INT_ROW_READERS = [PACKAGE / "cones.py", PACKAGE / "monomial.py"]
+GAUSS_VIEWS = {"row", "row_list", "col", "vec", "entries", "mat_vec", "from_rows", "from_json"}
+
+
+def gauss_view_reads(source: str):
+    """(line, what) of each read of a ``GaussianRational`` view of a ``Mat``:
+    an attribute in GAUSS_VIEWS (``m.row(i)``, ``Mat.from_rows(...)``, ...)
+    or a subscript with a two-element index (``m[i, j]``)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in GAUSS_VIEWS:
+            out.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+              and len(node.slice.elts) == 2):
+            out.append((node.lineno, "[i, j]"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", INT_ROW_READERS, ids=[p.stem for p in INT_ROW_READERS])
+def test_the_lattice_layer_reads_integer_rows(path):
+    """`cones` and `monomial` work on primitive integer vectors: they read a
+    Mat through ``int_rows`` and build one with ``Mat.from_int_rows``."""
+    assert gauss_view_reads(path.read_text()) == []
+
+
+def test_the_check_finds_gauss_view_reads():
+    source = ("def f(m, v, k):\n"
+              "    a = m.row(0), m.row_list(), m.col(1)\n"
+              "    b = m.vec(), m.entries, m.mat_vec(v)\n"
+              "    c = Mat.from_rows([v]), Mat.from_json([[1]]), m[0, 1]\n"
+              "    return m.int_rows(), Mat.from_int_rows([v], 1), v[0], v[1:2], k[(0, 1, 2)]\n")
+    assert gauss_view_reads(source) == [(2, "col"), (2, "row"), (2, "row_list"),
+                                        (3, "entries"), (3, "mat_vec"), (3, "vec"),
+                                        (4, "[i, j]"), (4, "from_json"), (4, "from_rows")]
