@@ -30,7 +30,9 @@ one of fraction-by-fraction elimination.  The positivity test of a Hermitian
 matrix, `hermitian_psd_status`, is the symmetric form of the same
 elimination, with diagonal pivots.  `solve`, `inverse`, `row_coords` and
 `coords_in_basis` are read off one elimination of [m | b], the unknowns at
-free columns of m zero; `sub_contains_vec` is `sub_contains` of one row.
+free columns of m zero.  `sub_contains` is one product on a canonical
+basis, the identity at its pivot columns; `sub_contains_vec` is
+`sub_contains` of one row.
 """
 
 from __future__ import annotations
@@ -915,16 +917,15 @@ def sub_contains_vec(s: Mat, v) -> bool:
 
 
 def sub_contains(s: Mat, t: Mat) -> bool:
-    """True iff row space t is contained in row space s, by one elimination:
-    a canonical s has rank s.rows, so t lies in it when [s; t] has that
-    rank; any other s holds t when t^T = s^T X is solvable."""
+    """True iff row space t lies in row space s.  The canonical s is the
+    identity at its pivot columns P, so t lies in it exactly when
+    t = t[:, P] s: one product, and one elimination for any other s."""
     if t.cols != s.cols:
         raise ValueError("vector length mismatch")
     if t.is_zero():
         return True
-    if pivot_columns(s) is not None:
-        return rank(Mat.stack([s, t])) == s.rows
-    return _solution(s.transpose(), t.transpose()) is not None
+    s = sub_canonical(s)
+    return t.transpose().take(pivot_columns(s)).transpose() @ s == t
 
 
 def sub_equal(s: Mat, t: Mat) -> bool:

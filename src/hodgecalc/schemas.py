@@ -27,6 +27,18 @@ KINDS = ("orbit", "phs", "model", "subspace", "alpha")
 # on a 2.1 GHz Xeon vCPU, where weight 2 with h11 = 400 ran out of memory.
 MAX_PHS_DIM = 24
 
+# The widest subspace document.  `monomial-map` runs a double description
+# whose cost climbs steeply with the width: on 54 seeded random integer
+# documents of each width (2-vCPU Xeon, Python 3.11) the slowest took 0.29 s
+# at width 16, 1.4 s at 18 and 7.0 s at 20, and 3 of 18 ran past 60 s at 24.
+MAX_SUBSPACE_WIDTH = 16
+
+# The widest model document, in rankE * dimT: `curvature` builds the square
+# Nakano matrix A*A of that size.  With a dense A of 4-16 rows (2-vCPU Xeon,
+# Python 3.11) it took 1.1-1.4 s at width 256 and 4.0 s at 512; with G = 0,
+# 13 s at 2048, and past 60 s and 1 GB at 8192.
+MAX_MODEL_WIDTH = 256
+
 
 class ProblemDocument(Record):
     kind: str
@@ -149,6 +161,11 @@ def _build_model(payload) -> NormPositivityModel:
     dims = [_int_field(payload, key) for key in ("dimT", "rankE", "rankG")]
     for key, value, least in zip(("dimT", "rankE", "rankG"), dims, (0, 1, 0)):
         _require(value >= least, f"{key} must be at least {least}, got {value}")
+    width = dims[0] * dims[1]
+    _require(width <= MAX_MODEL_WIDTH, f"rankE {dims[1]} with dimT {dims[0]} gives a model "
+                                       f"of width {width}, more than {MAX_MODEL_WIDTH}")
+    if not a.rows:      # an empty A has no row to read its width from
+        a = Mat.zeros(0, width)
     try:
         return NormPositivityModel(*dims, a)
     except Exception as exc:
@@ -159,13 +176,15 @@ def _build_subspace(payload) -> Mat:
     _require("basis" in payload, "subspace payload is missing 'basis'")
     basis = _parse_matrix(payload["basis"], "basis")
     _require(basis.is_real(), "subspace basis must be real")
+    width = basis.cols
     if "ambient" in payload:
-        ambient = _int_field(payload, "ambient")
-        _require(ambient >= 0, f"'ambient' must be non-negative, got {ambient}")
-        if not basis.rows:
-            basis = Mat.zeros(0, ambient)
-        _require(basis.cols == ambient, "basis vectors must match the ambient dimension")
-    return basis
+        width = _int_field(payload, "ambient")
+        _require(width >= 0, f"'ambient' must be non-negative, got {width}")
+        _require(basis.cols == width or not basis.rows,
+                 "basis vectors must match the ambient dimension")
+    _require(width <= MAX_SUBSPACE_WIDTH,
+             f"the subspace has width {width}, more than {MAX_SUBSPACE_WIDTH}")
+    return basis if basis.rows else Mat.zeros(0, width)
 
 
 def _build_alpha(payload):

@@ -99,16 +99,14 @@ def weight_filtration(n: Mat, weight: int) -> WeightFiltration:
 def _check_weight_filtration(n: Mat, wf: WeightFiltration):
     """Postconditions: N W_k ⊆ W_{k-2} and Hard Lefschetz isomorphisms.
 
-    Both are rank identities on the level bases: N W_k ⊆ W_{k-2} exactly
-    when stacking the rows N w (w in W_k) under W_{k-2} leaves its rank
-    dim W_{k-2}.  Given that, N^k induces a map Gr_{n+k} -> Gr_{n-k}, which
-    between spaces of equal dimension is bijective exactly when it is onto,
-    i.e. when W_{n-k-1} + N^k W_{n+k} = W_{n-k}.
+    Every level is canonical, so N W_k ⊆ W_{k-2} is `sub_contains` of the
+    rows N w (w in W_k), one product.  Given that, N^k induces a map
+    Gr_{n+k} -> Gr_{n-k}, which between spaces of equal dimension is
+    bijective exactly when it is onto: W_{n-k-1} + N^k W_{n+k} = W_{n-k}.
     """
-    nw = wf.weight
+    nw, nt = wf.weight, n.transpose()
     for k in range(0, 2 * nw + 1):
-        low = wf.level(k - 2)
-        if rank(Mat.stack([low, wf.level(k) @ n.transpose()])) != low.rows:
+        if not sub_contains(wf.level(k - 2), wf.level(k) @ nt):
             raise NoSolution("internal error: N does not shift the filtration by -2")
     powers = nilpotent_powers(n)     # powers[-1] = 0 stands in for every higher power
     for k in range(1, nw + 1):

@@ -18,17 +18,19 @@ subspace; ``test_lmhs.py`` asserts the same (i, P_i, N^i) triples.
 
 ``flag_is_stable`` is the loop that ``verify_polarized_lmhs`` ran before it
 stacked the images of every nilpotent: for each N_j and each p, the
-canonical image N_j F^p and its own containment in F^(p-1);
-``test_lmhs.py`` asserts the same "N F^p inside F^(p-1)" outcome.
+canonical image N_j F^p and its own containment in F^(p-1), by the rank
+test of ``reference_matrices.sub_contains``; ``test_lmhs.py`` asserts the
+same "N F^p inside F^(p-1)" outcome.
 """
 
 from __future__ import annotations
 
 from hodgecalc.lmhs import DeligneBigrading, flag_level, flag_levels
 from hodgecalc.matrices import (
-    Mat, kernel_matrix, sub_canonical, sub_conj, sub_contains, sub_dim, sub_equal, sub_image,
+    Mat, kernel_matrix, sub_canonical, sub_conj, sub_dim, sub_equal, sub_image,
     sub_intersect, sub_sum_ambient, sub_zero,
 )
+from reference_matrices import sub_contains
 
 
 def deligne_bigrading(wf, flag) -> DeligneBigrading:

@@ -14,8 +14,10 @@ for the weight-filtration oracles; the library reads such coordinates off a
 the subspace operations as they were before the library learned to return
 a canonical basis without eliminating it and to intersect with the whole
 space without a kernel: every basis is reduced, every intersection goes
-through the left kernel of [a; -b].  ``sub_contains`` eliminates s for its
-rank even when s is canonical, and ``trace`` sums the diagonal entries.
+through the left kernel of [a; -b].  ``sub_contains`` compares the ranks of
+s and [s; t], eliminating even a canonical s, where the library reads
+membership off one product; the weight-filtration, LMHS and monomial
+oracles test containment with it.  ``trace`` sums the diagonal entries.
 ``solve``, ``inverse``, ``coords_in_basis``, ``row_coords`` and
 ``sub_contains_vec`` are the linear systems as the library solved them
 before it read every solution off one elimination of [m | b]: each builds

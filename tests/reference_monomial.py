@@ -13,7 +13,8 @@ systems from ``Mat.stack`` of ``N.reshape(1, d*d)`` rows;
 ``w_minus1_end`` reads W_-1 End(V) off the weight filtration of the
 d^2 x d^2 matrix of ad(N) on End(V), where the library reads it off the
 weight filtration of N on V; the systems here use it, so they share no
-W_-1 with the library.
+W_-1 with the library.  Membership in W_-1 and in the stratum's span is the
+rank test of ``reference_matrices.sub_contains``.
 
 ``monomial_strings`` is the loop that ``MonomialMap.monomial_strings`` (prefix
 "t", its own variables) and ``MonomialIdeal.monomial_strings`` (prefix "z",
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from reference_matrices import ad_matrix
+from reference_matrices import ad_matrix, sub_contains
 from hodgecalc.cones import primitive_ray
-from hodgecalc.matrices import Mat, kernel_basis, sub_canonical, sub_contains_vec, sub_zero
+from hodgecalc.matrices import Mat, kernel_basis, sub_canonical, sub_zero
 from hodgecalc.monomial import (
     CompatibilityReport, MonomialMap, RelationSpace, nonnegative_generators,
 )
@@ -112,7 +113,7 @@ def compatibility_check(spec, small, large) -> CompatibilityReport:
         for coeff, j in zip(g, complement):
             if coeff and j not in large:
                 total = total + spec.nilpotents[j].scale(Fraction(coeff))
-        verdicts.append(sub_contains_vec(w_large, list(total.vec())))
+        verdicts.append(sub_contains(w_large, Mat.from_rows([list(total.vec())])))
     return CompatibilityReport(tuple(small), tuple(large), gens,
                                tuple(verdicts), all(verdicts))
 
@@ -133,7 +134,7 @@ def strata_boundary_positivity(spec, index: int, subset=None) -> bool:
     if not rows:
         return any(target)
     space = sub_canonical(Mat.from_rows(rows))
-    return not sub_contains_vec(space, target)
+    return not sub_contains(space, Mat.from_rows([target]))
 
 
 def monomial_strings(rows, variables, prefix: str):

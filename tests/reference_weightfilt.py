@@ -26,19 +26,20 @@ library checked before it used rank identities and the spaces of the
 splitting: Hard Lefschetz through a ``Quotient`` of each graded piece, and
 the eigenspaces of Y found by a kernel probe at every Hodge level.
 ``relative_weight_filtration_check`` reads each graded piece through a
-``Quotient`` of its own.
+``Quotient`` of its own.  Containment is the rank test of
+``reference_matrices.sub_contains``, not the library's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from reference_matrices import Quotient
+from reference_matrices import Quotient, sub_contains
 from hodgecalc import weightfilt
 from hodgecalc.errors import NoSolution, NotCommuting
 from hodgecalc.matrices import (
     Mat, Splitting, column_space, extend_basis, kernel_matrix, kernel_space,
-    nilpotency_index, rref, solve, sub_canonical, sub_contains, sub_dim, sub_equal, sub_full,
+    nilpotency_index, rref, solve, sub_canonical, sub_dim, sub_equal, sub_full,
     sub_image, sub_intersect, sub_sum_ambient, sub_zero,
 )
 from hodgecalc.polynomials import MultiPoly, poly_mat_det

@@ -10,7 +10,8 @@ from hodgecalc import cli
 from hodgecalc.cli import MAX_RAYS, MAX_SCALE_EXPONENT, SUBCOMMANDS, main
 from hodgecalc.errors import ParseError, SchemaError
 from hodgecalc.schemas import (
-    MAX_PHS_DIM, fixture_names, load_fixture, parse_problem_text, render_problem,
+    MAX_MODEL_WIDTH, MAX_PHS_DIM, MAX_SUBSPACE_WIDTH, fixture_names, load_fixture,
+    parse_problem_text, render_problem,
 )
 
 
@@ -498,6 +499,19 @@ BAD_DOCUMENTS = {
         [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]])),
     "refine-boolean-basis": ("refine", {"kind": "subspace", "payload": {
         "basis": [[True, False], [False, True]]}}),
+    # subspaces over the width budget, the width read off the ambient
+    # dimension or off the basis
+    "ambient-over-budget": ("monomial-map", {"kind": "subspace", "payload": {
+        "basis": [], "ambient": MAX_SUBSPACE_WIDTH + 1}}),
+    "basis-over-budget": ("refine", {"kind": "subspace", "payload": {
+        "basis": [[1] + [0] * MAX_SUBSPACE_WIDTH]}}),
+    # models over the width budget, with an empty A (whose width comes from
+    # the two integers alone) and with a row of that width
+    "model-over-budget": ("curvature", {"kind": "model", "payload": {
+        "dimT": MAX_MODEL_WIDTH + 1, "rankE": 1, "rankG": 0, "A": []}}),
+    "model-row-over-budget": ("validate", {"kind": "model", "payload": {
+        "dimT": MAX_MODEL_WIDTH + 1, "rankE": 1, "rankG": 1,
+        "A": [[1] * (MAX_MODEL_WIDTH + 1)]}}),
     "alpha-a-boolean": ("multiplier-ideal", _mutated("alpha-example", alpha=[True, "1/2"])),
     # only [] is an empty flag level: any other falsy JSON value is no matrix
     **{f"flag-level-{name}": ("validate", _mutated("dollar-bill", F=[level, [
@@ -599,6 +613,43 @@ def test_unpolarized_omega_names_the_field(tmp_path, capsys):
         path.write_text(json.dumps(BAD_DOCUMENTS[name][1]))
         code, _, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 2 and err == f"error: omega gives no polarized structure: {reason}\n", err
+
+
+def test_subspace_budget_names_the_width(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for name in ("ambient-over-budget", "basis-over-budget"):
+        command, payload = BAD_DOCUMENTS[name]
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli([command, "--input", str(path)], capsys)
+        assert (code, err) == (2, f"error: the subspace has width {MAX_SUBSPACE_WIDTH + 1}, "
+                                  f"more than {MAX_SUBSPACE_WIDTH}\n"), name
+
+
+def test_model_budget_names_the_width(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for name in ("model-over-budget", "model-row-over-budget"):
+        command, payload = BAD_DOCUMENTS[name]
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli([command, "--input", str(path)], capsys)
+        w = MAX_MODEL_WIDTH + 1
+        assert (code, err) == (2, f"error: rankE 1 with dimT {w} gives a model of width {w}, "
+                                  f"more than {MAX_MODEL_WIDTH}\n"), name
+
+
+def test_a_model_with_no_rows_of_A_takes_its_width_from_the_dimensions(tmp_path, capsys):
+    # [] has no row to read the width rankE * dimT from.  G = 0 is
+    # semi-positive, every sampled minimum is 0 and both directions are flat
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "model", "payload": {
+        "dimT": 2, "rankE": 2, "rankG": 0, "A": []}}))
+    code, _, err = run_cli(["validate", "--input", str(path)], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(["curvature", "--input", str(path), "--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["flags"] == {"semiPositive": True, "stronglySemiPositiveOnSample": False}
+    assert report["findings"]["flatDirectionsAtFirstBasisVector"] == 2
+    assert {m["exact"] for m in report["findings"]["sampledMinima"]} == {"0"}
 
 
 def test_curvature_of_a_model_with_no_tangent_directions(tmp_path, capsys):

@@ -116,6 +116,12 @@ E1, E2 = Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]])
 @pytest.mark.parametrize("check,args,message", [
     (weightfilt._check_weight_filtration, (_jordan2().transpose(), weight_filtration(_jordan2(), 1)),
      "N does not shift the filtration by -2"),
+    # W(J2 + J1) at weight 1 has W_0 = <e1>, W_1 = <e1, e3>: e2 -> e3 lowers
+    # W by 1, not 2, and passes Hard Lefschetz
+    (weightfilt._check_weight_filtration,
+     (Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+      weight_filtration(Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 1)),
+     "N does not shift the filtration by -2"),
     (weightfilt._check_weight_filtration,
      (Mat.zeros(2, 2), WeightFiltration(1, (sub_zero(2), E1, Mat.identity(2)), (0, 1, 1))),
      "graded dimensions not symmetric"),
@@ -127,7 +133,7 @@ E1, E2 = Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]])
      "eigenspace dimension mismatch"),
     (weightfilt._check_grading, (Splitting({0: E2, 2: E1}), weight_filtration(_jordan2(), 1)),
      "eigenspace not inside W_k"),
-], ids=["not-a-shift", "asymmetric", "not-lefschetz", "spectrum", "dimension", "shifted-space"])
+], ids=["not-a-shift", "lowers-by-one", "asymmetric", "not-lefschetz", "spectrum", "dimension", "shifted-space"])
 def test_each_postcondition_rejects(check, args, message):
     with pytest.raises(NoSolution, match=f"^internal error: {re.escape(message)}$"):
         check(*args)
@@ -376,9 +382,12 @@ def test_grading_builds_kernels_only_at_primitive_weights(monkeypatch):
 def test_nilpotent_chain_elimination_counts(monkeypatch):
     """Eliminations per call on a regular nilpotent of dimension 8 (one
     block: the three nilpotents of orbit-scaled have this shape) at weight
-    8: 42 for the weight filtration, where canonicalizing each kernel, image
-    and sum on its own took 58; 13 for the grading splitting, where lifting
-    all 8 centred weights took 51; 5 for the sl2 triple."""
+    8: 25 for the weight filtration, where canonicalizing each kernel, image
+    and sum on its own took 58 and checking N W_k ⊆ W_(k-2) by ranks took
+    42; 5 for the grading splitting, where lifting all 8 centred weights
+    took 51 and its containment checks by ranks 13; 5 for the sl2 triple.
+    The containment checks run on canonical levels, so they eliminate
+    nothing."""
     n = random_nilpotent(random.Random(5), 8)
     assert len(nilpotent_powers(n)) == 8
     eliminated = []
@@ -397,7 +406,7 @@ def test_nilpotent_chain_elimination_counts(monkeypatch):
     wf = counted(weight_filtration, n, 8)
     y = counted(grading_element, n, wf)
     counted(complete_sl2, n, y, weight=8)
-    assert counts == [42, 13, 5]
+    assert counts == [25, 5, 5]
 
 
 def _seeded_y(rng: random.Random, n: Mat, kind: int):
