@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NoSolution, NotPolarized, ZeroVector
+from .errors import NotPolarized, ZeroVector
+from .lmhs import first_relation_holds, hermitian_sign, hodge_riemann_status
 from .matrices import (
-    Mat, Splitting, hermitian_psd_status, inverse, pivot_columns, rank,
-    row_coords, sub_canonical, sub_zero,
+    Mat, Splitting, inverse, pivot_columns, rank, row_coords, sub_canonical, sub_zero,
 )
-from .rationals import GaussianRational, i_power
+from .rationals import GaussianRational
 from .records import Record
 
 
@@ -31,46 +31,29 @@ class PolarizedHS(Record):
     def __post_init__(self):
         self.validate()
 
-    def weil_matrix(self, split: Splitting) -> Mat:
-        """The operator acting by i^(p-q) on each piece; `split` is the
-        `Splitting` of V into the pieces, which every caller has at hand."""
-        return split.diagonal(lambda key: i_power(key[0] - key[1]))
-
-    def metric_matrix(self, split: Splitting) -> Mat:
-        """Gram H of the Hodge metric h(u, v) = -Q(Cu, conj v), so that
-        h(u, v) = sum_{ab} H[a, b] u_a conj(v_b); positive definite by the
-        second bilinear relation in the package orientation.  `split` as
-        for `weil_matrix`."""
-        c = self.weil_matrix(split)
-        return (c.transpose() @ self.q).scale(GaussianRational(-1))
-
     def validate(self):
-        if self.q.transpose() != self.q.scale(-1 if self.weight % 2 else 1):
+        """The Hodge-Riemann relations of `lmhs` with N = 0, the first on F^p =
+        sum of V^{a, n-a} over a >= p.  Given it and conjugation symmetry, the
+        Hodge metric -Q(Cu, conj v) is block-diagonal with Hermitian blocks, so
+        positivity piece by piece is its positive definiteness."""
+        n, d, q = self.weight, self.dim, self.q
+        if q.transpose() != q.scale(-1 if n % 2 else 1):
             raise NotPolarized("form is not (-1)^weight-symmetric")
-        # the splitting exists exactly when the pieces are a basis of V
-        if sum(m.rows for m in self.pieces.values()) != self.dim:
+        basis = Mat.stack([sub_zero(d), *self.pieces.values()])
+        if (basis.rows, basis.cols) != (d, d) or rank(basis) != d:
             raise NotPolarized("Hodge pieces do not decompose the space")
-        try:
-            split = Splitting(self.pieces)
-        except NoSolution:
-            raise NotPolarized("Hodge pieces do not decompose the space") from None
         for (p, qq), m in self.pieces.items():
-            if p + qq != self.weight:
+            if p + qq != n:
                 raise NotPolarized("piece of wrong total weight")
             other = self.pieces.get((qq, p))
             if other is None or sub_canonical(m.conj()) != sub_canonical(other):
                 raise NotPolarized("conjugation symmetry fails")
-        h = self.metric_matrix(split)
-        if h.conj_transpose() != h:
-            raise NotPolarized("metric is not Hermitian")
-        _, _, pd = hermitian_psd_status(h)
-        if not pd:
-            raise NotPolarized("metric is not positive definite")
-        # Q pairs (p, q) with (q, p) alone: its Gram on the Hodge basis vanishes elsewhere
-        gram, keys = split.t.transpose() @ self.q @ split.t, split.labels
-        if any(gram[a, b] for a, ka in enumerate(keys) for b, kb in enumerate(keys)
-               if ka[0] + kb[0] != self.weight):
+        levels = {p: Mat.stack([sub_zero(d), *(m for (a, _), m in self.pieces.items() if a >= p)])
+                  for p in range(1, n + 1)}
+        if not first_relation_holds(q, levels, n):
             raise NotPolarized("first bilinear relation fails")
+        if not all(hodge_riemann_status(q, m, *k)[0] for k, m in self.pieces.items() if m.rows):
+            raise NotPolarized("metric is not positive definite")
 
 
 def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:
@@ -159,7 +142,8 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
         x, y = u.take(a).face_split(phi.take(b)), u.take(b).face_split(phi.take(a))
         span = x + y if n % 2 else x - y
         pieces[p] = sub_canonical(span) if p == -1 else span
-    h = phs.metric_matrix(split)
+    # Hodge metric -Q(Cu, conj v) = sum H[a, b] u_a conj(v_b), C = i^(p-q) on V^{p,q}
+    h = split.diagonal(lambda key: hermitian_sign(*key)).transpose() @ phs.q
     return GradedEnd(phs, pieces, h, split, inverse(h.transpose()))
 
 

@@ -29,11 +29,9 @@ from .weightfilt import WeightFiltration, grading_splitting, weight_filtration
 # with the Hodge metric -Q(C u, conj v) used for endomorphism algebras).
 def hermitian_sign(p: int, q: int, level: int = 0) -> GaussianRational:
     """The positivity unit multiplying Q(N^level u, conj v) on a primitive
-    (p, q) piece of the graded at `level` steps above the middle weight."""
-    unit = i_power(p - q)
-    if level % 2:
-        unit = -unit
-    return -unit
+    (p, q) piece of the graded at `level` steps above the middle weight:
+    -(-1)^level i^(p-q) = i^(p-q+2 level+2)."""
+    return i_power(p - q + 2 * level + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +204,26 @@ def q_gram(q: Mat, left: Mat, right: Mat) -> Mat:
     return left @ q @ right.transpose()
 
 
+def first_relation_holds(q: Mat, levels: dict, weight: int) -> bool:
+    """The first bilinear relation Q(F^p, F^(n-p+1)) = 0 for the flag with
+    levels p -> F^p, n = weight; Q is (-1)^n-symmetric, so p <= n - p + 1
+    suffices."""
+    return all(q_gram(q, levels[p], levels[weight - p + 1]).is_zero()
+               for p in range(1, (weight + 1) // 2 + 1))
+
+
+def hodge_riemann_status(q: Mat, piece: Mat, p: int, q_: int, level: int = 0,
+                         power: Mat | None = None):
+    """(positive definite, rank) of hermitian_sign(p, q_, level) Q(N^level u,
+    conj v) on the rows of `piece`, power = N^level (None for the identity).
+    The form is Hermitian when Q is (-1)^n-symmetric, N is Q-skew and
+    p + q_ = n + level."""
+    left = piece if power is None else piece @ power.transpose()
+    _, rk, pd = hermitian_psd_status(
+        q_gram(q, left, piece.conj()).scale(hermitian_sign(p, q_, level)))
+    return pd, rk
+
+
 class CheckResult(Record):
     name: str
     passed: bool
@@ -275,6 +293,8 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
         [sub_zero(d), *(levels[p] @ nmat.transpose() for nmat in spec.nilpotents)]))
         for p in range(1, n + 1))
     checks.append(CheckResult("N F^p inside F^(p-1)", stable))
+    if not first_relation_holds(spec.q, levels, n):     # listed on failure alone
+        checks.append(CheckResult("first bilinear relation", False, "Q(F^p, F^(n-p+1)) = 0"))
 
     if not all(c.passed for c in checks):
         return LmhsReport(tuple(checks))
@@ -303,16 +323,10 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
             pm = sub_intersect(m, prim)
             if pm.rows == 0:
                 continue
-            unit = hermitian_sign(p, q_, i)
-            block = q_gram(spec.q, pm @ power.transpose(), pm.conj()).scale(unit)
-            try:
-                psd, rk, pd = hermitian_psd_status(block)
-            except ValueError:
-                psd = pd = False
-                rk = -1
+            pd, rk = hodge_riemann_status(spec.q, pm, p, q_, i, power)
             checks.append(CheckResult(
                 f"Hodge-Riemann positivity on primitive ({p},{q_})",
-                bool(pd), f"rank {rk} of {pm.rows}"))
+                pd, f"rank {rk} of {pm.rows}"))
     return LmhsReport(tuple(checks), (wf, bi))
 
 

@@ -405,7 +405,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls._make(rows, cols, _Z, [[0] * cols] * rows, [1] * rows)
+        return cls._make(rows, cols, _Z, [[0] * cols] * rows if rows else [], [1] * rows)
 
     @classmethod
     def diag(cls, values) -> "Mat":

@@ -23,6 +23,14 @@ as it built the adjoint A* of each block A of xi from the Gram matrices of
 the metric on the source and target pieces, where the library reads A* off
 the adjoint of xi.
 
+``validate``, ``weil_matrix`` and ``metric_matrix`` are
+``hodgecalc.horizontal.PolarizedHS.validate`` and the two methods it used
+before the library stated the Hodge-Riemann relations once, in ``lmhs``:
+validation built a splitting of V into the pieces, the full d x d Hodge
+metric -(C^T Q) from the Weil operator C, and tested it for being Hermitian
+and positive definite, then read the first bilinear relation entry by entry
+off the Gram of Q on the Hodge basis.
+
 ``phs_weight1`` and ``phs_weight2`` build the frames of the Hodge pieces
 row by row from the entries of omega, where the library stacks omega with
 identity and zero blocks and transposes.
@@ -31,13 +39,53 @@ identity and zero blocks and transposes.
 from __future__ import annotations
 
 from reference_matrices import ad_matrix
-from hodgecalc.errors import NotPolarized, ZeroVector
+from hodgecalc.errors import NoSolution, NotPolarized, ZeroVector
 from hodgecalc.horizontal import GradedEnd, PolarizedHS, top_block
 from hodgecalc.matrices import (
-    Mat, Splitting, inverse, kernel_basis, kernel_matrix, kernel_space, rank, solve,
-    sub_canonical, sub_zero,
+    Mat, Splitting, hermitian_psd_status, inverse, kernel_basis, kernel_matrix, kernel_space,
+    rank, solve, sub_canonical, sub_zero,
 )
-from hodgecalc.rationals import GaussianRational, ONE, ZERO
+from hodgecalc.rationals import GaussianRational, ONE, ZERO, i_power
+
+
+def weil_matrix(phs: PolarizedHS, split: Splitting) -> Mat:
+    """The operator acting by i^(p-q) on each piece."""
+    return split.diagonal(lambda key: i_power(key[0] - key[1]))
+
+
+def metric_matrix(phs: PolarizedHS, split: Splitting) -> Mat:
+    """Gram H of the Hodge metric h(u, v) = -Q(Cu, conj v)."""
+    c = weil_matrix(phs, split)
+    return (c.transpose() @ phs.q).scale(GaussianRational(-1))
+
+
+def validate(phs: PolarizedHS):
+    if phs.q.transpose() != phs.q.scale(-1 if phs.weight % 2 else 1):
+        raise NotPolarized("form is not (-1)^weight-symmetric")
+    # the splitting exists exactly when the pieces are a basis of V
+    if sum(m.rows for m in phs.pieces.values()) != phs.dim:
+        raise NotPolarized("Hodge pieces do not decompose the space")
+    try:
+        split = Splitting(phs.pieces)
+    except NoSolution:
+        raise NotPolarized("Hodge pieces do not decompose the space") from None
+    for (p, qq), m in phs.pieces.items():
+        if p + qq != phs.weight:
+            raise NotPolarized("piece of wrong total weight")
+        other = phs.pieces.get((qq, p))
+        if other is None or sub_canonical(m.conj()) != sub_canonical(other):
+            raise NotPolarized("conjugation symmetry fails")
+    h = metric_matrix(phs, split)
+    if h.conj_transpose() != h:
+        raise NotPolarized("metric is not Hermitian")
+    _, _, pd = hermitian_psd_status(h)
+    if not pd:
+        raise NotPolarized("metric is not positive definite")
+    # Q pairs (p, q) with (q, p) alone: its Gram on the Hodge basis vanishes elsewhere
+    gram, keys = split.t.transpose() @ phs.q @ split.t, split.labels
+    if any(gram[a, b] for a, ka in enumerate(keys) for b, kb in enumerate(keys)
+           if ka[0] + kb[0] != phs.weight):
+        raise NotPolarized("first bilinear relation fails")
 
 
 def phs_weight1(genus: int, omega: Mat | None = None) -> PolarizedHS:

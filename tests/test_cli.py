@@ -434,7 +434,7 @@ UNPOLARIZED_OMEGA = {
     "weight1-omega-minus-i": ("validate", {"weight": 1, "omega": [[{"re": "0", "im": "-1"}]]},
                               "metric is not positive definite"),
     "weight1-omega-not-symmetric": ("horizontal", {"weight": 1, "omega": [[I, "1"], ["0", I]]},
-                                    "metric is not Hermitian"),
+                                    "first bilinear relation fails"),
     "weight2-omega-zero": ("refine", {"weight": 2, "h20": 1, "h11": 1, "omega": [["0"]]},
                            "Hodge pieces do not decompose the space"),
 }
@@ -613,6 +613,30 @@ def test_unpolarized_omega_names_the_field(tmp_path, capsys):
         path.write_text(json.dumps(BAD_DOCUMENTS[name][1]))
         code, _, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 2 and err == f"error: omega gives no polarized structure: {reason}\n", err
+
+
+# an N = 0 orbit of genus 2 with the period matrix [[i, 1], [0, i]], which
+# is not symmetric: Q(F^1, F^1) != 0, so F lies outside the compact dual
+# (the same omega in a phs document exits 2)
+NON_ISOTROPIC_ORBIT = {"kind": "orbit", "payload": {
+    "dim": 4, "weight": 1,
+    "Q": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    "nilpotents": [],
+    "F": [[[I, "1", "1", "0"], ["0", I, "0", "1"]],
+          [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}}
+
+
+def test_orbit_breaking_the_first_relation_fails(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(NON_ISOTROPIC_ORBIT))
+    code, out, _ = run_cli(["validate", "--input", str(path), "--format", "json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["flags"]["valid"] is False
+    assert [c["name"] for c in report["findings"]["checks"] if not c["passed"]] == [
+        "first bilinear relation"]
+    code, out, err = run_cli(["metric-poly", "--input", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: orbit fails validation: first bilinear relation\n"
 
 
 def test_subspace_budget_names_the_width(tmp_path, capsys):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import reference_horizontal as ref
+from test_cli import UNPOLARIZED_OMEGA
 from hodgecalc import horizontal, matrices
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import (
@@ -15,7 +17,7 @@ from hodgecalc.horizontal import (
 from hodgecalc.cli import main
 from hodgecalc.matrices import Mat, rank, rref, sub_contains_vec, sub_equal
 from hodgecalc.rationals import GaussianRational, ZERO
-from hodgecalc.schemas import load_fixture
+from hodgecalc.schemas import load_fixture, parse_problem_text
 
 
 def assert_same_structure(ours, theirs):
@@ -31,7 +33,8 @@ def assert_same_structure(ours, theirs):
             assert (m, theirs.pieces[key]) == (Mat.zeros(0, ours.dim), Mat.zeros(0, 0)), key
 
 
-def test_frames_match_the_row_loops():
+def _frame_cases():
+    """(library builder, row-loop builder, arguments) of the frames compared."""
     i = GaussianRational(0, 1)
     skewed1 = Mat.from_rows([[1 + 2 * i, Fraction(1, 2) + i], [Fraction(1, 2) + i, -1 + 2 * i]])
     skewed2 = Mat.from_rows([[2, 1, 0], [-1, 3, 1], [0, Fraction(1, 3), 1]])
@@ -41,7 +44,11 @@ def test_frames_match_the_row_loops():
     cases += [(phs_weight1, ref.phs_weight1, (2, skewed1)),
               (phs_weight2, ref.phs_weight2, (3, 2, skewed2)),
               (phs_weight2, ref.phs_weight2, (3, 0, skewed2))]
-    for ours, theirs, args in cases:
+    return cases
+
+
+def test_frames_match_the_row_loops():
+    for ours, theirs, args in _frame_cases():
         assert_same_structure(ours(*args), theirs(*args))
 
 
@@ -62,8 +69,9 @@ def test_graded_pieces_are_built_without_a_solve(monkeypatch):
 
 def test_horizontal_derives_each_object_once(monkeypatch, capsys):
     """One `horizontal` call on weight2-normal-form runs at most 5
-    eliminations (the splittings of validation and of the algebra, Q^-1,
-    the canonical g^{-1,1} and the inverse of the metric's transpose), and
+    eliminations (the rank of the pieces in validation, the splitting of the
+    algebra, Q^-1, the canonical g^{-1,1} and the inverse of the metric's
+    transpose), and
     none of them is a canonical form of g^{0,0}."""
     g0 = graded_end_algebra(load_fixture("weight2-normal-form").obj).pieces[0]
     eliminated, canonical = [], []
@@ -418,22 +426,101 @@ def test_structure_is_validated_once_on_construction(monkeypatch):
     assert calls == [5]
 
 
-def test_bad_structure_raises_on_construction():
+def _bad_structures():
+    """(message pattern, arguments of PolarizedHS) of structures that fail validation."""
     good = phs_weight1(1)
-    with pytest.raises(NotPolarized):       # Q of the wrong sign
-        PolarizedHS(2, 1, good.q.scale(-1), good.pieces)
-    with pytest.raises(NotPolarized, match="do not decompose"):    # too few rows to span V
-        PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})
-    with pytest.raises(NotPolarized, match="do not decompose"):    # enough rows, dependent
-        PolarizedHS(2, 1, good.q, {(1, 0): good.pieces[(1, 0)], (0, 1): good.pieces[(1, 0)]})
-    with pytest.raises(NotPolarized, match="symmetric"):    # Q^T != (-1)^weight Q
-        PolarizedHS(2, 1, Mat.from_rows([[0, Fraction(7, 4)], [-1, 0]]), good.pieces)
-    # a positive definite metric, but Q pairs V^{2,0} with itself
     i = GaussianRational(0, 1)
-    with pytest.raises(NotPolarized, match="first bilinear relation"):
-        PolarizedHS(3, 2, Mat.diag([1, -1, 1]), {(2, 0): Mat.from_rows([[1, 0, 2 * i]]),
-                                                 (1, 1): Mat.from_rows([[0, 1, 0]]),
-                                                 (0, 2): Mat.from_rows([[1, 0, -2 * i]])})
+    return [(None, (2, 1, good.q.scale(-1), good.pieces)),      # Q of the wrong sign
+            # too few rows to span V, then enough rows, dependent
+            ("do not decompose", (2, 1, good.q, {(1, 0): good.pieces[(1, 0)]})),
+            ("do not decompose", (2, 1, good.q, {(1, 0): good.pieces[(1, 0)],
+                                                 (0, 1): good.pieces[(1, 0)]})),
+            # Q^T != (-1)^weight Q
+            ("symmetric", (2, 1, Mat.from_rows([[0, Fraction(7, 4)], [-1, 0]]), good.pieces)),
+            # a positive definite metric, but Q pairs V^{2,0} with itself
+            ("first bilinear relation", (3, 2, Mat.diag([1, -1, 1]), {
+                (2, 0): Mat.from_rows([[1, 0, 2 * i]]), (1, 1): Mat.from_rows([[0, 1, 0]]),
+                (0, 2): Mat.from_rows([[1, 0, -2 * i]])}))]
+
+
+def test_bad_structure_raises_on_construction():
+    for match, args in _bad_structures():
+        with pytest.raises(NotPolarized, match=match):
+            PolarizedHS(*args)
+
+
+def _unvalidated(build, *args):
+    """What `build` returns with validation switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolarizedHS, "validate", lambda self: None)
+        return build(*args)
+
+
+def _gauss_mat(rng, rows, cols):
+    return Mat(rows, cols, [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                            for _ in range(rows * cols)])
+
+
+def _oracle_structures():
+    """The frames of `test_frames_match_the_row_loops`, seeded dense weight-1
+    and weight-2 period matrices, and the bad inputs of
+    `test_bad_structure_raises_on_construction` and of UNPOLARIZED_OMEGA,
+    none of them validated."""
+    cases = [(ours, *args) for ours, _, args in _frame_cases()]
+    rng, i = random.Random(89), GaussianRational(0, 1)
+    for g in (2, 3, 4):
+        # X + iY with X symmetric and Y positive definite, then any Gaussian omega
+        x, a = (Mat(g, g, [rng.randint(-2, 2) for _ in range(g * g)]) for _ in range(2))
+        y = a.transpose() @ a + Mat.identity(g)
+        cases += [(phs_weight1, g, x + x.transpose() + y.scale(i)),
+                  (phs_weight1, g, _gauss_mat(rng, g, g))]
+    cases += [(phs_weight2, h20, h11, _gauss_mat(rng, h20, h20))
+              for h20, h11 in ((2, 2), (3, 1), (3, 3))]
+    cases += [(PolarizedHS, *args) for _, args in _bad_structures()]
+    structures = [_unvalidated(*case) for case in cases]
+    structures += [_unvalidated(parse_problem_text, json.dumps({"kind": "phs", "payload": payload})).obj
+                   for _, payload, _ in UNPOLARIZED_OMEGA.values()]
+    return structures
+
+
+def _refusal(check, phs):
+    try:
+        check(phs)
+    except NotPolarized as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_agrees_with_the_full_metric():
+    """The Hodge-Riemann relations through `lmhs` accept what the splitting,
+    the d x d metric and the entry loop accepted, with the same reason but
+    one: a metric that is not Hermitian is refused for the first bilinear
+    relation, which it breaks.  The algebra's metric is the old -(C^T Q)."""
+    accepted = 0
+    for phs in _oracle_structures():
+        ours, theirs = _refusal(PolarizedHS.validate, phs), _refusal(ref.validate, phs)
+        if theirs == "metric is not Hermitian":
+            theirs = "first bilinear relation fails"
+        assert ours == theirs, (phs.weight, phs.pieces)
+        if ours is None:
+            accepted += 1
+            split = matrices.Splitting(phs.pieces)
+            assert graded_end_algebra(phs).metric == ref.metric_matrix(phs, split)
+    assert accepted == 17
+
+
+def test_horizontal_splits_once_and_inverts_three_times(monkeypatch, capsys):
+    """One `horizontal` call on weight2-normal-form builds the splitting of
+    the algebra alone, and inverts it, Q and the metric's transpose."""
+    splits, inverses = [], []
+    init, inverse = matrices.Splitting.__init__, matrices.inverse
+    monkeypatch.setattr(matrices.Splitting, "__init__",
+                        lambda self, spaces: splits.append(spaces) or init(self, spaces))
+    for module in (matrices, horizontal):
+        monkeypatch.setattr(module, "inverse", lambda m: inverses.append(m) or inverse(m))
+    assert main(["horizontal", "--input", "builtin:weight2-normal-form", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert (len(splits), len(inverses)) == (1, 3)
 
 
 def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -226,6 +227,17 @@ def test_stack_puts_rows_under_each_other():
         Mat.stack([a, Mat.identity(3)])
     with pytest.raises(ValueError, match="no matrices"):
         Mat.stack([])
+
+
+def test_zeros_with_no_rows_builds_no_row():
+    # a zero subspace of a wide space is cheap: no row of `cols` zeros is built
+    tracemalloc.start()
+    try:
+        m = Mat.zeros(0, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.rows, m.cols) == (0, 10 ** 7) and peak < 2 ** 20
 
 
 def test_from_int_rows_takes_any_int_sequences():
