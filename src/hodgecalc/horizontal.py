@@ -33,10 +33,12 @@ class PolarizedHS(Record):
 
     def validate(self):
         """The Hodge-Riemann relations of `lmhs` with N = 0, the first on F^p =
-        sum of V^{a, n-a} over a >= p.  Given it and conjugation symmetry, the
-        Hodge metric -Q(Cu, conj v) is block-diagonal with Hermitian blocks, so
-        positivity piece by piece is its positive definiteness."""
+        sum of V^{a, n-a} over a >= p.  For a real Q, it and conjugation symmetry
+        make the Hodge metric -Q(Cu, conj v) block-diagonal with Hermitian blocks,
+        so positivity piece by piece is its positive definiteness."""
         n, d, q = self.weight, self.dim, self.q
+        if not q.is_real():
+            raise NotPolarized("form is not real")
         if q.transpose() != q.scale(-1 if n % 2 else 1):
             raise NotPolarized("form is not (-1)^weight-symmetric")
         basis = Mat.stack([sub_zero(d), *self.pieces.values()])
@@ -52,7 +54,7 @@ class PolarizedHS(Record):
                   for p in range(1, n + 1)}
         if not first_relation_holds(q, levels, n):
             raise NotPolarized("first bilinear relation fails")
-        if not all(hodge_riemann_status(q, m, *k)[0] for k, m in self.pieces.items() if m.rows):
+        if not all(hodge_riemann_status(q, m, m, *k)[2] for k, m in self.pieces.items() if m.rows):
             raise NotPolarized("metric is not positive definite")
 
 

@@ -212,16 +212,12 @@ def first_relation_holds(q: Mat, levels: dict, weight: int) -> bool:
                for p in range(1, (weight + 1) // 2 + 1))
 
 
-def hodge_riemann_status(q: Mat, piece: Mat, p: int, q_: int, level: int = 0,
-                         power: Mat | None = None):
-    """(positive definite, rank) of hermitian_sign(p, q_, level) Q(N^level u,
-    conj v) on the rows of `piece`, power = N^level (None for the identity).
-    The form is Hermitian when Q is (-1)^n-symmetric, N is Q-skew and
-    p + q_ = n + level."""
-    left = piece if power is None else piece @ power.transpose()
-    _, rk, pd = hermitian_psd_status(
-        q_gram(q, left, piece.conj()).scale(hermitian_sign(p, q_, level)))
-    return pd, rk
+def hodge_riemann_status(q: Mat, piece: Mat, image: Mat, p: int, q_: int, level: int = 0):
+    """hermitian_psd_status of hermitian_sign(p, q_, level) Q(N^level u, conj v)
+    for u, v the rows of `piece`, `image` the rows N^level u.  The form is
+    Hermitian when Q and N are real, Q is (-1)^n-symmetric, N is Q-skew and
+    p + q_ = n + level; callers check all of these first."""
+    return hermitian_psd_status(q_gram(q, image, piece.conj()).scale(hermitian_sign(p, q_, level)))
 
 
 class CheckResult(Record):
@@ -269,6 +265,8 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
     checks.append(CheckResult("q-form symmetry", sym,
                               f"(-1)^{n}-symmetric expected"))
     checks.append(CheckResult("q-form nondegenerate", nondeg))
+    if not spec.q.is_real():     # listed on failure alone, like the first relation
+        checks.append(CheckResult("q-form rational", False))
 
     for idx, nmat in enumerate(spec.nilpotents):
         checks.append(CheckResult(f"nilpotent[{idx}] is nilpotent", is_nilpotent(nmat)))
@@ -323,7 +321,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
             pm = sub_intersect(m, prim)
             if pm.rows == 0:
                 continue
-            pd, rk = hodge_riemann_status(spec.q, pm, p, q_, i, power)
+            _, rk, pd = hodge_riemann_status(spec.q, pm, pm @ power.transpose(), p, q_, i)
             checks.append(CheckResult(
                 f"Hodge-Riemann positivity on primitive ({p},{q_})",
                 pd, f"rank {rk} of {pm.rows}"))

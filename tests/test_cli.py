@@ -13,6 +13,7 @@ from hodgecalc.schemas import (
     MAX_MODEL_WIDTH, MAX_PHS_DIM, MAX_SUBSPACE_WIDTH, fixture_names, load_fixture,
     parse_problem_text, render_problem,
 )
+from unpolarized_documents import I, UNPOLARIZED_OMEGA
 
 
 def run_cli(argv, capsys):
@@ -425,20 +426,6 @@ NEGATIVE_PHS = {"h20-negative": {"weight": 2, "h20": -1, "h11": 3},
 BAD_MODEL_DIMS = {"rankE-and-dimT-negative": {"dimT": -1, "rankE": -1, "rankG": 1, "A": [["1"]]},
                   "rankE-zero": {"dimT": 2, "rankE": 0, "rankG": 0, "A": []}}
 
-I = {"re": "0", "im": "1"}
-# documents whose omega fails validation, with the subcommand run on each
-# and the reason the message keeps
-UNPOLARIZED_OMEGA = {
-    "weight1-omega-real": ("refine", {"weight": 1, "omega": [["1"]]},
-                           "Hodge pieces do not decompose the space"),
-    "weight1-omega-minus-i": ("validate", {"weight": 1, "omega": [[{"re": "0", "im": "-1"}]]},
-                              "metric is not positive definite"),
-    "weight1-omega-not-symmetric": ("horizontal", {"weight": 1, "omega": [[I, "1"], ["0", I]]},
-                                    "first bilinear relation fails"),
-    "weight2-omega-zero": ("refine", {"weight": 2, "h20": 1, "h11": 1, "omega": [["0"]]},
-                           "Hodge pieces do not decompose the space"),
-}
-
 BAD_DOCUMENTS = {
     "dim-not-an-integer": ("validate", _mutated("dollar-bill", dim="x")),
     "weight-a-fraction": ("validate", _mutated("dollar-bill", weight=1.5)),
@@ -615,28 +602,34 @@ def test_unpolarized_omega_names_the_field(tmp_path, capsys):
         assert code == 2 and err == f"error: omega gives no polarized structure: {reason}\n", err
 
 
-# an N = 0 orbit of genus 2 with the period matrix [[i, 1], [0, i]], which
-# is not symmetric: Q(F^1, F^1) != 0, so F lies outside the compact dual
-# (the same omega in a phs document exits 2)
-NON_ISOTROPIC_ORBIT = {"kind": "orbit", "payload": {
-    "dim": 4, "weight": 1,
-    "Q": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
-    "nilpotents": [],
-    "F": [[[I, "1", "1", "0"], ["0", I, "0", "1"]],
-          [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}}
+# orbits that pass the earlier checks but are not polarized: an N = 0 orbit
+# of genus 2 with the period matrix [[i, 1], [0, i]], which is not symmetric,
+# so Q(F^1, F^1) != 0 and F lies outside the compact dual (the same omega in
+# a phs document exits 2); and a weight-0 orbit whose form Q = [[i]] is
+# symmetric and nondegenerate but not rational, so Q(u, conj v) is not Hermitian
+UNPOLARIZED_ORBITS = {
+    "first bilinear relation": {"kind": "orbit", "payload": {
+        "dim": 4, "weight": 1,
+        "Q": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+        "nilpotents": [],
+        "F": [[[I, "1", "1", "0"], ["0", I, "0", "1"]],
+              [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}},
+    "q-form rational": {"kind": "orbit", "payload": {
+        "dim": 1, "weight": 0, "Q": [[I]], "nilpotents": [], "F": [[[1]]]}},
+}
 
 
-def test_orbit_breaking_the_first_relation_fails(tmp_path, capsys):
+@pytest.mark.parametrize("failed", UNPOLARIZED_ORBITS)
+def test_unpolarized_orbit_fails_its_one_check(failed, tmp_path, capsys):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(NON_ISOTROPIC_ORBIT))
-    code, out, _ = run_cli(["validate", "--input", str(path), "--format", "json"], capsys)
+    path.write_text(json.dumps(UNPOLARIZED_ORBITS[failed]))
+    code, out, err = run_cli(["validate", "--input", str(path), "--format", "json"], capsys)
     report = json.loads(out)
-    assert code == 1 and report["flags"]["valid"] is False
-    assert [c["name"] for c in report["findings"]["checks"] if not c["passed"]] == [
-        "first bilinear relation"]
+    assert code == 1 and report["flags"]["valid"] is False and err == ""
+    assert [c["name"] for c in report["findings"]["checks"] if not c["passed"]] == [failed]
     code, out, err = run_cli(["metric-poly", "--input", str(path)], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: orbit fails validation: first bilinear relation\n"
+    assert err == f"error: orbit fails validation: {failed}\n"
 
 
 def test_subspace_budget_names_the_width(tmp_path, capsys):

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import reference_horizontal as ref
-from test_cli import UNPOLARIZED_OMEGA
 from hodgecalc import horizontal, matrices
 from hodgecalc.errors import NotPolarized, ZeroVector
 from hodgecalc.horizontal import (
@@ -18,6 +17,7 @@ from hodgecalc.cli import main
 from hodgecalc.matrices import Mat, rank, rref, sub_contains_vec, sub_equal
 from hodgecalc.rationals import GaussianRational, ZERO
 from hodgecalc.schemas import load_fixture, parse_problem_text
+from unpolarized_documents import UNPOLARIZED_OMEGA
 
 
 def assert_same_structure(ours, theirs):
@@ -437,6 +437,8 @@ def _bad_structures():
                                                  (0, 1): good.pieces[(1, 0)]})),
             # Q^T != (-1)^weight Q
             ("symmetric", (2, 1, Mat.from_rows([[0, Fraction(7, 4)], [-1, 0]]), good.pieces)),
+            # i Q: skew and nondegenerate, but Q(u, conj v) is not Hermitian
+            ("not real", (2, 1, good.q.scale(i), good.pieces)),
             # a positive definite metric, but Q pairs V^{2,0} with itself
             ("first bilinear relation", (3, 2, Mat.diag([1, -1, 1]), {
                 (2, 0): Mat.from_rows([[1, 0, 2 * i]]), (1, 1): Mat.from_rows([[0, 1, 0]]),
@@ -494,13 +496,14 @@ def _refusal(check, phs):
 def test_validation_agrees_with_the_full_metric():
     """The Hodge-Riemann relations through `lmhs` accept what the splitting,
     the d x d metric and the entry loop accepted, with the same reason but
-    one: a metric that is not Hermitian is refused for the first bilinear
-    relation, which it breaks.  The algebra's metric is the old -(C^T Q)."""
+    one: a metric that is not Hermitian is refused for a form that is not
+    real or else for the first bilinear relation, which it then breaks.  The
+    algebra's metric is the old -(C^T Q)."""
     accepted = 0
     for phs in _oracle_structures():
         ours, theirs = _refusal(PolarizedHS.validate, phs), _refusal(ref.validate, phs)
         if theirs == "metric is not Hermitian":
-            theirs = "first bilinear relation fails"
+            theirs = "first bilinear relation fails" if phs.q.is_real() else "form is not real"
         assert ours == theirs, (phs.weight, phs.pieces)
         if ours is None:
             accepted += 1
