@@ -23,16 +23,18 @@ never changed in place.  Other modules read the form through ``int_rows``,
 one (re, im, d) triple of int lists and denominator per row.
 
 Every operation of this module works on the form: products, the entry-wise
-operations, and elimination, which is fraction-free (Bareiss) Gauss-Jordan
-elimination with the pivot rule above, each pivot row divided once at the
-end.  The reduced row echelon form is unique, so the answer is exactly the
-one of fraction-by-fraction elimination.  The positivity test of a Hermitian
-matrix, `hermitian_psd_status`, is the symmetric form of the same
-elimination, with diagonal pivots.  `solve`, `inverse`, `row_coords` and
-`coords_in_basis` are read off one elimination of [m | b], the unknowns at
-free columns of m zero.  `sub_contains` is one product on a canonical
-basis, the identity at its pivot columns; `sub_contains_vec` is
-`sub_contains` of one row.
+operations, and elimination.  Each ring has its own product kernel: over Z
+each row of a @ b sums whole rows of b scaled by the entries of a row of a;
+over Z[i] it walks the support of each row of b.  Elimination is
+fraction-free (Bareiss) Gauss-Jordan elimination with the pivot rule above,
+each pivot row divided once at the end.  The reduced row echelon form is
+unique, so the answer is exactly the one of fraction-by-fraction
+elimination.  The positivity test of a Hermitian matrix,
+`hermitian_psd_status`, is the symmetric form of the same elimination, with
+diagonal pivots.  `solve`, `inverse`, `row_coords` and `coords_in_basis`
+are read off one elimination of [m | b], the unknowns at free columns of m
+zero.  `sub_contains` is one product on a canonical basis, the identity at
+its pivot columns; `sub_contains_vec` is `sub_contains` of one row.
 """
 
 from __future__ import annotations
@@ -161,19 +163,19 @@ class _Z:
         return [(p * x - f * y) // q for x, y in zip(row, prow)]
 
     @staticmethod
-    def support(row, c: int):
-        """The nonzero (column, c * value) pairs of row."""
-        return [(j, c * y) for j, y in enumerate(row) if y]
-
-    @staticmethod
-    def dot(row, supports, cols: int):
-        """row times the matrix whose rows have the given supports."""
-        acc = [0] * cols
-        for x, nz in zip(row, supports):
-            if x:
-                for j, y in nz:
-                    acc[j] += x * y
-        return acc
+    def product(a, a_den, b, b_den, cols: int):
+        """The canonical pairs of a @ b, by rows (Gustavson, ACM TOMS 4, 1978)."""
+        d = lcm(*b_den)
+        rows = [(row if l == d else [y * (d // l) for y in row]) if any(row) else ()
+                for row, l in zip(b, b_den)]        # () marks a zero row
+        zero, pairs = [0] * cols, []
+        for row, l in zip(a, a_den):
+            acc = None
+            for x, y in zip(row, rows):
+                if x and y:
+                    acc = [x * v for v in y] if acc is None else [s + x * v for s, v in zip(acc, y)]
+            pairs.append((zero, 1) if acc is None else _Z.normal(acc, l * d))
+        return pairs
 
     @staticmethod
     def value(x, d: int) -> GaussianRational:
@@ -301,20 +303,21 @@ class _ZI:
                            [pr * b + pi * a - fr * e - fi * c for a, b, c, e in columns], q)
 
     @staticmethod
-    def support(row, c: int):
-        """The nonzero (column, c * re, c * im) triples of row."""
-        return [(j, c * a, c * b) for j, (a, b) in enumerate(zip(*row)) if a or b]
-
-    @staticmethod
-    def dot(row, supports, cols: int):
-        """row times the matrix whose rows have the given supports."""
-        re, im = [0] * cols, [0] * cols
-        for a, b, nz in zip(row[0], row[1], supports):
-            if a or b:
-                for j, c, e in nz:
-                    re[j] += a * c - b * e
-                    im[j] += a * e + b * c
-        return re, im
+    def product(a, a_den, b, b_den, cols: int):
+        """The canonical pairs of a @ b, with the support of each row of b found once."""
+        d = lcm(*b_den)
+        supports = [[(j, c * y, c * z) for j, (y, z) in enumerate(zip(*row)) if y or z]
+                    for row, c in zip(b, [d // l for l in b_den])]
+        pairs = []
+        for row, l in zip(a, a_den):
+            re, im = [0] * cols, [0] * cols
+            for x, y, nz in zip(row[0], row[1], supports):
+                if x or y:
+                    for j, c, e in nz:
+                        re[j] += x * c - y * e
+                        im[j] += x * e + y * c
+            pairs.append(_ZI.normal((re, im), l * d))
+        return pairs
 
     @staticmethod
     def value(x, d: int) -> GaussianRational:
@@ -644,12 +647,10 @@ def _cut_columns(m: Mat, lo: int, hi: int) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _product(a: Mat, b: Mat) -> Mat:
-    """a @ b, row by row, with the support of each row of b found once."""
+    """a @ b by the product kernel of their common ring."""
     ring = _common_ring(a, b)
-    d = lcm(*b._den)
-    supports = [ring.support(row, d // l) for row, l in zip(_rows_in(b, ring), b._den)]
-    return _from_pairs(a.rows, b.cols, ring, [ring.normal(ring.dot(row, supports, b.cols), l * d)
-                                              for row, l in zip(_rows_in(a, ring), a._den)])
+    return _from_pairs(a.rows, b.cols, ring,
+                       ring.product(_rows_in(a, ring), a._den, _rows_in(b, ring), b._den, b.cols))
 
 
 def _eliminate(rows, cols: int, ring):
@@ -924,8 +925,11 @@ def sub_contains(s: Mat, t: Mat) -> bool:
         raise ValueError("vector length mismatch")
     if t.is_zero():
         return True
-    s = sub_canonical(s)
-    return t.transpose().take(pivot_columns(s)).transpose() @ s == t
+    pivots = pivot_columns(s)
+    if pivots is None:
+        s = sub_canonical(s)
+        pivots = pivot_columns(s)
+    return t.transpose().take(pivots).transpose() @ s == t
 
 
 def sub_equal(s: Mat, t: Mat) -> bool:

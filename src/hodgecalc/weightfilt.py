@@ -39,11 +39,14 @@ def weight_filtration_centered(n: Mat) -> dict:
     one canonical form of ker N^(k+1) stacked on N W_(k+2); the top level
     is W_s = ker N^(s+1) = V.
     """
-    d = n.rows
-    powers = nilpotent_powers(n)
+    return _centered(n, nilpotent_powers(n))
+
+
+def _centered(n: Mat, powers) -> dict:
+    """`weight_filtration_centered` of n, given `nilpotent_powers(n)`."""
     s = len(powers) - 1
     nt = n.transpose()
-    out = {s: sub_full(d)}
+    out = {s: sub_full(n.rows)}
     for k in range(s - 1, -s - 1, -1):
         kernel = [kernel_matrix(powers[k])] if k >= 0 else []
         out[k] = sub_canonical(Mat.stack([*kernel, out.get(k + 2, out[s]) @ nt]))
@@ -72,32 +75,26 @@ class WeightFiltration(Record):
 
 def weight_filtration(n: Mat, weight: int) -> WeightFiltration:
     """The unique weight filtration of the nilpotent n, in Hodge indexing."""
-    centered = weight_filtration_centered(n)
-    s = max(centered) if centered else 0
+    powers = nilpotent_powers(n)
+    s = len(powers) - 1
     if s > weight:
-        raise ValueError(
-            f"nilpotent of string length {s} does not fit weight {weight}")
+        raise ValueError(f"nilpotent of string length {s} does not fit weight {weight}")
     d = n.rows
-    subspaces = []
-    for k in range(0, 2 * weight + 1):
-        c = k - weight
-        if c < -s:
-            subspaces.append(sub_zero(d))
-        elif c > s:
-            subspaces.append(sub_full(d))
-        else:
-            subspaces.append(centered[c])
+    centered = _centered(n, powers)     # centred levels -s..s, the top one V
+    subspaces = [sub_zero(d) if c < -s else centered[min(c, s)]
+                 for c in range(-weight, weight + 1)]
     if sub_dim(subspaces[-1]) != d:
         raise NoSolution("internal error: top filtration level is not V")
     graded = tuple(sub_dim(subspaces[k]) - (sub_dim(subspaces[k - 1]) if k else 0)
                    for k in range(len(subspaces)))
     wf = WeightFiltration(weight, tuple(subspaces), graded)
-    _check_weight_filtration(n, wf)
+    _check_weight_filtration(n, wf, powers)
     return wf
 
 
-def _check_weight_filtration(n: Mat, wf: WeightFiltration):
-    """Postconditions: N W_k ⊆ W_{k-2} and Hard Lefschetz isomorphisms.
+def _check_weight_filtration(n: Mat, wf: WeightFiltration, powers):
+    """Postconditions: N W_k ⊆ W_{k-2} and Hard Lefschetz isomorphisms;
+    powers is `nilpotent_powers(n)`, its last entry 0 standing for any higher.
 
     Every level is canonical, so N W_k ⊆ W_{k-2} is `sub_contains` of the
     rows N w (w in W_k), one product.  Given that, N^k induces a map
@@ -108,7 +105,6 @@ def _check_weight_filtration(n: Mat, wf: WeightFiltration):
     for k in range(0, 2 * nw + 1):
         if not sub_contains(wf.level(k - 2), wf.level(k) @ nt):
             raise NoSolution("internal error: N does not shift the filtration by -2")
-    powers = nilpotent_powers(n)     # powers[-1] = 0 stands in for every higher power
     for k in range(1, nw + 1):
         dim = wf.graded_dims[nw + k]
         if dim != wf.graded_dims[nw - k]:

@@ -101,14 +101,50 @@ def test_det_and_inverse_match_reference(gaussian, big):
 
 @RINGS
 def test_products_match_reference(gaussian, big):
+    """a @ b against the reference entry loop, b over either ring whatever
+    the ring of a: seeded shapes up to 6, rows of unequal denominators, zero
+    rows in either factor, an inner dimension of 0, and the shapes the
+    workloads multiply most (12 x 12 at 15 % density, dense 8 x 8, a
+    Gaussian 1 x 12 times 12 x 100 at 10 %).  No product changes the int
+    rows of its factors."""
+    def check(a, b, label):
+        before = copy.deepcopy([(m._num, m._den) for m in (a, b)])
+        assert a @ b == ref.matmul(a, b), label
+        assert [(m._num, m._den) for m in (a, b)] == before, label
+
+    unequal = Mat.from_rows([[Fraction(1, 2), 0, 3], [0, 0, 0], [Fraction(2, 3), 1, 0],
+                             [0, Fraction(5, 7), Fraction(1, 7)]])
+    assert len(set(unequal._den)) == 4
+    check(Mat.from_rows([[1, -1], [0, 0]]),     # terms that cancel to a zero row
+          Mat.from_rows([[Fraction(1, 2), 2], [Fraction(1, 2), 2]]), "cancel")
     for seed in SEEDS:
         rng = random.Random(3000 * seed + 10 * gaussian + big)
         n, k, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
         a = _matrix(rng, gaussian, big, rows=n, cols=k)
-        b = _matrix(rng, rng.random() < 0.5 and gaussian, big, rows=k, cols=p)
-        assert a @ b == ref.matmul(a, b), seed
+        b = _matrix(rng, rng.random() < 0.5, big, rows=k, cols=p)
+        check(a, b, seed)
         v = [_scalar(rng, gaussian, big) for _ in range(k)]
         assert a.mat_vec(v) == ref.mat_vec(a, v), seed
+        n, p = rng.randint(0, 4), rng.randint(0, 4)
+        check(Mat.stack([_sparse(rng, gaussian, big, n, 4, 0.5), Mat.zeros(1, 4)]), unequal, seed)
+        check(unequal.transpose(), _sparse(rng, gaussian, big, 4, p, 0.5), seed)
+        check(Mat.zeros(n, 0), Mat.zeros(0, p), seed)
+        for (n, k, p), density, b_gaussian in (((12, 12, 12), 0.15, gaussian),
+                                               ((8, 8, 8), 1, gaussian), ((1, 12, 100), 0.1, True)):
+            check(_sparse(rng, gaussian, big, n, k, density),
+                  _sparse(rng, b_gaussian, big, k, p, density), (seed, n, k, p))
+
+
+def _sparse(rng: random.Random, gaussian: bool, big: bool, rows: int, cols: int,
+            density: float) -> Mat:
+    """A seeded matrix whose entries are nonzero with the given probability."""
+    def nonzero():
+        x = ZERO
+        while not x:
+            x = _scalar(rng, gaussian, big)
+        return x
+    return Mat(rows, cols, [nonzero() if rng.random() < density else ZERO
+                            for _ in range(rows * cols)])
 
 
 def _right_sides(rng: random.Random, m: Mat, gaussian: bool, big: bool):

@@ -98,7 +98,7 @@ def test_weight_filtration_check_matches_the_oracle():
         n = random_nilpotent(rng, d)
         wf = weight_filtration(n, len(nilpotent_powers(n)) - 1 + rng.randint(0, 1))
         for m in (n, n.scale(3), n @ n, n + n @ n, random_nilpotent(rng, d)):
-            new = _outcome(weightfilt._check_weight_filtration, m, wf)
+            new = _outcome(weightfilt._check_weight_filtration, m, wf, nilpotent_powers(m))
             assert new == _outcome(ref.check_weight_filtration, m, wf)
             outcomes.append(new)
     assert len(outcomes) >= 1000
@@ -114,18 +114,22 @@ E1, E2 = Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]])
 
 
 @pytest.mark.parametrize("check,args,message", [
-    (weightfilt._check_weight_filtration, (_jordan2().transpose(), weight_filtration(_jordan2(), 1)),
+    (weightfilt._check_weight_filtration,
+     (_jordan2().transpose(), weight_filtration(_jordan2(), 1), nilpotent_powers(_jordan2().transpose())),
      "N does not shift the filtration by -2"),
     # W(J2 + J1) at weight 1 has W_0 = <e1>, W_1 = <e1, e3>: e2 -> e3 lowers
     # W by 1, not 2, and passes Hard Lefschetz
     (weightfilt._check_weight_filtration,
      (Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
-      weight_filtration(Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 1)),
+      weight_filtration(Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 1),
+      nilpotent_powers(Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))),
      "N does not shift the filtration by -2"),
     (weightfilt._check_weight_filtration,
-     (Mat.zeros(2, 2), WeightFiltration(1, (sub_zero(2), E1, Mat.identity(2)), (0, 1, 1))),
+     (Mat.zeros(2, 2), WeightFiltration(1, (sub_zero(2), E1, Mat.identity(2)), (0, 1, 1)),
+      nilpotent_powers(Mat.zeros(2, 2))),
      "graded dimensions not symmetric"),
-    (weightfilt._check_weight_filtration, (Mat.zeros(2, 2), weight_filtration(_jordan2(), 1)),
+    (weightfilt._check_weight_filtration,
+     (Mat.zeros(2, 2), weight_filtration(_jordan2(), 1), nilpotent_powers(Mat.zeros(2, 2))),
      "Hard Lefschetz map not bijective"),
     (weightfilt._check_grading, (Splitting({2: E1, 4: E2}), weight_filtration(_jordan2(), 1)),
      "Y is not semisimple with the right spectrum"),
