@@ -30,8 +30,7 @@ from .lmhs import (
 )
 from .orbit import (
     ChernSample, MetricPolynomial, chern_form_at, hodge_metric_matrix,
-    hodge_metric_polynomial, permutation_monomial_check, restriction_limit_check,
-    stratum_factorization,
+    hodge_metric_polynomial, restriction_limit_check, stratum_factorization,
 )
 from .monomial import (
     MonomialMap, RelationSpace, SaturationRefinement, compatibility_check,

@@ -20,11 +20,6 @@ class ChernSymbol(Record):
     def weighted_degree(self) -> int:
         return self.poly.weighted_degree(tuple(range(1, self.rank + 1)))
 
-    def is_weighted_homogeneous(self) -> bool:
-        w = tuple(range(1, self.rank + 1))
-        degs = {sum(wi * e for wi, e in zip(w, exp)) for exp in self.poly.terms}
-        return len(degs) <= 1
-
     def __str__(self):
         return self.poly.to_string("c")
 

@@ -10,11 +10,10 @@ all arithmetic is on ints.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotSpanned
 from .matrices import Mat, rank, rref, sub_canonical
-from .rationals import as_gauss
 
 
 def _dot(a, b) -> int:
@@ -34,14 +33,6 @@ def _primitive(v):
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def primitive_ray(v):
-    """The primitive integer vector on the ray of a real rational vector
-    (entries int, Fraction, decimal string or real GaussianRational)."""
-    ratios = [as_gauss(x).real_or_raise().as_integer_ratio() for x in v]
-    d = lcm(*[q for _, q in ratios])
-    return _primitive([p * (d // q) for p, q in ratios])
-
-
 def primitive_rows(m: Mat):
     """Each row of the real Mat m as the primitive integer vector on its ray,
     read off its integer rows; ValueError on a non-real entry."""
@@ -51,7 +42,8 @@ def primitive_rows(m: Mat):
 
 
 def dd_extreme_rays(inequalities, dim: int):
-    """Extreme rays and final lineality of {y in R^dim : a . y >= 0}.
+    """Extreme rays and final lineality of {y in R^dim : a . y >= 0}, for
+    integer rows a.
 
     Returns (rays, lineality) as tuples of primitive integer tuples; the
     lineality vectors are those of its reduced row echelon basis.
@@ -61,7 +53,7 @@ def dd_extreme_rays(inequalities, dim: int):
     processed = []
 
     for idx, a in enumerate(inequalities):
-        a = primitive_ray(a)
+        a = _primitive(a)
         processed.append(a)
         p = next((l for l in lineality if _dot(a, l)), None)
         if p is not None:
@@ -141,7 +133,7 @@ def nonnegative_extreme_rays(basis: Mat):
 def hull_facets(points, dim: int):
     """The facets of the convex hull of integer `points` in R^dim, for
     `in_hull`: the rays and lineality of {h : h . (p, 1) >= 0 for all p}."""
-    return dd_extreme_rays([primitive_ray(tuple(p) + (1,)) for p in points], dim + 1)
+    return dd_extreme_rays([tuple(p) + (1,) for p in points], dim + 1)
 
 
 def in_hull(facets, query) -> bool:
@@ -150,7 +142,7 @@ def in_hull(facets, query) -> bool:
     it iff h . (query, 1) is >= 0 on each ray h and 0 on each lineality vector.
     """
     rays, lineality = facets
-    q = primitive_ray(tuple(query) + (1,))
+    q = tuple(query) + (1,)
     return all(_dot(h, q) >= 0 for h in rays) and not any(_dot(l, q) for l in lineality)
 
 

@@ -188,19 +188,18 @@ class QuarticReport(Record):
     block_traces: dict           # p -> (sum lambda^2, sum lambda^4)
 
 
-def principal_value_traces(ge: GradedEnd, xi: Mat):
-    """Per-level traces of (A* A) and (A* A)^2 for the blocks of xi.
-
-    Levels p run over the independent upper range ceil((n+1)/2) .. n where
-    the block maps the (p, q) piece to (p-1, q+1).
-    """
-    return _principal_value_traces(ge, xi, ge.adjoint(xi))
-
-
-def _principal_value_traces(ge: GradedEnd, xi: Mat, xi_star: Mat):
-    """`principal_value_traces` with the adjoint xi* of xi given."""
+def sectional_quartic(ge: GradedEnd, xi: Mat) -> QuarticReport:
+    """|ad*_xi(xi)|^2 / |xi|^4, with its parts and, per level p of the
+    independent upper range ceil((n+1)/2) .. n, the traces of (A* A) and
+    (A* A)^2 for the block A of xi mapping the (p, q) piece to (p-1, q+1)."""
+    # xi* is taken once: |xi|^2 = Tr(xi xi*), the bracket, the block traces
+    xi_star = ge.adjoint(xi)
+    norm2 = (xi @ xi_star).trace().real_or_raise()
+    if norm2 == 0:
+        raise ZeroVector("sectional curvature of the zero direction")
+    raw = ge.norm2(bracket(xi_star, xi))
     n, split = ge.phs.weight, ge.splitting
-    out = {}
+    traces = {}
     for p in range((n + 2) // 2, n + 1):
         src, dst = (p, n - p), (p - 1, n - p + 1)
         if src not in ge.phs.pieces or dst not in ge.phs.pieces:
@@ -208,18 +207,7 @@ def _principal_value_traces(ge: GradedEnd, xi: Mat, xi_star: Mat):
         # A* A for the src -> dst block A of xi: the Hodge decomposition is
         # orthogonal for the metric, so A* is the dst -> src block of xi*
         m1 = split.block(xi_star, dst, src) @ split.block(xi, src, dst)
-        out[p] = (m1.trace().real_or_raise(), (m1 @ m1).trace().real_or_raise())
-    return out
-
-
-def sectional_quartic(ge: GradedEnd, xi: Mat) -> QuarticReport:
-    # xi* is taken once: |xi|^2 = Tr(xi xi*), the bracket, the block traces
-    xi_star = ge.adjoint(xi)
-    norm2 = (xi @ xi_star).trace().real_or_raise()
-    if norm2 == 0:
-        raise ZeroVector("sectional curvature of the zero direction")
-    raw = ge.norm2(bracket(xi_star, xi))
-    traces = _principal_value_traces(ge, xi, xi_star)
+        traces[p] = (m1.trace().real_or_raise(), (m1 @ m1).trace().real_or_raise())
     return QuarticReport(raw / (norm2 * norm2), norm2, raw, traces)
 
 

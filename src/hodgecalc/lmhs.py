@@ -299,7 +299,7 @@ def verify_polarized_lmhs(spec: PolarizedOrbitSpec) -> LmhsReport:
 
     try:
         wf, bi = spec.lmhs()
-    except Exception as exc:  # report, don't raise
+    except (NotMHS, ValueError) as exc:     # refusals are reported; a crash is raised
         checks.append(CheckResult("limiting MHS exists", False, str(exc)))
         return LmhsReport(tuple(checks))
     checks.append(CheckResult("limiting MHS exists", True))

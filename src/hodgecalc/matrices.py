@@ -568,10 +568,6 @@ class Mat:
         return _gauss(sum(re[i] * c for i, ((re, _), c) in enumerate(zip(self._num, k))),
                       sum(im[i] * c for i, ((_, im), c) in enumerate(zip(self._num, k))), d)
 
-    def vec(self):
-        """Row-major flattening as a tuple."""
-        return self.entries
-
     def mat_vec(self, v):
         """Matrix times column vector (v a sequence)."""
         v = list(v)

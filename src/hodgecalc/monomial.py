@@ -63,10 +63,6 @@ class MonomialMap(Record):
     exponents: tuple     # tuple of integer tuples
     variables: tuple     # global variable indices (0-based)
 
-    @property
-    def target_dim(self) -> int:
-        return len(self.exponents)
-
     def monomial_strings(self):
         return tuple(monomial_string(row, "t", self.variables) or "1" for row in self.exponents)
 

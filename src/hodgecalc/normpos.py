@@ -259,13 +259,10 @@ def trace_form_power_vanishes(model: NormPositivityModel, q: int) -> bool:
 
 
 def tangent_to_hom_rank(model: NormPositivityModel) -> int:
-    """Rank of A viewed as T -> Hom(E, G): the rank of the column blocks
-    A (e_alpha (x) I_T) of A, one for each frame vector of E, stacked."""
-    t = model.dim_t
-    columns = model.a.transpose()
-    blocks = [columns.take(range(alpha * t, (alpha + 1) * t)).transpose()
-              for alpha in range(model.rank_e)]
-    return rank(Mat.stack(blocks)) if blocks else 0
+    """Rank of A viewed as T -> Hom(E, G).  Read as rank_g * rank_e rows of
+    length dim_t, A has the rows of its column blocks A (e_alpha (x) I_T), one
+    for each frame vector of E, stacked, in another order."""
+    return rank(model.a.reshape(model.rank_g * model.rank_e, model.dim_t))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,13 @@ corresponding boundary stratum.  All evaluation is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, prod
 import random
 
-from .cones import hull_facets, in_hull
 from .errors import DegenerateDet, NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
 from .lmhs import (
     PolarizedOrbitSpec, associated_graded_orbit, hermitian_sign,
-    piece_hodge_numbers, stratum_hodge_numbers, verify_polarized_lmhs,
+    piece_hodge_numbers, verify_polarized_lmhs,
 )
 from .matrices import Mat, hermitian_psd_status
 from .polynomials import MultiPoly, poly_mat_det, poly_matrix
@@ -403,44 +401,3 @@ def restriction_limit_check(spec: PolarizedOrbitSpec, subset, *, rays=None,
     return LimitReport(tuple(subset), base, scales, rays, tuple(all_devs),
                        decreasing, final_max, exact_zero, passed)
 
-
-# ---------------------------------------------------------------------------
-# Extreme monomials
-# ---------------------------------------------------------------------------
-
-class PermutationMonomialReport(Record):
-    permutation: tuple
-    exponents: tuple
-    present: bool
-    hull_ok: bool
-
-
-def permutation_monomial_check(spec: PolarizedOrbitSpec, permutation) -> PermutationMonomialReport:
-    """Exponents of the chain monomial of a variable ordering, its presence in
-    P, and the convex-hull bound on all monomials of P."""
-    k = spec.num_params
-    perm = list(permutation)
-    if sorted(perm) != list(range(k)):
-        raise ValueError("permutation must reorder 0..k-1")
-    p = hodge_metric_polynomial(spec)
-    numbers = {}          # subset -> stratum Hodge numbers, once per subset
-
-    def chain_exponents(order):
-        prev, exps = {}, [0] * k
-        for i in range(1, k + 1):
-            key = frozenset(order[:i])
-            if key not in numbers:
-                numbers[key] = stratum_hodge_numbers(spec, sorted(key))
-            cur = numbers[key]
-            exps[order[i - 1]] = sum(j * (cur.get(j, 0) - prev.get(j, 0))
-                                     for j in set(cur) | set(prev))
-            prev = cur
-        return tuple(exps)
-
-    exps = chain_exponents(perm)
-    present = p.p.coefficient(exps) != 0
-
-    # convex hull of all chain monomials contains every monomial of P
-    facets = hull_facets([chain_exponents(sigma) for sigma in permutations(range(k))], k)
-    hull_ok = all(in_hull(facets, exp) for exp in p.p.terms)
-    return PermutationMonomialReport(tuple(perm), exps, present, hull_ok)

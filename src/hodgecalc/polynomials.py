@@ -312,9 +312,6 @@ class MultiPoly:
             return Fraction(0)
         return self.terms[min(self._num, key=_order)]
 
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
-
     def weighted_degree(self, weights) -> int:
         if not self._num:
             return 0
@@ -456,15 +453,6 @@ class MultiPoly:
             coef = c.to_json() if isinstance(c, GaussianRational) else str(c)
             terms.append({"exp": list(e), "coef": coef})
         return {"vars": self.num_vars, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data) -> "MultiPoly":
-        terms = {}
-        for t in data["terms"]:
-            coef = t["coef"]
-            c = GaussianRational.from_json(coef) if isinstance(coef, dict) else Fraction(coef)
-            terms[tuple(t["exp"])] = c
-        return cls(data["vars"], terms)
 
 
 def _jet(terms, a, b: int, deg: int):

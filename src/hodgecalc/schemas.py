@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
-from .errors import NotPolarized, ParseError, SchemaError
+from .errors import DimensionMismatch, NotPolarized, ParseError, SchemaError
 from .horizontal import phs_weight1, phs_weight2
 from .lmhs import PolarizedOrbitSpec
 from .matrices import Mat, is_nilpotent
 from .normpos import NormPositivityModel
+from .rationals import GaussianRational
 from .records import Record
 
 KINDS = ("orbit", "phs", "model", "subspace", "alpha")
@@ -74,7 +74,7 @@ def _parse_matrix(data, what: str) -> Mat:
         raise ParseError(f"bad matrix for {what}: expected a list of rows, each a list")
     try:
         return Mat.from_json(data)
-    except Exception as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix for {what}: {exc}") from exc
 
 
@@ -168,7 +168,7 @@ def _build_model(payload) -> NormPositivityModel:
         a = Mat.zeros(0, width)
     try:
         return NormPositivityModel(*dims, a)
-    except Exception as exc:
+    except DimensionMismatch as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -191,12 +191,10 @@ def _build_alpha(payload):
     _require("alpha" in payload, "alpha payload is missing 'alpha'")
     weights = payload["alpha"]
     _require(isinstance(weights, list), "'alpha' must be a list of weights")
-    try:
-        if any(isinstance(a, bool) for a in weights):
-            raise TypeError("a weight is a JSON boolean")
-        alpha = [Fraction(a) for a in weights]
-    except Exception as exc:
-        raise ParseError(f"bad weight vector: {exc}") from exc
+    try:    # each weight a document scalar, so a JSON float or boolean is refused
+        alpha = [GaussianRational.from_json(a).real_or_raise() for a in weights]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad weight in 'alpha': {exc}") from exc
     _require(all(a > 0 for a in alpha), "weights must be positive")
     bound = _int_field(payload, "degreeBound", 24)
     _require(bound >= 0, "degreeBound must be non-negative")

@@ -42,6 +42,14 @@ def _scale_primitive(v):
     return tuple(ints)
 
 
+def primitive_ray(v):
+    """The primitive integer vector on the ray of a real rational vector
+    (entries int, Fraction, decimal string or real GaussianRational), as
+    ``hodgecalc.cones`` took it before its double description read integer
+    rows alone."""
+    return _scale_primitive([_as_frac(x) for x in v])
+
+
 def dd_extreme_rays(inequalities, dim: int):
     """Extreme rays and final lineality of {y in R^dim : a . y >= 0}.
 

@@ -18,8 +18,8 @@ solves nothing, finds the same pieces.
 d^2 x d^2 matrix of ad(xi^T), on all d^2 columns, where the library takes
 its rank on the columns at the pivots of the canonical basis of g^{-1,1}.
 
-``principal_value_traces`` is ``hodgecalc.horizontal.principal_value_traces``
-as it built the adjoint A* of each block A of xi from the Gram matrices of
+``principal_value_traces`` is the block traces of
+``hodgecalc.horizontal.sectional_quartic`` as they were built the adjoint A* of each block A of xi from the Gram matrices of
 the metric on the source and target pieces, where the library reads A* off
 the adjoint of xi.
 
@@ -242,9 +242,9 @@ def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
     cols = []
     for i in range(gm1.rows):
         xi = ge.unflatten(gm1.row(i))
-        cols.append(list(top_block(ge, xi).vec()))
+        cols.append(list(top_block(ge, xi).entries))
     m = Mat.from_rows(cols).transpose()
-    c = solve(m, list(target.vec()))
+    c = solve(m, list(target.entries))
     if c is None:
         raise ZeroVector("no horizontal direction has the requested block")
     out = ge.unflatten((Mat.from_rows([c]) @ gm1).entries)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from reference_cones import primitive_ray
 from reference_matrices import ad_matrix, sub_contains
-from hodgecalc.cones import primitive_ray
 from hodgecalc.matrices import Mat, kernel_basis, sub_canonical, sub_zero
 from hodgecalc.monomial import (
     CompatibilityReport, MonomialMap, RelationSpace, nonnegative_generators,
@@ -66,7 +66,7 @@ def relation_space(nilpotents) -> RelationSpace:
     if k == 0:
         return RelationSpace(sub_zero(0), sub_zero(0))
     d = nilpotents[0].rows
-    cols = Mat.from_rows([[n.vec()[i] for n in nilpotents]
+    cols = Mat.from_rows([[n.entries[i] for n in nilpotents]
                           for i in range(d * d)])
     kern = kernel_basis(cols)
     basis = _vec_rows_to_space(kern, k)
@@ -81,7 +81,7 @@ def stratum_relation_rows(spec, subset):
     # equation: sum b_j vec(N_j) - sum c_r w_r = 0
     cols = []
     for j in complement:
-        cols.append(list(spec.nilpotents[j].vec()))
+        cols.append(list(spec.nilpotents[j].entries))
     for r in range(w.rows):
         cols.append([-x for x in w.row(r)])
     if not cols:
@@ -113,7 +113,7 @@ def compatibility_check(spec, small, large) -> CompatibilityReport:
         for coeff, j in zip(g, complement):
             if coeff and j not in large:
                 total = total + spec.nilpotents[j].scale(Fraction(coeff))
-        verdicts.append(sub_contains(w_large, Mat.from_rows([list(total.vec())])))
+        verdicts.append(sub_contains(w_large, Mat.from_rows([list(total.entries)])))
     return CompatibilityReport(tuple(small), tuple(large), gens,
                                tuple(verdicts), all(verdicts))
 
@@ -129,8 +129,8 @@ def strata_boundary_positivity(spec, index: int, subset=None) -> bool:
     w = w_minus1_end(n_rest)
     rows = [list(w.row(i)) for i in range(w.rows)]
     for j in rest:
-        rows.append(list(spec.nilpotents[j].vec()))
-    target = list(spec.nilpotents[index].vec())
+        rows.append(list(spec.nilpotents[j].entries))
+    target = list(spec.nilpotents[index].entries)
     if not rows:
         return any(target)
     space = sub_canonical(Mat.from_rows(rows))

@@ -208,3 +208,14 @@ def tangent_to_hom_rank(model: NormPositivityModel) -> int:
                 col.append(model.a[gamma, alpha * model.dim_t + i])
         cols.append(col)
     return rank(Mat.from_rows(cols))
+
+
+def tangent_to_hom_rank_by_blocks(model: NormPositivityModel) -> int:
+    """``tangent_to_hom_rank`` as the library took it before it read A as
+    rank_g * rank_e rows of length dim_t: the rank of the column blocks
+    A (e_alpha (x) I_T) of A, one for each frame vector of E, stacked."""
+    t = model.dim_t
+    columns = model.a.transpose()
+    blocks = [columns.take(range(alpha * t, (alpha + 1) * t)).transpose()
+              for alpha in range(model.rank_e)]
+    return rank(Mat.stack(blocks)) if blocks else 0

@@ -18,18 +18,28 @@ each deviation read off the entries of a sampled ``Mat``.
 before it read P_I off the coefficients at P_{I^c}'s leading exponent: it
 checks every subset-exponent pattern against a scalar multiple of the first
 one, then multiplies the factors out again.
+
+``permutation_monomial_check`` is the determinant-level shadow of the
+Cattani-Kaplan-Schmid norm estimate (Ann. of Math. 123, 1986), which no
+subcommand runs: for a variable ordering, the exponents of its chain
+monomial, whether that monomial occurs in P, and whether the convex hull of
+all chain monomials holds every monomial of P.  It is kept here as the
+oracle of the sector estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import reference_polynomials
+from hodgecalc.cones import hull_facets, in_hull
 from hodgecalc.errors import NoFactorization, NotEffective, NotPolarized, ZeroAtPoint
 from hodgecalc.lmhs import (
     associated_graded_orbit, hermitian_psd_status, hermitian_sign, piece_hodge_numbers,
+    stratum_hodge_numbers,
 )
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
@@ -277,3 +287,42 @@ def stratum_factorization(p, subset, spec) -> StratumFactorization:
             "complement factor does not match the stratum metric polynomial")
     return StratumFactorization(tuple(subset), leading, p_i, p_ic, remainder,
                                 stratum, bound)
+
+
+@dataclass(frozen=True)
+class PermutationMonomialReport:
+    permutation: tuple
+    exponents: tuple
+    present: bool
+    hull_ok: bool
+
+
+def permutation_monomial_check(spec, permutation) -> PermutationMonomialReport:
+    """Exponents of the chain monomial of a variable ordering, its presence in
+    P, and the convex-hull bound on all monomials of P."""
+    k = spec.num_params
+    perm = list(permutation)
+    if sorted(perm) != list(range(k)):
+        raise ValueError("permutation must reorder 0..k-1")
+    p = hodge_metric_polynomial(spec)
+    numbers = {}          # subset -> stratum Hodge numbers, once per subset
+
+    def chain_exponents(order):
+        prev, exps = {}, [0] * k
+        for i in range(1, k + 1):
+            key = frozenset(order[:i])
+            if key not in numbers:
+                numbers[key] = stratum_hodge_numbers(spec, sorted(key))
+            cur = numbers[key]
+            exps[order[i - 1]] = sum(j * (cur.get(j, 0) - prev.get(j, 0))
+                                     for j in set(cur) | set(prev))
+            prev = cur
+        return tuple(exps)
+
+    exps = chain_exponents(perm)
+    present = p.p.terms.get(exps, 0) != 0
+
+    # convex hull of all chain monomials contains every monomial of P
+    facets = hull_facets([chain_exponents(sigma) for sigma in permutations(range(k))], k)
+    hull_ok = all(in_hull(facets, exp) for exp in p.p.terms)
+    return PermutationMonomialReport(tuple(perm), exps, present, hull_ok)

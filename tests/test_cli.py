@@ -9,6 +9,7 @@ import pytest
 from hodgecalc import cli
 from hodgecalc.cli import MAX_RAYS, MAX_SCALE_EXPONENT, SUBCOMMANDS, main
 from hodgecalc.errors import ParseError, SchemaError
+from hodgecalc.matrices import Mat
 from hodgecalc.schemas import (
     MAX_MODEL_WIDTH, MAX_PHS_DIM, MAX_SUBSPACE_WIDTH, fixture_names, load_fixture,
     parse_problem_text, render_problem,
@@ -343,6 +344,28 @@ def test_budget_messages_name_the_field(tmp_path, capsys):
         assert code == 2 and err.startswith(f"error: {field} "), err
 
 
+def test_decimal_alpha_weights_stay_exact(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    runs = [["multiplier-ideal", "--alpha", "0.1,2", "--degree", "4"]]
+    for weights in (["0.1", 2], ["1/10", "2"]):
+        path.write_text(json.dumps({"kind": "alpha",
+                                    "payload": {"alpha": weights, "degreeBound": 4}}))
+        runs.append(["multiplier-ideal", "--input", str(path)])
+    for argv in runs:
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["findings"]["alpha"] == ["1/10", "2"], argv
+
+
+def test_an_internal_error_while_reading_is_no_malformed_document(monkeypatch):
+    """Only the errors of a bad scalar or ragged rows make a malformed
+    document; anything else is a crash and propagates."""
+    def broken(cls, data):
+        raise RuntimeError("planted")
+    monkeypatch.setattr(Mat, "from_json", classmethod(broken))
+    with pytest.raises(RuntimeError, match="planted"):
+        main(["validate", "--input", "builtin:dollar-bill"])
+
+
 def _largest_allowed(size, budget):
     n = 0
     while size(n + 1) <= budget:
@@ -500,6 +523,8 @@ BAD_DOCUMENTS = {
         "dimT": MAX_MODEL_WIDTH + 1, "rankE": 1, "rankG": 1,
         "A": [[1] * (MAX_MODEL_WIDTH + 1)]}}),
     "alpha-a-boolean": ("multiplier-ideal", _mutated("alpha-example", alpha=[True, "1/2"])),
+    # a JSON float is a binary fraction: 0.1 would be 3602879701896397/2^55
+    "alpha-a-float": ("multiplier-ideal", {"kind": "alpha", "payload": {"alpha": [0.1, 2]}}),
     # only [] is an empty flag level: any other falsy JSON value is no matrix
     **{f"flag-level-{name}": ("validate", _mutated("dollar-bill", F=[level, [
         ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]]))
@@ -553,6 +578,14 @@ def test_horizontal_without_h11_names_h11(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli([command, "--input", str(path)], capsys)
     assert code == 2 and "h11 > 0" in err
+
+
+def test_a_float_weight_names_the_field(tmp_path, capsys):
+    command, payload = BAD_DOCUMENTS["alpha-a-float"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 2 and err.startswith("error: bad weight in 'alpha': ") and "0.1" in err, err
 
 
 def test_negative_ambient_names_the_field(tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_grading_bracket_compatibility(algebras_w1):
                 continue
             target = ge.pieces.get(p + q)
             assert target is not None
-            assert sub_contains_vec(target, list(br.vec()))
+            assert sub_contains_vec(target, list(br.entries))
 
 
 def test_kernel_dimension_weight1_all_ranks(algebras_w1):
@@ -170,7 +170,7 @@ def test_kernel_dimension_weight1_all_ranks(algebras_w1):
                     extra = [GaussianRational(Fraction(rng.randint(-1, 1), 7),
                                               Fraction(rng.randint(-1, 1), 7))
                              for _ in range(gm1.rows)]
-                    v = list(xi.vec())
+                    v = list(xi.entries)
                     for c, i in zip(extra, range(gm1.rows)):
                         cand = [a + c * b for a, b in zip(v, gm1.row(i))]
                         cm = ge.unflatten(cand)
@@ -209,7 +209,7 @@ def test_kernel_dimension_matches_bracket_loop(algebras_w1, algebras_w2):
         coeffs = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
                   for _ in range(gm1.rows)]
         xi = ge.unflatten((Mat.from_rows([coeffs]) @ gm1).entries)
-        images = Mat.from_rows([list(bracket(xi, ge.unflatten(g0.row(i))).vec())
+        images = Mat.from_rows([list(bracket(xi, ge.unflatten(g0.row(i))).entries)
                                 for i in range(g0.rows)])
         assert kernel_dimension(ge, xi) == gm1.rows - rank(images)
 

@@ -663,6 +663,6 @@ def test_metric_coefficients_use_transposed_nilpotents(dollar_bill):
     right, unit = dollar_bill.q @ frame.conj_transpose(), hermitian_sign(1, 1, 1)
     for j, nj in enumerate(dollar_bill.nilpotents):
         exp = tuple(int(v == j) for v in range(3))
-        coefficient = Mat.from_rows([[entry.coefficient(exp) for entry in row] for row in mat])
+        coefficient = Mat.from_rows([[entry.terms.get(exp, 0) for entry in row] for row in mat])
         assert coefficient == (frame @ nj.transpose() @ right).scale(unit)
         assert coefficient != (frame @ nj @ right).scale(unit)

@@ -9,9 +9,9 @@ import pytest
 import reference_lmhs
 from conftest import direct_sum
 from hodgecalc import lmhs
-from hodgecalc.errors import NotMHS
+from hodgecalc.errors import NoSolution, NotMHS
 from hodgecalc.lmhs import (
-    PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
+    CheckResult, PolarizedOrbitSpec, associated_graded_orbit, deligne_bigrading,
     hermitian_psd_status, stratum_hodge_numbers, verify_polarized_lmhs,
 )
 from hodgecalc.matrices import Mat, sub_conj, sub_equal, sub_zero
@@ -103,6 +103,29 @@ def test_verify_all_bundled(pure_elliptic, elliptic_degeneration, commuting_pair
                  duplicated_pair):
         rep = verify_polarized_lmhs(spec)
         assert rep.all_passed, [c.name for c in rep.failed()]
+
+
+def test_verify_reports_a_flag_with_no_limiting_mhs():
+    """F^1 = span(e1) passes every structural check, but it is W_0 = Im N,
+    where a limiting MHS of weight 1 has type (0, 0) alone: no Deligne
+    splitting exists, and that is a failed check, not an error."""
+    q = Mat.from_rows([[0, 1], [-1, 0]])
+    n = Mat.from_rows([[0, 1], [0, 0]])
+    spec = PolarizedOrbitSpec(2, 1, q, (n,), (Mat.from_rows([[1, 0]]), Mat.identity(2)))
+    rep = verify_polarized_lmhs(spec)
+    assert [c for c in rep.checks if not c.passed] == [CheckResult(
+        "limiting MHS exists", False,
+        "Deligne pieces have total dimension 7 with rank 1, ambient 2")]
+
+
+def test_verify_raises_an_internal_error(dollar_bill, monkeypatch):
+    """An internal error inside the limiting MHS is a crash, never a failed
+    check."""
+    def broken(wf, flag):
+        raise NoSolution("internal error: planted")
+    monkeypatch.setattr(lmhs, "deligne_bigrading", broken)
+    with pytest.raises(NoSolution, match="planted"):
+        verify_polarized_lmhs(dollar_bill)
 
 
 def test_verify_rejects_unstable_flag(dollar_bill):
@@ -273,7 +296,7 @@ def test_zero_parameter_spec_is_pure():
     from hodgecalc.monomial import monomial_map
     p = hodge_metric_polynomial(spec)
     assert p.num_vars == 0 and p.degree == 0
-    assert monomial_map(spec).target_dim == 0
+    assert monomial_map(spec).exponents == ()
 
 
 def _pure_weight2_spec(h20: int, h11: int) -> PolarizedOrbitSpec:

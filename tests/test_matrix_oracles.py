@@ -819,5 +819,5 @@ def test_ad_matrix_is_the_bracket():
     rng = random.Random(13)
     for d in range(1, 5):
         n, x = _matrix(rng, True, rows=d, cols=d), _matrix(rng, True, rows=d, cols=d)
-        got = ref.ad_matrix(n).mat_vec(x.vec())
+        got = ref.ad_matrix(n).mat_vec(x.entries)
         assert Mat(d, d, got) == n @ x - x @ n

@@ -119,7 +119,7 @@ def test_w_minus1_contains_deeper_directions(dollar_bill):
     # each single direction sits inside W_-2 of the full cone on endomorphisms
     w = w_minus1_end(dollar_bill.n_sum())
     for n in dollar_bill.nilpotents:
-        assert sub_contains_vec(w, list(n.vec()))
+        assert sub_contains_vec(w, list(n.entries))
 
 
 def test_compatibility_all_nested_pairs(dollar_bill, commuting_pair):

@@ -355,6 +355,23 @@ def assert_model_maps_match_loops(model, rng):
         assert sym_power_model(model, k) == ref.sym_power_model(model, k)
 
 
+def test_tangent_rank_matches_the_stacked_column_blocks():
+    """The rows of A read as rank_g * rank_e rows of length dim_t are the rows
+    of the stacked column blocks A (e_alpha (x) I_T) in another order, on
+    real and Gaussian models, with no G or no tangent directions too."""
+    rng = random.Random(41)
+    shapes = set()
+    for trial in range(160):
+        rank_e, dim_t, rank_g = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        entries = [GaussianRational(rng.choice((0, 0, 1, -1, 2)),
+                                    rng.choice((0, 1, -1)) if trial % 2 else 0)
+                   for _ in range(rank_g * rank_e * dim_t)]
+        model = NormPositivityModel(dim_t, rank_e, rank_g, Mat(rank_g, rank_e * dim_t, entries))
+        assert tangent_to_hom_rank(model) == ref.tangent_to_hom_rank_by_blocks(model), trial
+        shapes.add((rank_g == 0, dim_t == 0, model.a.is_real()))
+    assert {(True, False, True), (False, True, True), (False, False, False)} <= shapes
+
+
 def test_model_maps_match_index_loops_on_g24(g24_model):
     rng = random.Random(41)
     assert_model_maps_match_loops(g24_model, rng)

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, reverse_grading_candidates
+from reference_orbit import permutation_monomial_check
 from hodgecalc import orbit
 from hodgecalc.errors import ZeroAtPoint
 from hodgecalc.matrices import Mat
 from hodgecalc.orbit import (
     chern_form_at, default_rays, hodge_metric_matrix, hodge_metric_polynomial,
-    permutation_monomial_check, restriction_limit_check, stratum_factorization,
-    stratum_metric_polynomial,
+    restriction_limit_check, stratum_factorization, stratum_metric_polynomial,
 )
 from hodgecalc.polynomials import MultiPoly, poly_mat_det
 

@@ -100,7 +100,11 @@ def test_canonical_rendering():
 
 def test_json_round_trip():
     p = x(2, 0) * x(2, 1).scale(Fraction(3, 7)) - MultiPoly.const(2, Fraction(1, 2))
-    assert MultiPoly.from_json(p.to_json()) == p
+    data = p.to_json()
+    assert data == {"vars": 2, "terms": [{"exp": [1, 1], "coef": "3/7"},
+                                         {"exp": [0, 0], "coef": "-1/2"}]}
+    assert MultiPoly(data["vars"], {tuple(t["exp"]): Fraction(t["coef"])
+                                    for t in data["terms"]}) == p
 
 
 def test_power():

@@ -23,12 +23,17 @@ through ``Mat.int_rows`` and ``poly_matrix``.  The next check keeps
 ``dataclasses`` out of the library: its records build on
 ``hodgecalc.records`` and generate no code at import.  The last one keeps
 the lattice layer, ``cones`` and ``monomial``, on integer rows: they read
-no ``GaussianRational`` view of a ``Mat``.
+no ``GaussianRational`` view of a ``Mat``.  The reachability check keeps
+dead library code out: each public function, class and method of the
+library is named by some code of the library, the demos or the benchmark
+outside its own definition, or is bound by name in the benchmark's tracer,
+unless ``UNREACHED`` gives the reason it stays.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -309,3 +314,82 @@ def test_the_check_finds_gauss_view_reads():
     assert gauss_view_reads(source) == [(2, "col"), (2, "row"), (2, "row_list"),
                                         (3, "entries"), (3, "mat_vec"), (3, "vec"),
                                         (4, "[i, j]"), (4, "from_json"), (4, "from_rows")]
+
+
+READERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# Public names that no subcommand, demo or benchmark reaches, with the reason each stays.
+UNREACHED = {
+    "polynomials.MultiPoly.partial_derivative": "the Chern-form partials of ROADMAP item 8",
+    "normpos.trace_form_power_vanishes": "the test of c_1^q = 0 of ROADMAP item 7",
+    "orbit.MetricMatrix.full": "the determinant of the whole metric matrix, acceptance criterion 2",
+    "normpos.NormPositivityModel.apply": "the normpos test oracle reads models through it",
+    "schemas.render_problem": "the document writer that README names",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name occurs in the code under node, as a name or as
+    an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def bound_names(source: str):
+    """The names in the string bindings of ``SPANS``: ("matrices",
+    "Mat.__matmul__") gives matrices, Mat and __matmul__."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+            out.update(part for n in ast.walk(node.value)
+                       if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                       for part in n.value.split("."))
+    return out
+
+
+def unreached_definitions(modules: dict, readers=(), bound=frozenset()):
+    """"module.name" or "module.Class.method" of each public function, class
+    and method defined at the top of the sources in `modules` (module name ->
+    source) that neither `bound` nor any code of `modules` or `readers`
+    names outside its own definition."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = sum((_references(t) for t in trees.values()), Counter())
+    total += sum((_references(ast.parse(source)) for source in readers), Counter())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for qualname, d in defs:
+                name = qualname.split(".")[-1]
+                if not name.startswith("_") and name not in bound \
+                        and total[name] == _references(d)[name]:
+                    out.append(f"{module}.{qualname}")
+    return sorted(out)
+
+
+def test_every_public_name_of_the_library_is_reached():
+    unreached = unreached_definitions({p.stem: p.read_text() for p in ALL_MODULES},
+                                      [p.read_text() for p in READERS],
+                                      bound_names(TRACING.read_text()))
+    assert unreached == sorted(UNREACHED)
+
+
+def test_the_check_finds_unreached_definitions():
+    modules = {"cones": ("def dead(v):\n    return dead(v)\n"
+                         "def used(v):\n    return v\n"
+                         "def traced(v):\n    return v\n"
+                         "class Cone:\n"
+                         "    def rays(self):\n        return used(self)\n"
+                         "    def _hidden(self):\n        return 0\n"
+                         "def _private():\n    return Cone().rays\n"),
+               "cli": "from .cones import dead\n"}
+    tracing = "SPANS = {'cones.dd': [('cones', 'traced')]}\nOTHER = ['dead']\n"
+    assert unreached_definitions(modules, [], bound_names(tracing)) == ["cones.dead"]
+    assert unreached_definitions(modules, ["f = cones.dead"], bound_names(tracing)) == []
