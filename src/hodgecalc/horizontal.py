@@ -10,11 +10,12 @@ exact Hodge metric Tr(X Y*).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotPolarized, ZeroVector
 from .lmhs import first_relation_holds, hermitian_sign, hodge_riemann_status
 from .matrices import (
-    Mat, Splitting, inverse, pivot_columns, rank, row_coords, sub_canonical, sub_zero,
+    Mat, Splitting, inverse, rank, row_coords, sub_canonical, sub_zero,
 )
 from .rationals import GaussianRational
 from .records import Record
@@ -120,6 +121,17 @@ class GradedEnd(Record):
         return self.inner(x, x).real_or_raise()
 
 
+def _type_pairs(labels, n: int) -> dict:
+    """p -> the index pairs (a, b) of the basis vectors X_ab of g^{p,-p}, in
+    order: a < b, or a <= b in odd weight, with n - r_a - r_b = p for
+    r_a = labels[a][0]."""
+    pairs = {}
+    for a in range(len(labels)):
+        for b in range(a + 1 - n % 2, len(labels)):
+            pairs.setdefault(n - labels[a][0] - labels[b][0], []).append((a, b))
+    return pairs
+
+
 def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     """The graded pieces of {X : X^T Q + Q X = 0}, in closed form.
 
@@ -133,11 +145,7 @@ def graded_end_algebra(phs: PolarizedHS) -> GradedEnd:
     n, split = phs.weight, Splitting(phs.pieces)
     phi = split.t_inv
     u = phi @ inverse(phs.q).transpose()
-    r = [key[0] for key in split.labels]
-    pairs = {}
-    for a in range(phs.dim):
-        for b in range(a + 1 - n % 2, phs.dim):
-            pairs.setdefault(n - r[a] - r[b], []).append((a, b))
+    pairs = _type_pairs(split.labels, n)
     pieces = {}
     for p in sorted(pairs):
         a, b = zip(*pairs[p])
@@ -161,24 +169,39 @@ def bisectional_curvature(ge: GradedEnd, eta: Mat, xi: Mat) -> Fraction:
 def kernel_dimension(ge: GradedEnd, xi: Mat) -> int:
     """dim ker of the lowering adjoint on the (-1) piece: the corank of
     bracketing with xi (ValueError unless xi lies in that piece) from the 0
-    piece into it.  A vector of the (-1) piece is its coordinate vector read
-    at the pivot columns of the piece's canonical basis, so the rank of the
-    brackets is taken on those columns alone."""
-    d = ge.phs.dim
-    gm1 = ge.pieces.get(-1, sub_zero(d * d))
-    pivots = pivot_columns(gm1)
-    flat = xi.reshape(1, d * d)
-    if flat.reshape(d * d, 1).take(pivots).transpose() @ gm1 != flat:
+    piece into it, read in the Hodge frame t of the splitting.  There the
+    basis vector X_ab of the algebra has t^T Q X_ab t = S_ab = E_ab - e E_ba,
+    and as xi preserves Q, t^T Q [xi, X_ab] t = -(S_ab xi' - e (S_ab xi')^T)
+    for xi' = t^-1 xi t: its (c, f) entries at the (-1) pairs, coordinates on
+    the (-1) piece, come from rows a and b of xi' alone."""
+    n, d, split = ge.phs.weight, ge.phs.dim, ge.splitting
+    e, labels = -1 if n % 2 else 1, split.labels
+    if (xi.rows, xi.cols) != (d, d):
         raise ValueError("xi is not in g^{-1,1}")
-    g0 = ge.pieces.get(0)
-    if g0 is None:
-        return gm1.rows
-    # row k of w is row p = a d + b of ad(xi) = xi (x) I - I (x) xi^T, that is
-    # (e_a xi) (x) e_b - e_a (x) (e_b xi^T), for the k-th pivot p; so row i of
-    # g0 @ w^T is vec([xi, X_i]) at the pivots, X_i the i-th basis vector of g0
-    a, b, one = [p // d for p in pivots], [p % d for p in pivots], Mat.identity(d)
-    w = xi.take(a).face_split(one.take(b)) - one.take(a).face_split(xi.transpose().take(b))
-    return gm1.rows - rank(g0 @ w.transpose())
+    qx, frame = ge.phs.q @ xi, split.t_inv @ xi @ split.t
+    rows = frame.int_rows()
+    # xi preserves Q when Q xi is e-antisymmetric, and has type -1 when xi'
+    # maps each basis vector of V^{p,q} into V^{p-1,q+1}
+    if qx.transpose() != qx.scale(-e) or any(
+            (re[j] or im[j]) and labels[j] != (labels[i][0] + 1, labels[i][1] - 1)
+            for i, (re, im, _) in enumerate(rows) for j in range(d)):
+        raise ValueError("xi is not in g^{-1,1}")
+    pairs = _type_pairs(labels, n)
+    cols = pairs.get(-1, [])
+    parts = ([],) if frame.is_real() else ([], [])      # real, imaginary
+    for a, b in pairs.get(0, []):
+        (ra, ia, da), (rb, ib, db) = rows[a], rows[b]
+        den = lcm(da, db)
+        # one row over the lcm of the two row denominators, up to its sign
+        for out, xa, xb in zip(parts, (ra, ia), (rb, ib)):
+            xa, xb = [x * (den // da) for x in xa], [x * (den // db) for x in xb]
+            out.append([(xb[f] if c == a else 0) - (e * xa[f] if c == b else 0)
+                        - (e * xb[c] if f == a else 0) + (xa[c] if f == b else 0)
+                        for c, f in cols])
+    m = Mat.from_int_rows(parts[0], 1)
+    if len(parts) > 1:
+        m = m + Mat.from_int_rows(parts[1], 1).scale(GaussianRational(0, 1))
+    return len(cols) - rank(m)
 
 
 class QuarticReport(Record):
@@ -219,11 +242,13 @@ def top_block(ge: GradedEnd, xi: Mat) -> Mat:
 
 
 def direction_with_block(ge: GradedEnd, target: Mat) -> Mat:
-    """The unique horizontal direction whose top block equals `target`.
+    """A horizontal direction whose top block equals `target`.
 
     Solves within the (-1)-graded piece; raises when the block is not
-    attainable (the block map is injective on the piece, so the solution is
-    unique when it exists)."""
+    attainable.  In weights 1 and 2 the block map is injective on the piece,
+    so the solution is unique when it exists.  From weight 3 on it is not:
+    the V^{n-1,2} -> V^{n-2,3} block of a direction is free, and one of the
+    directions with the given top block is returned."""
     gm1 = ge.pieces.get(-1)
     if gm1 is None or gm1.rows == 0:
         raise ZeroVector("the (-1) piece is trivial")

@@ -442,9 +442,6 @@ class Mat:
     def row(self, i: int):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 

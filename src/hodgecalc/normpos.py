@@ -49,9 +49,6 @@ class CurvatureTensor(Record):
     dim_t: int
     nakano: Mat
 
-    def theta(self, alpha: int, beta: int, i: int, j: int) -> GaussianRational:
-        return self.nakano[alpha * self.dim_t + i, beta * self.dim_t + j]
-
     def value(self, e, xi) -> Fraction:
         """The real curvature form on a decomposable pair: v N v* for the
         row vector v = e (x) xi and N the Nakano matrix."""

@@ -15,8 +15,8 @@ solves nothing, finds the same pieces.
 
 ``bracket_matrix`` and ``kernel_dimension`` are the bracket system of
 ``hodgecalc.horizontal.kernel_dimension`` as it was built from the
-d^2 x d^2 matrix of ad(xi^T), on all d^2 columns, where the library takes
-its rank on the columns at the pivots of the canonical basis of g^{-1,1}.
+d^2 x d^2 matrix of ad(xi^T), on all d^2 columns, where the library reads
+the brackets in the Hodge frame, on the pairs of g^{-1,1} alone.
 
 ``principal_value_traces`` is the block traces of
 ``hodgecalc.horizontal.sectional_quartic`` as they were built the adjoint A* of each block A of xi from the Gram matrices of

@@ -21,6 +21,12 @@ from hodgecalc.polynomials import MultiPoly, poly_mat_det
 from hodgecalc.rationals import GaussianRational, ZERO, ONE, as_gauss
 
 
+def _theta(theta: CurvatureTensor, alpha: int, beta: int, i: int, j: int):
+    """Theta^alpha_{beta-bar i j-bar}: the entry of the Nakano matrix at
+    (alpha, i), (beta, j)."""
+    return theta.nakano[alpha * theta.dim_t + i, beta * theta.dim_t + j]
+
+
 def value(theta: CurvatureTensor, e, xi):
     """The real curvature form on a decomposable pair."""
     e = [as_gauss(x) for x in e]
@@ -30,7 +36,7 @@ def value(theta: CurvatureTensor, e, xi):
         for b in range(theta.rank_e):
             for i in range(theta.dim_t):
                 for j in range(theta.dim_t):
-                    t = theta.theta(a, b, i, j)
+                    t = _theta(theta, a, b, i, j)
                     if t:
                         acc = acc + t * e[a] * e[b].conj() * xi[i] * xi[j].conj()
     return acc.real_or_raise()
@@ -45,7 +51,7 @@ def horizontal_form(theta: CurvatureTensor, e) -> Mat:
             acc = ZERO
             for a in range(theta.rank_e):
                 for b in range(theta.rank_e):
-                    t = theta.theta(a, b, i, j)
+                    t = _theta(theta, a, b, i, j)
                     if t:
                         acc = acc + t * e[a] * e[b].conj()
             entries.append(acc)
@@ -59,7 +65,7 @@ def trace_form(theta: CurvatureTensor) -> Mat:
         for j in range(theta.dim_t):
             acc = ZERO
             for a in range(theta.rank_e):
-                t = theta.theta(a, a, i, j)
+                t = _theta(theta, a, a, i, j)
                 if t:
                     acc = acc + t
             entries.append(acc)

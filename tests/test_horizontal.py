@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,12 @@ from hodgecalc.horizontal import (
     kernel_dimension, phs_weight1, phs_weight2, sectional_quartic, top_block,
 )
 from hodgecalc.cli import main
-from hodgecalc.matrices import Mat, rank, rref, sub_contains_vec, sub_equal
+from hodgecalc.matrices import Mat, inverse, rank, sub_contains_vec, sub_equal
 from hodgecalc.rationals import GaussianRational, ZERO
 from hodgecalc.schemas import load_fixture, parse_problem_text
 from unpolarized_documents import UNPOLARIZED_OMEGA
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "goldens" / "inputs"
 
 
 def assert_same_structure(ours, theirs):
@@ -226,7 +229,8 @@ def _unimodular(rng, size):
 def _seeded_directions(ge, rng):
     """Directions whose top blocks have every rank, each the diagonal
     pattern moved by unimodular matrices (by congruence in weight 1, where
-    the blocks are symmetric), then two seeded Gaussian directions."""
+    the blocks B are those with G^T B symmetric, G the Gram of Q between
+    V^{0,1} and V^{1,0}), then two seeded Gaussian directions."""
     phs = ge.phs
     n = phs.weight
     src, dst = phs.pieces[(n, 0)].rows, phs.pieces[(n - 1, 1)].rows
@@ -236,7 +240,8 @@ def _seeded_directions(ge, rng):
                               for i in range(dst)])
         if n == 1:
             t = _unimodular(rng, src)
-            target = t.transpose() @ base @ t
+            gram = phs.pieces[(0, 1)] @ phs.q @ phs.pieces[(1, 0)].transpose()
+            target = inverse(gram.transpose()) @ t.transpose() @ base @ t
         else:
             target = _unimodular(rng, dst) @ base @ _unimodular(rng, src)
         out.append(direction_with_block(ge, target))
@@ -249,9 +254,10 @@ def _seeded_directions(ge, rng):
 
 
 def test_kernel_dimension_matches_ad_matrix_form(algebras_w1, algebras_w2, monkeypatch):
-    # the bracket rows are the matrix g0 @ ad(xi^T); they lie in g^{-1,1},
-    # so the elimination runs on their columns at the pivots of its
-    # canonical basis, and the rank is the same
+    """The rank is taken once, on the piece_dim(0) x piece_dim(-1) matrix of
+    the brackets of xi with the basis of g^{0,0}, read at the pairs of
+    g^{-1,1} in the Hodge frame: it has the rank of the full ad-matrix
+    bracket system."""
     seen = []
     real_rank = horizontal.rank
     monkeypatch.setattr(horizontal, "rank", lambda m: seen.append(m) or real_rank(m))
@@ -262,13 +268,47 @@ def test_kernel_dimension_matches_ad_matrix_form(algebras_w1, algebras_w2, monke
         for xi in _seeded_directions(ge, rng):
             seen.clear()
             assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi)
-            pivots = rref(ge.pieces[-1])[1]
-            assert seen == [ref.bracket_matrix(ge, xi).transpose().take(pivots).transpose()]
+            (m,) = seen
+            assert (m.rows, m.cols) == (ge.piece_dim(0), ge.piece_dim(-1))
+            assert rank(m) == rank(ref.bracket_matrix(ge, xi))
+
+
+def _document_algebras():
+    """The algebras of the dense genus-4 and skewed weight-2 documents."""
+    return [graded_end_algebra(parse_problem_text((GOLDEN_INPUTS / f"{name}.json").read_text()).obj)
+            for name in ("dense-weight1-genus4", "skewed-weight2")]
+
+
+def test_kernel_dimension_matches_the_reference(algebras_w1, algebras_w2):
+    """The Hodge-frame bracket system against the d^2-wide one of the
+    reference, at directions of every top-block rank and two seeded Gaussian
+    directions, on every algebra of this module and of the dense documents."""
+    rng = random.Random(71)
+    algebras = [*algebras_w1.values(), *algebras_w2.values(), _skewed_algebra(),
+                *_document_algebras()]
+    for ge in algebras:
+        for xi in _seeded_directions(ge, rng):
+            assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi)
+
+
+@pytest.mark.parametrize("h20, h11, expected", [(2, 2, 2), (1, 2, 1), (2, 3, 3)])
+def test_kernel_dimension_at_an_isotropic_top_block(h20, h11, expected):
+    """A rank-1 top block with first column (1, i, 0, ...): the kernel is
+    larger than (h20 - 1)(h11 - 1), the value at a real block of rank 1, so
+    the answer is not a function of the block's rank."""
+    ge = graded_end_algebra(phs_weight2(h20, h11))
+    i = GaussianRational(0, 1)
+    target = Mat(h11, h20, [[1, i][r] if c == 0 and r < 2 else 0
+                            for r in range(h11) for c in range(h20)])
+    xi = direction_with_block(ge, target)
+    assert rank(target) == 1 and expected != (h20 - 1) * (h11 - 1)
+    assert kernel_dimension(ge, xi) == ref.kernel_dimension(ge, xi) == expected
 
 
 def test_kernel_dimension_refuses_a_direction_outside_the_piece(algebras_w1, algebras_w2):
-    """xi + X with X a nonzero element of g^{0,0}, and the identity, are not
-    in g^{-1,1}: the call raises where it used to return a meaningless corank."""
+    """xi + X with X a nonzero element of g^{0,0}, the identity and matrices
+    that are not d x d are not in g^{-1,1}: the call raises where it used to
+    return a meaningless corank, or fail on a row index."""
     rng = random.Random(67)
     for ge in [algebras_w1[2], algebras_w2[(2, 3)], algebras_w2[(3, 4)], _skewed_algebra()]:
         d, g0, gm1 = ge.phs.dim, ge.pieces[0], ge.pieces[-1]
@@ -280,7 +320,9 @@ def test_kernel_dimension_refuses_a_direction_outside_the_piece(algebras_w1, alg
                       for _ in range(g0.rows)]
             coeffs[rng.randrange(g0.rows)] = GaussianRational(1, rng.randint(-2, 2))
             x = (Mat.from_rows([coeffs]) @ g0).reshape(d, d)
-            for bad in (xi + x, Mat.identity(d)):
+            # xi + X, the identity, and two of the wrong shape: xi read as one
+            # row, whose entries do lie in the piece, and a (d+1) x (d+1) zero
+            for bad in (xi + x, Mat.identity(d), xi.reshape(1, d * d), Mat.zeros(d + 1, d + 1)):
                 with pytest.raises(ValueError, match=r"xi is not in g\^\{-1,1\}"):
                     kernel_dimension(ge, bad)
 
@@ -548,6 +590,16 @@ def test_direction_with_block_matches_row_by_row_solve(algebras_w1, algebras_w2)
             got = outcome(direction_with_block, ge, target)
             assert got == outcome(ref.direction_with_block, ge, target)
         assert direction_with_block(ge, block) == xi
+
+
+def test_the_top_block_fixes_a_direction_in_weights_one_and_two(algebras_w1, algebras_w2):
+    """The top block map is injective on g^{-1,1} in weights 1 and 2, which
+    makes the direction of `direction_with_block` unique there."""
+    for ge in [*algebras_w1.values(), *algebras_w2.values(), _skewed_algebra(),
+               *_document_algebras()]:
+        n, gm1 = ge.phs.weight, ge.pieces[-1]
+        assert n in (1, 2)
+        assert rank(ge.splitting.flat_blocks(gm1, (n, 0), (n - 1, 1))) == gm1.rows
 
 
 def test_direction_with_block_rejects_a_block_of_the_wrong_shape(algebras_w2):

@@ -372,8 +372,9 @@ def test_principal_value_traces_match_the_gram_matrices(case):
 
 @pytest.mark.parametrize("case", PHS_CASES.values(), ids=PHS_CASES.keys())
 def test_kernel_dimension_and_quartic_match_separate_calls(case):
-    """kernel_dimension, which takes its rank at the pivots of g^{-1,1},
-    equals the corank of the full ad-matrix bracket system; sectional_quartic,
+    """kernel_dimension, which takes its rank on the Hodge-frame coordinates
+    of the brackets at the pairs of g^{-1,1}, equals the corank of the full
+    ad-matrix bracket system; sectional_quartic,
     which takes xi* once, equals its parts computed by the public calls."""
     make, *args = case
     ge = graded_end_algebra(make(*args))
@@ -401,7 +402,7 @@ def assert_same_pieces(ours, theirs):
 
 def solve_left(a, b):
     """The matrix x with a @ x = b, column by column."""
-    return Mat.from_rows([solve(a, b.col(j)) for j in range(b.cols)]).transpose()
+    return Mat.from_rows([solve(a, c) for c in b.transpose().row_list()]).transpose()
 
 
 # --- Chern forms and restriction limits -------------------------------------

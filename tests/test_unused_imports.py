@@ -26,8 +26,9 @@ the lattice layer, ``cones`` and ``monomial``, on integer rows: they read
 no ``GaussianRational`` view of a ``Mat``.  The reachability check keeps
 dead library code out: each public function, class and method of the
 library is named by some code of the library, the demos or the benchmark
-outside its own definition, or is bound by name in the benchmark's tracer,
-unless ``UNREACHED`` gives the reason it stays.
+outside its own definition (a method only as an attribute, ``x.method``),
+or is bound by name in the benchmark's tracer, unless ``UNREACHED`` gives
+the reason it stays.
 """
 
 from __future__ import annotations
@@ -329,11 +330,12 @@ UNREACHED = {
 }
 
 
-def _references(node) -> Counter:
-    """How often each name occurs in the code under node, as a name or as
-    an attribute."""
+def _references(node, attributes_only=False) -> Counter:
+    """How often each name occurs in the code under node as an attribute,
+    and unless `attributes_only`, as a bare name too."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
 
 
 def bound_names(source: str):
@@ -353,10 +355,13 @@ def unreached_definitions(modules: dict, readers=(), bound=frozenset()):
     """"module.name" or "module.Class.method" of each public function, class
     and method defined at the top of the sources in `modules` (module name ->
     source) that neither `bound` nor any code of `modules` or `readers`
-    names outside its own definition."""
+    names outside its own definition.  A method is named only as an
+    attribute (``x.method``): a bare name such as a parameter or a local
+    variable that shares its name does not reach it."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    total = sum((_references(t) for t in trees.values()), Counter())
-    total += sum((_references(ast.parse(source)) for source in readers), Counter())
+    everything = [*trees.values(), *map(ast.parse, readers)]
+    total = {kind: sum((_references(t, kind) for t in everything), Counter())
+             for kind in (False, True)}
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -367,9 +372,9 @@ def unreached_definitions(modules: dict, readers=(), bound=frozenset()):
                 defs += [(f"{node.name}.{m.name}", m) for m in node.body
                          if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
             for qualname, d in defs:
-                name = qualname.split(".")[-1]
+                name, method = qualname.split(".")[-1], "." in qualname
                 if not name.startswith("_") and name not in bound \
-                        and total[name] == _references(d)[name]:
+                        and total[method][name] == _references(d, method)[name]:
                     out.append(f"{module}.{qualname}")
     return sorted(out)
 
@@ -393,3 +398,19 @@ def test_the_check_finds_unreached_definitions():
     tracing = "SPANS = {'cones.dd': [('cones', 'traced')]}\nOTHER = ['dead']\n"
     assert unreached_definitions(modules, [], bound_names(tracing)) == ["cones.dead"]
     assert unreached_definitions(modules, ["f = cones.dead"], bound_names(tracing)) == []
+
+
+def test_a_bare_name_does_not_reach_a_method():
+    """A parameter, a local variable or a function named like a method leaves
+    it unreached; an attribute reference or a SPANS string reaches it."""
+    modules = {"matrices": ("class Mat:\n"
+                            "    def vec(self):\n        return self.vec()\n"
+                            "    def rows(self):\n        return 1\n"
+                            "    def traced(self):\n        return 2\n"
+                            "    def width(self):\n        return 3\n"
+                            "def unflatten(vec):\n    width = 4\n    return list(vec), width\n"
+                            "def entries(m):\n    return m.rows(), unflatten\n")}
+    tracing = "SPANS = {'matrices.traced': [('matrices', 'Mat.traced')]}\n"
+    assert unreached_definitions(modules, ["def width(): pass", "entries(Mat)"],
+                                 bound_names(tracing)) == ["matrices.Mat.vec",
+                                                           "matrices.Mat.width"]
