@@ -17,9 +17,6 @@ class ChernSymbol(Record):
     rank: int
     poly: MultiPoly
 
-    def weighted_degree(self) -> int:
-        return self.poly.weighted_degree(tuple(range(1, self.rank + 1)))
-
     def __str__(self):
         return self.poly.to_string("c")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chern, multiplier
 from .errors import HodgecalcError, ParseError, SchemaError, UnknownSubcommand
-from .horizontal import bisectional_curvature, graded_end_algebra, sectional_quartic
+from .horizontal import graded_end_algebra, sectional_quartic
 from .lmhs import verify_polarized_lmhs
 from .matrices import Mat, nilpotent_powers
 from .monomial import (
@@ -307,8 +307,8 @@ def _horizontal(doc, flags, f, g):
         if not any(coeffs):     # the zero direction: draw again
             continue
         xi = (Mat.from_rows([coeffs]) @ gm1).reshape(ge.phs.dim, ge.phs.dim)
-        val = bisectional_curvature(ge, xi, xi)
         q = sectional_quartic(ge, xi)
+        val = -q.raw    # the self-bisectional curvature: |[xi, xi]|^2 = 0
         samples.append({"selfBisectional": exact_entry(val),
                         "quartic": exact_entry(q.value)})
         all_neg = all_neg and val < 0
@@ -343,7 +343,7 @@ def _multiplier_ideal(doc, flags, f, g):
         field = f"degreeBound {bound}"
     elif flags.get("alpha"):
         alpha = flags["alpha"]
-        bound = flags.get("degree", 24)
+        bound = flags.get("degree", multiplier.DEFAULT_DEGREE_BOUND)
         field = f"--degree {bound}" + ("" if "degree" in flags else " (default)")
     else:
         raise SchemaError("multiplier-ideal needs an alpha document or --alpha")

@@ -34,10 +34,6 @@ class RelationSpace(Record):
     basis: Mat          # canonical basis of {a : sum a_i N_i = 0}
     orth_basis: Mat     # canonical basis of its orthogonal complement
 
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
 
 def _flat(nilpotents, d: int) -> Mat:
     """The matrix whose rows are the row-major flattenings vec(N_j)."""

@@ -11,9 +11,10 @@ from .records import Record
 
 # The most simplex points that `multiplier_ideal_monomials` may be asked to
 # walk through the command line: 3-4 us a point on a 2-vCPU Xeon with
-# Python 3.11 (2 to 8 weights), so at most about 1 s.  The default bound 24
+# Python 3.11 (2 to 8 weights), so at most about 1 s.  The default bound
 # passes for up to 5 weights (118755 points, about 0.4 s).
 MAX_SIMPLEX_POINTS = 200_000
+DEFAULT_DEGREE_BOUND = 24
 
 
 def simplex_points(degree_bound: int, n: int) -> int:
@@ -31,7 +32,7 @@ class MonomialIdeal(Record):
         return tuple(monomial_string(beta, "z") or "1" for beta in self.generators)
 
 
-def multiplier_ideal_monomials(alpha, degree_bound: int = 24) -> MonomialIdeal:
+def multiplier_ideal_monomials(alpha, degree_bound: int = DEFAULT_DEGREE_BOUND) -> MonomialIdeal:
     """Minimal monomial generators of {z^beta : sum (beta_j + 1)/alpha_j > 1}.
 
     The membership set is upward closed, so the minimal generators are the

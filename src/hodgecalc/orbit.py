@@ -20,7 +20,6 @@ from .lmhs import (
 )
 from .matrices import Mat, hermitian_psd_status
 from .polynomials import MultiPoly, poly_mat_det, poly_matrix
-from .rationals import from_fractions
 from .records import Record
 
 
@@ -151,9 +150,10 @@ class ChernSample(Record):
 def chern_form_at(p, x) -> ChernSample:
     """G_ij = (dP_i dP_j - P dP_ij) / P^2 evaluated exactly at x.
 
-    `p` is a MultiPoly or a MetricPolynomial.  With P(x), its partials and
-    its Hessian read over one common denominator as V, F_i and S_ij (one walk
-    over the terms of P), G is the int matrix F F^T - V S over V^2."""
+    `p` is a real MultiPoly (ValueError otherwise) or a MetricPolynomial.
+    With P(x), its partials and its Hessian read over one common denominator
+    as V, F_i and S_ij (one walk over the terms of P), G is the int matrix
+    F F^T - V S over V^2."""
     xs = [Fraction(v) for v in x]
     v, rows = _chern_rows(p.p if isinstance(p, MetricPolynomial) else p, xs)
     g = Mat.from_int_rows(rows, v * v)
@@ -163,18 +163,11 @@ def chern_form_at(p, x) -> ChernSample:
 
 def _chern_rows(poly: MultiPoly, xs):
     """(V, rows): the int rows F_i F_j - V S_ij of -Hess(log P) at the
-    Fraction point xs over V^2.  Raises ValueError at the first value that is
-    not real, in the order P, the partials, the Hessian row by row, and
+    Fraction point xs over V^2.  Raises ValueError when P is not real and
     ZeroAtPoint where P is zero."""
-    val, grad, hess, den = poly.value_gradient_hessian(xs)
-    real = poly.is_real()
-    if not real:
-        val = _real_numerator(val, den)
+    val, grad, hess, _ = poly.value_gradient_hessian(xs)
     if val == 0:
         raise ZeroAtPoint(f"polynomial vanishes at {xs}")
-    if not real:
-        grad = [_real_numerator(c, den) for c in grad]
-        hess = [[_real_numerator(c, den) for c in row] for row in hess]
     k = len(grad)
     rows = [[0] * k for _ in range(k)]
     for i, row in enumerate(hess):
@@ -182,15 +175,6 @@ def _chern_rows(poly: MultiPoly, xs):
         for j, s in enumerate(row):
             rows[i][j] = rows[j][i] = fi * grad[j] - val * s
     return val, rows
-
-
-def _real_numerator(c, den: int) -> int:
-    """The real part of the Gaussian numerator c over den; ValueError, naming
-    the value, when its imaginary part is not zero."""
-    re, im = c
-    if im:
-        from_fractions(Fraction(re, den), Fraction(im, den)).real_or_raise()
-    return re
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ The canonical term order is total degree descending, then exponent tuple
 lexicographic, which fixes printing and the notion of "first monomial" used
 for normalization.  Evaluation brings the point over one common denominator,
 sums the terms on Gaussian ints, and divides once; ``value_gradient_hessian``
-reads the value, the partials and the Hessian off one such walk at a real
-point, over Z when the polynomial is real, and leaves them as ints.
+reads the value, the partials and the Hessian of a real polynomial off one
+such walk over Z at a real point, and leaves them as ints.
 
 ``poly_matrix`` builds the matrix sum_e x^e c_e of MultiPoly from Mats c_e: one
 transpose puts the coefficients of each entry in one canonical int row, which
@@ -270,12 +270,6 @@ class MultiPoly:
             out = out * self
         return out
 
-    def conj(self) -> "MultiPoly":
-        if self._ring is _Z:
-            return self
-        return _new(self.num_vars, _ZI, {e: (re, -im) for e, (re, im) in self._num.items()},
-                    self._den)
-
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
                 and self._ring is other._ring and self._den == other._den
@@ -358,10 +352,11 @@ class MultiPoly:
 
     def value_gradient_hessian(self, xs):
         """P(x), its partials d_i P(x) and the lower triangle of its Hessian,
-        hessian[i][j] = d_i d_j P(x) for j <= i, at the real point xs, in one
-        walk over the terms: (value, gradient, hessian, den), each an int
-        numerator (an (re, im) pair of ints when P is not real) over the one
-        positive int den, which need not be the least.
+        hessian[i][j] = d_i d_j P(x) for j <= i, of the real polynomial P at
+        the real point xs, in one walk over the terms: (value, gradient,
+        hessian, den), each an int numerator over the one positive int den,
+        which need not be the least.  A point that is not real raises
+        TypeError, a polynomial that is not real ValueError.
 
         With the point written as A / b, as in `evaluate`, and P as
         sum_e C_e x^e / d, den is d b^deg; the term of x^e adds
@@ -373,16 +368,12 @@ class MultiPoly:
             raise ValueError("evaluation point has wrong length")
         if GaussianRational in map(type, xs):
             raise TypeError("value_gradient_hessian needs a real point")
+        if self._ring is not _Z:
+            raise ValueError("value_gradient_hessian needs a real polynomial")
         b = lcm(*[x.denominator for x in xs])
         a = [x.numerator * (b // x.denominator) for x in xs]
         deg = max(map(sum, self._num), default=0)
-        den = self._den * b ** deg
-        if self._ring is _Z:
-            return (*_jet(self._num.items(), a, b, deg), den)
-        re = _jet([(e, c) for e, (c, _) in self._num.items() if c], a, b, deg)
-        im = _jet([(e, c) for e, (_, c) in self._num.items() if c], a, b, deg)
-        return ((re[0], im[0]), list(zip(re[1], im[1])),
-                [list(zip(r, i)) for r, i in zip(re[2], im[2])], den)
+        return (*_jet(self._num.items(), a, b, deg), self._den * b ** deg)
 
     def leading_part_by_weight(self, weights) -> "MultiPoly":
         """Sum of terms of maximal weighted degree (weights one per variable)."""

@@ -117,10 +117,6 @@ class GaussianRational:
         """Squared modulus, an exact rational."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def real_or_raise(self) -> Fraction:
         if self.im != 0:
             raise ValueError(f"{self} is not real")

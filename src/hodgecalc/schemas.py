@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, NotPolarized, ParseError, SchemaError
 from .horizontal import phs_weight1, phs_weight2
 from .lmhs import PolarizedOrbitSpec
 from .matrices import Mat, is_nilpotent
+from .multiplier import DEFAULT_DEGREE_BOUND
 from .normpos import NormPositivityModel
 from .rationals import GaussianRational
 from .records import Record
@@ -196,7 +197,7 @@ def _build_alpha(payload):
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weight in 'alpha': {exc}") from exc
     _require(all(a > 0 for a in alpha), "weights must be positive")
-    bound = _int_field(payload, "degreeBound", 24)
+    bound = _int_field(payload, "degreeBound", DEFAULT_DEGREE_BOUND)
     _require(bound >= 0, "degreeBound must be non-negative")
     return (alpha, bound)
 

@@ -71,7 +71,7 @@ def hermitian_psd_status(h: Mat):
     n = h.rows
     a = [[h[i, j] for j in range(n)] for i in range(n)]
     for i in range(n):
-        if not a[i][i].is_real:
+        if a[i][i].im:
             raise ValueError("matrix is not Hermitian")
     active = list(range(n))
     rk = 0

@@ -156,7 +156,7 @@ def is_zero(a: Mat) -> bool:
 
 
 def is_real(a: Mat) -> bool:
-    return all(x.is_real for x in a.entries)
+    return all(not x.im for x in a.entries)
 
 
 def stack(mats) -> Mat:

@@ -97,7 +97,7 @@ def hodge_metric_matrix(spec, *, validate: bool = True) -> MetricMatrix:
         # Hermitian sanity
         for a in range(frame.rows):
             for b in range(frame.rows):
-                if mat[a][b].conj() != mat[b][a]:
+                if reference_polynomials.conj(mat[a][b]) != mat[b][a]:
                     raise NotPolarized("metric block is not Hermitian")
         blocks.append((i, frame, mat))
     if sum(b[1].rows for b in blocks) != spec.flag[0].rows:

@@ -5,13 +5,16 @@ This is the class the library used before it stored cleared ints: every
 coefficient is a ``Fraction`` (a ``GaussianRational`` when it is not real),
 and every operation adds and multiplies coefficients one at a time.  Its
 ``evaluate`` is the term-by-term sum, also available as the function
-``evaluate`` for any polynomial with a ``terms`` dict.
+``evaluate`` for any polynomial with a ``terms`` dict.  The function
+``conj`` conjugates a ``polynomials.MultiPoly`` through its public
+constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from hodgecalc import polynomials
 from hodgecalc.rationals import GaussianRational, as_gauss
 
 
@@ -42,6 +45,11 @@ def _cconj(a):
     if isinstance(a, GaussianRational):
         return _coeff(a.conj())
     return a
+
+
+def conj(poly: polynomials.MultiPoly) -> polynomials.MultiPoly:
+    """The polynomial with every coefficient conjugated."""
+    return polynomials.MultiPoly(poly.num_vars, {e: _cconj(c) for e, c in poly.terms.items()})
 
 
 def evaluate(poly, xs):

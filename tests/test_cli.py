@@ -571,6 +571,22 @@ def test_bad_document_field_exits_2(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+SUM = "nilpotents[0] + nilpotents[1]"
+TOO_LONG = {name: f"error: {SUM}: string length 2 does not fit weight 1\n"
+            for name in BAD_DOCUMENTS if name.endswith("-longer-than-weight")}
+# rwfp checks N_a before N_a + N_b, and here N_1 alone has a string of length 2
+TOO_LONG["rwfp-string-longer-than-weight"] = \
+    "error: nilpotents[0]: string length 2 does not fit weight 1\n"
+
+
+@pytest.mark.parametrize("name", TOO_LONG)
+def test_the_fit_check_names_the_sum(name, tmp_path, capsys):
+    command, payload = BAD_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli([command, "--input", str(path)], capsys) == (2, "", TOO_LONG[name])
+
+
 def test_horizontal_without_h11_names_h11(tmp_path, capsys):
     # g^{-1,1} has dimension h20 * h11, so h11 = 0 empties it even at h20 = 2
     command, payload = BAD_DOCUMENTS["horizontal-h11-zero"]

@@ -352,6 +352,19 @@ def test_bisectional_self_negative(algebras_w1, algebras_w2):
             assert bisectional_curvature(ge, xi, xi) < 0
 
 
+def test_self_bisectional_is_minus_the_quartic_numerator(algebras_w1, algebras_w2):
+    """|[xi, xi]|^2 = 0, and the other term of the self-bisectional
+    curvature is the numerator `raw` of the quartic: `horizontal` reports
+    -raw for it."""
+    rng = random.Random(29)
+    algebras = [*algebras_w1.values(), *algebras_w2.values(), _skewed_algebra(),
+                *_document_algebras()]
+    for ge in algebras:
+        for xi in _seeded_directions(ge, rng):
+            if not xi.is_zero():
+                assert bisectional_curvature(ge, xi, xi) == -sectional_quartic(ge, xi).raw
+
+
 def test_bisectional_zero_direction(algebras_w1):
     ge = algebras_w1[2]
     eta = ge.unflatten(ge.pieces[-1].row(0))

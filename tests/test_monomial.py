@@ -27,7 +27,7 @@ ORBIT_FIXTURES = [name for name in fixture_names() if load_fixture(name).kind ==
 
 def test_relation_space_dollar_bill(dollar_bill):
     rs = relation_space(dollar_bill.nilpotents)
-    assert rs.dim == 0
+    assert rs.basis.rows == 0
     assert rs.basis == Mat.zeros(0, 3)
     assert rs.orth_basis == Mat.identity(3)
 
@@ -35,7 +35,7 @@ def test_relation_space_dollar_bill(dollar_bill):
 def test_relation_space_duplicate():
     n = Mat.from_rows([[0, 1], [0, 0]])
     rs = relation_space((n, n))
-    assert rs.dim == 1
+    assert rs.basis.rows == 1
     assert primitive_rows(rs.basis) == [(1, -1)]
     assert primitive_rows(rs.orth_basis) == [(1, 1)]
 
@@ -43,7 +43,7 @@ def test_relation_space_duplicate():
 def test_relation_space_triple():
     n = Mat.from_rows([[0, 1], [0, 0]])
     rs = relation_space((n, n.scale(2), n))
-    assert rs.dim == 2
+    assert rs.basis.rows == 2
     assert sub_contains_vec(rs.basis, [2, -1, 0])
     assert sub_contains_vec(rs.basis, [1, 0, -1])
 
@@ -266,7 +266,7 @@ def test_relation_systems_match_entry_lists_with_relations(dollar_bill):
     n = dollar_bill.nilpotents
     spec = dollar_bill.__class__(dollar_bill.dim, dollar_bill.weight, dollar_bill.q,
                                  n + (n[0].scale(2), n[1] + n[2]), dollar_bill.flag)
-    assert relation_space(spec.nilpotents).dim == 2
+    assert relation_space(spec.nilpotents).basis.rows == 2
     pairs = [(small, large) for small in subsets(5, (1, 2)) for large in subsets(5, (3, 4))
              if set(small) < set(large)]
     assert_same_relations(spec, subsets(5), pairs)

@@ -28,7 +28,9 @@ dead library code out: each public function, class and method of the
 library is named by some code of the library, the demos or the benchmark
 outside its own definition (a method only as an attribute, ``x.method``),
 or is bound by name in the benchmark's tracer, unless ``UNREACHED`` gives
-the reason it stays.
+the reason it stays.  An attribute reaches every method of its name, so the
+last check lists each method or property whose name another class also
+defines in ``SHARED``, with a place that reaches that definition itself.
 """
 
 from __future__ import annotations
@@ -414,3 +416,82 @@ def test_a_bare_name_does_not_reach_a_method():
     assert unreached_definitions(modules, ["def width(): pass", "entries(Mat)"],
                                  bound_names(tracing)) == ["matrices.Mat.vec",
                                                            "matrices.Mat.width"]
+
+
+def _members(cls: ast.ClassDef):
+    """The method and property names and the record field names of a class."""
+    methods = {n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    fields = {n.target.id for n in cls.body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+    return methods, fields
+
+
+def shared_member_names(modules: dict):
+    """"module.Class.member" of each public method or property of a public
+    class of `modules` (module name -> source) whose name another public
+    class also defines, as a method, a property or a record field.  The
+    reachability check counts ``x.member`` for every definition of that
+    name, so these are the ones it cannot tell apart."""
+    classes = {f"{module}.{node.name}": _members(node)
+               for module, source in modules.items() for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    return sorted(f"{owner}.{name}" for owner, (methods, _) in classes.items()
+                  for name in methods if not name.startswith("_")
+                  and any(other != owner and (name in ms or name in fs)
+                          for other, (ms, fs) in classes.items()))
+
+
+# Each method or property whose name another class shares, with a place that
+# reaches that definition itself; a new entry is checked by hand before it
+# is added here.
+SHARED = {
+    "horizontal.GradedEnd.norm2": "horizontal.sectional_quartic, ge.norm2",
+    "lmhs.PolarizedOrbitSpec.lmhs": "cli._bigrading and orbit.hodge_metric_matrix, spec.lmhs()",
+    "matrices.Mat.conj": "horizontal.phs_weight1 and phs_weight2, matrices.sub_conj",
+    "matrices.Mat.from_json": "schemas, the matrices of a problem document",
+    "matrices.Mat.is_real": "schemas._build_subspace, cones.primitive_rows",
+    "matrices.Mat.is_zero": "weightfilt.grading_splitting, matrices.nilpotent_powers",
+    "matrices.Mat.scale": "weightfilt.grading_splitting, orbit.hodge_metric_matrix",
+    "matrices.Mat.to_json": "cli._sl2 and cli._refine",
+    "monomial.MonomialMap.monomial_strings": "MonomialMap.to_json, demos/03",
+    "monomial.MonomialMap.to_json": "cli._monomial_map and cli._stratum_map",
+    "multiplier.MonomialIdeal.monomial_strings": "cli._multiplier_ideal",
+    "normpos.CurvatureTensor.value": "normpos.strong_semipositivity_check, demos/04",
+    "polynomials.MultiPoly.is_real": "orbit.hodge_metric_polynomial, the real determinant",
+    "polynomials.MultiPoly.is_zero": "orbit.hodge_metric_polynomial, a vanishing determinant",
+    "polynomials.MultiPoly.scale": "orbit.hodge_metric_polynomial, the normalization",
+    "polynomials.MultiPoly.to_json": "cli._metric_poly",
+    "rationals.GaussianRational.conj": "rationals.i_power",
+    "rationals.GaussianRational.from_json": "schemas._build_alpha, Mat.from_json",
+    "rationals.GaussianRational.to_json": "Mat.to_json, MultiPoly.to_json",
+    "report.Report.passed": "cli.main, the exit code",
+    "weightfilt.WeightFiltration.ambient": "lmhs.deligne_bigrading, wf.ambient",
+    "weightfilt.WeightFiltration.level": "cli._weight_filtration, weightfilt certification",
+}
+
+
+def test_every_shared_member_name_is_listed():
+    """A method whose name another class shares is reached as far as the
+    reachability check can tell whenever the other one is: each such name
+    is listed in SHARED with a place that reaches it."""
+    assert shared_member_names({p.stem: p.read_text() for p in ALL_MODULES}) == sorted(SHARED)
+
+
+def test_the_check_finds_shared_member_names():
+    """A method shared with a method, a property or a record field of another
+    public class is listed; one shared only within its class, with a private
+    class or with a module-level function is not, nor is a private method."""
+    modules = {"matrices": ("class Mat:\n"
+                            "    def conj(self):\n        return self\n"
+                            "    @property\n    def size(self):\n        return 0\n"
+                            "    def rank(self):\n        return 1\n"
+                            "    def _form(self):\n        return 2\n"
+                            "    def trace(self):\n        return 3\n"
+                            "class _Ring:\n    def trace(self):\n        return 4\n"
+                            "def rank(m):\n    return m.rank()\n"),
+               "rationals": ("class Gauss:\n"
+                             "    def conj(self):\n        return self\n"
+                             "    def _form(self):\n        return 5\n"
+                             "class Report(Record):\n    size: int\n")}
+    assert shared_member_names(modules) == ["matrices.Mat.conj", "matrices.Mat.size",
+                                            "rationals.Gauss.conj"]
